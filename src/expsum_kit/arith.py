@@ -209,8 +209,13 @@ class LogVector:
             return LogVector()
         return LogVector({p: c * factor for p, c in self.coeffs.items()})
 
+    __mul__ = scale  # by a scalar; a product of two LogVectors is undefined
+
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def max_abs_coeff(self) -> object:
         """Largest |coefficient|, 0 for the zero vector."""
@@ -254,10 +259,7 @@ def dirichlet_convolve(
     out: List[TableValue] = [zero] * (n_max + 1)
     for d in range(1, n_max + 1):
         fd = f[d]
-        if isinstance(fd, LogVector):
-            if fd.is_zero():
-                continue
-        elif not fd:
+        if not fd:
             continue
         for n in range(d, n_max + 1, d):
             out[n] = out[n] + _scale(fd, g[n // d])

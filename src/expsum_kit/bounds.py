@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from scipy.integrate import quad
+
+from .diophantine import coordinates
 
 DISCLAIMER = ("valid for x >= x0(eta) with x0 effectively computable but "
               "not determined; ratios against actual sums are reported, "
@@ -197,41 +199,28 @@ def error_budget_report(pc: ParamChoice, x: float, q: int, delta0: float) -> Dic
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "non_binding": True}
 
 
-def _phi(q: int) -> int:
-    """Euler phi by trial division; bounds-layer inputs are small."""
-    out, n, p = 1, q, 2
+def _factor(q: int) -> List[Tuple[int, int]]:
+    """[(p, e), ...] by trial division; bounds-layer inputs are small."""
+    out, n, p = [], q, 2
     while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out *= p ** (e - 1) * (p - 1)
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
-        out *= n - 1
+        out.append((n, 1))
     return out
 
 
+def _phi(q: int) -> int:
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(q))
+
+
 def _tau(q: int) -> int:
-    out, n, p = 1, q, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out *= e + 1
-        p += 1 if p == 2 else 2
-    return out * (2 if n > 1 else 1)
-
-
-def coordinates(x: float, q: int, delta0: float) -> Tuple[float, float]:
-    """u = log(delta0 q)/log x, u0 = log+(delta0/q)/log x."""
-    log_x = math.log(x)
-    u = math.log(delta0 * q) / log_x
-    u0 = max(math.log(delta0 / q), 0.0) / log_x
-    return u, u0
+    return math.prod(e + 1 for _, e in _factor(q))
 
 
 def main_bound(f: str, x: float, q: int, delta0: float, eta: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bnd
 from .arith import ArithTables, TableRangeError, build_tables
 from .audit import AuditViolation, inequality_audit
-from .diophantine import as_fraction
+from .diophantine import as_fraction, delta0_of
 from .expsum import (RecombinationError, direct_sum, rational_sum_from_residues,
                      recombine, residue_weight_sums)
 from .identity import decompose_mangoldt, decompose_mobius, residual_report
@@ -177,11 +177,15 @@ def _coprime_residues(q: int) -> List[int]:
     return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
-def _sample_residues(q: int, k: int, seed: int) -> List[int]:
+def _residues(cfg: RunConfig, q: int) -> List[int]:
+    """The a of one q: all coprime residues, or a seeded sample of K."""
     all_a = _coprime_residues(q)
+    if cfg.a_mode == "all-coprime":
+        return all_a
+    k = int(cfg.a_mode.split(":", 1)[1])
     if len(all_a) <= k:
         return all_a
-    rng = np.random.default_rng((seed, q))
+    rng = np.random.default_rng((cfg.seed, q))
     picked = rng.choice(len(all_a), size=k, replace=False)
     return sorted(all_a[i] for i in picked)
 
@@ -200,18 +204,14 @@ def _sweep_rows_for_q(args) -> List[Dict]:
     tables = _WORKER_TABLES
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
-    if cfg.a_mode == "all-coprime":
-        residues = _coprime_residues(q)
-    else:
-        residues = _sample_residues(q, int(cfg.a_mode.split(":")[1]), cfg.seed)
     per_residue = {}
     if 0.0 in cfg.delta_list:
         per_residue = {f: residue_weight_sums(f, q, x, tables)
                        for f in ("mangoldt", "mobius")}
     rows: List[Dict] = []
-    for a in residues:
+    for a in _residues(cfg, q):
         for delta in cfg.delta_list:
-            delta0 = max(1.0, abs(delta) / 4.0)
+            delta0 = delta0_of(delta)
             u, u0 = bnd.coordinates(x, q, delta0)
             pc = bnd.choose_params(x, q, delta0, eta)
             flags = pc.condition_flags
@@ -299,11 +299,9 @@ def run_compare(cfg: RunConfig) -> int:
     rows: List[Dict] = []
     status = 0
     for q in range(cfg.q_range[0], cfg.q_range[1] + 1):
-        residues = (_coprime_residues(q) if cfg.a_mode == "all-coprime" else
-                    _sample_residues(q, int(cfg.a_mode.split(":")[1]), cfg.seed))
-        for a in residues:
+        for a in _residues(cfg, q):
             for delta in cfg.delta_list:
-                delta0 = max(1.0, abs(delta) / 4.0)
+                delta0 = delta0_of(delta)
                 alpha = Fraction(a, q) + as_fraction(delta) / as_fraction(cfg.x)
                 ws = _weight_system(cfg, q, delta0, tables)
                 for f in ("mangoldt", "mobius"):
@@ -335,16 +333,14 @@ def run_verify_identity(cfg: RunConfig) -> int:
     table_span = max(n_max, int(math.floor(u1 * r)), q)
     tables = tables_for(table_span)
     ws = _weight_system(cfg, q, 1.0, tables)
-    dec_l = decompose_mangoldt(n_max, ws, tables)
-    dec_m = decompose_mobius(n_max, ws, tables)
-    payload = {
-        "config": cfg.as_dict(),
-        "mangoldt": residual_report(dec_l, ws, tables),
-        "mobius": residual_report(dec_m, ws, tables),
-    }
+    payload = {"config": cfg.as_dict()}
+    worst = 0.0
+    for name, decompose in (("mangoldt", decompose_mangoldt),
+                            ("mobius", decompose_mobius)):
+        report = residual_report(decompose(n_max, ws, tables), ws, tables)
+        payload[name] = report
+        worst = max(worst, report["max_abs_residual"])
     write_json(payload, cfg.output)
-    worst = max(payload["mangoldt"]["max_abs_residual"],
-                payload["mobius"]["max_abs_residual"])
     return 0 if worst < 1e-25 else 1
 
 
@@ -363,9 +359,7 @@ def run_audit(cfg: RunConfig) -> int:
 
 def run_bound(cfg: RunConfig) -> int:
     q = cfg.q_range[0]
-    delta = cfg.delta_list[0]
-    delta0 = max(1.0, abs(delta) / 4.0)
-    payload = bnd.bound_report(cfg.x, q, delta0, cfg.eta)
+    payload = bnd.bound_report(cfg.x, q, delta0_of(cfg.delta_list[0]), cfg.eta)
     payload["config"] = cfg.as_dict()
     write_json(payload, cfg.output)
     return 0

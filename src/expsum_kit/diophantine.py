@@ -24,7 +24,7 @@ class ApproximationError(RuntimeError):
 class RationalApprox:
     """alpha = a/q + delta/x with gcd(a,q) = 1, q <= Q, |delta|/x <= 1/(qQ).
 
-    delta0 = max(1, |delta|/4) is the effective distance scale.
+    delta0 = delta0_of(delta) is the effective distance scale.
     Invariants are checked on construction.
     """
 
@@ -51,6 +51,23 @@ class RationalApprox:
                 f"|alpha - a/q| = {err:.3e} > {1.0 / (self.q * self.Q):.3e}")
         if not self.delta0 >= 1:
             raise ValueError("delta0 must be >= 1")
+
+
+def delta0_of(delta: float) -> float:
+    """The effective distance scale delta0 = max(1, |delta|/4)."""
+    return max(1.0, abs(delta) / 4.0)
+
+
+def coordinates(x: float, q: int, delta0: float) -> Tuple[float, float]:
+    """Theorem coordinates u = log(delta0 q)/log x, u0 = log+(delta0/q)/log x.
+
+    Always 0 <= u0 <= u for q >= 1 and delta0 >= 1; the eta-dependent
+    range checks (u <= 2/5 - eta etc.) live in the bounds layer.
+    """
+    log_x = math.log(x)
+    u = math.log(delta0 * q) / log_x
+    u0 = max(math.log(delta0 / q), 0.0) / log_x
+    return u, u0
 
 
 def as_fraction(alpha) -> Fraction:
@@ -102,8 +119,7 @@ def _build(alpha: Fraction, a: int, q: int, Q: float, x: float) -> RationalAppro
     g = math.gcd(a, q)
     a, q = a // g, q // g
     delta = float((alpha - Fraction(a, q)) * as_fraction(x))
-    return RationalApprox(a=a, q=q, delta=delta,
-                          delta0=max(1.0, abs(delta) / 4.0),
+    return RationalApprox(a=a, q=q, delta=delta, delta0=delta0_of(delta),
                           Q=Q, x=float(x), alpha=alpha)
 
 
@@ -165,14 +181,7 @@ def _window_scan(alpha: Fraction, lo: int, hi: int, q_cap: float,
 
 
 def u_coordinates(approx: RationalApprox) -> Tuple[float, float]:
-    """Theorem coordinates u = log(delta0 q)/log x, u0 = log+(delta0/q)/log x.
-
-    Always 0 <= u0 <= u since q >= 1 and delta0 >= 1; the eta-dependent
-    range checks (u <= 2/5 - eta etc.) live in the bounds layer.
-    """
+    """coordinates(x, q, delta0) of the approximation; needs x > 1."""
     if approx.x <= 1:
         raise ValueError("u coordinates need x > 1")
-    log_x = math.log(approx.x)
-    u = math.log(approx.delta0 * approx.q) / log_x
-    u0 = max(math.log(approx.delta0 / approx.q), 0.0) / log_x
-    return u, u0
+    return coordinates(approx.x, approx.q, approx.delta0)

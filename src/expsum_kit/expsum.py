@@ -49,10 +49,6 @@ class ExpSumValue:
     def __abs__(self) -> float:
         return abs(self.value)
 
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
 
 def reduced_fracs(alpha, n: int) -> np.ndarray:
     """{k*alpha} for k = 1..n, with exact re-anchoring every 2^16 steps."""
@@ -159,11 +155,6 @@ def direct_sum_rational(f: str, a: int, q: int, x: float,
     """direct_sum at alpha = a/q via residue aggregation, O(x + q) flat."""
     per_residue = residue_weight_sums(f, q, x, tables)
     return rational_sum_from_residues(per_residue, a, q, int(math.floor(x)))
-
-
-def small_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
-    """sum_{l <= x} f(l) e(l alpha); the tail piece of the decomposition."""
-    return direct_sum(f, alpha, x, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +309,7 @@ def recombine(f: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
         raise ValueError("f must be 'mangoldt' or 'mobius'")
     s2 = type_I_2(f, alpha, x, ws, tables)
     s_ii = type_II(f, alpha, x, ws, tables)
-    tail = small_sum(f, alpha, min(ws.cfg.V, x), tables)
+    tail = direct_sum(f, alpha, min(ws.cfg.V, x), tables)
     combined = s1.value - s2.value + s_ii.value + tail.value
     residual = abs(s_direct.value - combined)
     report = DecompositionReport(f=f, alpha=float(as_fraction(alpha)), x=float(x),

@@ -8,8 +8,14 @@ and the mu identity as
 
     mu = h - 1*h*mu_{<=V} + (1*theta)(1*lambda)*mu_{>V} + mu_{<=V}.
 
-Each of the four terms is evaluated by its own divisor-sum loop so the
-residual check cross-validates rather than cancelling by construction.
+Both identities share one shape, f = h*(1*f) - 1*h*f_{<=V}
++ (1*theta)(1*lambda)*f_{>V} + f_{<=V}, so one engine builds both: a
+single divisor loop driven by a description of f that gives the exact
+f(l) (a LogVector for Lambda, an int for mu), the exact (1*f)(m) (log m,
+or [m = 1]) and the zero of the value type. The terms still come from
+their own tables (h, 1*h and (1*theta)(1*lambda), each summed from the
+weights), and the residual is taken against f(n) evaluated afresh, so the
+check cross-validates rather than cancelling by construction.
 Because the ramp weights are irrational, residuals are certified in
 RAMP_DPS-digit mpmath arithmetic: per log-basis coefficient for Lambda,
 as a scalar for mu. The true residual is identically zero for any
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from mpmath import mpf, workdps
 
@@ -28,8 +34,7 @@ from .arith import ArithTables, LogVector, TableRangeError
 from .weights import RAMP_DPS, WeightSystem, classic_vaughan_mode
 
 __all__ = [
-    "MangoldtDecomposition",
-    "MobiusDecomposition",
+    "Decomposition",
     "decompose_mangoldt",
     "decompose_mobius",
     "classic_vaughan_mode",
@@ -43,7 +48,6 @@ def _mp_tables(ws: WeightSystem, n_max: int):
     theta values come straight from the piecewise definition; lambda from
     the exact rational table.
     """
-    tables = ws.tables
     cfg = ws.cfg
     h = ws.h_mp()
     one_h = [mpf(0)] * (n_max + 1)
@@ -71,67 +75,51 @@ def _mp_tables(ws: WeightSystem, n_max: int):
     return h, one_h, conv_tl
 
 
-def _prime_power_divisors(n: int, tables: ArithTables) -> List[Tuple[int, int]]:
-    """(p^k, p) pairs over prime-power divisors of n."""
-    out = []
-    for p, e in tables.factorize(n):
-        pk = 1
-        for _ in range(e):
-            pk *= p
-            out.append((pk, p))
-    return out
+@dataclass(frozen=True)
+class _ExactFunction:
+    """What the engine needs to know about f in {Lambda, mu}.
+
+    at(l) is the exact f(l), one_star(m) the exact (1*f)(m) (log m for
+    Lambda, [m = 1] for mu), zero the value type's zero and size the
+    magnitude of a residual.
+    """
+
+    at: Callable[[int, ArithTables], object]
+    one_star: Callable[[int, ArithTables], object]
+    zero: object
+    size: Callable[[object], object]
+
+
+_MANGOLDT = _ExactFunction(LogVector.mangoldt, LogVector.log_of, LogVector(),
+                           LogVector.max_abs_coeff)
+_MOBIUS = _ExactFunction(lambda l, tables: int(tables.mobius[l]),
+                         lambda m, tables: int(m == 1), mpf(0), abs)
 
 
 @dataclass
-class MangoldtDecomposition:
-    """Four component tables of the Lambda identity over [1, n_max]."""
+class Decomposition:
+    """Four component tables of the Lambda or mu identity over [1, n_max]."""
 
+    f: _ExactFunction
     n_max: int
     V: float
-    term1: List[LogVector]  # (h * log)(n)
-    term2: List[LogVector]  # (1 * h * Lambda_{<=V})(n)
-    term3: List[LogVector]  # ((1*theta)(1*lambda) * Lambda_{>V})(n)
-    term4: List[LogVector]  # Lambda_{<=V}(n)
+    term1: list  # (h * (1*f))(n)
+    term2: list  # (1 * h * f_{<=V})(n)
+    term3: list  # ((1*theta)(1*lambda) * f_{>V})(n)
+    term4: list  # f_{<=V}(n)
 
-    def residual(self, n: int, tables: ArithTables) -> LogVector:
-        expected = LogVector.mangoldt(n, tables)
+    def residual(self, n: int, tables: ArithTables):
         with workdps(RAMP_DPS):
             return (self.term1[n] - self.term2[n] + self.term3[n]
-                    + self.term4[n] - expected)
+                    + self.term4[n] - self.f.at(n, tables))
 
     def max_residual(self, tables: ArithTables) -> Tuple[float, int]:
-        """(max |residual coefficient|, argmax n)."""
+        """(max residual size, argmax n); size is the largest |coefficient|
+        for Lambda and |value| for mu."""
         worst, arg = 0.0, 1
         with workdps(RAMP_DPS):
             for n in range(1, self.n_max + 1):
-                r = float(self.residual(n, tables).max_abs_coeff())
-                if r > worst:
-                    worst, arg = r, n
-        return worst, arg
-
-
-@dataclass
-class MobiusDecomposition:
-    """Four scalar component tables of the mu identity over [1, n_max]."""
-
-    n_max: int
-    V: float
-    term1: List[mpf]  # h(n)
-    term2: List[mpf]  # (1 * h * mu_{<=V})(n)
-    term3: List[mpf]  # ((1*theta)(1*lambda) * mu_{>V})(n)
-    term4: List[mpf]  # mu_{<=V}(n)
-
-    def residual(self, n: int, tables: ArithTables) -> mpf:
-        mu = int(tables.mobius[n])
-        with workdps(RAMP_DPS):
-            return (self.term1[n] - self.term2[n] + self.term3[n]
-                    + self.term4[n] - mu)
-
-    def max_residual(self, tables: ArithTables) -> Tuple[float, int]:
-        worst, arg = 0.0, 1
-        with workdps(RAMP_DPS):
-            for n in range(1, self.n_max + 1):
-                r = abs(float(self.residual(n, tables)))
+                r = float(self.f.size(self.residual(n, tables)))
                 if r > worst:
                     worst, arg = r, n
         return worst, arg
@@ -145,67 +133,49 @@ def _check_ranges(n_max: int, ws: WeightSystem) -> None:
         raise TableRangeError("h support exceeds sieved range")
 
 
-def decompose_mangoldt(n_max: int, ws: WeightSystem,
-                       tables: ArithTables) -> MangoldtDecomposition:
-    """Materialize the four Lambda-identity terms on [1, n_max].
+def _decompose(f: _ExactFunction, n_max: int, ws: WeightSystem,
+               tables: ArithTables) -> Decomposition:
+    """Materialize the four terms on [1, n_max] in one divisor loop.
 
-    The cutoff Lambda_{<=V} compares prime powers to V as exact
-    integer-vs-real (l <= V, i.e. l <= floor(V) for integral l).
+    The cutoff f_{<=V} compares l to V as exact integer-vs-real
+    (l <= V, i.e. l <= floor(V) for integral l).
     """
     _check_ranges(n_max, ws)
     V = ws.cfg.V
+    zero = f.zero
     with workdps(RAMP_DPS):
         h, one_h, conv_tl = _mp_tables(ws, n_max)
-        zero = LogVector()
-        term1 = [zero] + [LogVector() for _ in range(n_max)]
-        term2 = [zero] + [LogVector() for _ in range(n_max)]
-        term3 = [zero] + [LogVector() for _ in range(n_max)]
-        term4 = [zero] + [LogVector() for _ in range(n_max)]
+        term1, term2, term3, term4 = ([zero] * (n_max + 1) for _ in range(4))
         for n in range(1, n_max + 1):
+            t1 = t2 = t3 = zero
             for d in tables.divisors(n):
                 hv = h.get(d)
                 if hv is not None:
-                    term1[n] = term1[n] + LogVector.log_of(n // d, tables).scale(hv)
-            for pk, p in _prime_power_divisors(n, tables):
-                if pk <= V:
-                    term2[n] = term2[n] + LogVector({p: one_h[n // pk]})
-                else:
-                    term3[n] = term3[n] + LogVector({p: conv_tl[n // pk]})
-            base = int(tables.mangoldt_base[n])
-            if base and n <= V:
-                term4[n] = LogVector({base: 1})
-    return MangoldtDecomposition(n_max, V, term1, term2, term3, term4)
+                    one_f = f.one_star(n // d, tables)
+                    if one_f:
+                        t1 = t1 + one_f * hv
+                fd = f.at(d, tables)
+                if fd:
+                    if d <= V:
+                        t2 = t2 + fd * one_h[n // d]
+                    else:
+                        t3 = t3 + fd * conv_tl[n // d]
+            term1[n], term2[n], term3[n] = t1, t2, t3
+            if n <= V:
+                term4[n] = zero + f.at(n, tables)
+    return Decomposition(f, n_max, V, term1, term2, term3, term4)
+
+
+def decompose_mangoldt(n_max: int, ws: WeightSystem,
+                       tables: ArithTables) -> Decomposition:
+    """The four Lambda-identity terms on [1, n_max], as LogVectors."""
+    return _decompose(_MANGOLDT, n_max, ws, tables)
 
 
 def decompose_mobius(n_max: int, ws: WeightSystem,
-                     tables: ArithTables) -> MobiusDecomposition:
-    """Materialize the four mu-identity terms on [1, n_max]."""
-    _check_ranges(n_max, ws)
-    V = ws.cfg.V
-    with workdps(RAMP_DPS):
-        h, one_h, conv_tl = _mp_tables(ws, n_max)
-        zero = mpf(0)
-        term1 = [zero] * (n_max + 1)
-        term2 = [zero] * (n_max + 1)
-        term3 = [zero] * (n_max + 1)
-        term4 = [zero] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            term1[n] = h.get(n, zero)
-            t2 = mpf(0)
-            t3 = mpf(0)
-            for l in tables.divisors(n):
-                mu = int(tables.mobius[l])
-                if mu == 0:
-                    continue
-                if l <= V:
-                    t2 += mu * one_h[n // l]
-                else:
-                    t3 += mu * conv_tl[n // l]
-            term2[n] = t2
-            term3[n] = t3
-            if n <= V:
-                term4[n] = mpf(int(tables.mobius[n]))
-    return MobiusDecomposition(n_max, V, term1, term2, term3, term4)
+                     tables: ArithTables) -> Decomposition:
+    """The four mu-identity terms on [1, n_max], as RAMP_DPS-digit mpf."""
+    return _decompose(_MOBIUS, n_max, ws, tables)
 
 
 def residual_report(decomposition, ws: WeightSystem,

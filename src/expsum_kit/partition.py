@@ -11,9 +11,10 @@ primes it follows from Brun-Titchmarsh).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -41,27 +42,26 @@ class Partition:
         return sorted(out)
 
     def spacing_violations(self) -> List[tuple]:
-        """Exhaustive pairwise check; empty list means the property holds."""
-        bad = []
-        min_gap = self.L * self.q
-        for ci, cls in enumerate(self.classes):
-            by_residue: Dict[int, List[int]] = {}
-            for m in cls:
-                by_residue.setdefault(m % self.q, []).append(m)
-            for residue, ms in by_residue.items():
-                arr = np.sort(np.asarray(ms, dtype=np.int64))
-                if len(arr) <= 4000:
-                    gaps = arr[:, None] - arr[None, :]  # all pairs at once
-                    hits = np.argwhere((gaps > 0) & (gaps < min_gap))
-                    for i, j in hits:
-                        bad.append((ci, residue, int(arr[j]), int(arr[i])))
-                else:
-                    # Sorted, so the minimum pairwise gap is attained by a
-                    # consecutive pair; equivalent to all-pairs, O(K) memory.
-                    diffs = np.diff(arr)
-                    for i in np.flatnonzero(diffs < min_gap):
-                        bad.append((ci, residue, int(arr[i]), int(arr[i + 1])))
-        return bad
+        """(class index, residue, m, m') for consecutive same-residue pairs.
+
+        Within each class and residue class mod q, members m <= m' that are
+        neighbours in sorted order and closer than Lq are reported, ordered
+        by class, residue and m. The minimum gap of a sorted group is
+        attained by neighbours, so an empty list means the separation
+        property holds for every pair.
+        """
+        sizes = [len(c) for c in self.classes]
+        values = np.fromiter(itertools.chain.from_iterable(self.classes),
+                             dtype=np.int64, count=sum(sizes))
+        cls = np.repeat(np.arange(len(sizes)), sizes)
+        res = values % self.q
+        order = np.lexsort((values, res, cls))
+        values, cls, res = values[order], cls[order], res[order]
+        gaps = np.diff(values)
+        same = (cls[1:] == cls[:-1]) & (res[1:] == res[:-1])
+        hits = np.flatnonzero(same & (gaps < self.L * self.q))
+        return [(int(cls[i]), int(res[i]), int(values[i]), int(values[i + 1]))
+                for i in hits]
 
 
 def separation_bound(L: float, q: int, tables: ArithTables) -> float:

@@ -289,26 +289,9 @@ class WeightSystem:
                 out[d::d] += float(lam)
         return out
 
-    def one_star_h(self, n: int) -> np.ndarray:
-        out = np.zeros(n + 1)
-        h = self.h_float()
-        for d in range(1, min(len(h) - 1, n) + 1):
-            if h[d]:
-                out[d::d] += h[d]
-        return out
-
     def conv_theta_lambda(self, n: int) -> np.ndarray:
         """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n."""
         return self.one_star_theta(n) * self.one_star_lambda(n)
-
-    def factorization_identity_table(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """((1*h)(k), (1*theta')(k) (1*lambda)(k)) for k <= n.
-
-        Equal as real sequences; both sides are exposed so the identity
-        can be checked rather than assumed.
-        """
-        return (self.one_star_h(n),
-                self.one_star_theta_prime(n) * self.one_star_lambda(n))
 
     # -- findings -------------------------------------------------------------
 

@@ -41,9 +41,24 @@ def test_trivial_values(tables_small, ws_small):
             assert abs(combo.coeffs[p] - 1) < mpf(10) ** -30
 
 
-def _oracle_terms_mangoldt(n, ws, tables):
+# Exact f(l), exact (1*f)(m) and the zero of the value type, written
+# independently of the engine's own description of each function.
+ORACLE_FUNCTIONS = {
+    "mangoldt": (decompose_mangoldt, LogVector.mangoldt, LogVector.log_of,
+                 LogVector),
+    "mobius": (decompose_mobius, lambda l, t: mpf(int(t.mobius[l])),
+               lambda m, t: mpf(1) if m == 1 else mpf(0), lambda: mpf(0)),
+}
+
+
+def _size(v):
+    return float(v.max_abs_coeff()) if isinstance(v, LogVector) else abs(float(v))
+
+
+def _oracle_terms(name, n, ws, tables):
     """Independent evaluation of the four terms by raw divisor sums,
     recomputing h from the lambda fractions and the theta' formula."""
+    _, f, one_f, zero = ORACLE_FUNCTIONS[name]
     cfg = ws.cfg
     with workdps(50):
         def theta_prime(d):
@@ -63,8 +78,8 @@ def _oracle_terms_mangoldt(n, ws, tables):
                                   * theta_prime(d2))
             return total
 
-        def one(f, m):
-            return sum((f(d) for d in tables.divisors(m)), mpf(0))
+        def one(g, m):
+            return sum((g(d) for d in tables.divisors(m)), mpf(0))
 
         def lam_at(d):
             fr = ws.lambda_table.get(d)
@@ -73,33 +88,29 @@ def _oracle_terms_mangoldt(n, ws, tables):
         def theta(d):
             return int(tables.mobius[d]) - theta_prime(d)
 
-        t1 = LogVector()
+        t1 = zero()
         for d in tables.divisors(n):
-            t1 = t1 + LogVector.log_of(n // d, tables).scale(h(d))
-        t2, t3 = LogVector(), LogVector()
+            t1 = t1 + one_f(n // d, tables) * h(d)
+        t2, t3 = zero(), zero()
         for l in tables.divisors(n):
-            base = int(tables.mangoldt_base[l])
-            if not base:
-                continue
+            k = n // l
             if l <= cfg.V:
-                t2 = t2 + LogVector({base: one(h, n // l)})
+                t2 = t2 + f(l, tables) * one(h, k)
             else:
-                k = n // l
-                t3 = t3 + LogVector({base: one(theta, k) * one(lam_at, k)})
-        base_n = int(tables.mangoldt_base[n])
-        t4 = LogVector({base_n: mpf(1)}) if base_n and n <= cfg.V else LogVector()
+                t3 = t3 + f(l, tables) * (one(theta, k) * one(lam_at, k))
+        t4 = f(n, tables) if n <= cfg.V else zero()
         return t1, t2, t3, t4
 
 
-def test_terms_against_independent_oracle(tables_small, ws_small):
-    dec = decompose_mangoldt(80, ws_small, tables_small)
+@pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONS))
+def test_terms_against_independent_oracle(name, tables_small, ws_small):
+    dec = ORACLE_FUNCTIONS[name][0](80, ws_small, tables_small)
     with workdps(50):
         for n in (1, 2, 6, 12, 30, 36, 60, 64, 77):
-            o1, o2, o3, o4 = _oracle_terms_mangoldt(n, ws_small, tables_small)
+            o1, o2, o3, o4 = _oracle_terms(name, n, ws_small, tables_small)
             for got, want in ((dec.term1[n], o1), (dec.term2[n], o2),
                               (dec.term3[n], o3), (dec.term4[n], o4)):
-                diff = got - want
-                assert float(diff.max_abs_coeff()) < 1e-30, (n, got, want)
+                assert _size(got - want) < 1e-30, (n, got, want)
 
 
 def test_mobius_term1_is_h(tables_small, ws_small):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -68,3 +69,30 @@ def test_spacing_violations_detects_bad_partition():
     assert bad.spacing_violations() == [(0, 2, 11, 14)]
     ok = Partition(classes=[[11, 17]], M=10, q=3, L=2)
     assert ok.spacing_violations() == []
+    # only consecutive same-residue pairs are reported, not (11, 17)
+    run = Partition(classes=[[11, 14, 17]], M=10, q=3, L=3)
+    assert run.spacing_violations() == [(0, 2, 11, 14), (0, 2, 14, 17)]
+    # ordered by class, then residue, then value, whatever the input order
+    two = Partition(classes=[[20, 11, 14], [8, 5, 4, 1]], M=10, q=3, L=2)
+    assert two.spacing_violations() == [(0, 2, 11, 14), (1, 1, 1, 4),
+                                        (1, 2, 5, 8)]
+    # close, same residue, but in different classes
+    assert Partition(classes=[[11], [14]], M=10, q=3, L=2).spacing_violations() == []
+    assert Partition(classes=[], M=10, q=3, L=2).spacing_violations() == []
+
+
+def test_spacing_violations_against_all_pairs():
+    # every reported pair is a close same-residue pair, and the list is
+    # empty exactly when the all-pairs scan finds none
+    rng = random.Random(7)
+    for _ in range(300):
+        q, L = rng.randint(1, 6), rng.choice((2, 3, 4.5))
+        classes = [[] for _ in range(rng.randint(1, 4))]
+        for m in rng.sample(range(1, 200), rng.randint(0, 60)):
+            classes[rng.randrange(len(classes))].append(m)
+        close = {(ci, a % q, a, b) for ci, cls in enumerate(classes)
+                 for a in cls for b in cls
+                 if a % q == b % q and 0 < b - a < L * q}
+        got = Partition(classes=classes, M=100, q=q, L=L).spacing_violations()
+        assert set(got) <= close
+        assert (got == []) == (not close)
