@@ -9,16 +9,24 @@ Provides:
   Fraction (or int) values, LogVector values, or a mix of the two.
 - LogVector: exact carrier for quantities of the form sum_p c_p * log p,
   so convolutions involving Lambda or log never round.
+- save_tables / load_tables: the on-disk .npz form of ArithTables.
+- ArithFunction, FUNCTIONS: the one definition of each function of the
+  main theorem (Lambda and mu) in float, exact and (1*f) form.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+from mpmath import mpf
 
 # ~20 bytes/entry across the four tables; the cap keeps a typo from
 # swallowing all RAM.
@@ -26,7 +34,12 @@ MAX_N_MAX = 100_000_000
 
 
 class TableRangeError(ValueError):
-    """Raised when a query exceeds the sieved range."""
+    """Raised when a query exceeds the sieved range, or a range to sieve
+    exceeds the allocation cap."""
+
+
+class TableCacheError(ValueError):
+    """A cached table file is unreadable or does not hold the tables asked for."""
 
 
 @dataclass(frozen=True)
@@ -76,19 +89,54 @@ class ArithTables:
             out *= e + 1
         return out
 
-    def is_squarefree(self, n: int) -> bool:
-        return self.mobius[n] != 0
 
-    def mangoldt_float(self) -> np.ndarray:
-        """Lambda(n) as float64: log of the Mangoldt base where nonzero."""
-        base = self.mangoldt_base.astype(np.float64)
-        out = np.zeros_like(base)
-        nz = base > 0
-        out[nz] = np.log(base[nz])
-        return out
+#: The arrays of a table file and their dtypes.
+_TABLE_DTYPES = {"spf": np.int32, "mobius": np.int8, "totient": np.int64,
+                 "mangoldt_base": np.int32, "primes": np.int64}
 
-    def mobius_float(self) -> np.ndarray:
-        return self.mobius.astype(np.float64)
+
+def save_tables(tables: ArithTables, path) -> None:
+    """Write tables to path as .npz, atomically: a killed or concurrent
+    writer leaves either no file or a whole one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **{k: getattr(tables, k) for k in _TABLE_DTYPES})
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load_tables(path, n_max: int) -> ArithTables:
+    """Read tables written by save_tables, checking that they are n_max's.
+
+    Raises TableCacheError if the file is unreadable, or its arrays, their
+    dtypes or their lengths are not those of tables sieved to n_max.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise TableCacheError("not an .npz archive")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise TableCacheError(f"unreadable: {exc}") from exc
+    if set(arrays) != set(_TABLE_DTYPES):
+        raise TableCacheError(f"arrays {sorted(arrays)}, expected "
+                              f"{sorted(_TABLE_DTYPES)}")
+    for k, a in arrays.items():
+        if a.dtype != _TABLE_DTYPES[k] or a.ndim != 1:
+            raise TableCacheError(f"{k} is {a.dtype} {a.shape}, expected 1-d "
+                                  f"{np.dtype(_TABLE_DTYPES[k])}")
+        if k != "primes" and len(a) != n_max + 1:
+            raise TableCacheError(f"{k} has {len(a)} entries, expected n_max + 1")
+    primes = arrays["primes"]
+    if len(primes) and not 2 <= primes[0] <= primes[-1] <= n_max:
+        raise TableCacheError(f"primes outside [2, n_max={n_max}]")
+    return ArithTables(n_max=n_max, **arrays)
 
 
 def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
@@ -101,7 +149,7 @@ def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > cap:
-        raise ValueError(f"n_max={n_max} exceeds allocation cap {cap}")
+        raise TableRangeError(f"n_max={n_max} exceeds allocation cap {cap}")
 
     idx = np.arange(n_max + 1, dtype=np.int64)
 
@@ -160,6 +208,11 @@ def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
     return mu * int(tables.totient[r]) // int(tables.totient[rg])
 
 
+def coprime_residues(q: int) -> List[int]:
+    """The a in [0, q) with gcd(a, q) = 1: [0] for q = 1."""
+    return [a for a in range(q) if math.gcd(a, q) == 1]
+
+
 # ---------------------------------------------------------------------------
 # Exact log-basis vectors
 
@@ -178,12 +231,6 @@ class LogVector:
     def log_of(n: int, tables: ArithTables) -> "LogVector":
         """log n = sum_p v_p(n) log p as an exact vector."""
         return LogVector({p: e for p, e in tables.factorize(n)}) if n > 1 else LogVector()
-
-    @staticmethod
-    def mangoldt(n: int, tables: ArithTables) -> "LogVector":
-        """Lambda(n) as a vector: {p: 1} when n is a power of p."""
-        base = int(tables.mangoldt_base[n])
-        return LogVector({base: 1}) if base else LogVector()
 
     def _merge(self, other: "LogVector", sign: int) -> "LogVector":
         out = dict(self.coeffs)
@@ -222,6 +269,8 @@ class LogVector:
         if not self.coeffs:
             return 0
         return max(abs(c) for c in self.coeffs.values())
+
+    __abs__ = max_abs_coeff
 
     def to_float(self) -> float:
         return float(sum(float(c) * math.log(p) for p, c in self.coeffs.items()))
@@ -278,4 +327,59 @@ def mobius_table(n_max: int, tables: ArithTables) -> List[Fraction]:
 
 def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
     tables.check_range(n_max)
-    return [LogVector()] + [LogVector.mangoldt(n, tables) for n in range(1, n_max + 1)]
+    return [LogVector()] + [MANGOLDT.exact(n, tables) for n in range(1, n_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The functions of the main theorem
+
+
+@dataclass(frozen=True)
+class ArithFunction:
+    """Everything the kit needs to know about one f in {Lambda, mu}.
+
+    floats(tables) is f(n) as float64 on [0, n_max], built on each call;
+    exact(n, tables) is f(n) exactly (a LogVector for Lambda, an int for
+    mu); one_star(m, tables) is (1*f)(m) exactly (log m for Lambda,
+    [m = 1] for mu); zero is the zero of the identity's term values.
+    """
+
+    name: str
+    floats: Callable[[ArithTables], np.ndarray]
+    exact: Callable[[int, ArithTables], object]
+    one_star: Callable[[int, ArithTables], object]
+    zero: object
+
+
+def _mangoldt_floats(tables: ArithTables) -> np.ndarray:
+    """log of the Mangoldt base where nonzero."""
+    base = tables.mangoldt_base.astype(np.float64)
+    out = np.zeros_like(base)
+    nz = base > 0
+    out[nz] = np.log(base[nz])
+    return out
+
+
+def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
+    """{p: 1} when n is a power of p."""
+    base = int(tables.mangoldt_base[n])
+    return LogVector({base: 1}) if base else LogVector()
+
+
+MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_exact,
+                         LogVector.log_of, LogVector())
+MOBIUS = ArithFunction("mobius", lambda tables: tables.mobius.astype(np.float64),
+                       lambda n, tables: int(tables.mobius[n]),
+                       lambda m, tables: int(m == 1), mpf(0))
+
+#: The functions by name, in output order.
+FUNCTIONS: Dict[str, ArithFunction] = {f.name: f for f in (MANGOLDT, MOBIUS)}
+
+
+def arith_function(name: str) -> ArithFunction:
+    """The FUNCTIONS entry of name; ValueError for any other name."""
+    try:
+        return FUNCTIONS[name]
+    except KeyError:
+        raise ValueError(f"f must be one of {', '.join(FUNCTIONS)}, "
+                         f"got {name!r}") from None

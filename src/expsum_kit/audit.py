@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import ArithTables
+from .arith import ArithTables, coprime_residues
 from .expsum import reduced_fracs
 
 _SLACK = 1e-9
@@ -90,8 +90,7 @@ def _random_ap0(rng: np.random.Generator, q0_max: int = 50,
                 allow_zero_delta: bool = True) -> _Approx:
     """alpha = a0/q0 + delta/y with (a0,q0)=1, |delta|/y <= 1/(q0 Q0)."""
     q0 = int(rng.integers(1, q0_max + 1))
-    candidates = [0] if q0 == 1 else [
-        a for a in range(1, q0) if math.gcd(a, q0) == 1]
+    candidates = coprime_residues(q0)
     a0 = int(candidates[rng.integers(0, len(candidates))])
     y = int(rng.integers(1_000, 100_000))
     delta_cap = y / (q0 * max(float(q0), y ** 0.6))  # Q0 = max(q0, y^0.6)

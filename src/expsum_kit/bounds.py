@@ -11,11 +11,12 @@ than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from scipy.integrate import quad
 
+from .arith import FUNCTIONS, MANGOLDT, arith_function
 from .diophantine import coordinates
 
 DISCLAIMER = ("valid for x >= x0(eta) with x0 effectively computable but "
@@ -72,13 +73,20 @@ def integral_sqrt_ratio_quadrature(A: float, B: float, u: float) -> float:
     return val
 
 
-def _check_inputs(u: float, u0: float, eta: float) -> None:
+def _check_inputs(u: float, u0: float, eta: float) -> Tuple[float, float, float]:
+    """(u, u0, 1 - (eta + 5u + u0)/2), u and u0 clamped at 0, once the
+    inputs are checked against the admissible region."""
     if not 0 < eta <= 0.1:
         raise BoundDomainError("eta must lie in (0, 1/10]")
     if u < -1e-15 or u > 0.4 - eta + 1e-12:
         raise BoundDomainError(f"u={u} outside [0, 2/5 - eta]")
     if u0 < -1e-15 or u0 > min(u, 0.2 + eta) + 1e-12:
         raise BoundDomainError(f"u0={u0} outside [0, min(u, 1/5 + eta)]")
+    u, u0 = max(u, 0.0), max(u0, 0.0)
+    denom = 1.0 - (eta + 5.0 * u + u0) / 2.0
+    if denom <= 0:
+        raise BoundDomainError("(eta + 5u + u0)/2 must stay below 1")
+    return u, u0, denom
 
 
 def F_eta(u: float, u0: float, eta: float) -> float:
@@ -87,11 +95,7 @@ def F_eta(u: float, u0: float, eta: float) -> float:
     1.01 + 14.41/(1 - (eta + 5u + u0)/2) * int_{(eta-eta^3)/2 + u}^{(2+eta+u+u0)/4}
     sqrt(t/(t-u)) dt.
     """
-    _check_inputs(u, u0, eta)
-    u, u0 = max(u, 0.0), max(u0, 0.0)
-    denom = 1.0 - (eta + 5.0 * u + u0) / 2.0
-    if denom <= 0:
-        raise BoundDomainError("(eta + 5u + u0)/2 must stay below 1")
+    u, u0, denom = _check_inputs(u, u0, eta)
     A = (eta - eta**3) / 2.0 + u
     B = (2.0 + eta + u + u0) / 4.0
     return 1.01 + 14.41 / denom * integral_sqrt_ratio(A, B, u)
@@ -102,11 +106,7 @@ def G_eta(u: float, u0: float, eta: float) -> float:
 
     4.01 (1 + eta^3 - (eta + 3u + u0)/2) / (1 - (eta + 5u + u0)/2).
     """
-    _check_inputs(u, u0, eta)
-    u, u0 = max(u, 0.0), max(u0, 0.0)
-    denom = 1.0 - (eta + 5.0 * u + u0) / 2.0
-    if denom <= 0:
-        raise BoundDomainError("(eta + 5u + u0)/2 must stay below 1")
+    u, u0, denom = _check_inputs(u, u0, eta)
     return 4.01 * (1.0 + eta**3 - (eta + 3.0 * u + u0) / 2.0) / denom
 
 
@@ -150,9 +150,7 @@ def choose_params(x: float, q: int, delta0: float, eta: float) -> ParamChoice:
     U = math.sqrt(x ** (1.0 - eta / 2.0) * delta_cap / math.sqrt(dq))
     R = (x ** (1.0 - eta / 2.0) * delta_cap / dq ** 2.5) ** 0.25 / 3.0
     pc = ParamChoice(U=U, U1=U * R, R=R, R1=R, V=V, Delta=delta_cap)
-    flags = verify_conditions(pc, x, q, delta0, eta)
-    return ParamChoice(U=U, U1=U * R, R=R, R1=R, V=V, Delta=delta_cap,
-                       condition_flags=flags)
+    return replace(pc, condition_flags=verify_conditions(pc, x, q, delta0, eta))
 
 
 def verify_conditions(pc: ParamChoice, x: float, q: int, delta0: float,
@@ -233,13 +231,10 @@ def main_bound(f: str, x: float, q: int, delta0: float, eta: float) -> float:
     (1 <= delta0 q <= x^{2/5 - eta} and the (u, u0) region).
     """
     u, u0 = coordinates(x, q, delta0)
-    _check_inputs(u, u0, eta)
     phi_q = _phi(q)
-    if f == "mangoldt":
+    if arith_function(f) is MANGOLDT:
         return q / phi_q * F_eta(u, u0, eta) * x / math.sqrt(delta0 * q)
-    if f == "mobius":
-        return G_eta(u, u0, eta) * x / math.sqrt(delta0 * phi_q)
-    raise ValueError("f must be 'mangoldt' or 'mobius'")
+    return G_eta(u, u0, eta) * x / math.sqrt(delta0 * phi_q)
 
 
 def corollary_constants(eta: float, grid: int = 200,
@@ -382,8 +377,7 @@ def bound_report(x: float, q: int, delta0: float, eta: float) -> Dict[str, objec
         "u0": u0,
         "F": F_eta(u, u0, eta),
         "G": G_eta(u, u0, eta),
-        "bound_mangoldt": main_bound("mangoldt", x, q, delta0, eta),
-        "bound_mobius": main_bound("mobius", x, q, delta0, eta),
+        **{f"bound_{f}": main_bound(f, x, q, delta0, eta) for f in FUNCTIONS},
         "params": {"U": pc.U, "U1": pc.U1, "R": pc.R, "V": pc.V,
                    "Delta": pc.Delta},
         "flags": pc.condition_flags,

@@ -6,7 +6,9 @@ line "# expsum-kit v1" carrying the schema version) or JSON (UTF-8,
 stable key order, resolved config embedded). Runs are deterministic
 given (config, seed): rows are fully sorted before writing, so the CSV
 is byte-identical for any worker count. Exit status 0 is success, 1 is
-an internal or hard-assert failure, 2 a config error.
+an internal or hard-assert failure, 2 a config error: a bad flag value, a
+format the command does not write, or parameters outside the sieve cap or
+the theorem's domain.
 """
 
 from __future__ import annotations
@@ -18,30 +20,33 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds as bnd
-from .arith import ArithTables, TableRangeError, build_tables
-from .audit import AuditViolation, inequality_audit
+from . import identity
+from .arith import (FUNCTIONS, MAX_N_MAX, ArithTables, TableCacheError,
+                    TableRangeError, build_tables, coprime_residues, load_tables,
+                    save_tables)
+from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
 from .expsum import (RecombinationError, direct_sum, rational_sum_from_residues,
                      recombine, residue_weight_sums)
-from .identity import decompose_mangoldt, decompose_mobius, residual_report
 from .weights import WeightConfig, WeightSystem
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "EXPSUM_KIT_CACHE"
 
-COMMANDS = ("verify-identity", "audit", "sweep", "bound", "compare")
-
 
 @dataclass
 class RunConfig:
+    """One run. The defaults here are the CLI's defaults too."""
+
     command: str
     x: float = 1e5
     eta: float = 1.0 / 15.0
@@ -50,49 +55,37 @@ class RunConfig:
     delta_list: Tuple[float, ...] = (0.0,)
     weight_overrides: Optional[Tuple[float, float, float, float]] = None
     output: str = "-"
-    format: str = "csv"
+    format: Optional[str] = None     # None: the command's default format
     seed: int = 0
     workers: int = 1
     n_max: Optional[int] = None      # identity range override
 
     def validate(self) -> None:
+        """Check every field; fill in the command's default format."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not 0 < self.eta <= 0.1:
             raise ConfigError("eta must lie in (0, 1/10]")
-        if self.x < 100:
-            raise ConfigError("x must be >= 100")
-        lo, hi = self.q_range
-        if not 1 <= lo <= hi:
+        if not 100 <= self.x <= MAX_N_MAX:
+            raise ConfigError(f"x must lie in [100, {MAX_N_MAX}]")
+        if not all(map(math.isfinite, self.delta_list)):
+            raise ConfigError("delta must be finite")
+        if not 1 <= self.q_range[0] <= self.q_range[1]:
             raise ConfigError("q-range must satisfy 1 <= min <= max")
         if self.a_mode != "all-coprime":
-            if not self.a_mode.startswith("sample:"):
-                raise ConfigError("a-mode must be 'all-coprime' or 'sample:K'")
-            try:
-                k = int(self.a_mode.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError("a-mode sample size must be an integer") from exc
-            if k < 1:
-                raise ConfigError("a-mode sample size must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
+            k = self.a_mode.removeprefix("sample:")
+            if k == self.a_mode or not k.isdigit() or int(k) < 1:
+                raise ConfigError("a-mode must be 'all-coprime' or 'sample:K', K >= 1")
+        formats = COMMANDS[self.command].formats
+        self.format = self.format or formats[0]
+        if self.format not in formats:
+            raise ConfigError(f"{self.command} writes {' or '.join(formats)} only")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.weight_overrides is not None:
-            u, u1, r, v = self.weight_overrides
-            if not (u > 1 and u1 >= u and r >= 1 and v > 1):
-                raise ConfigError("weight overrides need U>1, U1>=U, R>=1, V>1")
-
-    def as_dict(self) -> Dict:
-        return {
-            "command": self.command, "x": self.x, "eta": self.eta,
-            "q_range": list(self.q_range), "a_mode": self.a_mode,
-            "delta_list": list(self.delta_list),
-            "weight_overrides": (list(self.weight_overrides)
-                                 if self.weight_overrides else None),
-            "output": self.output, "format": self.format,
-            "seed": self.seed, "workers": self.workers, "n_max": self.n_max,
-        }
+        if self.n_max is not None and not 1 <= self.n_max <= MAX_N_MAX:
+            raise ConfigError(f"n-max must lie in [1, {MAX_N_MAX}]")
 
 
 class ConfigError(ValueError):
@@ -104,22 +97,26 @@ class ConfigError(ValueError):
 
 
 def tables_for(n_max: int) -> ArithTables:
-    """build_tables with an optional on-disk cache (env EXPSUM_KIT_CACHE)."""
+    """build_tables with an optional on-disk cache (env EXPSUM_KIT_CACHE).
+
+    A cache file that is unreadable or holds other tables is rebuilt and
+    overwritten, with a note on stderr; a cache that cannot be written is
+    skipped with a note.
+    """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return build_tables(n_max)
     path = Path(cache_dir) / f"arith_{n_max}.npz"
     if path.exists():
-        data = np.load(path)
-        return ArithTables(n_max=n_max, spf=data["spf"], mobius=data["mobius"],
-                           totient=data["totient"],
-                           mangoldt_base=data["mangoldt_base"],
-                           primes=data["primes"])
+        try:
+            return load_tables(path, n_max)
+        except TableCacheError as exc:
+            print(f"note: rebuilding sieve cache {path}: {exc}", file=sys.stderr)
     tables = build_tables(n_max)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, spf=tables.spf, mobius=tables.mobius,
-             totient=tables.totient, mangoldt_base=tables.mangoldt_base,
-             primes=tables.primes)
+    try:
+        save_tables(tables, path)
+    except OSError as exc:
+        print(f"note: sieve cache {path} not written: {exc}", file=sys.stderr)
     return tables
 
 
@@ -127,40 +124,30 @@ def tables_for(n_max: int) -> ArithTables:
 # Output plumbing
 
 
+@contextmanager
 def _open_out(output: str):
     if output == "-":
-        return sys.stdout, False
-    return open(output, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def write_csv(rows: List[Dict], columns: Sequence[str], output: str) -> None:
-    fh, close = _open_out(output)
-    try:
+    with _open_out(output) as fh:
         fh.write(f"# expsum-kit v{SCHEMA_VERSION}\r\n")
         writer = csv.DictWriter(fh, fieldnames=list(columns),
                                 lineterminator="\r\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in columns})
-    finally:
-        if close:
-            fh.close()
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            writer.writerow({k: repr(row[k]) if isinstance(row[k], float)
+                             else str(row[k]) for k in columns})
 
 
 def write_json(payload: Dict, output: str) -> None:
-    fh, close = _open_out(output)
-    try:
+    with _open_out(output) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def flags_to_str(flags: Dict[str, bool]) -> str:
@@ -171,15 +158,9 @@ def flags_to_str(flags: Dict[str, bool]) -> str:
 # sweep
 
 
-def _coprime_residues(q: int) -> List[int]:
-    if q == 1:
-        return [0]
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
-
-
 def _residues(cfg: RunConfig, q: int) -> List[int]:
     """The a of one q: all coprime residues, or a seeded sample of K."""
-    all_a = _coprime_residues(q)
+    all_a = coprime_residues(q)
     if cfg.a_mode == "all-coprime":
         return all_a
     k = int(cfg.a_mode.split(":", 1)[1])
@@ -199,15 +180,14 @@ def _init_worker(tables: ArithTables) -> None:
 
 
 def _sweep_rows_for_q(args) -> List[Dict]:
-    q, cfg_dict = args
-    cfg = RunConfig(**cfg_dict)
+    q, cfg = args
     tables = _WORKER_TABLES
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     per_residue = {}
     if 0.0 in cfg.delta_list:
         per_residue = {f: residue_weight_sums(f, q, x, tables)
-                       for f in ("mangoldt", "mobius")}
+                       for f in FUNCTIONS}
     rows: List[Dict] = []
     for a in _residues(cfg, q):
         for delta in cfg.delta_list:
@@ -215,7 +195,7 @@ def _sweep_rows_for_q(args) -> List[Dict]:
             u, u0 = bnd.coordinates(x, q, delta0)
             pc = bnd.choose_params(x, q, delta0, eta)
             flags = pc.condition_flags
-            for f in ("mangoldt", "mobius"):
+            for f in FUNCTIONS:
                 if delta == 0.0:
                     s = rational_sum_from_residues(per_residue[f], a, q, n)
                 else:
@@ -225,8 +205,7 @@ def _sweep_rows_for_q(args) -> List[Dict]:
                     bound = bnd.main_bound(f, x, q, delta0, eta)
                     ratio = abs(s) / bound
                 except bnd.BoundDomainError:
-                    bound = math.nan
-                    ratio = math.nan
+                    bound = ratio = math.nan
                 rows.append({
                     "function": f, "q": q, "a": a, "delta": delta,
                     "delta0": delta0, "u": u, "u0": u0,
@@ -243,8 +222,7 @@ SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
 
 def run_sweep(cfg: RunConfig) -> int:
     tables = tables_for(int(cfg.x))
-    qs = list(range(cfg.q_range[0], cfg.q_range[1] + 1))
-    tasks = [(q, cfg.as_dict()) for q in qs]
+    tasks = [(q, cfg) for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
     if cfg.workers == 1:
         _init_worker(tables)
         chunks = [_sweep_rows_for_q(t) for t in tasks]
@@ -258,7 +236,7 @@ def run_sweep(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         write_csv(rows, SWEEP_COLUMNS, cfg.output)
     else:
-        write_json({"config": cfg.as_dict(), "rows": rows}, cfg.output)
+        write_json({"config": asdict(cfg), "rows": rows}, cfg.output)
     over = [r for r in rows if not math.isnan(r["ratio"]) and r["ratio"] > 1.0]
     for r in over:
         print(f"finding: ratio {r['ratio']:.3f} > 1 at function={r['function']} "
@@ -274,24 +252,21 @@ COMPARE_COLUMNS = ("function", "x", "a", "q", "delta", "delta0",
                    "re", "im", "abs", "component")
 
 
-def _weight_params(cfg: RunConfig, q: int, delta0: float) -> Tuple[float, float, float, float]:
+def _weight_config(cfg: RunConfig, q: int, delta0: float) -> WeightConfig:
+    """The override weights, else choose_params' at (x, q, delta0); the
+    one place weight parameters are checked."""
     if cfg.weight_overrides is not None:
-        return cfg.weight_overrides
-    pc = bnd.choose_params(cfg.x, q, delta0, cfg.eta)
-    return pc.U, pc.U1, pc.R, pc.V
-
-
-def _weight_system(cfg: RunConfig, q: int, delta0: float,
-                   tables: ArithTables) -> WeightSystem:
-    u, u1, r, v = _weight_params(cfg, q, delta0)
+        u, u1, r, v = cfg.weight_overrides
+    else:
+        pc = bnd.choose_params(cfg.x, q, delta0, cfg.eta)
+        u, u1, r, v = pc.U, pc.U1, pc.R, pc.V
     try:
-        wc = WeightConfig(U=u, U1=u1, R=r, V=v, q=q, eta=cfg.eta)
+        return WeightConfig(U=u, U1=u1, R=r, V=v, q=q, eta=cfg.eta)
     except ValueError as exc:
         raise ConfigError(
-            f"derived weight parameters degenerate at x={cfg.x}, q={q} "
-            f"(U={u:.3g}, U1={u1:.3g}, R={r:.3g}, V={v:.3g}): {exc}; "
-            "supply --weight-overrides") from exc
-    return WeightSystem(wc, tables)
+            f"weight parameters degenerate at x={cfg.x}, q={q} (U={u:.3g}, "
+            f"U1={u1:.3g}, R={r:.3g}, V={v:.3g}): {exc}; supply valid "
+            "--weight-overrides") from exc
 
 
 def run_compare(cfg: RunConfig) -> int:
@@ -303,22 +278,22 @@ def run_compare(cfg: RunConfig) -> int:
             for delta in cfg.delta_list:
                 delta0 = delta0_of(delta)
                 alpha = Fraction(a, q) + as_fraction(delta) / as_fraction(cfg.x)
-                ws = _weight_system(cfg, q, delta0, tables)
-                for f in ("mangoldt", "mobius"):
+                ws = WeightSystem(_weight_config(cfg, q, delta0), tables)
+                for f in FUNCTIONS:
                     try:
                         rep = recombine(f, alpha, cfg.x, ws, tables)
                     except RecombinationError as exc:
                         print(f"error: {exc}", file=sys.stderr)
                         status = 1
                         continue
-                    for row in rep.rows(a, q, delta, delta0):
-                        rows.append({"function": f, **row})
+                    rows.extend({"function": f, **row}
+                                for row in rep.rows(a, q, delta, delta0))
     rows.sort(key=lambda r: (r["function"], r["q"], r["a"], r["delta"],
                              r["component"]))
     if cfg.format == "csv":
         write_csv(rows, COMPARE_COLUMNS, cfg.output)
     else:
-        write_json({"config": cfg.as_dict(), "rows": rows}, cfg.output)
+        write_json({"config": asdict(cfg), "rows": rows}, cfg.output)
     return status
 
 
@@ -329,38 +304,32 @@ def run_compare(cfg: RunConfig) -> int:
 def run_verify_identity(cfg: RunConfig) -> int:
     q = cfg.q_range[0]
     n_max = cfg.n_max or int(cfg.x)
-    _, u1, r, _ = _weight_params(cfg, q, 1.0)
-    table_span = max(n_max, int(math.floor(u1 * r)), q)
-    tables = tables_for(table_span)
-    ws = _weight_system(cfg, q, 1.0, tables)
-    payload = {"config": cfg.as_dict()}
-    worst = 0.0
-    for name, decompose in (("mangoldt", decompose_mangoldt),
-                            ("mobius", decompose_mobius)):
-        report = residual_report(decompose(n_max, ws, tables), ws, tables)
-        payload[name] = report
-        worst = max(worst, report["max_abs_residual"])
+    wc = _weight_config(cfg, q, 1.0)
+    tables = tables_for(max(n_max, wc.h_support_bound, q))
+    ws = WeightSystem(wc, tables)
+    payload = {"config": asdict(cfg)}
+    for name in FUNCTIONS:
+        # the public per-function entry point, so a wrapper on it sees the call
+        dec = getattr(identity, f"decompose_{name}")(n_max, ws, tables)
+        payload[name] = identity.residual_report(dec, ws, tables)
     write_json(payload, cfg.output)
-    return 0 if worst < 1e-25 else 1
+    return 0 if max(payload[f]["max_abs_residual"] for f in FUNCTIONS) < 1e-25 else 1
 
 
 def run_audit(cfg: RunConfig) -> int:
     tables = tables_for(max(2_000_000, int(cfg.x)))
-    try:
-        report = inequality_audit(cfg.seed, tables, raise_on_violation=True)
-        status = 0
-    except AuditViolation as exc:
-        report = inequality_audit(cfg.seed, tables, raise_on_violation=False)
-        print(f"audit violations: {exc}", file=sys.stderr)
-        status = 1
-    write_json({"config": cfg.as_dict(), **report.as_dict()}, cfg.output)
-    return status
+    report = inequality_audit(cfg.seed, tables, raise_on_violation=False)
+    if report.total_violations:
+        print(f"audit violations: {report.total_violations}, witnesses in the "
+              "report", file=sys.stderr)
+    write_json({"config": asdict(cfg), **report.as_dict()}, cfg.output)
+    return 1 if report.total_violations else 0
 
 
 def run_bound(cfg: RunConfig) -> int:
     q = cfg.q_range[0]
     payload = bnd.bound_report(cfg.x, q, delta0_of(cfg.delta_list[0]), cfg.eta)
-    payload["config"] = cfg.as_dict()
+    payload["config"] = asdict(cfg)
     write_json(payload, cfg.output)
     return 0
 
@@ -369,71 +338,69 @@ def run_bound(cfg: RunConfig) -> int:
 # entry point
 
 
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[RunConfig], int]
+    formats: Tuple[str, ...]  # the first is the default
+    help: str
+
+
+COMMANDS: Dict[str, Command] = {
+    "verify-identity": Command(run_verify_identity, ("json",),
+                               "certify the weighted decomposition residuals"),
+    "audit": Command(run_audit, ("json",),
+                     "randomized audit of the explicit inequalities"),
+    "sweep": Command(run_sweep, ("csv", "json"),
+                     "bound-vs-actual sweep over (a, q, delta)"),
+    "bound": Command(run_bound, ("json",), "single bound report"),
+    "compare": Command(run_compare, ("csv", "json"),
+                       "direct sum vs type-I/II decomposition"),
+}
+
+
 def run(cfg: RunConfig) -> int:
     cfg.validate()
-    dispatch = {
-        "sweep": run_sweep,
-        "compare": run_compare,
-        "verify-identity": run_verify_identity,
-        "audit": run_audit,
-        "bound": run_bound,
-    }
     try:
-        return dispatch[cfg.command](cfg)
-    except TableRangeError as exc:
-        raise ConfigError(f"parameters exceed the sieved range: {exc}") from exc
+        return COMMANDS[cfg.command].run(cfg)
+    except (TableRangeError, bnd.BoundDomainError) as exc:
+        raise ConfigError(f"parameters out of range: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag of every command; defaults come from RunConfig alone."""
     parser = argparse.ArgumentParser(
         prog="expsum-kit",
         description="Exponential-sum verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("verify-identity", "certify the weighted decomposition residuals"),
-            ("audit", "randomized audit of the explicit inequalities"),
-            ("sweep", "bound-vs-actual sweep over (a, q, delta)"),
-            ("bound", "single bound report"),
-            ("compare", "direct sum vs type-I/II decomposition")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--x", type=float, default=1e5)
-        p.add_argument("--eta", type=float, default=1.0 / 15.0)
-        p.add_argument("--q-range", type=int, nargs=2, default=(1, 10),
-                       metavar=("MIN", "MAX"))
-        p.add_argument("--a-mode", default="all-coprime",
-                       help="'all-coprime' or 'sample:K'")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--x", type=float)
+        p.add_argument("--eta", type=float)
+        p.add_argument("--q-range", type=int, nargs=2, metavar=("MIN", "MAX"))
+        p.add_argument("--a-mode", help="'all-coprime' or 'sample:K'")
         p.add_argument("--delta", type=float, action="append", dest="delta_list",
                        help="repeatable; default one run at delta = 0")
         p.add_argument("--weight-overrides", type=float, nargs=4,
                        metavar=("U", "U1", "R", "V"))
-        p.add_argument("--output", "-o", default="-")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default="json" if name in ("verify-identity", "audit",
-                                                  "bound") else "csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--n-max", type=int, default=None,
+        p.add_argument("--output", "-o")
+        p.add_argument("--format", help=" or ".join(command.formats))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--workers", type=int)
+        p.add_argument("--n-max", type=int,
                        help="identity certification range (default: x)")
     return parser
 
 
+def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+    args = vars(_build_parser().parse_args(argv))
+    # argparse hands sequences over as lists; RunConfig holds tuples
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in args.items()})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        x=args.x,
-        eta=args.eta,
-        q_range=tuple(args.q_range),
-        a_mode=args.a_mode,
-        delta_list=tuple(args.delta_list) if args.delta_list else (0.0,),
-        weight_overrides=(tuple(args.weight_overrides)
-                          if args.weight_overrides else None),
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-        workers=args.workers,
-        n_max=args.n_max,
-    )
+    cfg = parse_args(argv)
     try:
         return run(cfg)
     except ConfigError as exc:

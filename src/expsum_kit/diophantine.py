@@ -72,9 +72,7 @@ def coordinates(x: float, q: int, delta0: float) -> Tuple[float, float]:
 
 def as_fraction(alpha) -> Fraction:
     """Exact Fraction for alpha; floats map to their dyadic value."""
-    if isinstance(alpha, Fraction):
-        return alpha
-    return Fraction(alpha)
+    return alpha if isinstance(alpha, Fraction) else Fraction(alpha)
 
 
 def convergents(alpha: Fraction) -> Iterator[Tuple[int, int]]:

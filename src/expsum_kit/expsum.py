@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .arith import ArithTables
+from .arith import MANGOLDT, ArithTables, arith_function
 from .diophantine import as_fraction
 from .weights import WeightSystem
 
@@ -112,19 +112,11 @@ def _block_sum(values: np.ndarray) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def _weights(f: str, tables: ArithTables) -> np.ndarray:
-    if f == "mangoldt":
-        return tables.mangoldt_float()
-    if f == "mobius":
-        return tables.mobius_float()
-    raise ValueError("f must be 'mangoldt' or 'mobius'")
-
-
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha)."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    w = _weights(f, tables)[1:n + 1]
+    w = arith_function(f).floats(tables)[1:n + 1]
     total = _block_sum(w * unit_exponentials(alpha, n))
     return ExpSumValue(total.real, total.imag, n)
 
@@ -138,7 +130,7 @@ def residue_weight_sums(f: str, q: int, x: float,
     """
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    w = _weights(f, tables)[1:n + 1]
+    w = arith_function(f).floats(tables)[1:n + 1]
     residues = np.arange(1, n + 1, dtype=np.int64) % q
     return np.bincount(residues, weights=w, minlength=q)
 
@@ -201,7 +193,7 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     n = int(math.floor(x))
     af = as_fraction(alpha)
     h = ws.h_float()
-    w = _weights(f0, tables)
+    w = arith_function(f0).floats(tables)
     q = ws.cfg.q
     v_top = min(int(math.floor(ws.cfg.V)), n)
     acc = {True: complex(0.0), False: complex(0.0)}
@@ -242,7 +234,7 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     if m_lo > m_hi:
         return ExpSumValue(0.0, 0.0, 0)
     conv = ws.conv_theta_lambda(n // m_lo)
-    w = _weights(f, tables)
+    w = arith_function(f).floats(tables)
     support = m_lo + np.flatnonzero(w[m_lo:m_hi + 1])
     acc = complex(0.0)
     count = 0
@@ -301,12 +293,8 @@ def recombine(f: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     residual |direct - (I1 - I2 + II + tail)| is pure float error and a
     value above tol*x raises (it would mean a decomposition bug)."""
     s_direct = direct_sum(f, alpha, x, tables)
-    if f == "mangoldt":
-        s1 = type_I_1(alpha, x, ws, tables)
-    elif f == "mobius":
-        s1 = h_only_sum(alpha, x, ws)
-    else:
-        raise ValueError("f must be 'mangoldt' or 'mobius'")
+    s1 = (type_I_1(alpha, x, ws, tables) if arith_function(f) is MANGOLDT
+          else h_only_sum(alpha, x, ws))
     s2 = type_I_2(f, alpha, x, ws, tables)
     s_ii = type_II(f, alpha, x, ws, tables)
     tail = direct_sum(f, alpha, min(ws.cfg.V, x), tables)

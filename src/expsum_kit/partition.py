@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .arith import ArithTables
+from .arith import ArithTables, coprime_residues
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class Partition:
         return len(self.classes)
 
     def members(self) -> List[int]:
-        out: List[int] = []
-        for c in self.classes:
-            out.extend(c)
-        return sorted(out)
+        return sorted(itertools.chain.from_iterable(self.classes))
 
     def spacing_violations(self) -> List[tuple]:
         """(class index, residue, m, m') for consecutive same-residue pairs.
@@ -90,7 +87,7 @@ def partition_primes(M: float, q: int, L: float,
     hi = np.searchsorted(primes, math.floor(2 * M), side="right")
     window = primes[lo:hi]
     n_classes = math.ceil(separation_bound(L, q, tables))
-    groups = [window[window % q == a] for a in range(q) if math.gcd(a, q) == 1]
+    groups = [window[window % q == a] for a in coprime_residues(q)]
     # Primes p | q in the window would fall outside the coprime residue
     # classes; they can only occur when q > M, excluded by L <= M/q.
     return _cyclic_partition(groups, n_classes, M, q, L)

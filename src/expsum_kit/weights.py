@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .arith import ArithTables, TableRangeError
+from .arith import ArithTables, TableRangeError, ramanujan_sum
 
 #: Working precision (decimal digits) for identities that involve the
 #: irrational ramp weights.
@@ -51,6 +51,8 @@ class WeightConfig:
     eta: float = 1.0 / 15.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.U, self.U1, self.R, self.V))):
+            raise ValueError("U, U1, R and V must be finite")
         if not self.U >= 1:
             raise ValueError("U must be >= 1")
         if self.U1 < self.U:
@@ -119,25 +121,22 @@ class RampValue:
     mu: int = 0
     d: int = 0
 
-    def as_float(self, cfg: WeightConfig) -> float:
+    def _value(self, cfg: WeightConfig, num, log):
+        """The weight in the number type num, with log its logarithm."""
         if self.kind == "unit":
-            return float(self.mu)
+            return num(self.mu)
         if self.kind == "zero":
-            return 0.0
-        span = math.log(cfg.U1 / cfg.U)
+            return num(0)
+        span = log(num(cfg.U1) / num(cfg.U))
         if self.kind == "ramp":
-            return self.mu * math.log(cfg.U1 / self.d) / span
-        return self.mu * math.log(self.d / cfg.U) / span
+            return self.mu * log(num(cfg.U1) / self.d) / span
+        return self.mu * log(num(self.d) / num(cfg.U)) / span
+
+    def as_float(self, cfg: WeightConfig) -> float:
+        return self._value(cfg, float, math.log)
 
     def as_mpf(self, cfg: WeightConfig) -> mpf:
-        if self.kind == "unit":
-            return mpf(self.mu)
-        if self.kind == "zero":
-            return mpf(0)
-        span = mp.log(mpf(cfg.U1) / mpf(cfg.U))
-        if self.kind == "ramp":
-            return self.mu * mp.log(mpf(cfg.U1) / self.d) / span
-        return self.mu * mp.log(mpf(self.d) / mpf(cfg.U)) / span
+        return self._value(cfg, mpf, mp.log)
 
 
 def barban_vehov(d: int, cfg: WeightConfig, tables: ArithTables,
@@ -190,6 +189,7 @@ class WeightSystem:
                 self.lambda_table[d] = lam
         self._h_mp: Optional[Dict[int, mpf]] = None
         self._h_float: Optional[np.ndarray] = None
+        self._identity_tables: Dict[int, tuple] = {}
 
     # -- weight accessors ---------------------------------------------------
 
@@ -211,9 +211,6 @@ class WeightSystem:
 
     def theta_prime_float(self, d: int) -> float:
         return self.theta_prime(d).as_float(self.cfg)
-
-    def theta_float(self, d: int) -> float:
-        return self.theta(d).as_float(self.cfg)
 
     def theta_prime_mpf(self, d: int) -> mpf:
         return self.theta_prime(d).as_mpf(self.cfg)
@@ -249,6 +246,26 @@ class WeightSystem:
                     out[l] = out.get(l, mpf(0)) + lam_mp[d1] * tp.as_mpf(self.cfg)
                 self._h_mp = {d: v for d, v in out.items() if v != 0}
         return self._h_mp
+
+    def identity_tables_mp(self, n_max: int
+                           ) -> Tuple[Dict[int, mpf], List[mpf], List[mpf]]:
+        """(h, 1*h, (1*theta)(1*lambda)) at RAMP_DPS digits up to n_max.
+
+        Built once per n_max and shared by the Lambda and mu identities.
+        theta values come straight from the piecewise definition; lambda
+        from the exact rational table.
+        """
+        if n_max not in self._identity_tables:
+            with workdps(RAMP_DPS):
+                h = self.h_mp()
+                theta = {d: rv.as_mpf(self.cfg) for d in range(1, n_max + 1)
+                         if (rv := self.theta(d)).kind != "zero"}
+                lam = {d: mpf(f.numerator) / mpf(f.denominator)
+                       for d, f in self.lambda_table.items()}
+                conv_tl = [a * b for a, b in zip(_one_star_mp(theta, n_max),
+                                                 _one_star_mp(lam, n_max))]
+                self._identity_tables[n_max] = h, _one_star_mp(h, n_max), conv_tl
+        return self._identity_tables[n_max]
 
     def h_float(self) -> np.ndarray:
         """h as a float64 array indexed by d on [0, floor(U1*R)]."""
@@ -312,6 +329,15 @@ class WeightSystem:
                                  repr(self.theta_prime_float(d)), repr(float(h[d]))])
 
 
+def _one_star_mp(g: Dict[int, mpf], n_max: int) -> List[mpf]:
+    """(1*g)(k) for k <= n_max from the sparse values g = {d: g(d)}."""
+    out = [mpf(0)] * (n_max + 1)
+    for d, v in g.items():
+        for k in range(d, n_max + 1, d):
+            out[k] += v
+    return out
+
+
 def combined_h(cfg: WeightConfig, tables: ArithTables) -> Dict[int, float]:
     """h on [1, floor(U1*R)] as a sparse float dict (zero entries absent)."""
     ws = WeightSystem(cfg, tables)
@@ -358,11 +384,8 @@ def verify_lbsum_a(r: int, ws: WeightSystem) -> EqualityReport:
     cancelling sum in those cases.
     """
     cfg, tables = ws.cfg, ws.tables
-    lhs = Fraction(0)
-    for d in range(r, int(math.floor(cfg.R)) + 1, r):
-        lam = ws.lam(d)
-        if lam:
-            lhs += lam / d
+    lhs = sum((ws.lam(d) / d for d in range(r, int(math.floor(cfg.R)) + 1, r)),
+              Fraction(0))
     if r <= cfg.R and math.gcd(r, cfg.q) == 1:
         rhs = Fraction(int(tables.mobius[r]), int(tables.totient[r])) / ws.g_q_R
     else:
@@ -378,23 +401,15 @@ def verify_lbcr(n: int, ws: WeightSystem) -> EqualityReport:
     rhs = Fraction(0)
     for r in range(1, int(math.floor(cfg.R)) + 1):
         mu = int(tables.mobius[r])
-        if mu == 0 or math.gcd(r, cfg.q) != 1:
-            continue
-        # c_r(n) = mu(r/g) phi(r)/phi(r/g), exact integer.
-        g = math.gcd(r, n)
-        mu_rg = int(tables.mobius[r // g])
-        if mu_rg == 0:
-            continue
-        c_rn = mu_rg * int(tables.totient[r]) // int(tables.totient[r // g])
-        rhs += Fraction(mu * c_rn, int(tables.totient[r]))
+        if mu and math.gcd(r, cfg.q) == 1:
+            rhs += Fraction(mu * ramanujan_sum(r, n, tables), int(tables.totient[r]))
     return EqualityReport("lbcr", n, lhs, rhs)
 
 
 def gq_lower_bound_holds(ws: WeightSystem) -> bool:
     """G_q(R) >= phi(q)/q * log R (the type-II normalizer lower bound)."""
-    phi_q = int(ws.tables.totient[ws.cfg.q]) if ws.cfg.q <= ws.tables.n_max else None
-    if phi_q is None:
-        raise TableRangeError("q exceeds sieved range")
+    ws.tables.check_range(ws.cfg.q, "q")
+    phi_q = int(ws.tables.totient[ws.cfg.q])
     return float(ws.g_q_R) >= phi_q / ws.cfg.q * math.log(ws.cfg.R) - 1e-12
 
 

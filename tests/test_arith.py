@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsum_kit.arith import (LogVector, TableRangeError, build_tables,
+from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, LogVector,
+                              TableRangeError, arith_function, build_tables,
                               dirichlet_convolve, mangoldt_table, mobius_table,
                               ramanujan_sum, unit_table)
+from expsum_kit.bounds import main_bound
+from expsum_kit.expsum import direct_sum
 
 
 def test_table_examples(tables_small):
@@ -95,7 +98,7 @@ def test_convolution_log_identity(tables_small):
     # brute force over the divisors of 12
     brute = LogVector()
     for d in t.divisors(12):
-        brute = brute + LogVector.mangoldt(d, t)
+        brute = brute + MANGOLDT.exact(d, t)
     assert conv[12] == brute
 
 
@@ -150,3 +153,35 @@ def test_range_errors(tables_small):
         tables_small.factorize(tables_small.n_max + 1)
     with pytest.raises(ValueError):
         ramanujan_sum(0, 1, tables_small)
+
+
+def test_registry_floats_match_exact_values(tables_10k):
+    t = tables_10k
+    lam, mu = MANGOLDT.floats(t), MOBIUS.floats(t)
+    assert lam.dtype == mu.dtype == np.float64
+    assert len(lam) == len(mu) == t.n_max + 1
+    for n in range(1, t.n_max + 1):
+        exact = MANGOLDT.exact(n, t)
+        assert math.isclose(lam[n], exact.to_float(), rel_tol=1e-15), n
+        assert mu[n] == MOBIUS.exact(n, t), n
+
+
+def test_registry_one_star_is_divisor_sum(tables_small):
+    t = tables_small
+    for m in range(1, 400):
+        divisors = t.divisors(m)
+        lam = LogVector()
+        for d in divisors:
+            lam = lam + MANGOLDT.exact(d, t)
+        assert MANGOLDT.one_star(m, t) == lam, m
+        assert MOBIUS.one_star(m, t) == sum(MOBIUS.exact(d, t) for d in divisors), m
+    assert list(FUNCTIONS) == ["mangoldt", "mobius"]
+    assert all(FUNCTIONS[name].name == name for name in FUNCTIONS)
+
+
+def test_registry_unknown_name(tables_small):
+    for call in (lambda: arith_function("liouville"),
+                 lambda: direct_sum("liouville", 0, 10, tables_small),
+                 lambda: main_bound("liouville", 1e6, 3, 1.0, 1.0 / 15.0)):
+        with pytest.raises(ValueError, match="liouville"):
+            call()

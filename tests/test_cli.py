@@ -6,9 +6,14 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from expsum_kit import bounds as bnd
-from expsum_kit.cli import (ConfigError, RunConfig, flags_to_str, main, run,
-                            tables_for)
+from expsum_kit import cli
+from expsum_kit.arith import build_tables, save_tables
+from expsum_kit.audit import AuditReport, LemmaAudit
+from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
+                            parse_args, run, tables_for)
 
 
 def _read_csv(path):
@@ -146,3 +151,125 @@ def test_table_cache_env(tmp_path, monkeypatch):
     t2 = tables_for(500)
     assert (t1.mobius == t2.mobius).all()
     assert (t1.primes == t2.primes).all()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_parser_defaults_are_run_config_defaults(name):
+    got = parse_args([name])
+    got.validate()
+    want = RunConfig(command=name)
+    want.validate()
+    assert got == want
+    assert want.format == COMMANDS[name].formats[0]
+
+
+def test_parser_fills_every_flag():
+    got = parse_args(["compare", "--x", "2e4", "--eta", "0.05", "--q-range", "2", "5",
+                      "--a-mode", "sample:2", "--delta", "1", "--delta", "-3",
+                      "--weight-overrides", "1", "2", "3", "4", "-o", "out.csv",
+                      "--format", "json", "--seed", "7", "--workers", "2",
+                      "--n-max", "900"])
+    assert got == RunConfig(command="compare", x=2e4, eta=0.05, q_range=(2, 5),
+                            a_mode="sample:2", delta_list=(1.0, -3.0),
+                            weight_overrides=(1.0, 2.0, 3.0, 4.0), output="out.csv",
+                            format="json", seed=7, workers=2, n_max=900)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x", "2e8"],
+    ["sweep", "--x", "nan"],
+    ["sweep", "--x", "inf"],
+    ["sweep", "--x", "1000", "--delta", "nan"],
+    ["sweep", "--x", "1000", "--delta", "inf"],
+    ["sweep", "--x", "1000", "--q-range", "7", "7", "--a-mode", "sample:1",
+     "--seed", "-1"],
+    ["verify-identity", "--weight-overrides", "10", "1e9", "10", "30"],
+    ["verify-identity", "--x", "300", "--n-max", "-5",
+     "--weight-overrides", "2", "4", "3", "5"],
+    ["compare", "--x", "1000", "--q-range", "1", "1",
+     "--weight-overrides", "2", "nan", "3", "5"],
+    ["bound", "--x", "1e6", "--q-range", "100000", "100000"],
+    ["bound", "--format", "csv"],
+    ["audit", "--format", "csv"],
+    ["verify-identity", "--format", "csv"],
+])
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_classical_vaughan_override_accepted(tmp_path):
+    # U = 1 with U1 = U and R = 1: the classical Vaughan weights
+    out = tmp_path / "v.json"
+    assert main(["verify-identity", "--x", "300", "--q-range", "1", "1",
+                 "--weight-overrides", "1", "1", "1", "5", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["mangoldt"]["max_abs_residual"] < 1e-25
+    assert payload["mobius"]["max_abs_residual"] < 1e-25
+
+
+def test_verify_identity_certify_residuals(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify-identity", "--x", "3000", "--q-range", "3", "3",
+                 "--weight-overrides", "10", "40", "5", "30", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    got = {f: (payload[f]["max_abs_residual"], payload[f]["argmax_n"])
+           for f in ("mangoldt", "mobius")}
+    assert got == {"mangoldt": (1.870935297064537e-50, 2912),
+                   "mobius": (5.345529420184391e-51, 231)}
+
+
+def test_audit_runs_once_on_violation(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_audit(seed, tables, raise_on_violation=True):
+        calls.append(raise_on_violation)
+        lemma = LemmaAudit("lemma")
+        lemma.record(2.0, 1.0, {"n": 5})
+        return AuditReport(seed, {"lemma": lemma})
+
+    monkeypatch.setattr(cli, "tables_for", lambda n_max: None)
+    monkeypatch.setattr(cli, "inequality_audit", fake_audit)
+    out = tmp_path / "a.json"
+    assert main(["audit", "-o", str(out)]) == 1
+    assert calls == [False]
+    assert json.loads(out.read_text())["total_violations"] == 1
+    assert "audit violations: 1" in capsys.readouterr().err
+
+
+def _write_garbage(path):
+    path.write_bytes(b"not an npz file")
+
+
+def _write_smaller_tables(path):
+    save_tables(build_tables(500), path)
+
+
+@pytest.mark.parametrize("corrupt", [_write_garbage, _write_smaller_tables])
+def test_table_cache_recovers_from_bad_file(corrupt, tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("EXPSUM_KIT_CACHE", str(cache))
+    corrupt(cache / "arith_1000.npz")
+    got = tables_for(1000)
+    assert "note: rebuilding sieve cache" in capsys.readouterr().err
+    want = build_tables(1000)
+    for k in ("spf", "mobius", "totient", "mangoldt_base", "primes"):
+        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+    # the file was overwritten in place: the next load is silent
+    assert [f.name for f in cache.iterdir()] == ["arith_1000.npz"]
+    again = tables_for(1000)
+    assert capsys.readouterr().err == ""
+    assert np.array_equal(again.mobius, want.mobius)
+
+
+def test_table_cache_unwritable_is_skipped(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    monkeypatch.setenv("EXPSUM_KIT_CACHE", str(blocker / "cache"))
+    got = tables_for(500)
+    assert "not written" in capsys.readouterr().err
+    assert np.array_equal(got.mobius, build_tables(500).mobius)

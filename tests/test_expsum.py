@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expsum_kit.arith import MANGOLDT, MOBIUS
 from expsum_kit.expsum import (direct_sum,
                                direct_sum_rational, h_only_sum, l2_profiles,
                                recombine, reduced_fracs, type_I_1, type_I_2,
@@ -121,7 +122,7 @@ def test_type_I_2_triple_loop_oracle(tables_small):
     x = 400
     alpha = Fraction(3, 11)
     t = tables_small
-    lam = t.mangoldt_float()
+    lam = MANGOLDT.floats(t)
     h = ws.h_float()
     # independent loop order: iterate n outermost
     expected = complex(0)
@@ -166,7 +167,7 @@ def test_type_II_loop_order_oracle(tables_small):
     alpha = Fraction(3, 11)
     t = tables_small
     conv = ws.conv_theta_lambda(x)
-    w = t.mobius_float()
+    w = MOBIUS.floats(t)
     expected = complex(0)
     for n in range(1, x + 1):
         if conv[n] == 0:

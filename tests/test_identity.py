@@ -43,8 +43,14 @@ def test_trivial_values(tables_small, ws_small):
 
 # Exact f(l), exact (1*f)(m) and the zero of the value type, written
 # independently of the engine's own description of each function.
+def _mangoldt_oracle(l, tables):
+    """Lambda(l) from the factorization: {p: 1} when l = p^k."""
+    factors = tables.factorize(l)
+    return LogVector({factors[0][0]: 1}) if len(factors) == 1 else LogVector()
+
+
 ORACLE_FUNCTIONS = {
-    "mangoldt": (decompose_mangoldt, LogVector.mangoldt, LogVector.log_of,
+    "mangoldt": (decompose_mangoldt, _mangoldt_oracle, LogVector.log_of,
                  LogVector),
     "mobius": (decompose_mobius, lambda l, t: mpf(int(t.mobius[l])),
                lambda m, t: mpf(1) if m == 1 else mpf(0), lambda: mpf(0)),
