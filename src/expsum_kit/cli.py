@@ -19,6 +19,8 @@ import json
 import math
 import os
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -35,8 +37,8 @@ from .arith import (FUNCTIONS, MAX_N_MAX, ArithTables, TableCacheError,
                     save_tables)
 from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
-from .expsum import (RecombinationError, direct_sum, rational_sum_from_residues,
-                     recombine, residue_weight_sums)
+from .expsum import (RecombinationError, rational_sum_from_residues, recombine,
+                     residue_weight_sums, unit_exponentials)
 from .weights import WeightConfig, WeightSystem
 
 SCHEMA_VERSION = 1
@@ -172,44 +174,54 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
 
 
 _WORKER_TABLES: Optional[ArithTables] = None
+_WORKER_TWISTS: Dict[float, np.ndarray] = {}
 
 
-def _init_worker(tables: ArithTables) -> None:
-    global _WORKER_TABLES
-    _WORKER_TABLES = tables
+def _init_worker(tables: Optional[ArithTables],
+                 twists: Dict[float, np.ndarray]) -> None:
+    global _WORKER_TABLES, _WORKER_TWISTS
+    _WORKER_TABLES, _WORKER_TWISTS = tables, twists
+
+
+def _init_pool_worker(tables: ArithTables,
+                      twists: Dict[float, np.ndarray]) -> None:
+    """_init_worker, plus a thread that ends this pool worker once the
+    process that owns the pool is gone: a killed owner would otherwise
+    leave its workers running, reparented."""
+    _init_worker(tables, twists)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
 
 
 def _sweep_rows_for_q(args) -> List[Dict]:
     q, cfg = args
-    tables = _WORKER_TABLES
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
-    per_residue = {}
-    if 0.0 in cfg.delta_list:
-        per_residue = {f: residue_weight_sums(f, q, x, tables)
-                       for f in FUNCTIONS}
+    numerators = _residues(cfg, q)
     rows: List[Dict] = []
-    for a in _residues(cfg, q):
-        for delta in cfg.delta_list:
-            delta0 = delta0_of(delta)
-            u, u0 = bnd.coordinates(x, q, delta0)
-            pc = bnd.choose_params(x, q, delta0, eta)
-            flags = pc.condition_flags
-            for f in FUNCTIONS:
-                if delta == 0.0:
-                    s = rational_sum_from_residues(per_residue[f], a, q, n)
-                else:
-                    alpha = Fraction(a, q) + as_fraction(delta) / as_fraction(x)
-                    s = direct_sum(f, alpha, x, tables)
-                try:
-                    bound = bnd.main_bound(f, x, q, delta0, eta)
-                    ratio = abs(s) / bound
-                except bnd.BoundDomainError:
-                    bound = ratio = math.nan
+    for delta in cfg.delta_list:
+        delta0 = delta0_of(delta)
+        u, u0 = bnd.coordinates(x, q, delta0)
+        flags = bnd.choose_params(x, q, delta0, eta).condition_flags
+        for f in FUNCTIONS:
+            per_residue = residue_weight_sums(f, q, x, _WORKER_TABLES,
+                                              _WORKER_TWISTS.get(delta))
+            try:
+                bound = bnd.main_bound(f, x, q, delta0, eta)
+            except bnd.BoundDomainError:
+                bound = math.nan
+            for a in numerators:
+                s_abs = abs(rational_sum_from_residues(per_residue, a, q, n))
                 rows.append({
                     "function": f, "q": q, "a": a, "delta": delta,
                     "delta0": delta0, "u": u, "u0": u0,
-                    "s_abs": abs(s), "bound": bound, "ratio": ratio,
+                    "s_abs": s_abs, "bound": bound, "ratio": s_abs / bound,
                     "flags": flags_to_str(flags),
                     "all_flags": int(all(flags.values())),
                 })
@@ -220,18 +232,35 @@ SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
                  "s_abs", "bound", "ratio", "flags", "all_flags")
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def _sweep_rows(cfg: RunConfig) -> List[Dict]:
+    """Every sweep row, unsorted.
+
+    The twist e(n delta/x), n <= x, is built once per nonzero delta and
+    shared by every q, so each (f, q, delta) costs one residue
+    aggregation. Tables and twists sit in the module globals only while
+    the rows are computed.
+    """
     tables = tables_for(int(cfg.x))
+    n = int(math.floor(cfg.x))
+    twists = {d: unit_exponentials(as_fraction(d) / as_fraction(cfg.x), n)
+              for d in cfg.delta_list if d != 0.0}
     tasks = [(q, cfg) for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
-    if cfg.workers == 1:
-        _init_worker(tables)
-        chunks = [_sweep_rows_for_q(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 initializer=_init_worker,
-                                 initargs=(tables,)) as pool:
-            chunks = list(pool.map(_sweep_rows_for_q, tasks))
-    rows = [r for chunk in chunks for r in chunk]
+    try:
+        if cfg.workers == 1:
+            _init_worker(tables, twists)
+            chunks = [_sweep_rows_for_q(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=cfg.workers,
+                                     initializer=_init_pool_worker,
+                                     initargs=(tables, twists)) as pool:
+                chunks = list(pool.map(_sweep_rows_for_q, tasks))
+    finally:
+        _init_worker(None, {})
+    return [r for chunk in chunks for r in chunk]
+
+
+def run_sweep(cfg: RunConfig) -> int:
+    rows = _sweep_rows(cfg)
     rows.sort(key=lambda r: (r["function"], r["q"], r["a"], r["delta"]))
     if cfg.format == "csv":
         write_csv(rows, SWEEP_COLUMNS, cfg.output)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -121,18 +121,25 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     return ExpSumValue(total.real, total.imag, n)
 
 
-def residue_weight_sums(f: str, q: int, x: float,
-                        tables: ArithTables) -> np.ndarray:
-    """sum of f(n) over n <= x in each residue class mod q.
+def residue_weight_sums(f: str, q: int, x: float, tables: ArithTables,
+                        twist: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum of f(n) over n <= x in each residue class mod q, each term
+    times twist[n-1] when a twist is given (then the sums are complex).
 
     e(n a/q) depends only on n mod q, so one aggregation pass serves
-    every numerator a (the sweep reuses it across a).
+    every numerator a (the sweep reuses it across a). With the twist
+    unit_exponentials(delta/x, floor(x)), the dot with e(ar/q) is the sum
+    at alpha = a/q + delta/x, since e(n alpha) = e(na/q) e(n delta/x).
     """
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
     w = arith_function(f).floats(tables)[1:n + 1]
     residues = np.arange(1, n + 1, dtype=np.int64) % q
-    return np.bincount(residues, weights=w, minlength=q)
+    if twist is None:
+        return np.bincount(residues, weights=w, minlength=q)
+    # one real product at a time, never the complex w*twist
+    re = np.bincount(residues, weights=w * twist.real, minlength=q)
+    return re + 1j * np.bincount(residues, weights=w * twist.imag, minlength=q)
 
 
 def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,

@@ -1,8 +1,14 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +18,7 @@ from expsum_kit import bounds as bnd
 from expsum_kit import cli
 from expsum_kit.arith import build_tables, save_tables
 from expsum_kit.audit import AuditReport, LemmaAudit
+from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
                             parse_args, run, tables_for)
 
@@ -33,11 +40,108 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_workers_same_rows(tmp_path):
+    # the twists reach pool workers through the initializer
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1)))
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
+                  delta_list=(0.0, 8.0)))
+    # a serial run leaves no tables or twists pinned in the module
+    assert cli._WORKER_TABLES is None and cli._WORKER_TWISTS == {}
     run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out2),
-                  workers=2))
+                  delta_list=(0.0, 8.0), workers=2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_delta0_golden_bytes(tmp_path):
+    # the delta = 0 rows are a byte contract: a change to the untwisted
+    # path, or to the row layout, shows here
+    out = tmp_path / "golden.csv"
+    assert main(["sweep", "--x", "1e4", "--q-range", "1", "12", "--seed", "0",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d3ae5af67d0cc52ca31f2211abcecdaf201e0c2d90e1ae1fb21929092e6db346")
+
+
+@pytest.mark.parametrize("x", [10_000, 100_000])
+def test_sweep_twisted_rows_match_direct_sum(x, tables_10k, tables_100k,
+                                             tmp_path):
+    # the twisted residue aggregation against the direct sum it replaced
+    tables = tables_10k if x == 10_000 else tables_100k
+    out = tmp_path / "s.csv"
+    run(RunConfig(command="sweep", x=float(x), q_range=(1, 12),
+                  delta_list=(8.0, -20.0, 250.0), output=str(out)))
+    rows = _read_csv(out)
+    assert len(rows) == 2 * 3 * sum(math.gcd(a, q) == 1 for q in range(1, 13)
+                                    for a in range(q))
+    for r in rows:
+        alpha = Fraction(int(r["a"]), int(r["q"])) + Fraction(r["delta"]) / x
+        want = abs(direct_sum(r["function"], alpha, x, tables))
+        assert abs(float(r["s_abs"]) - want) <= 1e-9 * x, r
+
+
+def test_sweep_bound_work_once_per_q_delta(tmp_path, monkeypatch):
+    calls = {"choose_params": 0, "main_bound": 0}
+    for name in calls:
+        original = getattr(bnd, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(bnd, name, counted)
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 6),
+                  delta_list=(0.0, 8.0), output=str(tmp_path / "s.csv")))
+    # 6 q times 2 delta, once more per function for the bound
+    assert calls == {"choose_params": 12, "main_bound": 24}
+
+
+def _live_children(pid):
+    """Pids of the non-zombie processes whose parent is pid, from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _proc_state(entry.name)[1] == pid:
+            found.append(int(entry.name))
+    return found
+
+
+def _proc_state(pid):
+    """(state, ppid) of a process, or ("gone", None); a zombie has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return "gone", None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+def test_sweep_workers_exit_when_owner_is_killed(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expsum_kit.cli", "sweep", "--x", "1e6",
+         "--q-range", "1", "30", "--delta", "8", "--workers", "2",
+         "-o", str(tmp_path / "s.csv")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while (len(workers) < 2 and proc.poll() is None
+               and time.monotonic() < deadline):
+            workers = _live_children(proc.pid)
+            time.sleep(0.01)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM  # killed mid-run
+        deadline = time.monotonic() + 5
+        while (any(_proc_state(w)[0] not in ("Z", "gone") for w in workers)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert [w for w in workers if _proc_state(w)[0] not in ("Z", "gone")] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for w in workers:
+            if _proc_state(w)[0] not in ("Z", "gone"):
+                os.kill(w, signal.SIGKILL)
 
 
 def test_sweep_flags_consistent_with_reevaluation(tmp_path):

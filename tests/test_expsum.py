@@ -8,8 +8,8 @@ import pytest
 from expsum_kit.arith import MANGOLDT, MOBIUS
 from expsum_kit.expsum import (direct_sum,
                                direct_sum_rational, h_only_sum, l2_profiles,
-                               recombine, reduced_fracs, type_I_1, type_I_2,
-                               type_II, unit_exponentials)
+                               recombine, reduced_fracs, residue_weight_sums,
+                               type_I_1, type_I_2, type_II, unit_exponentials)
 from expsum_kit.weights import WeightConfig, WeightSystem
 
 
@@ -58,6 +58,22 @@ def test_rational_fast_path_matches_direct(tables_10k):
         sa = direct_sum("mangoldt", Fraction(a, q), 5000, tables_10k)
         sb = direct_sum_rational("mangoldt", a, q, 5000, tables_10k)
         assert abs(sa.value - sb.value) < 1e-7
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_twisted_residue_sums_match_direct(f, tables_10k):
+    # e(n(a/q + t/x)) = e(na/q) e(nt/x): the twisted per-residue sums,
+    # dotted with e(ar/q), give the direct sum at a/q + t/x
+    for x in (10_000, 7_777.5):
+        n = int(x)
+        for a, q, t in ((0, 1, 8), (2, 7, -20), (5, 12, 250), (3, 10, 2.5)):
+            beta = Fraction(t) / Fraction(x)
+            per_residue = residue_weight_sums(f, q, x, tables_10k,
+                                              unit_exponentials(beta, n))
+            phases = np.exp(2j * np.pi * a * np.arange(q) / q)
+            got = complex(np.dot(per_residue, phases))
+            want = direct_sum(f, Fraction(a, q) + beta, x, tables_10k).value
+            assert abs(got - want) <= 1e-9 * x, (x, a, q, t)
 
 
 def test_type_I_1_collapses_when_h_is_delta(tables_small):
