@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .arith import ArithTables, coprime_residues
-from .expsum import reduced_fracs
+from .expsum import symmetric_fracs
 
 _SLACK = 1e-9
 
@@ -105,9 +105,7 @@ def _random_ap0(rng: np.random.Generator, q0_max: int = 50,
 
 def _inv_sin_norm(alpha: Fraction, n: int) -> np.ndarray:
     """1/|sin(pi m alpha)| for m = 1..n, +inf where m alpha is integral."""
-    fr = reduced_fracs(alpha, n)
-    dist = np.minimum(fr, 1.0 - fr)
-    s = np.sin(np.pi * dist)
+    s = np.sin(np.pi * np.abs(symmetric_fracs(alpha, n)))
     out = np.full(n, np.inf)
     nz = s > 0
     out[nz] = 1.0 / s[nz]

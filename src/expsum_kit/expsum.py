@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,19 +50,11 @@ class ExpSumValue:
         return abs(self.value)
 
 
-def reduced_fracs(alpha, n: int) -> np.ndarray:
-    """{k*alpha} for k = 1..n, with exact re-anchoring every 2^16 steps."""
-    out = symmetric_fracs(alpha, n)
-    neg = out < 0
-    out[neg] += 1.0
-    return out
-
-
 def _signed_rep(num: int, den: int) -> float:
     """num/den mod 1 mapped into (-1/2, 1/2], correctly rounded.
 
     Exactly negation-symmetric: swapping num for -num flips the sign of
-    the returned float bit for bit.
+    the returned float bit for bit, except at 1/2, which maps to itself.
     """
     k = num % den
     if 2 * k > den:
@@ -71,13 +63,15 @@ def _signed_rep(num: int, den: int) -> float:
 
 
 def symmetric_fracs(alpha, n: int) -> np.ndarray:
-    """k*alpha mod 1 in (-1/2, 1/2] for k = 1..n.
+    """k*alpha mod 1 in [-1/2, 1/2] for k = 1..n (a half-integer k*alpha
+    may land on either end).
 
     The fractional part is re-anchored by exact integer arithmetic every
     2^16 steps; within a block only the j*beta product rounds, keeping
     the phase error near one ulp. All operations are negation-symmetric,
     so the array for -alpha is exactly the negation of the one for alpha
-    (and conjugation identities hold bitwise downstream).
+    wherever k*alpha is not a half-integer (and conjugation identities
+    hold bitwise downstream when no k*alpha is).
     """
     af = as_fraction(alpha) % 1
     num, den = af.numerator, af.denominator
@@ -92,15 +86,12 @@ def symmetric_fracs(alpha, n: int) -> np.ndarray:
 
 
 def unit_exponentials(alpha, n: int) -> np.ndarray:
-    """e(k*alpha) for k = 1..n."""
+    """e(k*alpha) for k = 1..n, written into one complex array."""
     arg = (2 * np.pi) * symmetric_fracs(alpha, n)
-    return np.cos(arg) + 1j * np.sin(arg)
-
-
-def _frac_multiple(alpha: Fraction, m: int) -> Fraction:
-    """{m*alpha} as an exact fraction."""
-    num, den = alpha.numerator, alpha.denominator
-    return Fraction(m * num % den, den)
+    out = np.empty(n, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def _block_sum(values: np.ndarray) -> complex:
@@ -112,13 +103,56 @@ def _block_sum(values: np.ndarray) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+def _dilated_sums(af: Fraction, ms, coeffs, inner: Optional[np.ndarray],
+                  n: int) -> List[ExpSumValue]:
+    """Row p: sum_i coeffs[p, i] sum_{k <= n/ms[i]} inner[k-1] e(ms[i] k af).
+
+    Every piece of the decomposition has this shape; a direct sum is the
+    case ms = [1]. ms is a sorted sparse support and inner=None means
+    weight 1. Each inner sum is formed once, its phases taken at the exact
+    {m af}, and shared by every row; a row adds its nonzero terms in the
+    order of ms. n_terms counts the inner terms, the same for every row.
+    """
+    num, den = af.numerator, af.denominator
+    sums = []
+    count = 0
+    for m in map(int, ms):
+        nm = n // m
+        phases = unit_exponentials(Fraction(m * num % den, den), nm)
+        sums.append(_block_sum(phases if inner is None else inner[:nm] * phases))
+        count += nm
+    rows = []
+    for row in coeffs:
+        acc = complex(0.0)
+        for c, s in zip(row, sums):
+            if c:
+                acc += c * s
+        rows.append(ExpSumValue(acc.real, acc.imag, count))
+    return rows
+
+
+def _split_rows(cols: np.ndarray, divisible: np.ndarray, coef: np.ndarray,
+                width: int) -> np.ndarray:
+    """Two coefficient rows of the given width: coef[i] is added at column
+    cols[i] of row 0 where divisible[i] holds, of row 1 where it does not."""
+    rows = np.zeros((2, width))
+    np.add.at(rows, (np.where(divisible, 0, 1), cols), coef)
+    return rows
+
+
+def _split_or_total(parts: List[ExpSumValue], split: bool):
+    if split:
+        return tuple(parts)
+    total = parts[0].value + parts[1].value
+    return ExpSumValue(total.real, total.imag, parts[0].n_terms)
+
+
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha)."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
     w = arith_function(f).floats(tables)[1:n + 1]
-    total = _block_sum(w * unit_exponentials(alpha, n))
-    return ExpSumValue(total.real, total.imag, n)
+    return _dilated_sums(as_fraction(alpha), [1], [[1.0]], w, n)[0]
 
 
 def residue_weight_sums(f: str, q: int, x: float, tables: ArithTables,
@@ -149,13 +183,6 @@ def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,
     return ExpSumValue(total.real, total.imag, n_terms)
 
 
-def direct_sum_rational(f: str, a: int, q: int, x: float,
-                        tables: ArithTables) -> ExpSumValue:
-    """direct_sum at alpha = a/q via residue aggregation, O(x + q) flat."""
-    per_residue = residue_weight_sums(f, q, x, tables)
-    return rational_sum_from_residues(per_residue, a, q, int(math.floor(x)))
-
-
 # ---------------------------------------------------------------------------
 # Type-I and type-II sums
 
@@ -170,24 +197,12 @@ def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
     an unspecified O-constant and is never asserted here).
     """
     n = int(math.floor(x))
-    af = as_fraction(alpha)
     h = ws.h_float()
+    ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    acc = {True: complex(0.0), False: complex(0.0)}
-    count = 0
-    q = ws.cfg.q
-    for m in range(1, min(len(h) - 1, n) + 1):
-        if h[m] == 0.0:
-            continue
-        nm = n // m
-        inner = _block_sum(logs[:nm] * unit_exponentials(_frac_multiple(af, m), nm))
-        acc[m % q == 0] += h[m] * inner
-        count += nm
-    if split:
-        return (ExpSumValue(acc[True].real, acc[True].imag, count),
-                ExpSumValue(acc[False].real, acc[False].imag, count))
-    total = acc[True] + acc[False]
-    return ExpSumValue(total.real, total.imag, count)
+    coeffs = _split_rows(np.arange(len(ms)), ms % ws.cfg.q == 0, h[ms], len(ms))
+    return _split_or_total(_dilated_sums(as_fraction(alpha), ms, coeffs, logs, n),
+                           split)
 
 
 def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
@@ -196,34 +211,23 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
 
     With split=True the two returned parts separate m by q_l | m versus
     q_l not| m where q_l = q/(q, l), the split the long type-I bounds use.
+
+    The inner sum depends only on k = l*m, since floor(floor(x/l)/m) =
+    floor(x/k) and {m{l alpha}} = {k alpha}; so the pairs are grouped by
+    k and each distinct k costs one inner sum (n_terms counts those).
     """
     n = int(math.floor(x))
-    af = as_fraction(alpha)
     h = ws.h_float()
     w = arith_function(f0).floats(tables)
-    q = ws.cfg.q
-    v_top = min(int(math.floor(ws.cfg.V)), n)
-    acc = {True: complex(0.0), False: complex(0.0)}
-    count = 0
-    for l in range(1, v_top + 1):
-        fl = w[l]
-        if fl == 0.0:
-            continue
-        alpha_l = _frac_multiple(af, l)
-        q_l = q // math.gcd(q, l)
-        x_l = n // l
-        for m in range(1, min(len(h) - 1, x_l) + 1):
-            if h[m] == 0.0:
-                continue
-            nm = x_l // m
-            inner = _block_sum(unit_exponentials(_frac_multiple(alpha_l, m), nm))
-            acc[m % q_l == 0] += fl * h[m] * inner
-            count += nm
-    if split:
-        return (ExpSumValue(acc[True].real, acc[True].imag, count),
-                ExpSumValue(acc[False].real, acc[False].imag, count))
-    total = acc[True] + acc[False]
-    return ExpSumValue(total.real, total.imag, count)
+    ls = 1 + np.flatnonzero(w[1:min(int(math.floor(ws.cfg.V)), n) + 1])
+    hs = 1 + np.flatnonzero(h[1:])
+    l_idx, m_idx = np.nonzero(np.outer(ls, hs) <= n)
+    l, m = ls[l_idx], hs[m_idx]
+    ks, k_idx = np.unique(l * m, return_inverse=True)
+    q_l = ws.cfg.q // np.gcd(ws.cfg.q, l)
+    coeffs = _split_rows(k_idx, m % q_l == 0, w[l] * h[m], len(ks))
+    return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, None, n),
+                           split)
 
 
 def type_II(f: str, alpha, x: float, ws: WeightSystem,
@@ -234,7 +238,6 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     effectively V < m < x/U.
     """
     n = int(math.floor(x))
-    af = as_fraction(alpha)
     u_floor = int(math.floor(ws.cfg.U))
     m_lo = int(math.floor(ws.cfg.V)) + 1
     m_hi = n // (u_floor + 1)  # beyond this the inner range sits inside [1, U]
@@ -242,27 +245,15 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
         return ExpSumValue(0.0, 0.0, 0)
     conv = ws.conv_theta_lambda(n // m_lo)
     w = arith_function(f).floats(tables)
-    support = m_lo + np.flatnonzero(w[m_lo:m_hi + 1])
-    acc = complex(0.0)
-    count = 0
-    for m in support:
-        m = int(m)
-        nm = n // m
-        inner = _block_sum(conv[1:nm + 1] * unit_exponentials(_frac_multiple(af, m), nm))
-        acc += w[m] * inner
-        count += nm
-    return ExpSumValue(acc.real, acc.imag, count)
+    ms = m_lo + np.flatnonzero(w[m_lo:m_hi + 1])
+    return _dilated_sums(as_fraction(alpha), ms, [w[ms]], conv[1:], n)[0]
 
 
 def h_only_sum(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     """sum_m h(m) e(m alpha): the first term of the mu decomposition."""
-    n = int(math.floor(x))
-    af = as_fraction(alpha)
     h = ws.h_float()
-    top = min(len(h) - 1, n)
-    e = unit_exponentials(af, top)
-    total = _block_sum(h[1:top + 1] * e)
-    return ExpSumValue(total.real, total.imag, top)
+    top = min(len(h) - 1, int(math.floor(x)))
+    return _dilated_sums(as_fraction(alpha), [1], [[1.0]], h[1:top + 1], top)[0]
 
 
 @dataclass(frozen=True)

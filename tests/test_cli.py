@@ -61,6 +61,21 @@ def test_sweep_delta0_golden_bytes(tmp_path):
         "d3ae5af67d0cc52ca31f2211abcecdaf201e0c2d90e1ae1fb21929092e6db346")
 
 
+def test_compare_golden_bytes_except_I2(tmp_path):
+    # direct, I1, II and tail rows are a byte contract; I2 is grouped by
+    # k = l*m, which moves it by rounding only (checked against the
+    # per-pair loop in test_expsum)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--x", "20000", "--q-range", "1", "4",
+                 "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
+                 "--seed", "0", "--weight-overrides", "10", "40", "5", "30",
+                 "--output", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.endswith(",I2")]
+    assert len(lines) == 2 + 2 * 4 * 2 * 4
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b7149683a0a37ff5573259b44a0318e218af13858586166e55051c1d97210655")
+
+
 @pytest.mark.parametrize("x", [10_000, 100_000])
 def test_sweep_twisted_rows_match_direct_sum(x, tables_10k, tables_100k,
                                              tmp_path):

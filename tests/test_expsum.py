@@ -1,15 +1,16 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from expsum_kit.arith import MANGOLDT, MOBIUS
-from expsum_kit.expsum import (direct_sum,
-                               direct_sum_rational, h_only_sum, l2_profiles,
-                               recombine, reduced_fracs, residue_weight_sums,
-                               type_I_1, type_I_2, type_II, unit_exponentials)
+from expsum_kit.arith import MANGOLDT, MOBIUS, arith_function
+from expsum_kit.expsum import (_block_sum, direct_sum, h_only_sum, l2_profiles,
+                               rational_sum_from_residues, recombine,
+                               residue_weight_sums, symmetric_fracs, type_I_1,
+                               type_I_2, type_II, unit_exponentials)
 from expsum_kit.weights import WeightConfig, WeightSystem
 
 
@@ -43,21 +44,77 @@ def test_direct_sum_conjugation(tables_small):
         assert abs(s_pos.value.conjugate() - s_neg.value) < 1e-12
 
 
-def test_reduced_fracs_exact(tables_small):
+def _dist(r: Fraction) -> Fraction:
+    """Distance from r to the nearest integer."""
+    r %= 1
+    return min(r, 1 - r)
+
+
+def test_symmetric_fracs_exact():
+    # n*alpha mod 1 in [-1/2, 1/2] (the 1/2 case can come out as either
+    # end): correctly rounded at n = 1, within two roundings where a block
+    # re-anchors, within 5e-13 elsewhere, and bitwise odd in alpha
     rng = np.random.default_rng(3)
-    for alpha in (Fraction(17, 31), Fraction(rng.integers(1, 10**6)), 0.7182818):
-        af = Fraction(alpha) % 1
-        fr = reduced_fracs(alpha, 300)
-        for n in (1, 7, 131, 299):
-            exact = Fraction(n * af.numerator % af.denominator, af.denominator)
-            assert abs(fr[n - 1] - float(exact)) < 5e-13
+    for alpha in (Fraction(17, 31), Fraction(int(rng.integers(1, 10**6))),
+                  Fraction(1, 2), Fraction(0.7182818), Fraction(7, 2**20 + 1)):
+        fr = symmetric_fracs(alpha, 300)
+        assert np.all(np.abs(fr) <= 0.5)
+        assert abs(fr[0]) == float(_dist(alpha))
+        for n in (2, 7, 131, 299, 300):
+            gap = Fraction(fr[n - 1]) - n * alpha
+            assert abs(gap - round(gap)) < 5e-13
+        neg = symmetric_fracs(-alpha, 300)
+        half = np.abs(fr) == 0.5  # e(1/2) = e(-1/2): either end will do
+        assert np.array_equal(neg[~half], -fr[~half])
+        assert np.all(np.abs(neg[half]) == 0.5)
+    alpha = Fraction(355, 113)
+    big = symmetric_fracs(alpha, 200_000)
+    for n in (65_537, 131_073, 196_609):  # a block start: anchor plus beta
+        assert abs(abs(big[n - 1]) - _dist(n * alpha)) < 1e-15
 
 
 def test_rational_fast_path_matches_direct(tables_10k):
+    # the sweep's route to S(a/q): one residue aggregation, then a dot
     for (a, q) in ((2, 7), (1, 2), (5, 12), (0, 1)):
         sa = direct_sum("mangoldt", Fraction(a, q), 5000, tables_10k)
-        sb = direct_sum_rational("mangoldt", a, q, 5000, tables_10k)
+        sb = rational_sum_from_residues(
+            residue_weight_sums("mangoldt", q, 5000, tables_10k), a, q, 5000)
         assert abs(sa.value - sb.value) < 1e-7
+
+
+def test_unit_exponentials_bitwise():
+    for alpha in (Fraction(3, 7), Fraction(-3, 7), Fraction(41, 137),
+                  Fraction(-41, 137), Fraction(1, 4), Fraction(8, 10_007)):
+        got = unit_exponentials(alpha, 70_000)
+        arg = (2 * np.pi) * symmetric_fracs(alpha, 70_000)
+        want = np.cos(arg) + 1j * np.sin(arg)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes(), alpha
+    assert np.array_equal(unit_exponentials(Fraction(-3, 7), 999),
+                          np.conj(unit_exponentials(Fraction(3, 7), 999)))
+
+
+def test_unit_exponentials_peak_memory():
+    # one complex result plus the phase array, no further temporaries
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        out = unit_exponentials(Fraction(8, 1_000_003), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * out.nbytes, peak / out.nbytes
+
+
+def test_direct_sum_is_the_plain_blocked_sum(tables_10k):
+    # the m = 1 case of the dilated-sum kernel returns the inner sum's bits
+    for f in ("mangoldt", "mobius"):
+        w = arith_function(f).floats(tables_10k)[1:9_001]
+        for alpha in (Fraction(2, 7), Fraction(-2, 7), Fraction(0), 0.318309886):
+            got = direct_sum(f, alpha, 9_000.5, tables_10k)
+            want = _block_sum(w * unit_exponentials(alpha, 9_000))
+            assert (got.real_part, got.imag_part, got.n_terms) == (
+                want.real, want.imag, 9_000)
 
 
 @pytest.mark.parametrize("f", ["mangoldt", "mobius"])
@@ -154,6 +211,53 @@ def test_type_I_2_triple_loop_oracle(tables_small):
                                          * float(Fraction(l * m * n * 3, 11) % 1)))
     got = type_I_2("mangoldt", alpha, x, ws, tables_small)
     assert abs(got.value - expected) < 1e-10
+
+
+def _type_I_2_pair_loop(f0, alpha, x, ws, tables):
+    """The per-(l, m) type-I2 loop that the k = l*m grouping replaced: one
+    inner sum per pair, split by q_l | m with q_l = q/(q, l)."""
+    n = int(math.floor(x))
+    af = Fraction(alpha)
+    h = ws.h_float()
+    w = arith_function(f0).floats(tables)
+    q = ws.cfg.q
+    acc = {True: complex(0.0), False: complex(0.0)}
+    for l in range(1, min(int(math.floor(ws.cfg.V)), n) + 1):
+        if w[l] == 0.0:
+            continue
+        q_l = q // math.gcd(q, l)
+        x_l = n // l
+        for m in range(1, min(len(h) - 1, x_l) + 1):
+            if h[m] == 0.0:
+                continue
+            beta = Fraction(l * m * af.numerator % af.denominator, af.denominator)
+            inner = _block_sum(unit_exponentials(beta, x_l // m))
+            acc[m % q_l == 0] += w[l] * h[m] * inner
+    return acc[True], acc[False]
+
+
+@pytest.mark.parametrize("x,cfg", [
+    (10_000, WeightConfig(U=10, U1=40, R=5, V=30, q=6)),
+    (100_000, WeightConfig(U=10, U1=40, R=5, V=200, q=12)),
+])
+def test_type_I_2_k_grouping_matches_pair_loop(x, cfg, tables_10k, tables_100k):
+    tables = tables_10k if x <= 10_000 else tables_100k
+    ws = WeightSystem(cfg, tables)
+    for f in ("mangoldt", "mobius"):
+        for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
+                      Fraction(7, 12) + Fraction(8, x)):
+            div, nondiv = type_I_2(f, alpha, x, ws, tables, split=True)
+            want_div, want_nondiv = _type_I_2_pair_loop(f, alpha, x, ws, tables)
+            assert abs(div.value - want_div) <= 1e-9 * x, (f, alpha)
+            assert abs(nondiv.value - want_nondiv) <= 1e-9 * x, (f, alpha)
+            assert want_div != 0 and want_nondiv != 0  # both halves have terms
+            whole = type_I_2(f, alpha, x, ws, tables)
+            assert whole.value == div.value + nondiv.value
+            # n_terms counts one inner sum per distinct k = l*m
+            w, h = arith_function(f).floats(tables), ws.h_float()
+            ks = {l * m for l in range(1, int(cfg.V) + 1) if w[l]
+                  for m in range(1, len(h)) if h[m] and l * m <= x}
+            assert whole.n_terms == div.n_terms == sum(x // k for k in ks)
 
 
 def test_type_I_2_split_consistent(tables_small):
