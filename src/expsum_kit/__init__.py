@@ -9,8 +9,8 @@ from .expsum import (DecompositionReport, ExpSumValue, direct_sum, l2_profiles,
                      recombine, type_I_1, type_I_2, type_II)
 from .identity import decompose_mangoldt, decompose_mobius
 from .partition import Partition, partition_integers, partition_primes
-from .weights import (WeightConfig, WeightSystem, barban_vehov, classic_vaughan_mode,
-                      combined_h, g_series, mobius_partial, selberg_lambda,
-                      verify_lbcr, verify_lbsum_a)
+from .weights import (WeightConfig, WeightSystem, classic_vaughan_mode, combined_h,
+                      g_series, mobius_partial, selberg_lambda, verify_lbcr,
+                      verify_lbsum_a)
 
 __version__ = "0.1.0"

@@ -237,8 +237,7 @@ def main_bound(f: str, x: float, q: int, delta0: float, eta: float) -> float:
     return G_eta(u, u0, eta) * x / math.sqrt(delta0 * phi_q)
 
 
-def corollary_constants(eta: float, grid: int = 200,
-                        grid_check: bool = True) -> Tuple[float, float]:
+def corollary_constants(eta: float) -> Tuple[float, float]:
     """(max F, max G) over the admissible region, attained at the corners
     (1/5 + eta, 1/5 + eta) and (2/5 - eta, 0).
 
@@ -252,22 +251,22 @@ def corollary_constants(eta: float, grid: int = 200,
     c2 = (0.4 - eta, 0.0)
     max_f = max(F_eta(*c1, eta), F_eta(*c2, eta))
     max_g = max(G_eta(*c1, eta), G_eta(*c2, eta))
-    if grid_check:
-        best_f = best_g = 0.0
-        for i in range(grid + 1):
-            u = (0.4 - eta) * i / grid
-            best_f = max(best_f, F_eta(u, 0.0, eta))
-            best_g = max(best_g, G_eta(u, 0.0, eta))
-        for i in range(grid + 1):
-            u = (0.2 + eta) * i / grid
-            for j in range(grid + 1):
-                u0 = u * j / grid
-                best_f = max(best_f, F_eta(u, u0, eta))
-                best_g = max(best_g, G_eta(u, u0, eta))
-        if best_f > max_f * (1 + 1e-9) or best_g > max_g * (1 + 1e-9):
-            raise RuntimeError(
-                f"grid scan exceeds corner maxima: F {best_f} vs {max_f}, "
-                f"G {best_g} vs {max_g}")
+    grid = 200
+    best_f = best_g = 0.0
+    for i in range(grid + 1):
+        u = (0.4 - eta) * i / grid
+        best_f = max(best_f, F_eta(u, 0.0, eta))
+        best_g = max(best_g, G_eta(u, 0.0, eta))
+    for i in range(grid + 1):
+        u = (0.2 + eta) * i / grid
+        for j in range(grid + 1):
+            u0 = u * j / grid
+            best_f = max(best_f, F_eta(u, u0, eta))
+            best_g = max(best_g, G_eta(u, u0, eta))
+    if best_f > max_f * (1 + 1e-9) or best_g > max_g * (1 + 1e-9):
+        raise RuntimeError(
+            f"grid scan exceeds corner maxima: F {best_f} vs {max_f}, "
+            f"G {best_g} vs {max_g}")
     return max_f, max_g
 
 

@@ -152,6 +152,14 @@ def write_json(payload: Dict, output: str) -> None:
         fh.write("\n")
 
 
+def _write_rows(cfg: RunConfig, rows: List[Dict], columns: Sequence[str]) -> None:
+    """The rows of a sweep or compare run as CSV, or as JSON with the config."""
+    if cfg.format == "csv":
+        write_csv(rows, columns, cfg.output)
+    else:
+        write_json({"config": asdict(cfg), "rows": rows}, cfg.output)
+
+
 def flags_to_str(flags: Dict[str, bool]) -> str:
     return ";".join(f"{k}={int(v)}" for k, v in sorted(flags.items()))
 
@@ -262,10 +270,7 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
 def run_sweep(cfg: RunConfig) -> int:
     rows = _sweep_rows(cfg)
     rows.sort(key=lambda r: (r["function"], r["q"], r["a"], r["delta"]))
-    if cfg.format == "csv":
-        write_csv(rows, SWEEP_COLUMNS, cfg.output)
-    else:
-        write_json({"config": asdict(cfg), "rows": rows}, cfg.output)
+    _write_rows(cfg, rows, SWEEP_COLUMNS)
     over = [r for r in rows if not math.isnan(r["ratio"]) and r["ratio"] > 1.0]
     for r in over:
         print(f"finding: ratio {r['ratio']:.3f} > 1 at function={r['function']} "
@@ -319,10 +324,7 @@ def run_compare(cfg: RunConfig) -> int:
                                 for row in rep.rows(a, q, delta, delta0))
     rows.sort(key=lambda r: (r["function"], r["q"], r["a"], r["delta"],
                              r["component"]))
-    if cfg.format == "csv":
-        write_csv(rows, COMPARE_COLUMNS, cfg.output)
-    else:
-        write_json({"config": asdict(cfg), "rows": rows}, cfg.output)
+    _write_rows(cfg, rows, COMPARE_COLUMNS)
     return status
 
 

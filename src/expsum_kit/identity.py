@@ -32,13 +32,12 @@ from typing import Dict, Tuple
 from mpmath import workdps
 
 from .arith import MANGOLDT, MOBIUS, ArithFunction, ArithTables
-from .weights import RAMP_DPS, WeightSystem, classic_vaughan_mode
+from .weights import RAMP_DPS, WeightSystem
 
 __all__ = [
     "Decomposition",
     "decompose_mangoldt",
     "decompose_mobius",
-    "classic_vaughan_mode",
     "residual_report",
 ]
 

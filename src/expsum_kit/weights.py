@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -108,71 +108,23 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     return Fraction(d * mu, int(tables.totient[d])) * g_top / g_bot
 
 
-@dataclass
-class RampValue:
-    """A Barban-Vehov weight in branch form, symbolic until evaluated.
-
-    kind is "zero", "unit" (value = mu), "ramp" (theta' ramp:
-    mu log(U1/d)/log(U1/U)) or "theta_ramp" (theta ramp:
-    mu log(d/U)/log(U1/U)).
-    """
-
-    kind: str
-    mu: int = 0
-    d: int = 0
-
-    def _value(self, cfg: WeightConfig, num, log):
-        """The weight in the number type num, with log its logarithm."""
-        if self.kind == "unit":
-            return num(self.mu)
-        if self.kind == "zero":
-            return num(0)
-        span = log(num(cfg.U1) / num(cfg.U))
-        if self.kind == "ramp":
-            return self.mu * log(num(cfg.U1) / self.d) / span
-        return self.mu * log(num(self.d) / num(cfg.U)) / span
-
-    def as_float(self, cfg: WeightConfig) -> float:
-        return self._value(cfg, float, math.log)
-
-    def as_mpf(self, cfg: WeightConfig) -> mpf:
-        return self._value(cfg, mpf, mp.log)
-
-
-def barban_vehov(d: int, cfg: WeightConfig, tables: ArithTables,
-                 which: str = "theta_prime") -> RampValue:
-    """Branch form of theta'(d) or theta(d) = mu(d) - theta'(d).
-
-    theta'(d): mu(d) for d <= U, mu(d) log(U1/d)/log(U1/U) on (U, U1], 0 beyond.
-    theta(d) mirrors it: 0 for d <= U, mu(d) log(d/U)/log(U1/U), mu(d) beyond U1.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    mu = int(tables.mobius[d]) if d <= tables.n_max else 0
-    if mu == 0:
-        return RampValue("zero")
-    if which == "theta_prime":
-        if d <= cfg.U:
-            return RampValue("unit", mu)
-        if d <= cfg.U1:
-            return RampValue("ramp", mu, d)
-        return RampValue("zero")
-    if which == "theta":
-        if d <= cfg.U:
-            return RampValue("zero")
-        if d <= cfg.U1:
-            # mu - mu*log(U1/d)/log(U1/U) = mu*log(d/U)/log(U1/U)
-            return RampValue("theta_ramp", mu, d)
-        return RampValue("unit", mu)
-    raise ValueError("which must be 'theta' or 'theta_prime'")
+def _one_star(g: Dict[int, object], n: int, num) -> np.ndarray:
+    """(1*g)(k) for k <= n from the sparse values g = {d: g(d)}: a float64
+    array, or for num = mpf an object array of mpf."""
+    out = np.zeros(n + 1) if num is float else np.full(n + 1, mpf(0), dtype=object)
+    for d, v in g.items():
+        if d <= n:
+            out[d::d] += v
+    return out
 
 
 class WeightSystem:
     """Materialized weight tables for one WeightConfig.
 
     Immutable after construction. Exact Fractions carry everything on the
-    Selberg side; the h table is kept both at RAMP_DPS digits (for identity
-    certification) and as float64 arrays (for exponential sums).
+    Selberg side. Each irrational weight (theta', theta, h, the 1* sums)
+    has one formula, evaluated in the number type num: float64 for the
+    exponential sums, or mpf (RAMP_DPS digits) for identity certification.
     """
 
     def __init__(self, cfg: WeightConfig, tables: ArithTables):
@@ -196,6 +148,14 @@ class WeightSystem:
     def lam(self, d: int) -> Fraction:
         return self.lambda_table.get(d, Fraction(0))
 
+    def _lambda(self, num) -> Dict[int, object]:
+        """lambda in the number type num. mpf takes no Fraction, so an mpf
+        value is the numerator over the denominator, each converted first."""
+        if num is float:
+            return {d: float(f) for d, f in self.lambda_table.items()}
+        return {d: mpf(f.numerator) / mpf(f.denominator)
+                for d, f in self.lambda_table.items()}
+
     def g_value(self, l: int, x: float) -> Fraction:
         return g_series(l, x, self.tables, self.g_cache)
 
@@ -203,52 +163,77 @@ class WeightSystem:
     def g_q_R(self) -> Fraction:
         return self.g_value(self.cfg.q, self.cfg.R)
 
-    def theta_prime(self, d: int) -> RampValue:
-        return barban_vehov(d, self.cfg, self.tables, "theta_prime")
+    def theta_prime(self, d: int, num=float):
+        """theta'(d): mu(d) for d <= U, mu(d) log(U1/d)/log(U1/U) on (U, U1],
+        0 beyond."""
+        return self._barban_vehov(d, num, prime=True)
 
-    def theta(self, d: int) -> RampValue:
-        return barban_vehov(d, self.cfg, self.tables, "theta")
+    def theta(self, d: int, num=float):
+        """theta(d) = mu(d) - theta'(d): 0 for d <= U, mu(d) log(d/U)/log(U1/U)
+        on (U, U1], mu(d) beyond."""
+        return self._barban_vehov(d, num, prime=False)
 
-    def theta_prime_float(self, d: int) -> float:
-        return self.theta_prime(d).as_float(self.cfg)
+    def _barban_vehov(self, d: int, num, prime: bool):
+        """theta'(d) (prime) or theta(d) in the number type num; an mpf
+        value has the caller's working precision."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        cfg = self.cfg
+        mu = int(self.tables.mobius[d]) if d <= self.tables.n_max else 0
+        if mu == 0:
+            return num(0)
+        if d <= cfg.U or d > cfg.U1:  # theta' is mu then 0, theta 0 then mu
+            return num(mu) if (d <= cfg.U) == prime else num(0)
+        log = math.log if num is float else mp.log
+        span = log(num(cfg.U1) / num(cfg.U))
+        if prime:
+            return mu * log(num(cfg.U1) / d) / span
+        return mu * log(num(d) / num(cfg.U)) / span
 
-    def theta_prime_mpf(self, d: int) -> mpf:
-        return self.theta_prime(d).as_mpf(self.cfg)
-
-    def theta_mpf(self, d: int) -> mpf:
-        return self.theta(d).as_mpf(self.cfg)
+    def _theta_prime_support(self, num) -> Dict[int, object]:
+        """theta'(d) at every squarefree d <= U1. A 0 at the ramp's end d = U1
+        is kept, so that h's keys, and with them the order of 1*h's sums,
+        stay fixed."""
+        u1 = int(math.floor(self.cfg.U1))
+        return {d: self.theta_prime(d, num)
+                for d in range(1, u1 + 1) if self.tables.mobius[d]}
 
     # -- h = lambda *_lcm theta' --------------------------------------------
 
-    def _h_pairs(self) -> Iterable[Tuple[int, int, int]]:
-        """(d1, d2, lcm) pairs with lambda(d1) != 0, theta'(d2) != 0."""
+    def _h(self, num) -> Dict[int, object]:
+        """h as {d: h(d)} over [1, floor(U1*R)], zeros dropped.
+
+        theta' is evaluated once per d; lambda(d1) theta'(d2) is added at
+        lcm(d1, d2) with d1 outer and d2 inner, both ascending.
+        """
         bound = self.cfg.h_support_bound
-        u1 = int(math.floor(self.cfg.U1))
-        for d1 in self.lambda_table:
-            for d2 in range(1, u1 + 1):
-                if self.tables.mobius[d2] == 0:
-                    continue
-                l = d1 * d2 // math.gcd(d1, d2)
-                if l <= bound:
-                    yield d1, d2, l
+        zero = num(0)
+        out: Dict[int, object] = {}
+        with workdps(RAMP_DPS):
+            theta_prime = self._theta_prime_support(num)
+            for d1, lam in self._lambda(num).items():
+                for d2, tp in theta_prime.items():
+                    l = d1 * d2 // math.gcd(d1, d2)
+                    if l <= bound:
+                        out[l] = out.get(l, zero) + lam * tp
+        return {d: v for d, v in out.items() if v != 0}
 
     def h_mp(self) -> Dict[int, mpf]:
         """h(d) at RAMP_DPS digits, sparse over [1, floor(U1*R)]."""
         if self._h_mp is None:
-            with workdps(RAMP_DPS):
-                out: Dict[int, mpf] = {}
-                lam_mp = {d: mpf(f.numerator) / mpf(f.denominator)
-                          for d, f in self.lambda_table.items()}
-                for d1, d2, l in self._h_pairs():
-                    tp = self.theta_prime(d2)
-                    if tp.kind == "zero":
-                        continue
-                    out[l] = out.get(l, mpf(0)) + lam_mp[d1] * tp.as_mpf(self.cfg)
-                self._h_mp = {d: v for d, v in out.items() if v != 0}
+            self._h_mp = self._h(mpf)
         return self._h_mp
 
+    def h_float(self) -> np.ndarray:
+        """h as a float64 array indexed by d on [0, floor(U1*R)]."""
+        if self._h_float is None:
+            h = self._h(float)
+            self._h_float = np.zeros(self.cfg.h_support_bound + 1)
+            self._h_float[list(h)] = list(h.values())
+        return self._h_float
+
     def identity_tables_mp(self, n_max: int
-                           ) -> Tuple[Dict[int, mpf], List[mpf], List[mpf]]:
+                           ) -> Tuple[Dict[int, mpf], np.ndarray, np.ndarray]:
         """(h, 1*h, (1*theta)(1*lambda)) at RAMP_DPS digits up to n_max.
 
         Built once per n_max and shared by the Lambda and mu identities.
@@ -258,53 +243,25 @@ class WeightSystem:
         if n_max not in self._identity_tables:
             with workdps(RAMP_DPS):
                 h = self.h_mp()
-                theta = {d: rv.as_mpf(self.cfg) for d in range(1, n_max + 1)
-                         if (rv := self.theta(d)).kind != "zero"}
-                lam = {d: mpf(f.numerator) / mpf(f.denominator)
-                       for d, f in self.lambda_table.items()}
-                conv_tl = [a * b for a, b in zip(_one_star_mp(theta, n_max),
-                                                 _one_star_mp(lam, n_max))]
-                self._identity_tables[n_max] = h, _one_star_mp(h, n_max), conv_tl
+                theta = {d: v for d in range(1, n_max + 1)
+                         if (v := self.theta(d, mpf))}
+                conv_tl = (_one_star(theta, n_max, mpf)
+                           * _one_star(self._lambda(mpf), n_max, mpf))
+                self._identity_tables[n_max] = h, _one_star(h, n_max, mpf), conv_tl
         return self._identity_tables[n_max]
 
-    def h_float(self) -> np.ndarray:
-        """h as a float64 array indexed by d on [0, floor(U1*R)]."""
-        if self._h_float is None:
-            out = np.zeros(self.cfg.h_support_bound + 1)
-            lam_f = {d: float(f) for d, f in self.lambda_table.items()}
-            for d1, d2, l in self._h_pairs():
-                tp = self.theta_prime(d2)
-                if tp.kind == "zero":
-                    continue
-                out[l] += lam_f[d1] * tp.as_float(self.cfg)
-            self._h_float = out
-        return self._h_float
-
     # -- float64 convolution tables for the exponential-sum layer -----------
-
-    def one_star_theta_prime(self, n: int) -> np.ndarray:
-        """(1 * theta')(k) for k <= n; support of theta' is d <= U1."""
-        out = np.zeros(n + 1)
-        for d in range(1, min(int(math.floor(self.cfg.U1)), n) + 1):
-            v = self.theta_prime_float(d)
-            if v:
-                out[d::d] += v
-        return out
 
     def one_star_theta(self, n: int) -> np.ndarray:
         """(1 * theta)(k) for k <= n; theta = mu - theta', so this equals
         [k = 1] - (1 * theta')(k)."""
-        out = -self.one_star_theta_prime(n)
+        out = -_one_star(self._theta_prime_support(float), n, float)
         if n >= 1:
             out[1] += 1.0
         return out
 
     def one_star_lambda(self, n: int) -> np.ndarray:
-        out = np.zeros(n + 1)
-        for d, lam in self.lambda_table.items():
-            if d <= n:
-                out[d::d] += float(lam)
-        return out
+        return _one_star(self._lambda(float), n, float)
 
     def conv_theta_lambda(self, n: int) -> np.ndarray:
         """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n."""
@@ -326,16 +283,7 @@ class WeightSystem:
             for d in range(1, self.cfg.h_support_bound + 1):
                 lam = self.lam(d)
                 writer.writerow([d, lam.numerator, lam.denominator,
-                                 repr(self.theta_prime_float(d)), repr(float(h[d]))])
-
-
-def _one_star_mp(g: Dict[int, mpf], n_max: int) -> List[mpf]:
-    """(1*g)(k) for k <= n_max from the sparse values g = {d: g(d)}."""
-    out = [mpf(0)] * (n_max + 1)
-    for d, v in g.items():
-        for k in range(d, n_max + 1, d):
-            out[k] += v
-    return out
+                                 repr(self.theta_prime(d)), repr(float(h[d]))])
 
 
 def combined_h(cfg: WeightConfig, tables: ArithTables) -> Dict[int, float]:
@@ -448,7 +396,7 @@ def thtsum_report(v: int, ws: WeightSystem) -> Dict[str, float]:
     u1 = int(math.floor(cfg.U1))
     s_plain = s_log = s_abs = 0.0
     for d in range(v, u1 + 1, v):
-        t = ws.theta_prime_float(d)
+        t = ws.theta_prime(d)
         if t:
             s_plain += t / d
             s_log += t / d * math.log(d)
@@ -483,14 +431,12 @@ def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:
     tables.check_range(X, "partial-sum cutoff")
     n_top = int(math.floor(X))
     log_x = math.log(X)
-    terms: List[float] = []
-    mob = tables.mobius
-    for n in range(1, n_top + 1):
-        mu = mob[n]
-        if mu == 0 or (v != 1 and math.gcd(n, v) != 1):
-            continue
-        t = (log_x - math.log(n)) ** power / n
-        terms.append(t if mu > 0 else -t)
+    mu = tables.mobius[1:n_top + 1]
+    n = np.flatnonzero(mu) + 1
+    if v != 1:
+        n = n[np.gcd(n, v) == 1]
+    terms = (log_x - np.log(n)) ** power / n
+    terms *= mu[n - 1]
     return math.fsum(terms)
 
 

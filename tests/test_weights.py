@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -7,8 +8,8 @@ from mpmath import mpf, workdps
 
 from expsum_kit.arith import TableRangeError
 from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem,
-                                barban_vehov, classic_vaughan_mode, combined_h,
-                                g_series, gq_lower_bound_holds, lbsum_b_report,
+                                classic_vaughan_mode, combined_h, g_series,
+                                gq_lower_bound_holds, lbsum_b_report,
                                 lbsum_c_report, mobius_partial,
                                 mobius_partial_bounds_hold, selberg_lambda,
                                 thtsum_report, verify_lbcr, verify_lbsum_a)
@@ -38,24 +39,30 @@ def test_selberg_lambda_examples(tables_small):
 
 
 def test_barban_vehov_branches(tables_small):
-    cfg = WeightConfig(U=10, U1=90, R=3, V=5, q=1)
+    ws = WeightSystem(WeightConfig(U=10, U1=90, R=3, V=5, q=1), tables_small)
     for d in (2, 3, 5, 7, 10):
-        rv = barban_vehov(d, cfg, tables_small)
-        assert rv.kind == "unit" and rv.mu == int(tables_small.mobius[d])
-    assert barban_vehov(91, cfg, tables_small).kind == "zero"
+        mu = int(tables_small.mobius[d])
+        assert ws.theta_prime(d) == mu and ws.theta(d) == 0
+    # beyond U1 theta' vanishes and theta is mu, here mu(91) = 1
+    assert ws.theta_prime(91) == 0 and ws.theta(91) == 1
     # midpoint of the log-linear ramp: d = sqrt(U*U1) = 30, mu(30) = -1
-    mid = barban_vehov(30, cfg, tables_small)
-    assert mid.kind == "ramp"
-    assert abs(mid.as_float(cfg) - (-0.5)) < 1e-14
+    assert abs(ws.theta_prime(30) - (-0.5)) < 1e-14
+    with workdps(50):
+        assert abs(ws.theta_prime(30, mpf) - mpf(-0.5)) < mpf(10) ** -45
+    with pytest.raises(ValueError):
+        ws.theta_prime(0)
 
 
-def test_theta_plus_theta_prime_is_mu(tables_small):
+@pytest.mark.parametrize("num", [float, mpf])
+def test_theta_plus_theta_prime_is_mu(tables_small, num):
     cfg = WeightConfig(U=7, U1=23, R=3, V=5, q=1)
     ws = WeightSystem(cfg, tables_small)
+    tol = mpf(10) ** -30 if num is mpf else 1e-15
     with workdps(50):
         for d in range(1, 231):
-            s = ws.theta_prime_mpf(d) + ws.theta_mpf(d)
-            assert abs(s - int(tables_small.mobius[d])) < mpf(10) ** -30
+            s = ws.theta_prime(d, num) + ws.theta(d, num)
+            assert type(s) is num
+            assert abs(s - int(tables_small.mobius[d])) < tol
 
 
 def test_combined_h_examples(tables_small):
@@ -72,7 +79,7 @@ def test_combined_h_against_pair_oracle(tables_small, ws_small):
     for d1 in range(1, int(cfg.R) + 1):
         for d2 in range(1, int(cfg.U1) + 1):
             lam = float(ws_small.lam(d1))
-            tp = ws_small.theta_prime_float(d2)
+            tp = ws_small.theta_prime(d2)
             if lam == 0.0 or tp == 0.0:
                 continue
             l = d1 * d2 // math.gcd(d1, d2)
@@ -101,11 +108,29 @@ def test_one_star_h_factorizes(tables_small):
             tp = mpf(0)
             lm = mpf(0)
             for d in tables_small.divisors(n):
-                rv = ws.theta_prime(d)
-                if rv.kind != "zero":
-                    tp += rv.as_mpf(cfg)
+                tp += ws.theta_prime(d, mpf)
                 lm += lam_mp.get(d, mpf(0))
             assert abs(one_h[n] - tp * lm) < mpf(10) ** -30
+
+
+# sha256 of the float64 bytes of h and of (1*theta)(1*lambda) on [0, 5000]
+FLOAT_TABLE_SHA256 = {
+    (10, 40, 5, 30, 3): (
+        "3987ed6ff6d384692091b292a6fc05f719f65ee033875f387353f2a27127fbba",
+        "dfa6dfd5412a7cffbcad378c52830a31476217acf9e140d41a8ae2ef41a0be29"),
+    (100, 1000, 30, 200, 4): (
+        "4aec35763c7bca4278c32ef32403b3ca71817aabc8ab1122e12b99cd4241ae41",
+        "07a09cb490dfae544db6a6a29fd4e13638ec2f5a2e9cb77ad54b0600e542d692"),
+}
+
+
+@pytest.mark.parametrize("params", sorted(FLOAT_TABLE_SHA256))
+def test_float_tables_pinned(tables_100k, params):
+    U, U1, R, V, q = params
+    ws = WeightSystem(WeightConfig(U=U, U1=U1, R=R, V=V, q=q), tables_100k)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (ws.h_float(), ws.conv_theta_lambda(5000)))
+    assert digests == FLOAT_TABLE_SHA256[params]
 
 
 def test_lbsum_a_examples(ws_small):
@@ -191,6 +216,26 @@ def test_mobius_partial_coprimality(tables_small):
         int(t.mobius[n]) / n * math.log(50 / n)
         for n in range(1, 51) if t.mobius[n] != 0 and math.gcd(n, 6) == 1)
     assert abs(mobius_partial(6, 50, 1, t) - expected) < 1e-14
+
+
+def _mobius_partial_loop(v, X, power, tables):
+    # the per-n loop that mobius_partial replaced, kept as its oracle
+    log_x = math.log(X)
+    terms = []
+    for n in range(1, int(math.floor(X)) + 1):
+        mu = tables.mobius[n]
+        if mu == 0 or (v != 1 and math.gcd(n, v) != 1):
+            continue
+        t = (log_x - math.log(n)) ** power / n
+        terms.append(t if mu > 0 else -t)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("v, X", [(30, 1e4), (1, 1e6)])
+def test_mobius_partial_matches_loop(tables_2m, v, X, power):
+    expected = _mobius_partial_loop(v, X, power, tables_2m)
+    assert abs(mobius_partial(v, X, power, tables_2m) - expected) < 1e-12
 
 
 def test_report_only_sums_run(ws_small):
