@@ -2,8 +2,9 @@
 
 Provides:
 - ArithTables: smallest prime factor, Mobius mu, Euler totient and the
-  "Mangoldt base" (p for prime powers p^k, else 0), all built in one
-  vectorized sieve pass.
+  "Mangoldt base" (p for prime powers p^k, else 0): an spf sieve up to
+  sqrt(n_max), then mu, phi and the base of each n from those of its
+  cofactor n/spf(n), in dyadic chunked passes.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
   Fraction (or int) values, LogVector values, or a mix of the two.
@@ -28,9 +29,14 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 from mpmath import mpf
 
-# ~20 bytes/entry across the four tables; the cap keeps a typo from
-# swallowing all RAM.
+# 17 bytes/entry across the four per-n tables (spf 4, mobius 1, totient 8,
+# mangoldt_base 4), plus 8 per prime; building them adds at most half a
+# byte per entry (the spf sieve's mask for p = 2) and per-chunk arrays.
+# The cap keeps a typo from swallowing all RAM.
 MAX_N_MAX = 100_000_000
+
+#: Most entries in one chunk of a dyadic sieve pass.
+_SIEVE_CHUNK = 1 << 17
 
 
 class TableRangeError(ValueError):
@@ -142,16 +148,21 @@ def load_tables(path, n_max: int) -> ArithTables:
 def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
     """Sieve all four tables up to n_max. Deterministic.
 
-    Vectorized whole-range sieve passes; fine for n_max <= 1e8, and a
-    segmented variant is the natural extension point beyond that.
-    Raises ValueError if n_max exceeds the allocation cap.
+    The smallest prime factor comes from a sieve over the primes up to
+    sqrt(n_max). Every n >= 2 has the cofactor c = n/p, p = spf(n), and
+    c <= n/2, so passes over [2^k, 2^(k+1)), cut into chunks of at most
+    2^17 entries, read only entries an earlier pass has finished:
+    mu(n) = 0 if spf(c) = p else -mu(c); phi(n) = phi(c) * p if
+    spf(c) = p else phi(c) * (p - 1); the Mangoldt base is p if c = 1, or
+    if spf(c) = p and base(c) != 0. The primes are the n with c = 1.
+    Past the tables themselves, only the spf sieve's masks grow with
+    n_max; a segmented variant is the natural extension point beyond
+    n_max = 1e8. Raises ValueError if n_max exceeds the allocation cap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > cap:
         raise TableRangeError(f"n_max={n_max} exceeds allocation cap {cap}")
-
-    idx = np.arange(n_max + 1, dtype=np.int64)
 
     spf = np.zeros(n_max + 1, dtype=np.int32)
     for i in range(2, math.isqrt(n_max) + 1):
@@ -159,37 +170,36 @@ def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
             spf[i] = i
             block = spf[i * i :: i]
             block[block == 0] = i
-    rest = (spf == 0) & (idx >= 2)
-    spf[rest] = idx[rest].astype(np.int32)
 
-    primes = idx[(idx >= 2) & (spf == idx)]
-
-    mobius = np.ones(n_max + 1, dtype=np.int8)
-    totient = idx.copy()
+    mobius = np.zeros(n_max + 1, dtype=np.int8)
+    totient = np.zeros(n_max + 1, dtype=np.int64)
     mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
-    for p in primes:
-        p = int(p)
-        mobius[p::p] *= -1
-        if p * p <= n_max:
-            mobius[p * p :: p * p] = 0
-        totient[p::p] = totient[p::p] // p * (p - 1)
-        pk = p
-        while pk <= n_max:
-            mangoldt_base[pk] = p
-            pk *= p
-    mobius[0] = 0
-    if n_max >= 1:
-        totient[0] = 0
+    mobius[1] = totient[1] = 1
+    primes = [np.zeros(0, dtype=np.int64)]
+    lo = 2
+    while lo <= n_max:
+        hi = min(2 * lo, lo + _SIEVE_CHUNK, n_max + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi]
+        unset = p == 0  # primes above sqrt(n_max)
+        p[unset] = n[unset]
+        c = n // p
+        same = spf[c] == p
+        mobius[lo:hi] = np.where(same, 0, -mobius[c])
+        totient[lo:hi] = totient[c] * np.where(same, p, p - 1)
+        prime_power = (c == 1) | (same & (mangoldt_base[c] != 0))
+        mangoldt_base[lo:hi] = np.where(prime_power, p, 0)
+        primes.append(n[c == 1])
+        lo = hi
 
-    tables = ArithTables(
+    return ArithTables(
         n_max=n_max,
         spf=spf,
         mobius=mobius,
         totient=totient,
         mangoldt_base=mangoldt_base,
-        primes=primes,
+        primes=np.concatenate(primes),
     )
-    return tables
 
 
 def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
@@ -352,11 +362,11 @@ class ArithFunction:
 
 
 def _mangoldt_floats(tables: ArithTables) -> np.ndarray:
-    """log of the Mangoldt base where nonzero."""
-    base = tables.mangoldt_base.astype(np.float64)
-    out = np.zeros_like(base)
-    nz = base > 0
-    out[nz] = np.log(base[nz])
+    """log of the Mangoldt base where nonzero (on the prime powers only,
+    about 1/16 of n at 5e7, so no float copy of the whole base)."""
+    out = np.zeros(tables.n_max + 1)
+    nz = np.flatnonzero(tables.mangoldt_base)
+    out[nz] = np.log(tables.mangoldt_base[nz].astype(np.float64))
     return out
 
 

@@ -181,22 +181,22 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-_WORKER_TABLES: Optional[ArithTables] = None
+_WORKER_WEIGHTS: Dict[str, np.ndarray] = {}
 _WORKER_TWISTS: Dict[float, np.ndarray] = {}
 
 
-def _init_worker(tables: Optional[ArithTables],
+def _init_worker(weights: Dict[str, np.ndarray],
                  twists: Dict[float, np.ndarray]) -> None:
-    global _WORKER_TABLES, _WORKER_TWISTS
-    _WORKER_TABLES, _WORKER_TWISTS = tables, twists
+    global _WORKER_WEIGHTS, _WORKER_TWISTS
+    _WORKER_WEIGHTS, _WORKER_TWISTS = weights, twists
 
 
-def _init_pool_worker(tables: ArithTables,
+def _init_pool_worker(weights: Dict[str, np.ndarray],
                       twists: Dict[float, np.ndarray]) -> None:
     """_init_worker, plus a thread that ends this pool worker once the
     process that owns the pool is gone: a killed owner would otherwise
     leave its workers running, reparented."""
-    _init_worker(tables, twists)
+    _init_worker(weights, twists)
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      daemon=True).start()
 
@@ -218,7 +218,7 @@ def _sweep_rows_for_q(args) -> List[Dict]:
         u, u0 = bnd.coordinates(x, q, delta0)
         flags = bnd.choose_params(x, q, delta0, eta).condition_flags
         for f in FUNCTIONS:
-            per_residue = residue_weight_sums(f, q, x, _WORKER_TABLES,
+            per_residue = residue_weight_sums(_WORKER_WEIGHTS[f], q, x,
                                               _WORKER_TWISTS.get(delta))
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
@@ -243,27 +243,30 @@ SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
 def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     """Every sweep row, unsorted.
 
-    The twist e(n delta/x), n <= x, is built once per nonzero delta and
-    shared by every q, so each (f, q, delta) costs one residue
-    aggregation. Tables and twists sit in the module globals only while
-    the rows are computed.
+    The float weights of each f are built once per run and the tables
+    dropped before aggregating; the twist e(n delta/x), n <= x, is built
+    once per nonzero delta. Both are shared by every q, so each
+    (f, q, delta) costs one residue aggregation. Weights and twists sit
+    in the module globals only while the rows are computed.
     """
     tables = tables_for(int(cfg.x))
+    weights = {f: FUNCTIONS[f].floats(tables) for f in FUNCTIONS}
+    del tables
     n = int(math.floor(cfg.x))
     twists = {d: unit_exponentials(as_fraction(d) / as_fraction(cfg.x), n)
               for d in cfg.delta_list if d != 0.0}
     tasks = [(q, cfg) for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
     try:
         if cfg.workers == 1:
-            _init_worker(tables, twists)
+            _init_worker(weights, twists)
             chunks = [_sweep_rows_for_q(t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=cfg.workers,
                                      initializer=_init_pool_worker,
-                                     initargs=(tables, twists)) as pool:
+                                     initargs=(weights, twists)) as pool:
                 chunks = list(pool.map(_sweep_rows_for_q, tasks))
     finally:
-        _init_worker(None, {})
+        _init_worker({}, {})
     return [r for chunk in chunks for r in chunk]
 
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import MANGOLDT, ArithTables, arith_function
+from .arith import MANGOLDT, ArithTables, TableRangeError, arith_function
 from .diophantine import as_fraction
 from .weights import WeightSystem
 
@@ -155,25 +155,53 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     return _dilated_sums(as_fraction(alpha), [1], [[1.0]], w, n)[0]
 
 
-def residue_weight_sums(f: str, q: int, x: float, tables: ArithTables,
+def _residue_fold(v: np.ndarray, q: int) -> np.ndarray:
+    """out[r] = sum of v[n-1] over n = 1..len(v) with n = r mod q, bit for
+    bit np.bincount((1..len(v)) % q, weights=v), without the residue array.
+
+    Column j of the (full, q) reshape holds n = j + 1 mod q. numpy sums
+    axis 0 of it one whole row at a time, so each class is added in
+    increasing n, as bincount adds it, and adding the column sums to 0.0
+    gives bincount's sign of zero. The tail goes on the first columns,
+    then a roll by one puts column j at residue j + 1. numpy would sum a
+    lone column pairwise, so q = 1 takes a cumulative sum in blocks.
+    """
+    n = len(v)
+    out = np.zeros(q)
+    if q == 1:
+        for i in range(0, n, _BLOCK):
+            out = np.cumsum(np.concatenate((out, v[i:i + _BLOCK])))[-1:]
+        return out
+    full = n // q
+    out += v[:full * q].reshape(full, q).sum(axis=0)
+    out[:n - full * q] += v[full * q:]
+    return np.roll(out, 1)
+
+
+def residue_weight_sums(w: np.ndarray, q: int, x: float,
                         twist: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum of f(n) over n <= x in each residue class mod q, each term
+    """sum of w[n] over n <= x in each residue class mod q, each term
     times twist[n-1] when a twist is given (then the sums are complex).
 
-    e(n a/q) depends only on n mod q, so one aggregation pass serves
-    every numerator a (the sweep reuses it across a). With the twist
+    w is an ArithFunction's floats(tables): f(n) at index n, index 0 a
+    filler; a cutoff past its end raises TableRangeError. e(n a/q)
+    depends only on n mod q, so one aggregation pass serves every
+    numerator a (the sweep reuses it across a). With the twist
     unit_exponentials(delta/x, floor(x)), the dot with e(ar/q) is the sum
     at alpha = a/q + delta/x, since e(n alpha) = e(na/q) e(n delta/x).
+    Each class is summed in increasing n, as np.bincount sums it, and
+    to the same bits.
     """
     n = int(math.floor(x))
-    tables.check_range(n, "direct sum cutoff")
-    w = arith_function(f).floats(tables)[1:n + 1]
-    residues = np.arange(1, n + 1, dtype=np.int64) % q
+    if n > len(w) - 1:
+        raise TableRangeError(f"direct sum cutoff {n} exceeds sieved range "
+                              f"n_max={len(w) - 1}")
+    v = w[1:n + 1]
     if twist is None:
-        return np.bincount(residues, weights=w, minlength=q)
+        return _residue_fold(v, q)
     # one real product at a time, never the complex w*twist
-    re = np.bincount(residues, weights=w * twist.real, minlength=q)
-    return re + 1j * np.bincount(residues, weights=w * twist.imag, minlength=q)
+    re = _residue_fold(v * twist.real, q)
+    return re + 1j * _residue_fold(v * twist.imag, q)
 
 
 def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,

@@ -54,6 +54,61 @@ def test_allocation_cap():
         build_tables(0)
 
 
+def _whole_range_sieve(n_max):
+    """The per-prime whole-range sieve the chunked build replaced, kept as
+    its oracle: (spf, mobius, totient, mangoldt_base, primes)."""
+    idx = np.arange(n_max + 1, dtype=np.int64)
+    spf = np.zeros(n_max + 1, dtype=np.int32)
+    for i in range(2, math.isqrt(n_max) + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    rest = (spf == 0) & (idx >= 2)
+    spf[rest] = idx[rest].astype(np.int32)
+    primes = idx[(idx >= 2) & (spf == idx)]
+    mobius = np.ones(n_max + 1, dtype=np.int8)
+    totient = idx.copy()
+    mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
+    for p in map(int, primes):
+        mobius[p::p] *= -1
+        if p * p <= n_max:
+            mobius[p * p :: p * p] = 0
+        totient[p::p] = totient[p::p] // p * (p - 1)
+        pk = p
+        while pk <= n_max:
+            mangoldt_base[pk] = p
+            pk *= p
+    mobius[0] = 0
+    totient[0] = 0
+    return spf, mobius, totient, mangoldt_base, primes
+
+
+def _assert_same_as_oracle(t):
+    names = ("spf", "mobius", "totient", "mangoldt_base", "primes")
+    for name, want in zip(names, _whole_range_sieve(t.n_max)):
+        got = getattr(t, name)
+        assert got.dtype == want.dtype, (t.n_max, name, got.dtype)
+        assert np.array_equal(got, want), (t.n_max, name)
+
+
+def test_tables_match_whole_range_sieve_small():
+    # every n_max through the first eight dyadic passes
+    for n_max in range(1, 301):
+        _assert_same_as_oracle(build_tables(n_max))
+
+
+@pytest.mark.parametrize("n_max", [2**17 - 1, 2**17, 2**17 + 1, 2**18 + 1,
+                                   100_000])
+def test_tables_match_whole_range_sieve(n_max):
+    # the 2^17-entry chunk edges
+    _assert_same_as_oracle(build_tables(n_max))
+
+
+def test_tables_2m_match_whole_range_sieve(tables_2m):
+    _assert_same_as_oracle(tables_2m)
+
+
 def test_ramanujan_examples(tables_small):
     t = tables_small
     assert ramanujan_sum(1, 5, t) == 1

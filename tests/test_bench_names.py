@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -18,3 +19,21 @@ def test_traced_names_resolve():
             assert hasattr(owner, attr), (module_name, path)
             owner = getattr(owner, attr)
         assert callable(owner), span_name
+
+
+# (module, function, parameter, index): the arguments the bench tracer's
+# counters read by position when a caller passes them positionally
+POSITIONAL_READS = [
+    ("arith", "build_tables", "n_max", 0),
+    ("expsum", "residue_weight_sums", "x", 2),
+    ("expsum", "recombine", "x", 2),
+    ("expsum", "recombine", "tol", 5),
+]
+
+
+def test_traced_positional_reads_hold():
+    # a signature that moves one of these would break only a traced bench run
+    for module_name, name, param, index in POSITIONAL_READS:
+        fn = getattr(importlib.import_module(f"expsum_kit.{module_name}"), name)
+        params = list(inspect.signature(fn).parameters)
+        assert len(params) > index and params[index] == param, (name, params)

@@ -44,8 +44,8 @@ def test_sweep_workers_same_rows(tmp_path):
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
                   delta_list=(0.0, 8.0)))
-    # a serial run leaves no tables or twists pinned in the module
-    assert cli._WORKER_TABLES is None and cli._WORKER_TWISTS == {}
+    # a serial run leaves no weights or twists pinned in the module
+    assert cli._WORKER_WEIGHTS == {} and cli._WORKER_TWISTS == {}
     run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out2),
                   delta_list=(0.0, 8.0), workers=2))
     assert out1.read_bytes() == out2.read_bytes()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsum_kit.arith import MANGOLDT, MOBIUS, arith_function
+from expsum_kit.arith import MANGOLDT, MOBIUS, TableRangeError, arith_function
 from expsum_kit.expsum import (_block_sum, direct_sum, h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
@@ -78,8 +78,44 @@ def test_rational_fast_path_matches_direct(tables_10k):
     for (a, q) in ((2, 7), (1, 2), (5, 12), (0, 1)):
         sa = direct_sum("mangoldt", Fraction(a, q), 5000, tables_10k)
         sb = rational_sum_from_residues(
-            residue_weight_sums("mangoldt", q, 5000, tables_10k), a, q, 5000)
+            residue_weight_sums(MANGOLDT.floats(tables_10k), q, 5000), a, q, 5000)
         assert abs(sa.value - sb.value) < 1e-7
+
+
+def _bincount_residue_sums(w, q, x, twist=None):
+    """The residue-array route the fold replaced, kept as its oracle."""
+    n = int(math.floor(x))
+    residues = np.arange(1, n + 1, dtype=np.int64) % q
+    v = w[1:n + 1]
+    if twist is None:
+        return np.bincount(residues, weights=v, minlength=q)
+    re = np.bincount(residues, weights=v * twist.real, minlength=q)
+    return re + 1j * np.bincount(residues, weights=v * twist.imag, minlength=q)
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_residue_fold_bytes_match_bincount(f, tables_10k):
+    # same bits as bincount: each class summed in increasing n from 0.0;
+    # delta = -0.25 keeps every imaginary twist negative, so the classes
+    # where mu vanishes are sums of -0.0
+    w = arith_function(f).floats(tables_10k)
+    for x in (10_000, 7_777.5):
+        n = int(x)
+        for delta in (None, 8, -0.25):
+            twist = (None if delta is None
+                     else unit_exponentials(Fraction(delta) / Fraction(x), n))
+            for q in range(1, 41):
+                got = residue_weight_sums(w, q, x, twist)
+                want = _bincount_residue_sums(w, q, x, twist)
+                assert got.dtype == want.dtype and got.shape == (q,)
+                assert got.tobytes() == want.tobytes(), (x, delta, q)
+    # q > n, and n divisible by q (an empty tail)
+    for x, q in ((100, 101), (100, 150), (100, 1), (100, 20), (9_996, 7),
+                 (10_000, 16)):
+        got = residue_weight_sums(w, q, x)
+        assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
+    with pytest.raises(TableRangeError):
+        residue_weight_sums(w, 3, tables_10k.n_max + 1)
 
 
 def test_unit_exponentials_bitwise():
@@ -125,8 +161,8 @@ def test_twisted_residue_sums_match_direct(f, tables_10k):
         n = int(x)
         for a, q, t in ((0, 1, 8), (2, 7, -20), (5, 12, 250), (3, 10, 2.5)):
             beta = Fraction(t) / Fraction(x)
-            per_residue = residue_weight_sums(f, q, x, tables_10k,
-                                              unit_exponentials(beta, n))
+            per_residue = residue_weight_sums(arith_function(f).floats(tables_10k),
+                                              q, x, unit_exponentials(beta, n))
             phases = np.exp(2j * np.pi * a * np.arange(q) / q)
             got = complex(np.dot(per_residue, phases))
             want = direct_sum(f, Fraction(a, q) + beta, x, tables_10k).value
