@@ -10,7 +10,6 @@ Provides:
   Fraction (or int) values, LogVector values, or a mix of the two.
 - LogVector: exact carrier for quantities of the form sum_p c_p * log p,
   so convolutions involving Lambda or log never round.
-- save_tables / load_tables: the on-disk .npz form of ArithTables.
 - ArithFunction, FUNCTIONS: the one definition of each function of the
   main theorem (Lambda and mu) in float, exact and (1*f) form.
 """
@@ -18,12 +17,8 @@ Provides:
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,10 +37,6 @@ _SIEVE_CHUNK = 1 << 17
 class TableRangeError(ValueError):
     """Raised when a query exceeds the sieved range, or a range to sieve
     exceeds the allocation cap."""
-
-
-class TableCacheError(ValueError):
-    """A cached table file is unreadable or does not hold the tables asked for."""
 
 
 @dataclass(frozen=True)
@@ -96,56 +87,7 @@ class ArithTables:
         return out
 
 
-#: The arrays of a table file and their dtypes.
-_TABLE_DTYPES = {"spf": np.int32, "mobius": np.int8, "totient": np.int64,
-                 "mangoldt_base": np.int32, "primes": np.int64}
-
-
-def save_tables(tables: ArithTables, path) -> None:
-    """Write tables to path as .npz, atomically: a killed or concurrent
-    writer leaves either no file or a whole one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **{k: getattr(tables, k) for k in _TABLE_DTYPES})
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_tables(path, n_max: int) -> ArithTables:
-    """Read tables written by save_tables, checking that they are n_max's.
-
-    Raises TableCacheError if the file is unreadable, or its arrays, their
-    dtypes or their lengths are not those of tables sieved to n_max.
-    """
-    try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise TableCacheError("not an .npz archive")
-        with data:
-            arrays = {k: data[k] for k in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise TableCacheError(f"unreadable: {exc}") from exc
-    if set(arrays) != set(_TABLE_DTYPES):
-        raise TableCacheError(f"arrays {sorted(arrays)}, expected "
-                              f"{sorted(_TABLE_DTYPES)}")
-    for k, a in arrays.items():
-        if a.dtype != _TABLE_DTYPES[k] or a.ndim != 1:
-            raise TableCacheError(f"{k} is {a.dtype} {a.shape}, expected 1-d "
-                                  f"{np.dtype(_TABLE_DTYPES[k])}")
-        if k != "primes" and len(a) != n_max + 1:
-            raise TableCacheError(f"{k} has {len(a)} entries, expected n_max + 1")
-    primes = arrays["primes"]
-    if len(primes) and not 2 <= primes[0] <= primes[-1] <= n_max:
-        raise TableCacheError(f"primes outside [2, n_max={n_max}]")
-    return ArithTables(n_max=n_max, **arrays)
-
-
-def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
+def build_tables(n_max: int) -> ArithTables:
     """Sieve all four tables up to n_max. Deterministic.
 
     The smallest prime factor comes from a sieve over the primes up to
@@ -161,8 +103,8 @@ def build_tables(n_max: int, cap: int = MAX_N_MAX) -> ArithTables:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > cap:
-        raise TableRangeError(f"n_max={n_max} exceeds allocation cap {cap}")
+    if n_max > MAX_N_MAX:
+        raise TableRangeError(f"n_max={n_max} exceeds allocation cap {MAX_N_MAX}")
 
     spf = np.zeros(n_max + 1, dtype=np.int32)
     for i in range(2, math.isqrt(n_max) + 1):

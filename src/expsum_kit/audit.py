@@ -26,6 +26,11 @@ from .arith import ArithTables, coprime_residues
 from .expsum import symmetric_fracs
 
 _SLACK = 1e-9
+#: Largest q0 of a random approximation a0/q0 + delta/y.
+_Q0_MAX = 50
+#: The squarefree-count check's eps and least M.
+_SQFREE_EPS = 0.01
+_SQFREE_M_MIN = 100_000
 
 
 class AuditViolation(AssertionError):
@@ -86,15 +91,15 @@ class _Approx:
     y: float
 
 
-def _random_ap0(rng: np.random.Generator, q0_max: int = 50,
-                allow_zero_delta: bool = True) -> _Approx:
-    """alpha = a0/q0 + delta/y with (a0,q0)=1, |delta|/y <= 1/(q0 Q0)."""
-    q0 = int(rng.integers(1, q0_max + 1))
+def _random_ap0(rng: np.random.Generator) -> _Approx:
+    """alpha = a0/q0 + delta/y with (a0,q0)=1, q0 <= _Q0_MAX,
+    |delta|/y <= 1/(q0 Q0), and delta = 0 with probability 0.15."""
+    q0 = int(rng.integers(1, _Q0_MAX + 1))
     candidates = coprime_residues(q0)
     a0 = int(candidates[rng.integers(0, len(candidates))])
     y = int(rng.integers(1_000, 100_000))
     delta_cap = y / (q0 * max(float(q0), y ** 0.6))  # Q0 = max(q0, y^0.6)
-    if allow_zero_delta and rng.random() < 0.15:
+    if rng.random() < 0.15:
         delta = Fraction(0)
     else:
         scale = Fraction(int(rng.integers(-1_000_000, 1_000_001)), 1_000_000)
@@ -240,19 +245,19 @@ def _check_gcd_squarefree(rng, tables, audit: LemmaAudit) -> None:
 
 
 def _check_squarefree_count(rng, tables, audit: LemmaAudit,
-                            sqfree_prefix: np.ndarray,
-                            eps: float = 0.01, m_min: int = 100_000) -> None:
-    """sum_{M < m <= 2M} mu^2(m) <= (6/pi^2 + eps) M.
+                            sqfree_prefix: np.ndarray) -> None:
+    """sum_{M < m <= 2M} mu^2(m) <= (6/pi^2 + eps) M, eps = _SQFREE_EPS,
+    M >= _SQFREE_M_MIN.
 
     Only the squarefree display is audited: its Lambda^2 companion needs
     M beyond exp(0.386/eps) before the (1+eps) factor absorbs the
     2 log 2 - 1 excess, far outside table range.
     """
     m_top = (tables.n_max) // 2
-    M = int(rng.integers(m_min, m_top + 1))
+    M = int(rng.integers(_SQFREE_M_MIN, m_top + 1))
     lhs = float(sqfree_prefix[2 * M] - sqfree_prefix[M])
-    rhs = (6.0 / math.pi**2 + eps) * M
-    audit.record(lhs, rhs, {"M": M, "eps": eps})
+    rhs = (6.0 / math.pi**2 + _SQFREE_EPS) * M
+    audit.record(lhs, rhs, {"M": M, "eps": _SQFREE_EPS})
 
 
 def _phi_family(rng) -> Tuple[Callable[[float], float], Callable[[float, float], float], Dict]:

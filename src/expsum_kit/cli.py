@@ -25,16 +25,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds as bnd
 from . import identity
-from .arith import (FUNCTIONS, MAX_N_MAX, ArithTables, TableCacheError,
-                    TableRangeError, build_tables, coprime_residues, load_tables,
-                    save_tables)
+from .arith import (FUNCTIONS, MAX_N_MAX, TableRangeError, build_tables,
+                    coprime_residues)
 from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
 from .expsum import (RecombinationError, rational_sum_from_residues, recombine,
@@ -42,7 +40,6 @@ from .expsum import (RecombinationError, rational_sum_from_residues, recombine,
 from .weights import WeightConfig, WeightSystem
 
 SCHEMA_VERSION = 1
-CACHE_ENV = "EXPSUM_KIT_CACHE"
 
 
 @dataclass
@@ -92,34 +89,6 @@ class RunConfig:
 
 class ConfigError(ValueError):
     """User error in the run configuration (exit status 2)."""
-
-
-# ---------------------------------------------------------------------------
-# Table cache
-
-
-def tables_for(n_max: int) -> ArithTables:
-    """build_tables with an optional on-disk cache (env EXPSUM_KIT_CACHE).
-
-    A cache file that is unreadable or holds other tables is rebuilt and
-    overwritten, with a note on stderr; a cache that cannot be written is
-    skipped with a note.
-    """
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return build_tables(n_max)
-    path = Path(cache_dir) / f"arith_{n_max}.npz"
-    if path.exists():
-        try:
-            return load_tables(path, n_max)
-        except TableCacheError as exc:
-            print(f"note: rebuilding sieve cache {path}: {exc}", file=sys.stderr)
-    tables = build_tables(n_max)
-    try:
-        save_tables(tables, path)
-    except OSError as exc:
-        print(f"note: sieve cache {path} not written: {exc}", file=sys.stderr)
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +218,7 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     (f, q, delta) costs one residue aggregation. Weights and twists sit
     in the module globals only while the rows are computed.
     """
-    tables = tables_for(int(cfg.x))
+    tables = build_tables(int(cfg.x))
     weights = {f: FUNCTIONS[f].floats(tables) for f in FUNCTIONS}
     del tables
     n = int(math.floor(cfg.x))
@@ -307,7 +276,7 @@ def _weight_config(cfg: RunConfig, q: int, delta0: float) -> WeightConfig:
 
 
 def run_compare(cfg: RunConfig) -> int:
-    tables = tables_for(int(cfg.x))
+    tables = build_tables(int(cfg.x))
     rows: List[Dict] = []
     status = 0
     for q in range(cfg.q_range[0], cfg.q_range[1] + 1):
@@ -339,7 +308,7 @@ def run_verify_identity(cfg: RunConfig) -> int:
     q = cfg.q_range[0]
     n_max = cfg.n_max or int(cfg.x)
     wc = _weight_config(cfg, q, 1.0)
-    tables = tables_for(max(n_max, wc.h_support_bound, q))
+    tables = build_tables(max(n_max, wc.h_support_bound, q))
     ws = WeightSystem(wc, tables)
     payload = {"config": asdict(cfg)}
     for name in FUNCTIONS:
@@ -351,7 +320,7 @@ def run_verify_identity(cfg: RunConfig) -> int:
 
 
 def run_audit(cfg: RunConfig) -> int:
-    tables = tables_for(max(2_000_000, int(cfg.x)))
+    tables = build_tables(max(2_000_000, int(cfg.x)))
     report = inequality_audit(cfg.seed, tables, raise_on_violation=False)
     if report.total_violations:
         print(f"audit violations: {report.total_violations}, witnesses in the "

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
+#: Widest denominator window the fallback scan will walk.
+_SCAN_MAX_WIDTH = 200_000
+
 
 class ApproximationError(RuntimeError):
     """No admissible fraction found; signals a numerical bug, not a math gap."""
@@ -162,10 +165,10 @@ def alternate_approx(approx: RationalApprox) -> RationalApprox:
     return _build(alpha, hit[0], hit[1], q_cap, y)
 
 
-def _window_scan(alpha: Fraction, lo: int, hi: int, q_cap: float,
-                 max_width: int = 200_000) -> Optional[Tuple[int, int]]:
+def _window_scan(alpha: Fraction, lo: int, hi: int,
+                 q_cap: float) -> Optional[Tuple[int, int]]:
     """Exhaustive scan of denominators in [lo, hi]; last-resort descent."""
-    if hi - lo > max_width:
+    if hi - lo > _SCAN_MAX_WIDTH:
         raise ApproximationError(
             f"window [{lo}, {hi}] too wide for the fallback scan; "
             "the convergent route should have succeeded")

@@ -25,7 +25,6 @@ weights with lambda(1) = 1 and theta + theta' = mu.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Dict, Tuple
 
@@ -126,9 +125,3 @@ def residual_report(decomposition, ws: WeightSystem,
         "max_abs_residual": worst,
         "argmax_n": arg,
     }
-
-
-def residual_report_json(decomposition, ws: WeightSystem,
-                         tables: ArithTables) -> str:
-    return json.dumps(residual_report(decomposition, ws, tables),
-                      indent=2, sort_keys=True)

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -37,3 +39,34 @@ def test_traced_positional_reads_hold():
         fn = getattr(importlib.import_module(f"expsum_kit.{module_name}"), name)
         params = list(inspect.signature(fn).parameters)
         assert len(params) > index and params[index] == param, (name, params)
+
+
+def _kit_names_read(path):
+    """Every (module, attribute) a bench file reads off an expsum_kit
+    module, through `from expsum_kit import m` or
+    `from expsum_kit.m import name`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "expsum_kit":
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.startswith("expsum_kit.")):
+            module = node.module.removeprefix("expsum_kit.")
+            names.update((module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_bench_api_names_resolve():
+    # the workloads call the kit by name; a deletion or rename that one of
+    # them still uses must fail here, not only in a bench run
+    read = set().union(*(_kit_names_read(p) for p in sorted(BENCH.glob("*.py"))))
+    assert {("arith", "build_tables"), ("cli", "main"),
+            ("partition", "separation_bound")} <= read
+    missing = sorted((m, a) for m, a in read
+                     if not hasattr(importlib.import_module(f"expsum_kit.{m}"), a))
+    assert missing == []

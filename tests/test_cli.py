@@ -12,15 +12,12 @@ from pathlib import Path
 
 import pytest
 
-import numpy as np
-
 from expsum_kit import bounds as bnd
 from expsum_kit import cli
-from expsum_kit.arith import build_tables, save_tables
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
-                            parse_args, run, tables_for)
+                            parse_args, run)
 
 
 def _read_csv(path):
@@ -263,15 +260,6 @@ def test_cli_subprocess_smoke(tmp_path):
     assert out.exists()
 
 
-def test_table_cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("EXPSUM_KIT_CACHE", str(tmp_path / "cache"))
-    t1 = tables_for(500)
-    assert (tmp_path / "cache" / "arith_500.npz").exists()
-    t2 = tables_for(500)
-    assert (t1.mobius == t2.mobius).all()
-    assert (t1.primes == t2.primes).all()
-
-
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_parser_defaults_are_run_config_defaults(name):
     got = parse_args([name])
@@ -350,7 +338,7 @@ def test_audit_runs_once_on_violation(tmp_path, monkeypatch, capsys):
         lemma.record(2.0, 1.0, {"n": 5})
         return AuditReport(seed, {"lemma": lemma})
 
-    monkeypatch.setattr(cli, "tables_for", lambda n_max: None)
+    monkeypatch.setattr(cli, "build_tables", lambda n_max: None)
     monkeypatch.setattr(cli, "inequality_audit", fake_audit)
     out = tmp_path / "a.json"
     assert main(["audit", "-o", str(out)]) == 1
@@ -359,36 +347,20 @@ def test_audit_runs_once_on_violation(tmp_path, monkeypatch, capsys):
     assert "audit violations: 1" in capsys.readouterr().err
 
 
-def _write_garbage(path):
-    path.write_bytes(b"not an npz file")
-
-
-def _write_smaller_tables(path):
-    save_tables(build_tables(500), path)
-
-
-@pytest.mark.parametrize("corrupt", [_write_garbage, _write_smaller_tables])
-def test_table_cache_recovers_from_bad_file(corrupt, tmp_path, monkeypatch, capsys):
+def test_sweep_ignores_old_cache_env(tmp_path, monkeypatch, capsys):
+    # tables are always sieved: a directory named by the retired cache
+    # variable is neither read nor written
     cache = tmp_path / "cache"
     cache.mkdir()
+    garbage = cache / "arith_1000.npz"
+    garbage.write_bytes(b"not an npz file")
+    argv = ["sweep", "--x", "1000", "--q-range", "1", "3"]
+    assert main([*argv, "-o", str(tmp_path / "plain.csv")]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("EXPSUM_KIT_CACHE", str(cache))
-    corrupt(cache / "arith_1000.npz")
-    got = tables_for(1000)
-    assert "note: rebuilding sieve cache" in capsys.readouterr().err
-    want = build_tables(1000)
-    for k in ("spf", "mobius", "totient", "mangoldt_base", "primes"):
-        assert np.array_equal(getattr(got, k), getattr(want, k)), k
-    # the file was overwritten in place: the next load is silent
-    assert [f.name for f in cache.iterdir()] == ["arith_1000.npz"]
-    again = tables_for(1000)
+    assert main([*argv, "-o", str(tmp_path / "env.csv")]) == 0
     assert capsys.readouterr().err == ""
-    assert np.array_equal(again.mobius, want.mobius)
-
-
-def test_table_cache_unwritable_is_skipped(tmp_path, monkeypatch, capsys):
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("")
-    monkeypatch.setenv("EXPSUM_KIT_CACHE", str(blocker / "cache"))
-    got = tables_for(500)
-    assert "not written" in capsys.readouterr().err
-    assert np.array_equal(got.mobius, build_tables(500).mobius)
+    assert [f.name for f in cache.iterdir()] == ["arith_1000.npz"]
+    assert garbage.read_bytes() == b"not an npz file"
+    assert ((tmp_path / "env.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())

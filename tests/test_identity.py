@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -6,7 +5,7 @@ from mpmath import mp, mpf, workdps
 
 from expsum_kit.arith import LogVector, TableRangeError
 from expsum_kit.identity import (decompose_mangoldt, decompose_mobius,
-                                 residual_report, residual_report_json)
+                                 residual_report)
 from expsum_kit.weights import WeightConfig, WeightSystem, classic_vaughan_mode
 
 TOL = 1e-25
@@ -150,13 +149,12 @@ def test_classic_mode_residual_zero(tables_small):
     assert dec_m.max_residual(tables_small)[0] < TOL
 
 
-def test_residual_report_json(tables_small, ws_small):
+def test_residual_report(tables_small, ws_small):
     dec = decompose_mobius(100, ws_small, tables_small)
     report = residual_report(dec, ws_small, tables_small)
     assert set(report) == {"config", "n_max", "max_abs_residual", "argmax_n"}
     assert report["n_max"] == 100
-    parsed = json.loads(residual_report_json(dec, ws_small, tables_small))
-    assert parsed["config"]["V"] == 5
+    assert report["config"]["V"] == 5
 
 
 def test_range_errors(tables_small, ws_small):
