@@ -1,13 +1,13 @@
 """Exponential sums: direct evaluation, the type-I/type-II decomposition,
 recombination, and the L^2 weight profiles.
 
-Phases e(n alpha) are computed from the reduced fractional part of
-n*alpha. alpha is held as an exact Fraction (floats become their exact
-dyadic value), the fractional part is re-anchored by exact integer
-arithmetic every 2^16 terms, and only the in-block products run in
-float64, so phase drift stays near one ulp out to n ~ 1e7. Sums are
-accumulated blockwise (pairwise within blocks, exactly rounded across
-block partials), a Kahan-grade compensation.
+alpha is held as an exact Fraction (floats become their exact dyadic
+value). Weight-1 inner sums are closed-form geometric sums, their
+arguments reduced exactly. Weighted sums take phases e(n alpha) from the
+fractional part of n*alpha, re-anchored by exact integer arithmetic every
+2^16 terms (only in-block products run in float64, so phase drift stays
+near one ulp out to n ~ 1e7), and are accumulated blockwise (pairwise
+within blocks, exactly rounded across block partials).
 """
 
 from __future__ import annotations
@@ -103,23 +103,48 @@ def _block_sum(values: np.ndarray) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+def _sin_pi(num: int, den: int) -> float:
+    """sin(pi num/den), num/den reduced exactly to m + t, t in (-1/2, 1/2]."""
+    m, r = divmod(num, den)
+    if 2 * r > den:
+        m, r = m + 1, r - den
+    return math.sin(math.pi * (r / den)) * (-1.0 if m & 1 else 1.0)
+
+
+def _geometric_sum(k: int, den: int, n: int) -> complex:
+    """G = sum_{j<=n} e(jb), b = k/den: n if b is an integer, else
+    e((n+1)b/2) sin(pi nb)/sin(pi b), with no 1 - e(b) to cancel, so b
+    near an integer needs no threshold. Each argument is reduced exactly to
+    one correctly rounded t in (-1/2, 1/2], where |pi t cot pi t| <= 1. With
+    u = 2^-53 each sine is off by <= 5u relative (t, pi, product, sin), the
+    quotient by <= 11u, the phase e(t') by <= 3 pi u + 2u, the product by
+    2u: |G^ - G| <= 25u |G|, about 12 ulps; G^ = 0 exactly if nb is integer."""
+    if k % den == 0:
+        return complex(n)
+    arg = 2 * math.pi * _signed_rep((n + 1) * k, 2 * den)
+    return complex(math.cos(arg), math.sin(arg)) * (_sin_pi(n * k, den)
+                                                     / _sin_pi(k, den))
+
+
 def _dilated_sums(af: Fraction, ms, coeffs, inner: Optional[np.ndarray],
                   n: int) -> List[ExpSumValue]:
     """Row p: sum_i coeffs[p, i] sum_{k <= n/ms[i]} inner[k-1] e(ms[i] k af).
 
     Every piece of the decomposition has this shape; a direct sum is the
-    case ms = [1]. ms is a sorted sparse support and inner=None means
-    weight 1. Each inner sum is formed once, its phases taken at the exact
-    {m af}, and shared by every row; a row adds its nonzero terms in the
-    order of ms. n_terms counts the inner terms, the same for every row.
+    case ms = [1]. ms is a sorted sparse support; inner=None means weight
+    1, summed in closed form (_geometric_sum), else the phases are taken
+    at the exact {m af}. Each inner sum is formed once and shared by every
+    row; a row adds its nonzero terms in the order of ms. n_terms counts
+    the inner terms represented, the same for every row.
     """
     num, den = af.numerator, af.denominator
     sums = []
     count = 0
     for m in map(int, ms):
         nm = n // m
-        phases = unit_exponentials(Fraction(m * num % den, den), nm)
-        sums.append(_block_sum(phases if inner is None else inner[:nm] * phases))
+        sums.append(_geometric_sum(m * num, den, nm) if inner is None else
+                    _block_sum(inner[:nm] * unit_exponentials(
+                        Fraction(m * num % den, den), nm)))
         count += nm
     rows = []
     for row in coeffs:
@@ -240,9 +265,9 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     With split=True the two returned parts separate m by q_l | m versus
     q_l not| m where q_l = q/(q, l), the split the long type-I bounds use.
 
-    The inner sum depends only on k = l*m, since floor(floor(x/l)/m) =
-    floor(x/k) and {m{l alpha}} = {k alpha}; so the pairs are grouped by
-    k and each distinct k costs one inner sum (n_terms counts those).
+    The inner sum depends only on k = l*m (floor(floor(x/l)/m) = floor(x/k),
+    {m{l alpha}} = {k alpha}): each distinct k costs one closed-form
+    geometric sum, and n_terms counts the floor(x/k) terms they represent.
     """
     n = int(math.floor(x))
     h = ws.h_float()

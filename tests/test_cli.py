@@ -59,9 +59,10 @@ def test_sweep_delta0_golden_bytes(tmp_path):
 
 
 def test_compare_golden_bytes_except_I2(tmp_path):
-    # direct, I1, II and tail rows are a byte contract; I2 is grouped by
-    # k = l*m, which moves it by rounding only (checked against the
-    # per-pair loop in test_expsum)
+    # the whole compare CSV is a byte contract. The I2 rows are pinned by
+    # their own digest (their closed-form inner sums are checked against
+    # the per-pair loop in test_expsum), so the first digest alone shows
+    # that the direct, I1, II and tail rows are unchanged
     out = tmp_path / "compare.csv"
     assert main(["compare", "--x", "20000", "--q-range", "1", "4",
                  "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
@@ -71,6 +72,10 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     assert len(lines) == 2 + 2 * 4 * 2 * 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "b7149683a0a37ff5573259b44a0318e218af13858586166e55051c1d97210655")
+    i2 = [ln for ln in out.read_text().splitlines() if ln.endswith(",I2")]
+    assert len(i2) == 2 * 4 * 2
+    assert hashlib.sha256("\n".join(i2).encode()).hexdigest() == (
+        "e3e0f287b2f68bcb8fe97515457e18aa14c730885b08e7d08c8ba89e5d0b31b0")
 
 
 @pytest.mark.parametrize("x", [10_000, 100_000])

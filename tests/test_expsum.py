@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import expjpi, mpf, workdps
 
 from expsum_kit.arith import MANGOLDT, MOBIUS, TableRangeError, arith_function
-from expsum_kit.expsum import (_block_sum, direct_sum, h_only_sum, l2_profiles,
+from expsum_kit.expsum import (_block_sum, _geometric_sum, direct_sum,
+                               h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
                                type_I_2, type_II, unit_exponentials)
@@ -151,6 +153,52 @@ def test_direct_sum_is_the_plain_blocked_sum(tables_10k):
             want = _block_sum(w * unit_exponentials(alpha, 9_000))
             assert (got.real_part, got.imag_part, got.n_terms) == (
                 want.real, want.imag, 9_000)
+
+
+def _geometric_mp(k, den, n):
+    """sum_{j<=n} e(jk/den) at 50 digits, as e(b)(1 - e(nb))/(1 - e(b)),
+    b and nb reduced exactly; 1 - e(b) costs at most 14 of the digits."""
+    if k % den == 0:
+        return complex(n)
+    with workdps(50):
+        b, nb = mpf(k % den) / den, mpf(n * k % den) / den
+        return complex(expjpi(2 * b) * (1 - expjpi(2 * nb)) / (1 - expjpi(2 * b)))
+
+
+def test_geometric_sum_matches_mpmath():
+    eps = np.finfo(float).eps
+    assert _geometric_sum(21, 7, 1000) == 1000  # k = 0 mod den
+    assert _geometric_sum(-14, 7, 5) == 5
+    assert _geometric_sum(3, 8, 16) == 0  # nk = 0 mod den
+    assert _geometric_sum(-5, 12, 36) == 0
+    assert _geometric_sum(3, 7, 0) == 0
+    near = 2**45 + 3
+    root2 = Fraction(math.sqrt(2) - 1)  # exact dyadic, den 2^54
+    twisted = root2 + Fraction(8, 10**6)  # den beyond int64
+    assert twisted.denominator > 2**63
+    cases = [(1, 2, 7), (1, 2, 8), (3, 7, 1), (-3, 7, 1), (-3, 7, 100),
+             (5, 12, 35), (1, near, 10**6), (-1, near, 10**6),
+             (near - 1, near, 10**6), (2 * near + 1, near, 999_999)]
+    for frac in (root2, twisted):
+        for m in (1, 2, 7_919):
+            for sign in (1, -1):
+                cases.append((sign * m * frac.numerator, frac.denominator,
+                              10**6 // m))
+    for k, den, n in cases:
+        got, want = _geometric_sum(k, den, n), _geometric_mp(k, den, n)
+        assert abs(got - want) <= 32 * eps * max(abs(want), 1), (k, den, n)
+
+
+def test_geometric_sum_matches_block_sum():
+    for n in (10_000, 100_000):
+        for alpha in (Fraction(1, 3) + Fraction(8, n), Fraction(7, 2**20 + 1),
+                      Fraction(math.sqrt(2) - 1), Fraction(-5, 12)):
+            num, den = alpha.numerator, alpha.denominator
+            for m in (1, 2, 5, 36):
+                want = _block_sum(unit_exponentials(
+                    Fraction(m * num % den, den), n // m))
+                got = _geometric_sum(m * num, den, n // m)
+                assert abs(got - want) <= 1e-12 * n, (n, alpha, m)
 
 
 @pytest.mark.parametrize("f", ["mangoldt", "mobius"])
