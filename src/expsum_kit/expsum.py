@@ -2,11 +2,15 @@
 recombination, and the L^2 weight profiles.
 
 alpha is held as an exact Fraction (floats become their exact dyadic
-value). Weight-1 inner sums are closed-form geometric sums, their
-arguments reduced exactly. Weighted sums take phases e(n alpha) from the
-fractional part of n*alpha, re-anchored by exact integer arithmetic every
-2^16 terms (only in-block products run in float64, so phase drift stays
-near one ulp out to n ~ 1e7), and are accumulated blockwise (pairwise
+value). Direct sums take phases e(n alpha) from the fractional part of
+n*alpha, re-anchored by exact integer arithmetic every 2^16 terms (only
+in-block products run in float64, so phase drift stays near one ulp out
+to n ~ 1e7). Type-I1 and type-II sums are Dirichlet convolutions: each
+part is built as one alpha-free coefficient row by strided real adds, and
+every row is summed against e(k alpha) in one streamed pass over 2^16-
+blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10, times an
+exact step e(j alpha), j <= 2^10. Type-I2's weight-1 inner sums are closed-form geometric sums, their
+arguments reduced exactly. Sums are accumulated blockwise (pairwise
 within blocks, exactly rounded across block partials).
 """
 
@@ -24,6 +28,8 @@ from .diophantine import as_fraction
 from .weights import WeightSystem
 
 _BLOCK = 1 << 16
+_ANCHOR = 1 << 10
+_STEP = 1 << 5  # _ANCHOR = _STEP^2
 
 
 class RecombinationError(RuntimeError):
@@ -94,13 +100,91 @@ def unit_exponentials(alpha, n: int) -> np.ndarray:
     return out
 
 
+def _total(re: List[float], im: List[float]) -> complex:
+    """Exactly rounded total of the block partials; the 0.0 start turns an
+    exact -0.0 into 0.0."""
+    return complex(0.0) + complex(math.fsum(re), math.fsum(im))
+
+
 def _block_sum(values: np.ndarray) -> complex:
     """Blockwise pairwise sums, exactly-rounded combination of partials."""
     re = [float(np.sum(values.real[i:i + _BLOCK]))
           for i in range(0, len(values), _BLOCK)]
     im = [float(np.sum(values.imag[i:i + _BLOCK]))
           for i in range(0, len(values), _BLOCK)]
-    return complex(math.fsum(re), math.fsum(im))
+    return _total(re, im)
+
+
+def _weighted_sum(w: np.ndarray, alpha, n: int) -> ExpSumValue:
+    """sum_{k <= n} w[k-1] e(k alpha) through one full phase array."""
+    total = _block_sum(w[:n] * unit_exponentials(alpha, n))
+    return ExpSumValue(total.real, total.imag, n)
+
+
+def _exact_phases(af: Fraction, ks) -> np.ndarray:
+    """e(k af) for each int k in ks, from {k af} reduced exactly."""
+    t = np.array([_signed_rep(k * af.numerator, af.denominator) for k in ks],
+                 dtype=np.float64)
+    t *= 2 * np.pi
+    out = np.empty(len(t), dtype=np.complex128)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    return out
+
+
+def _phase_blocks(af: Fraction, n: int):
+    """Yield (start, e): e[i] = e((start + 1 + i) af), blocks of 2^16.
+
+    The phase is re-anchored exactly at every s = 0 mod 2^10: the block
+    row for s is e(s af) times the steps e(j af), j = 1..2^10, and each
+    step is e(32 i af) e(r af) (j = 32 i + r), every factor taken from an
+    exact reduction. One complex product per term, no trig. Every
+    operation is negation-symmetric: for -af the real parts are the same
+    bits and the imaginary parts the negated bits (up to the sign of a
+    zero), wherever k af is not a half-integer. e is a view of a buffer
+    that the next block overwrites.
+    """
+    fine = _exact_phases(af, range(_STEP))
+    coarse = _exact_phases(af, range(0, _ANCHOR + 1, _STEP))
+    steps = (coarse[:, None] * fine).reshape(-1)[1:_ANCHOR + 1]
+    buf = np.empty((-(-min(n, _BLOCK) // _ANCHOR), _ANCHOR), dtype=np.complex128)
+    for start in range(0, n, _BLOCK):
+        ln = min(_BLOCK, n - start)
+        anchors = _exact_phases(af, range(start, start + ln, _ANCHOR))
+        grid = buf[:len(anchors)]
+        np.multiply(anchors[:, None], steps, out=grid)
+        yield start, grid.reshape(-1)[:ln]
+
+
+def _coef_sums(rows: np.ndarray, alpha, count: int) -> List[ExpSumValue]:
+    """Row p: sum_{k <= n} rows[p, k-1] e(k alpha), n = rows.shape[1].
+
+    One pass over _phase_blocks serves every row, and no full-length
+    complex array is formed. Each block's partial is a pairwise np.sum of
+    real products; the partials are combined exactly (_total). n_terms is
+    count, the same for every row.
+
+    Error, with u = 2^-53, taking cos and sin within 2u each. An exact
+    phase has {k alpha} correctly rounded (<= u/2), times 2 pi (<= 2 pi u
+    with the rounding of 2 pi): within 8u + 2 sqrt2 u < 11u of e(k alpha).
+    A complex product adds <= sqrt5 u, so a step is within 25u and a block
+    phase within 40u. Each product c Re(e), c Im(e) rounds by u|c|, the
+    pairwise sum of a block adds <= 28u sum|c| and the exact combination
+    u|S| per component, together <= sqrt2 30u sum|c|. In all,
+    |S^ - S| <= 83u sum_k |c(k)| < 1e-14 sum_k |c(k)|.
+    """
+    n = rows.shape[1]
+    re = [[] for _ in rows]
+    im = [[] for _ in rows]
+    prod = np.empty(min(n, _BLOCK))
+    for start, e in _phase_blocks(as_fraction(alpha), n):
+        t = prod[:len(e)]
+        for p, row in enumerate(rows):
+            c = row[start:start + len(e)]
+            re[p].append(float(np.sum(np.multiply(c, e.real, out=t))))
+            im[p].append(float(np.sum(np.multiply(c, e.imag, out=t))))
+    return [ExpSumValue(total.real, total.imag, count)
+            for total in map(_total, re, im)]
 
 
 def _sin_pi(num: int, den: int) -> float:
@@ -126,33 +210,24 @@ def _geometric_sum(k: int, den: int, n: int) -> complex:
                                                      / _sin_pi(k, den))
 
 
-def _dilated_sums(af: Fraction, ms, coeffs, inner: Optional[np.ndarray],
-                  n: int) -> List[ExpSumValue]:
-    """Row p: sum_i coeffs[p, i] sum_{k <= n/ms[i]} inner[k-1] e(ms[i] k af).
+def _dilated_sums(af: Fraction, ks, coeffs, n: int) -> List[ExpSumValue]:
+    """Row p: sum_i coeffs[p, i] sum_{j <= n/ks[i]} e(ks[i] j af).
 
-    Every piece of the decomposition has this shape; a direct sum is the
-    case ms = [1]. ms is a sorted sparse support; inner=None means weight
-    1, summed in closed form (_geometric_sum), else the phases are taken
-    at the exact {m af}. Each inner sum is formed once and shared by every
-    row; a row adds its nonzero terms in the order of ms. n_terms counts
-    the inner terms represented, the same for every row.
+    ks is a sorted sparse support. Each weight-1 inner sum is taken once
+    in closed form (_geometric_sum) and shared by every row; a row adds
+    its terms in the order of ks, one at a time from 0.0 (np.cumsum, which
+    never reorders). n_terms counts the inner terms represented, the same
+    for every row.
     """
     num, den = af.numerator, af.denominator
-    sums = []
-    count = 0
-    for m in map(int, ms):
-        nm = n // m
-        sums.append(_geometric_sum(m * num, den, nm) if inner is None else
-                    _block_sum(inner[:nm] * unit_exponentials(
-                        Fraction(m * num % den, den), nm)))
-        count += nm
+    sums = np.array([_geometric_sum(k * num, den, n // k) for k in map(int, ks)],
+                    dtype=np.complex128)
+    count = sum(n // k for k in map(int, ks))
     rows = []
     for row in coeffs:
-        acc = complex(0.0)
-        for c, s in zip(row, sums):
-            if c:
-                acc += c * s
-        rows.append(ExpSumValue(acc.real, acc.imag, count))
+        re, im = (np.cumsum(np.concatenate(([0.0], row * part)))[-1]
+                  for part in (sums.real, sums.imag))
+        rows.append(ExpSumValue(re, im, count))
     return rows
 
 
@@ -176,8 +251,7 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha)."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    w = arith_function(f).floats(tables)[1:n + 1]
-    return _dilated_sums(as_fraction(alpha), [1], [[1.0]], w, n)[0]
+    return _weighted_sum(arith_function(f).floats(tables)[1:], alpha, n)
 
 
 def _residue_fold(v: np.ndarray, q: int) -> np.ndarray:
@@ -242,7 +316,8 @@ def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,
 
 def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
              split: bool = False):
-    """S_I1 = sum_m h(m) sum_{mn <= x} log(n) e(mn alpha).
+    """S_I1 = sum_m h(m) sum_{mn <= x} log(n) e(mn alpha), summed as
+    sum_{k <= x} (h * log)(k) e(k alpha), one coefficient row per part.
 
     With split=True returns (part with q | m, part with q not| m), the
     two slices whose bounds are proved separately (the q | m slice is the
@@ -253,9 +328,12 @@ def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
     h = ws.h_float()
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    coeffs = _split_rows(np.arange(len(ms)), ms % ws.cfg.q == 0, h[ms], len(ms))
-    return _split_or_total(_dilated_sums(as_fraction(alpha), ms, coeffs, logs, n),
-                           split)
+    rows = np.zeros((2, n + 1))  # column k: (h 1_{q|m} * log)(k), q not| m
+    for m in map(int, ms):
+        rows[0 if m % ws.cfg.q == 0 else 1, m::m] += h[m] * logs[:n // m]
+    del logs  # freed before the phase pass, which sets the peak
+    parts = _coef_sums(rows[:, 1:], alpha, sum(n // m for m in map(int, ms)))
+    return _split_or_total(parts, split)
 
 
 def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
@@ -279,8 +357,7 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     ks, k_idx = np.unique(l * m, return_inverse=True)
     q_l = ws.cfg.q // np.gcd(ws.cfg.q, l)
     coeffs = _split_rows(k_idx, m % q_l == 0, w[l] * h[m], len(ks))
-    return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, None, n),
-                           split)
+    return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, n), split)
 
 
 def type_II(f: str, alpha, x: float, ws: WeightSystem,
@@ -288,7 +365,8 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     """S_II,f = sum_{m > V} f(m) sum_{n <= x/m} (1*theta)(n)(1*lambda)(n) e(mn alpha).
 
     The inner factor vanishes for n <= U, so the outer range is
-    effectively V < m < x/U.
+    effectively V < m < x/U. Summed as sum_{k <= x} c(k) e(k alpha) with
+    the coefficient row c = (f 1_(V, x/U]) * (1*theta)(1*lambda).
     """
     n = int(math.floor(x))
     u_floor = int(math.floor(ws.cfg.U))
@@ -299,14 +377,17 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     conv = ws.conv_theta_lambda(n // m_lo)
     w = arith_function(f).floats(tables)
     ms = m_lo + np.flatnonzero(w[m_lo:m_hi + 1])
-    return _dilated_sums(as_fraction(alpha), ms, [w[ms]], conv[1:], n)[0]
+    c = np.zeros(n + 1)
+    j0 = u_floor + 1  # conv vanishes below j0
+    for m in map(int, ms):
+        c[m * j0::m] += w[m] * conv[j0:n // m + 1]
+    return _coef_sums(c[None, 1:], alpha, sum(n // m for m in map(int, ms)))[0]
 
 
 def h_only_sum(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     """sum_m h(m) e(m alpha): the first term of the mu decomposition."""
     h = ws.h_float()
-    top = min(len(h) - 1, int(math.floor(x)))
-    return _dilated_sums(as_fraction(alpha), [1], [[1.0]], h[1:top + 1], top)[0]
+    return _weighted_sum(h[1:], alpha, min(len(h) - 1, int(math.floor(x))))
 
 
 @dataclass(frozen=True)

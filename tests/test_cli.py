@@ -62,7 +62,9 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     # the whole compare CSV is a byte contract. The I2 rows are pinned by
     # their own digest (their closed-form inner sums are checked against
     # the per-pair loop in test_expsum), so the first digest alone shows
-    # that the direct, I1, II and tail rows are unchanged
+    # that the direct, I1, II and tail rows are unchanged. It was re-pinned
+    # when Lambda's I1 and both II rows moved to coefficient-row sums,
+    # which test_expsum checks against the per-m route and a 40-digit sum
     out = tmp_path / "compare.csv"
     assert main(["compare", "--x", "20000", "--q-range", "1", "4",
                  "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
@@ -71,7 +73,7 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     lines = [ln for ln in out.read_text().splitlines() if not ln.endswith(",I2")]
     assert len(lines) == 2 + 2 * 4 * 2 * 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "b7149683a0a37ff5573259b44a0318e218af13858586166e55051c1d97210655")
+        "e2489071f5d7062e22c5cdd85845e8ec9494941ac12c8a551766b7810acd98a5")
     i2 = [ln for ln in out.read_text().splitlines() if ln.endswith(",I2")]
     assert len(i2) == 2 * 4 * 2
     assert hashlib.sha256("\n".join(i2).encode()).hexdigest() == (

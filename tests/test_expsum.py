@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from mpmath import expjpi, mpf, workdps
 
+from expsum_kit import expsum
 from expsum_kit.arith import MANGOLDT, MOBIUS, TableRangeError, arith_function
-from expsum_kit.expsum import (_block_sum, _geometric_sum, direct_sum,
-                               h_only_sum, l2_profiles,
+from expsum_kit.expsum import (_block_sum, _geometric_sum, _phase_blocks,
+                               direct_sum, h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
                                type_I_2, type_II, unit_exponentials)
@@ -383,6 +384,157 @@ def test_type_II_loop_order_oracle(tables_small):
                                          * float(Fraction(m * n * 3, 11) % 1)))
     got = type_II("mobius", alpha, x, ws, tables_small)
     assert abs(got.value - expected) < 1e-10
+
+
+def _per_m_sums(alpha, ms, coeffs, inner, n):
+    """The per-m weighted route that the coefficient rows replaced: row p
+    is sum_i coeffs[p][i] sum_{j <= n/ms[i]} inner[j-1] e(ms[i] j alpha),
+    one phase array per m."""
+    af = Fraction(alpha)
+    num, den = af.numerator, af.denominator
+    sums = [_block_sum(inner[:n // m] * unit_exponentials(
+        Fraction(m * num % den, den), n // m)) for m in ms]
+    return [sum((c * s for c, s in zip(row, sums) if c), complex(0.0))
+            for row in coeffs]
+
+
+_ORACLE_CASES = [  # h vanishes off the squarefree m, so q is squarefree
+    (10_000, WeightConfig(U=10, U1=40, R=5, V=30, q=6)),
+    (100_000, WeightConfig(U=10, U1=40, R=5, V=200, q=10)),
+]
+
+
+@pytest.mark.parametrize("x,cfg", _ORACLE_CASES)
+def test_type_I_1_rows_match_per_m_route(x, cfg, tables_10k, tables_100k):
+    tables = tables_10k if x <= 10_000 else tables_100k
+    ws = WeightSystem(cfg, tables)
+    h = ws.h_float()
+    ms = [m for m in range(1, min(len(h) - 1, x) + 1) if h[m]]
+    coeffs = [[h[m] if m % cfg.q == 0 else 0.0 for m in ms],
+              [0.0 if m % cfg.q == 0 else h[m] for m in ms]]
+    logs = np.log(np.arange(1, x + 1, dtype=np.float64))
+    for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
+                  Fraction(7, 12) + Fraction(8, x)):
+        want_div, want_nondiv = _per_m_sums(alpha, ms, coeffs, logs, x)
+        assert want_div != 0 and want_nondiv != 0  # both rows have terms
+        div, nondiv = type_I_1(alpha, x, ws, tables, split=True)
+        assert abs(div.value - want_div) <= 1e-9 * x, alpha
+        assert abs(nondiv.value - want_nondiv) <= 1e-9 * x, alpha
+        whole = type_I_1(alpha, x, ws, tables)
+        assert abs(whole.value - (want_div + want_nondiv)) <= 1e-9 * x, alpha
+        assert whole.n_terms == div.n_terms == sum(x // m for m in ms)
+
+
+@pytest.mark.parametrize("x,cfg", _ORACLE_CASES)
+def test_type_II_row_matches_per_m_route(x, cfg, tables_10k, tables_100k):
+    # the oracle takes every m > V up to x/U from the definition; the
+    # inner factor vanishes on [1, U], so larger m add nothing
+    tables = tables_10k if x <= 10_000 else tables_100k
+    ws = WeightSystem(cfg, tables)
+    conv = ws.conv_theta_lambda(x)[1:]
+    for f in ("mangoldt", "mobius"):
+        w = arith_function(f).floats(tables)
+        ms = [m for m in range(1, x // int(cfg.U) + 1) if m > cfg.V and w[m]]
+        for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
+                      Fraction(7, 12) + Fraction(8, x)):
+            want, = _per_m_sums(alpha, ms, [[w[m] for m in ms]], conv, x)
+            got = type_II(f, alpha, x, ws, tables)
+            assert abs(got.value - want) <= 1e-9 * x, (f, alpha)
+            assert got.n_terms == sum(x // m for m in ms if x // m > cfg.U)
+
+
+def _phase_arrays(alpha, n):
+    starts, blocks = [], []
+    for start, e in _phase_blocks(Fraction(alpha), n):
+        starts.append(start)
+        blocks.append(e.copy())
+    e = np.concatenate(blocks)
+    return starts, e.real, e.imag
+
+
+@pytest.mark.parametrize("n", [1_000, 3 * 1024 + 517, 2 * 65_536 + 5 * 1024 + 3])
+def test_phase_blocks_negation_symmetric(n):
+    # below one anchor step, a tail that is not a multiple of 2^10, and
+    # past two 2^16-blocks; no k alpha here is a half-integer, so -alpha
+    # gives the same cos bits and the negated sin bits (0.0 stays 0.0)
+    for alpha in (Fraction(5, 13), Fraction(1, 3) + Fraction(8, n),
+                  Fraction(math.sqrt(2) - 1)):
+        starts, cos, sin = _phase_arrays(alpha, n)
+        assert starts == list(range(0, n, 65_536)) and len(cos) == len(sin) == n
+        _, ncos, nsin = _phase_arrays(-alpha, n)
+        assert ncos.tobytes() == cos.tobytes(), (alpha, n)
+        assert np.array_equal(nsin, -sin), (alpha, n)
+        nonzero = sin != 0
+        assert nsin[nonzero].tobytes() == (-sin[nonzero]).tobytes()
+        # against e(k alpha) from the exact {k alpha}: a block phase is
+        # within 40u, and this reference within 11u
+        exact = (np.arange(1, n + 1, dtype=object) * alpha.numerator
+                 % alpha.denominator / alpha.denominator).astype(np.float64)
+        err = np.abs(cos + 1j * sin - np.exp(2j * np.pi * exact))
+        assert err.max() <= 51 * 2.0**-53, (alpha, n)
+
+
+def _coef_sum_reference(row, alpha, bits=150):
+    """sum_k row[k-1] e(k alpha) to 40 digits and more: e(alpha) from
+    mpmath at 50 digits, then Horner's rule on the exact float
+    coefficients in 2^-bits fixed point (each step truncates by 2^-bits)."""
+    af = Fraction(alpha)
+    scale = 1 << bits
+    with workdps(50):
+        z = expjpi(2 * mpf(af.numerator) / af.denominator)
+        zr, zi = int(mpf(z.real) * scale), int(mpf(z.imag) * scale)
+    ar = ai = 0
+    for c in row[::-1].tolist():
+        ar += int(c * 2.0 ** bits)
+        ar, ai = (ar * zr - ai * zi) >> bits, (ar * zi + ai * zr) >> bits
+    return complex(ar / scale, ai / scale)
+
+
+def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
+    # I1 and II against the same float coefficient rows summed to 40
+    # digits: |err| <= 83u sum_k |c(k)|, the bound _coef_sums derives
+    x = 20_000
+    ws = WeightSystem(WeightConfig(U=20, U1=100, R=5, V=100, q=3), tables_100k)
+    captured = []
+    real_coef_sums = expsum._coef_sums
+
+    def capture(rows, alpha, count):
+        captured.extend(np.array(row) for row in rows)
+        return real_coef_sums(rows, alpha, count)
+
+    monkeypatch.setattr(expsum, "_coef_sums", capture)
+    for alpha in (Fraction(1, 3) + Fraction(8, x), Fraction(3, 4) - Fraction(20, x),
+                  Fraction(2, 7) + Fraction(1, 2 * x), Fraction(math.sqrt(2) - 1)):
+        captured.clear()
+        got = [*type_I_1(alpha, x, ws, tables_100k, split=True),
+               type_II("mangoldt", alpha, x, ws, tables_100k),
+               type_II("mobius", alpha, x, ws, tables_100k)]
+        assert len(captured) == len(got) == 4
+        for row, value in zip(captured, got):
+            assert len(row) == x and np.count_nonzero(row) > 0
+            err = abs(value.value - _coef_sum_reference(row, alpha))
+            assert err <= 83 * 2.0**-53 * np.sum(np.abs(row)), (alpha, err)
+
+
+@pytest.mark.parametrize("cfg", [WeightConfig(U=10, U1=40, R=5, V=30, q=6),
+                                 WeightConfig(U=20, U1=100, R=8, V=300, q=4)])
+def test_recombine_unit_exponentials_calls(cfg, tables_10k, monkeypatch):
+    # one full phase array for the direct sum and one for the tail, plus
+    # mu's h-only first term; none per m, whatever the h or f support
+    calls = []
+    real_unit_exponentials = expsum.unit_exponentials
+
+    def counting(alpha, n):
+        calls.append(n)
+        return real_unit_exponentials(alpha, n)
+
+    monkeypatch.setattr(expsum, "unit_exponentials", counting)
+    ws = WeightSystem(cfg, tables_10k)
+    alpha = Fraction(1, 3) + Fraction(8, 10_000)
+    for f, want in (("mangoldt", 2), ("mobius", 3)):
+        calls.clear()
+        recombine(f, alpha, 10_000, ws, tables_10k)
+        assert len(calls) == want, (f, calls)
 
 
 def test_recombine_classic_config(tables_10k):
