@@ -108,10 +108,14 @@ def _random_ap0(rng: np.random.Generator) -> _Approx:
     return _Approx(alpha=alpha, a0=a0, q0=q0, delta=float(delta), y=float(y))
 
 
-def _inv_sin_norm(alpha: Fraction, n: int) -> np.ndarray:
-    """1/|sin(pi m alpha)| for m = 1..n, +inf where m alpha is integral."""
-    s = np.sin(np.pi * np.abs(symmetric_fracs(alpha, n)))
-    out = np.full(n, np.inf)
+def _inv_sin_norm(alpha: Fraction, n: int, first: int = 1) -> np.ndarray:
+    """1/|sin(pi m alpha)| for m = first..n, +inf where m alpha is integral.
+
+    A window (first > 1) holds the same bits as _inv_sin_norm(alpha, n)
+    [first - 1:], from symmetric_fracs' window, at O(n - first) cost.
+    """
+    s = np.sin(np.pi * np.abs(symmetric_fracs(alpha, n, first)))
+    out = np.full(len(s), np.inf)
     nz = s > 0
     out[nz] = 1.0 / s[nz]
     return out
@@ -131,7 +135,7 @@ def _check_window_min_sum(rng, tables, audit: LemmaAudit) -> None:
     m_lo, m_hi = int(math.floor(z1)) + 1, int(math.floor(z2))
     lhs = 0.0
     if m_hi >= m_lo:
-        inv = _inv_sin_norm(ap.alpha, m_hi)[m_lo - 1:m_hi]
+        inv = _inv_sin_norm(ap.alpha, m_hi, m_lo)
         lhs = float(np.sum(np.minimum(A, inv)))
     rhs = 2.0 * A + 2.0 * q0 / math.pi * math.log(4.0 * q0)
     audit.record(lhs, rhs, {"q0": q0, "z1": z1, "z2": z2, "A": A,
@@ -149,7 +153,7 @@ def _check_window_nondivisible(rng, tables, audit: LemmaAudit) -> None:
     m_lo, m_hi = int(math.floor(z1)) + 1, int(math.floor(z2))
     lhs = 0.0
     if m_hi >= m_lo:
-        inv = _inv_sin_norm(ap.alpha, m_hi)[m_lo - 1:m_hi]
+        inv = _inv_sin_norm(ap.alpha, m_hi, m_lo)
         ms = np.arange(m_lo, m_hi + 1)
         mask = ms % q0 != 0
         lhs = float(np.sum(inv[mask]))
@@ -234,7 +238,8 @@ def _check_gcd_squarefree(rng, tables, audit: LemmaAudit) -> None:
     V = int(rng.integers(10, 100_000))
     ls = np.arange(1, V + 1, dtype=np.int64)
     mu2 = (tables.mobius[1:V + 1] != 0)
-    gcds = np.gcd(ls, q).astype(np.float64)
+    # (l, q) depends only on l mod q: one period, repeated out to V.
+    gcds = np.resize(np.gcd(np.arange(1, q + 1), q), V).astype(np.float64)
     tau_q = tables.tau(q)
     lhs1 = float(np.sum(np.where(mu2, gcds / ls, 0.0)))
     rhs1 = tau_q * math.log(math.e * V)
@@ -350,7 +355,7 @@ def inequality_audit(seed: int, tables: ArithTables, n_instances: int = 1000,
         raise ValueError("audit needs tables sieved to at least 2e5")
     rng = np.random.default_rng(seed)
     report = AuditReport(seed=seed)
-    sqfree_prefix = np.cumsum(tables.mobius.astype(np.int64) ** 2)
+    sqfree_prefix = np.cumsum(tables.mobius != 0, dtype=np.int32)
     for name, check in _CHECKS.items():
         audit = LemmaAudit(name=name)
         for _ in range(n_instances):

@@ -30,6 +30,10 @@ from .weights import WeightSystem
 _BLOCK = 1 << 16
 _ANCHOR = 1 << 10
 _STEP = 1 << 5  # _ANCHOR = _STEP^2
+#: unit_exponentials makes its phases this many at a time. Each float
+#: temporary is then 128 KiB, glibc's initial mmap threshold, so it is
+#: mapped fresh and leaves no heap fragments behind.
+_PHASE_WINDOW = 1 << 14
 
 
 class RecombinationError(RuntimeError):
@@ -68,9 +72,9 @@ def _signed_rep(num: int, den: int) -> float:
     return k / den
 
 
-def symmetric_fracs(alpha, n: int) -> np.ndarray:
-    """k*alpha mod 1 in [-1/2, 1/2] for k = 1..n (a half-integer k*alpha
-    may land on either end).
+def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
+    """k*alpha mod 1 in [-1/2, 1/2] for k = first..n (a half-integer
+    k*alpha may land on either end).
 
     The fractional part is re-anchored by exact integer arithmetic every
     2^16 steps; within a block only the j*beta product rounds, keeping
@@ -78,25 +82,36 @@ def symmetric_fracs(alpha, n: int) -> np.ndarray:
     so the array for -alpha is exactly the negation of the one for alpha
     wherever k*alpha is not a half-integer (and conjugation identities
     hold bitwise downstream when no k*alpha is).
+
+    A window (first > 1) keeps each k's block anchor and in-block index
+    j, so it holds the same bits as symmetric_fracs(alpha, n)[first - 1:]
+    at O(n - first) cost.
     """
     af = as_fraction(alpha) % 1
     num, den = af.numerator, af.denominator
     beta = _signed_rep(num, den)
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _BLOCK):
-        ln = min(_BLOCK, n - start)
+    out = np.empty(max(n - first + 1, 0), dtype=np.float64)
+    for start in range((first - 1) // _BLOCK * _BLOCK, n, _BLOCK):
+        j_lo, j_hi = max(first - start, 1), min(_BLOCK, n - start)
         anchor = _signed_rep(start * num, den)
-        vals = anchor + np.arange(1, ln + 1, dtype=np.float64) * beta
-        out[start:start + ln] = vals - np.round(vals)
+        vals = anchor + np.arange(j_lo, j_hi + 1, dtype=np.float64) * beta
+        out[start + j_lo - first:start + j_hi - first + 1] = vals - np.round(vals)
     return out
 
 
 def unit_exponentials(alpha, n: int) -> np.ndarray:
-    """e(k*alpha) for k = 1..n, written into one complex array."""
-    arg = (2 * np.pi) * symmetric_fracs(alpha, n)
+    """e(k*alpha) for k = 1..n, written into one complex array.
+
+    The phases are made one window of 2^14 at a time, so no full-length
+    float array is held beside the output; each window has the bits of the
+    whole symmetric_fracs array's slice.
+    """
     out = np.empty(n, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
+    for start in range(0, n, _PHASE_WINDOW):
+        stop = min(start + _PHASE_WINDOW, n)
+        arg = (2 * np.pi) * symmetric_fracs(alpha, stop, start + 1)
+        np.cos(arg, out=out.real[start:stop])
+        np.sin(arg, out=out.imag[start:stop])
     return out
 
 

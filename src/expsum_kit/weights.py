@@ -142,6 +142,7 @@ class WeightSystem:
         self._h_mp: Optional[Dict[int, mpf]] = None
         self._h_float: Optional[np.ndarray] = None
         self._identity_tables: Dict[int, tuple] = {}
+        self._conv_theta_lambda: Dict[int, np.ndarray] = {}
 
     # -- weight accessors ---------------------------------------------------
 
@@ -264,8 +265,16 @@ class WeightSystem:
         return _one_star(self._lambda(float), n, float)
 
     def conv_theta_lambda(self, n: int) -> np.ndarray:
-        """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n."""
-        return self.one_star_theta(n) * self.one_star_lambda(n)
+        """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n.
+
+        Built once per n and shared (read-only) by every type-II sum on
+        this system.
+        """
+        if n not in self._conv_theta_lambda:
+            conv = self.one_star_theta(n) * self.one_star_lambda(n)
+            conv.setflags(write=False)
+            self._conv_theta_lambda[n] = conv
+        return self._conv_theta_lambda[n]
 
     # -- findings -------------------------------------------------------------
 
@@ -435,8 +444,15 @@ def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:
     n = np.flatnonzero(mu) + 1
     if v != 1:
         n = n[np.gcd(n, v) == 1]
-    terms = (log_x - np.log(n)) ** power / n
-    terms *= mu[n - 1]
+        signs = mu[n - 1]
+    else:
+        signs = mu[mu != 0]
+    # (log X - log n)^power / n * mu(n), each step in place.
+    terms = np.log(n)
+    np.subtract(log_x, terms, out=terms)
+    np.power(terms, power, out=terms)
+    np.divide(terms, n, out=terms)
+    terms *= signs
     return math.fsum(terms)
 
 

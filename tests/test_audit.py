@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from expsum_kit.audit import (LemmaAudit, inequality_audit,
@@ -26,6 +29,15 @@ def test_audit_deterministic(tables_2m):
     assert r1.as_dict() == r2.as_dict()
 
 
+def test_audit_report_golden(tables_2m):
+    """The report is a bit-stable function of the seed: every float in it
+    (ratios, witnesses, sums) is pinned, so a change in rounding shows."""
+    report = inequality_audit(seed=12345, tables=tables_2m, n_instances=60)
+    payload = json.dumps(report.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "ba8b53e59f05bd34f9a83aade3001f594701e9f02c13a3a2daf820cae8911f90")
+
+
 def test_violation_raises_with_witness():
     audit = LemmaAudit(name="synthetic")
     audit.record(lhs=2.0, rhs=1.0, params={"tag": 7})
@@ -45,7 +57,6 @@ def test_vdc_report_non_binding():
 
 
 def test_report_serializable(tables_2m):
-    import json
     report = inequality_audit(seed=7, tables=tables_2m, n_instances=10)
     payload = json.dumps(report.as_dict(), sort_keys=True)
     assert "window_min_sum" in payload

@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mpf, workdps
 
@@ -236,6 +237,33 @@ def _mobius_partial_loop(v, X, power, tables):
 def test_mobius_partial_matches_loop(tables_2m, v, X, power):
     expected = _mobius_partial_loop(v, X, power, tables_2m)
     assert abs(mobius_partial(v, X, power, tables_2m) - expected) < 1e-12
+
+
+def _mobius_partial_expr(v, X, power, tables):
+    # the out-of-place numpy expression that the in-place steps replaced,
+    # kept as their oracle
+    mu = tables.mobius[1:int(math.floor(X)) + 1]
+    n = np.flatnonzero(mu) + 1
+    if v != 1:
+        n = n[np.gcd(n, v) == 1]
+    terms = (math.log(X) - np.log(n)) ** power / n
+    terms *= mu[n - 1]
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("X", [10.5, 1e3, 1e5, 999999.5])
+@pytest.mark.parametrize("v", [1, 6, 30])
+def test_mobius_partial_matches_expression_bitwise(tables_2m, v, X, power):
+    expected = _mobius_partial_expr(v, X, power, tables_2m)
+    assert mobius_partial(v, X, power, tables_2m) == expected
+
+
+def test_conv_theta_lambda_built_once(ws_small):
+    conv = ws_small.conv_theta_lambda(500)
+    assert ws_small.conv_theta_lambda(500) is conv
+    assert not conv.flags.writeable
+    assert np.array_equal(conv[:301], ws_small.conv_theta_lambda(300))
 
 
 def test_report_only_sums_run(ws_small):
