@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from mpmath import mpf
@@ -290,26 +290,41 @@ def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
 class ArithFunction:
     """Everything the kit needs to know about one f in {Lambda, mu}.
 
-    floats(tables) is f(n) as float64 on [0, n_max], built on each call;
+    floats(tables, top) is f(n) as float64 on [0, top] (top defaults to
+    n_max; beyond it TableRangeError), built on each call, so a caller
+    builds only the entries it reads;
     exact(n, tables) is f(n) exactly (a LogVector for Lambda, an int for
     mu); one_star(m, tables) is (1*f)(m) exactly (log m for Lambda,
     [m = 1] for mu); zero is the zero of the identity's term values.
     """
 
     name: str
-    floats: Callable[[ArithTables], np.ndarray]
+    floats: Callable[..., np.ndarray]
     exact: Callable[[int, ArithTables], object]
     one_star: Callable[[int, ArithTables], object]
     zero: object
 
 
-def _mangoldt_floats(tables: ArithTables) -> np.ndarray:
+def _float_range(tables: ArithTables, top: Optional[int]) -> int:
+    """top, n_max when None; TableRangeError beyond the sieved range."""
+    if top is None:
+        return tables.n_max
+    tables.check_range(top, "float table top")
+    return top
+
+
+def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
     """log of the Mangoldt base where nonzero (on the prime powers only,
     about 1/16 of n at 5e7, so no float copy of the whole base)."""
-    out = np.zeros(tables.n_max + 1)
-    nz = np.flatnonzero(tables.mangoldt_base)
+    top = _float_range(tables, top)
+    out = np.zeros(top + 1)
+    nz = np.flatnonzero(tables.mangoldt_base[:top + 1])
     out[nz] = np.log(tables.mangoldt_base[nz].astype(np.float64))
     return out
+
+
+def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
+    return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
 
 
 def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
@@ -320,7 +335,7 @@ def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
 
 MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_exact,
                          LogVector.log_of, LogVector())
-MOBIUS = ArithFunction("mobius", lambda tables: tables.mobius.astype(np.float64),
+MOBIUS = ArithFunction("mobius", _mobius_floats,
                        lambda n, tables: int(tables.mobius[n]),
                        lambda m, tables: int(m == 1), mpf(0))
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import ArithTables, coprime_residues
 from .expsum import symmetric_fracs
@@ -31,6 +30,8 @@ _Q0_MAX = 50
 #: The squarefree-count check's eps and least M.
 _SQFREE_EPS = 0.01
 _SQFREE_M_MIN = 100_000
+#: Gauss-Legendre nodes per panel of _phi_e_integral.
+_VDC_NODES = 8
 
 
 class AuditViolation(AssertionError):
@@ -302,6 +303,29 @@ def _check_dyadic(rng, tables, audit: LemmaAudit) -> None:
     audit.record(lhs, rhs, {"x": x, "A": A, "B": B, **params})
 
 
+def _phi_e_integral(phi: Callable[[np.ndarray], np.ndarray], beta: float,
+                    a: float, b: float) -> complex:
+    """int_a^b phi(t) e(beta t) dt for |beta| <= 1/2 and phi smooth on [a, b]
+    (phi is evaluated on an array of nodes).
+
+    Composite Gauss-Legendre, _VDC_NODES nodes on each of ceil(b - a)
+    equal panels, so a panel is no longer than 1 and spans at most half a
+    period of e(beta t). The 8-node rule is exact to degree 15; on such a
+    panel its error is below float rounding, while on panels twice as long
+    it is near 4e-8 phi(b) at |beta| = 1/2 (test_audit checks both against
+    a 40-digit Ci/Si closed form).
+    """
+    from numpy.polynomial.legendre import leggauss  # off the kit's import path
+    nodes, weights = leggauss(_VDC_NODES)
+    k = max(math.ceil(b - a), 1)
+    half = (b - a) / (2 * k)
+    mids = a + half * (2 * np.arange(k) + 1)
+    t = (mids[:, None] + half * nodes).reshape(-1)
+    fw = half * np.tile(weights, k) * phi(t)
+    arg = 2 * np.pi * beta * t
+    return complex(np.dot(fw, np.cos(arg)), np.dot(fw, np.sin(arg)))
+
+
 def van_der_corput_report(rng: np.random.Generator,
                           n_instances: int = 20) -> List[Dict]:
     """Non-binding: sum_{a<n<=b} phi(n) e(n beta) vs the integral, for
@@ -313,20 +337,14 @@ def van_der_corput_report(rng: np.random.Generator,
         b = a + float(rng.uniform(5.0, 500.0))
         beta = float(rng.uniform(-0.5, 0.5))
         scale = float(rng.uniform(0.1, 5.0))
-
-        def phi(t: float) -> float:
-            return scale * math.log(1.0 + t)
-
         ns = np.arange(int(math.floor(a)) + 1, int(math.floor(b)) + 1)
         s = complex(np.sum(scale * np.log1p(ns) * np.exp(2j * np.pi * beta * ns)))
-        re, _ = quad(lambda t: phi(t) * math.cos(2 * math.pi * beta * t), a, b,
-                     limit=200)
-        im, _ = quad(lambda t: phi(t) * math.sin(2 * math.pi * beta * t), a, b,
-                     limit=200)
-        diff = abs(s - complex(re, im))
+        integral = _phi_e_integral(lambda t: scale * np.log1p(t), beta, a, b)
+        diff = abs(s - integral)
+        phi_b = scale * math.log(1.0 + b)
         out.append({"a": a, "b": b, "beta": beta,
-                    "difference": diff, "phi_b": phi(b),
-                    "ratio": diff / phi(b), "non_binding": True})
+                    "difference": diff, "phi_b": phi_b,
+                    "ratio": diff / phi_b, "non_binding": True})
     return out
 
 

@@ -1,8 +1,8 @@
 """Bound functions F_eta/G_eta, the canonical parameter choice, condition
 flags, and evaluation of the main exponential-sum bounds.
 
-Everything here is closed-form or quadrature arithmetic in (x, q, delta0,
-eta); no sieve tables are required. The bounds themselves hold for x above
+Everything here is closed-form arithmetic in (x, q, delta0, eta); no
+sieve tables are required. The bounds themselves hold for x above
 an effectively computable but unknown threshold x0(eta), so every report
 carries a disclaimer and bound-vs-actual comparisons are logged rather
 than asserted.
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from scipy.integrate import quad
+import mpmath
 
 from .arith import FUNCTIONS, MANGOLDT, arith_function
 from .diophantine import coordinates
@@ -57,10 +57,12 @@ def integral_sqrt_ratio(A: float, B: float, u: float) -> float:
 
 
 def integral_sqrt_ratio_quadrature(A: float, B: float, u: float) -> float:
-    """Adaptive-quadrature route for the same integral.
+    """Adaptive-quadrature route for the same integral, the test oracle of
+    integral_sqrt_ratio.
 
     Substituting t = u + s^2 removes the square-root singularity at t = u:
-    the integrand becomes 2 sqrt(u + s^2), smooth on [sqrt(A-u), sqrt(B-u)].
+    the integrand becomes 2 sqrt(u + s^2), smooth on [sqrt(A-u), sqrt(B-u)],
+    and mpmath's tanh-sinh quadrature integrates it at 15 digits.
     """
     if A < u * (1 - 1e-15) - 1e-300 or B < A:
         raise BoundDomainError("need u <= A <= B")
@@ -68,9 +70,8 @@ def integral_sqrt_ratio_quadrature(A: float, B: float, u: float) -> float:
     if B == A:
         return 0.0
     lo, hi = math.sqrt(A - u), math.sqrt(B - u)
-    val, _err = quad(lambda s: 2.0 * math.sqrt(u + s * s), lo, hi,
-                     epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    with mpmath.workdps(15):
+        return float(mpmath.quad(lambda s: 2 * mpmath.sqrt(u + s * s), [lo, hi]))
 
 
 def _check_inputs(u: float, u0: float, eta: float) -> Tuple[float, float, float]:

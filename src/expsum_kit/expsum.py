@@ -266,7 +266,7 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha)."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    return _weighted_sum(arith_function(f).floats(tables)[1:], alpha, n)
+    return _weighted_sum(arith_function(f).floats(tables, n)[1:], alpha, n)
 
 
 def _residue_fold(v: np.ndarray, q: int) -> np.ndarray:
@@ -338,16 +338,24 @@ def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
     two slices whose bounds are proved separately (the q | m slice is the
     one the contour-integral proposition speaks about; its inequality has
     an unspecified O-constant and is never asserted here).
+
+    h vanishes off the squarefree m, so at q = 1 (no m with q not| m) and
+    at q with a square factor (no m with q | m) one part has no m; it is
+    returned as 0 without a row in the phase pass.
     """
     n = int(math.floor(x))
     h = ws.h_float()
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
+    divisible = ms % ws.cfg.q == 0
+    live = [p for p, part in enumerate((divisible, ~divisible)) if part.any()]
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    rows = np.zeros((2, n + 1))  # column k: (h 1_{q|m} * log)(k), q not| m
-    for m in map(int, ms):
-        rows[0 if m % ws.cfg.q == 0 else 1, m::m] += h[m] * logs[:n // m]
+    rows = np.zeros((len(live), n + 1))  # column k: (h 1_part * log)(k)
+    for m, d in zip(map(int, ms), divisible):
+        rows[live.index(0 if d else 1), m::m] += h[m] * logs[:n // m]
     del logs  # freed before the phase pass, which sets the peak
-    parts = _coef_sums(rows[:, 1:], alpha, sum(n // m for m in map(int, ms)))
+    count = sum(n // m for m in map(int, ms))
+    sums = dict(zip(live, _coef_sums(rows[:, 1:], alpha, count)))
+    parts = [sums.get(p, ExpSumValue(0.0, 0.0, count)) for p in (0, 1)]
     return _split_or_total(parts, split)
 
 
@@ -364,8 +372,8 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     """
     n = int(math.floor(x))
     h = ws.h_float()
-    w = arith_function(f0).floats(tables)
-    ls = 1 + np.flatnonzero(w[1:min(int(math.floor(ws.cfg.V)), n) + 1])
+    w = arith_function(f0).floats(tables, min(int(math.floor(ws.cfg.V)), n))
+    ls = 1 + np.flatnonzero(w[1:])
     hs = 1 + np.flatnonzero(h[1:])
     l_idx, m_idx = np.nonzero(np.outer(ls, hs) <= n)
     l, m = ls[l_idx], hs[m_idx]
@@ -390,8 +398,8 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     if m_lo > m_hi:
         return ExpSumValue(0.0, 0.0, 0)
     conv = ws.conv_theta_lambda(n // m_lo)
-    w = arith_function(f).floats(tables)
-    ms = m_lo + np.flatnonzero(w[m_lo:m_hi + 1])
+    w = arith_function(f).floats(tables, m_hi)
+    ms = m_lo + np.flatnonzero(w[m_lo:])
     c = np.zeros(n + 1)
     j0 = u_floor + 1  # conv vanishes below j0
     for m in map(int, ms):

@@ -221,6 +221,19 @@ def test_registry_floats_match_exact_values(tables_10k):
         assert mu[n] == MOBIUS.exact(n, t), n
 
 
+def test_registry_floats_to_a_top_index(tables_10k):
+    # a table built up to top holds the full table's bits on [0, top]
+    t = tables_10k
+    for f in (MANGOLDT, MOBIUS):
+        full = f.floats(t)
+        for top in (0, 1, 30, 4_999, t.n_max):
+            part = f.floats(t, top)
+            assert len(part) == top + 1
+            assert part.tobytes() == full[:top + 1].tobytes()
+        with pytest.raises(TableRangeError):
+            f.floats(t, t.n_max + 1)
+
+
 def test_registry_one_star_is_divisor_sum(tables_small):
     t = tables_small
     for m in range(1, 400):

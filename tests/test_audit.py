@@ -1,9 +1,13 @@
+import cmath
 import hashlib
 import json
+import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from expsum_kit.audit import (LemmaAudit, inequality_audit,
+from expsum_kit.audit import (LemmaAudit, _phi_e_integral, inequality_audit,
                               van_der_corput_report)
 
 EXPECTED_LEMMAS = {
@@ -29,13 +33,70 @@ def test_audit_deterministic(tables_2m):
     assert r1.as_dict() == r2.as_dict()
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def test_audit_report_golden(tables_2m):
-    """The report is a bit-stable function of the seed: every float in it
-    (ratios, witnesses, sums) is pinned, so a change in rounding shows."""
+    """The report is a bit-stable function of the seed: every float in the
+    lemma block (ratios, witnesses, sums) is pinned, so a change in
+    rounding shows."""
     report = inequality_audit(seed=12345, tables=tables_2m, n_instances=60)
-    payload = json.dumps(report.as_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(payload).hexdigest() == (
-        "ba8b53e59f05bd34f9a83aade3001f594701e9f02c13a3a2daf820cae8911f90")
+    lemmas = {k: v for k, v in report.as_dict().items() if k != "non_binding"}
+    assert _digest(lemmas) == (
+        "5d13f3791da71af324c0ef77bec3a58e7a12758e1e77c77ca8503eda76761c07")
+
+
+def test_audit_non_binding_golden(tables_2m):
+    # the van der Corput rows, pinned apart from the lemma block: their
+    # integrals are checked against a 40-digit closed form below
+    report = inequality_audit(seed=12345, tables=tables_2m, n_instances=60)
+    assert len(report.non_binding) == 20
+    assert _digest(report.non_binding) == (
+        "f05c0158f72f015790dc30998877d46c568a14ff546d7fda9df4cf24cadd072c")
+
+
+def _log1p_e_integral(beta: float, a: float, b: float) -> complex:
+    """int_a^b log(1+t) e(beta t) dt at 40 digits: by parts with w = 2 pi
+    beta, [log(1+t) e(beta t)/(iw)]_a^b - (1/(iw)) e(-beta) int_{1+a}^{1+b}
+    e^{iws}/s ds, the last integral Ci(|w|s) + i sign(w) Si(|w|s)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if beta == 0:
+            prim = lambda t: (1 + t) * mpmath.log(1 + t) - t
+            return complex(prim(b) - prim(a))
+        w = 2 * mpmath.pi * mpmath.mpf(beta)
+        sign = 1 if w > 0 else -1
+        e_int = lambda s: mpmath.ci(abs(w) * s) + 1j * sign * mpmath.si(abs(w) * s)
+        edge = lambda t: mpmath.log(1 + t) * mpmath.expj(w * t)
+        iw = 1j * w
+        return complex((edge(b) - edge(a)) / iw
+                       - mpmath.expj(-w) * (e_int(1 + b) - e_int(1 + a)) / iw)
+
+
+@pytest.mark.parametrize("length", [5, 500])
+def test_vdc_integral_against_closed_form(length):
+    # beta near 0 and at the half-period limit |beta| = 1/2, where a panel
+    # of length 1 spans half a period
+    worst = 0.0
+    for beta in (0.0, 1e-9, -1e-6, 0.17, -0.3, 0.4999999, 0.5, -0.5):
+        for a in (1.0, 7.3, 49.9):
+            b = a + length
+            got = _phi_e_integral(np.log1p, beta, a, b)
+            err = abs(got - _log1p_e_integral(beta, a, b)) / math.log1p(b)
+            worst = max(worst, err)
+    assert worst <= 1e-10, worst
+
+
+def test_vdc_closed_form_reference():
+    # the reference against mpmath's own quadrature at 40 digits
+    beta, a, b = -0.5, 7.3, 12.3
+    with mpmath.workdps(40):
+        w = 2 * mpmath.pi * beta
+        want = mpmath.quad(lambda t: mpmath.log(1 + t) * mpmath.expj(w * t),
+                           mpmath.linspace(a, b, 11))
+    assert cmath.isclose(_log1p_e_integral(beta, a, b), complex(want),
+                         rel_tol=1e-14)
 
 
 def test_violation_raises_with_witness():

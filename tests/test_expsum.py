@@ -274,6 +274,33 @@ def test_type_I_1_split_consistent(tables_small):
     assert abs(whole.value - (div.value + nondiv.value)) < 1e-12
 
 
+# (whole, q | m part, q not| m part) as (re.hex(), im.hex(), n_terms), taken
+# when both rows still went through the phase pass; at q = 1 the q not| m
+# part is identically zero, at q = 4 the q | m part
+I1_BITS = {
+    1: [("0x1.1e39a03907facp+4", "0x1.65ebebf766790p+5", 36682),
+        ("0x1.1e39a03907facp+4", "0x1.65ebebf766790p+5", 36682),
+        ("0x0.0p+0", "0x0.0p+0", 36682)],
+    4: [("0x1.75a5b9345a06cp+4", "0x1.7d765e2a90998p+5", 35997),
+        ("0x0.0p+0", "0x0.0p+0", 35997),
+        ("0x1.75a5b9345a06cp+4", "0x1.7d765e2a90998p+5", 35997)],
+    6: [("0x1.2ef010b3e049ap+4", "0x1.9dc73551705f4p+5", 34469),
+        ("0x1.3cc1342f998b4p+2", "0x1.da786f404b7c0p-2", 34469),
+        ("0x1.bf7f874ff3cdap+3", "0x1.9a124472efc84p+5", 34469)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(I1_BITS))
+def test_type_I_1_zero_part_skipped_same_bits(q, tables_10k):
+    ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=q), tables_10k)
+    alpha = Fraction(2, 7) + Fraction(8, 10_000)
+    whole = type_I_1(alpha, 10_000, ws, tables_10k)
+    parts = type_I_1(alpha, 10_000, ws, tables_10k, split=True)
+    got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
+           for v in (whole, *parts)]
+    assert got == I1_BITS[q]
+
+
 def test_type_I_2_empty_and_l1_cases(tables_small):
     # Lambda vanishes below 2, so V < 2 kills the sum
     ws = WeightSystem(WeightConfig(U=4, U1=16, R=4, V=1.5, q=1), tables_small)
