@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from mpmath import mpf
@@ -286,6 +286,19 @@ def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
 # The functions of the main theorem
 
 
+class Support(NamedTuple):
+    """A weight on [1, top] held at the n where it is nonzero.
+
+    n is int64 and increasing. values is float64, of shape (len(n),), or
+    (2, len(n)) for a complex weight (real parts, then imaginary parts);
+    values[..., i] is the weight at n[i]. Every n <= top off n is a zero.
+    """
+
+    n: np.ndarray
+    values: np.ndarray
+    top: int
+
+
 @dataclass(frozen=True)
 class ArithFunction:
     """Everything the kit needs to know about one f in {Lambda, mu}.
@@ -293,6 +306,9 @@ class ArithFunction:
     floats(tables, top) is f(n) as float64 on [0, top] (top defaults to
     n_max; beyond it TableRangeError), built on each call, so a caller
     builds only the entries it reads;
+    support(tables, top) is the Support of f on [1, top], read from the
+    sieve tables with no dense float array (Lambda is nonzero on 1/16 of
+    n at 5e7, mu on 61%); scattered into zeros it gives floats' bits;
     exact(n, tables) is f(n) exactly (a LogVector for Lambda, an int for
     mu); one_star(m, tables) is (1*f)(m) exactly (log m for Lambda,
     [m = 1] for mu); zero is the zero of the identity's term values.
@@ -300,6 +316,7 @@ class ArithFunction:
 
     name: str
     floats: Callable[..., np.ndarray]
+    support: Callable[..., Support]
     exact: Callable[[int, ArithTables], object]
     one_star: Callable[[int, ArithTables], object]
     zero: object
@@ -313,14 +330,25 @@ def _float_range(tables: ArithTables, top: Optional[int]) -> int:
     return top
 
 
-def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
-    """log of the Mangoldt base where nonzero (on the prime powers only,
-    about 1/16 of n at 5e7, so no float copy of the whole base)."""
+def _mangoldt_support(tables: ArithTables, top: Optional[int] = None) -> Support:
+    """log of the Mangoldt base on the prime powers."""
     top = _float_range(tables, top)
+    n = np.flatnonzero(tables.mangoldt_base[:top + 1])
+    return Support(n, np.log(tables.mangoldt_base[n].astype(np.float64)), top)
+
+
+def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
+    """The support scattered into zeros (no float copy of the whole base)."""
+    n, values, top = _mangoldt_support(tables, top)
     out = np.zeros(top + 1)
-    nz = np.flatnonzero(tables.mangoldt_base[:top + 1])
-    out[nz] = np.log(tables.mangoldt_base[nz].astype(np.float64))
+    out[n] = values
     return out
+
+
+def _mobius_support(tables: ArithTables, top: Optional[int] = None) -> Support:
+    top = _float_range(tables, top)
+    n = np.flatnonzero(tables.mobius[:top + 1])
+    return Support(n, tables.mobius[n].astype(np.float64), top)
 
 
 def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
@@ -333,9 +361,9 @@ def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
     return LogVector({base: 1}) if base else LogVector()
 
 
-MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_exact,
-                         LogVector.log_of, LogVector())
-MOBIUS = ArithFunction("mobius", _mobius_floats,
+MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support,
+                         _mangoldt_exact, LogVector.log_of, LogVector())
+MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
                        lambda n, tables: int(tables.mobius[n]),
                        lambda m, tables: int(m == 1), mpf(0))
 

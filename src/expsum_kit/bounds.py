@@ -137,7 +137,8 @@ def choose_params(x: float, q: int, delta0: float, eta: float) -> ParamChoice:
     R = R1 = (1/3) (x^{1-eta/2} Delta / (delta0 q)^{5/2})^{1/4}.
 
     Condition flags are populated by verify_conditions; violations are
-    carried in the flags, never raised. For delta0 <= q (so Delta = 1),
+    carried in the flags, never raised. A delta0 q whose (delta0 q)^{5/2}
+    overflows a float raises BoundDomainError. For delta0 <= q (so Delta = 1),
     R >= x^{eta/4} holds iff x^{(1 - 3 eta/2)/4} >= 3 (delta0 q)^{5/8}; for
     q <= 100 at delta0 = 1 and eta = 1/15 this is the last flag to turn
     true, and every flag holds once x >= (3 * 100^{5/8})^{4/(1 - 3 eta/2)}
@@ -146,10 +147,17 @@ def choose_params(x: float, q: int, delta0: float, eta: float) -> ParamChoice:
     if x <= 1 or q < 1 or delta0 < 1:
         raise ValueError("need x > 1, q >= 1, delta0 >= 1")
     dq = delta0 * q
+    try:
+        dq_5_2 = dq ** 2.5
+    except OverflowError:
+        dq_5_2 = math.inf
+    if math.isinf(dq_5_2):
+        raise BoundDomainError(f"delta0*q = {dq:.3g} is too large: (delta0 q)^(5/2) "
+                               "overflows a float")
     delta_cap = min(1.0, math.sqrt(q / delta0))
     V = x ** ((eta - eta**3) / 2.0) * dq
     U = math.sqrt(x ** (1.0 - eta / 2.0) * delta_cap / math.sqrt(dq))
-    R = (x ** (1.0 - eta / 2.0) * delta_cap / dq ** 2.5) ** 0.25 / 3.0
+    R = (x ** (1.0 - eta / 2.0) * delta_cap / dq_5_2) ** 0.25 / 3.0
     pc = ParamChoice(U=U, U1=U * R, R=R, R1=R, V=V, Delta=delta_cap)
     return replace(pc, condition_flags=verify_conditions(pc, x, q, delta0, eta))
 

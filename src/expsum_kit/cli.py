@@ -31,12 +31,12 @@ import numpy as np
 
 from . import bounds as bnd
 from . import identity
-from .arith import (FUNCTIONS, MAX_N_MAX, TableRangeError, build_tables,
-                    coprime_residues)
+from .arith import (FUNCTIONS, MAX_N_MAX, Support, TableRangeError,
+                    build_tables, coprime_residues)
 from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
 from .expsum import (RecombinationError, rational_sum_from_residues, recombine,
-                     residue_weight_sums, unit_exponentials)
+                     residue_weight_sums, twisted_weights)
 from .weights import WeightConfig, WeightSystem
 
 SCHEMA_VERSION = 1
@@ -150,18 +150,18 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-_WORKER_WEIGHTS: Dict[str, np.ndarray] = {}
-_WORKER_TWISTS: Dict[float, np.ndarray] = {}
+_WORKER_WEIGHTS: Dict[str, Support] = {}
+_WORKER_TWISTS: Dict[Tuple[str, float], Support] = {}
 
 
-def _init_worker(weights: Dict[str, np.ndarray],
-                 twists: Dict[float, np.ndarray]) -> None:
+def _init_worker(weights: Dict[str, Support],
+                 twists: Dict[Tuple[str, float], Support]) -> None:
     global _WORKER_WEIGHTS, _WORKER_TWISTS
     _WORKER_WEIGHTS, _WORKER_TWISTS = weights, twists
 
 
-def _init_pool_worker(weights: Dict[str, np.ndarray],
-                      twists: Dict[float, np.ndarray]) -> None:
+def _init_pool_worker(weights: Dict[str, Support],
+                      twists: Dict[Tuple[str, float], Support]) -> None:
     """_init_worker, plus a thread that ends this pool worker once the
     process that owns the pool is gone: a killed owner would otherwise
     leave its workers running, reparented."""
@@ -181,14 +181,17 @@ def _sweep_rows_for_q(args) -> List[Dict]:
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
-    rows: List[Dict] = []
+    per_delta = []
     for delta in cfg.delta_list:
         delta0 = delta0_of(delta)
-        u, u0 = bnd.coordinates(x, q, delta0)
         flags = bnd.choose_params(x, q, delta0, eta).condition_flags
-        for f in FUNCTIONS:
-            per_residue = residue_weight_sums(_WORKER_WEIGHTS[f], q, x,
-                                              _WORKER_TWISTS.get(delta))
+        per_delta.append((delta, delta0, bnd.coordinates(x, q, delta0), flags))
+    rows: List[Dict] = []
+    for f, support in _WORKER_WEIGHTS.items():
+        classes = support.n % q  # every delta's weights share f's support
+        for delta, delta0, (u, u0), flags in per_delta:
+            weights = _WORKER_TWISTS.get((f, delta), support)
+            per_residue = residue_weight_sums(weights, q, x, classes=classes)
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
             except bnd.BoundDomainError:
@@ -212,18 +215,18 @@ SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
 def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     """Every sweep row, unsorted.
 
-    The float weights of each f are built once per run and the tables
-    dropped before aggregating; the twist e(n delta/x), n <= x, is built
-    once per nonzero delta. Both are shared by every q, so each
-    (f, q, delta) costs one residue aggregation. Weights and twists sit
-    in the module globals only while the rows are computed.
+    The support of each f is read from the tables once per run, and the
+    tables dropped before aggregating; the twisted weights f(n) e(n
+    delta/x) on that support are built once per (f, nonzero delta). Both
+    are shared by every q, so each (f, q, delta) costs one residue
+    aggregation over the support. They sit in the module globals only
+    while the rows are computed.
     """
     tables = build_tables(int(cfg.x))
-    weights = {f: FUNCTIONS[f].floats(tables) for f in FUNCTIONS}
+    weights = {f: FUNCTIONS[f].support(tables) for f in FUNCTIONS}
     del tables
-    n = int(math.floor(cfg.x))
-    twists = {d: unit_exponentials(as_fraction(d) / as_fraction(cfg.x), n)
-              for d in cfg.delta_list if d != 0.0}
+    twists = {(f, d): twisted_weights(w, as_fraction(d) / as_fraction(cfg.x), cfg.x)
+              for d in cfg.delta_list if d != 0.0 for f, w in weights.items()}
     tasks = [(q, cfg) for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
     try:
         if cfg.workers == 1:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import MANGOLDT, ArithTables, TableRangeError, arith_function
+from .arith import MANGOLDT, ArithTables, Support, TableRangeError, arith_function
 from .diophantine import as_fraction
 from .weights import WeightSystem
 
@@ -269,53 +269,67 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     return _weighted_sum(arith_function(f).floats(tables, n)[1:], alpha, n)
 
 
-def _residue_fold(v: np.ndarray, q: int) -> np.ndarray:
-    """out[r] = sum of v[n-1] over n = 1..len(v) with n = r mod q, bit for
-    bit np.bincount((1..len(v)) % q, weights=v), without the residue array.
+def twisted_weights(weights: Support, beta, x: float) -> Support:
+    """The Support of w(n) e(n beta) on n <= x, for a real weight w.
 
-    Column j of the (full, q) reshape holds n = j + 1 mod q. numpy sums
-    axis 0 of it one whole row at a time, so each class is added in
-    increasing n, as bincount adds it, and adding the column sums to 0.0
-    gives bincount's sign of zero. The tail goes on the first columns,
-    then a roll by one puts column j at residue j + 1. numpy would sum a
-    lone column pairwise, so q = 1 takes a cumulative sum in blocks.
+    Row 0 is w(n) cos, row 1 w(n) sin, of the phases of
+    unit_exponentials(beta, floor(x)), bit for bit: they come from the
+    same 2^14-windows of symmetric_fracs, and the trig runs at the
+    support only. No full-length array is held: past the 16 bytes per
+    support n of the result, the peak is symmetric_fracs making one
+    window (four float arrays of 2^14, the bytes of two windows of
+    unit_exponentials' complex output). A cutoff past weights.top raises
+    TableRangeError.
     """
-    n = len(v)
-    out = np.zeros(q)
-    if q == 1:
-        for i in range(0, n, _BLOCK):
-            out = np.cumsum(np.concatenate((out, v[i:i + _BLOCK])))[-1:]
-        return out
-    full = n // q
-    out += v[:full * q].reshape(full, q).sum(axis=0)
-    out[:n - full * q] += v[full * q:]
-    return np.roll(out, 1)
+    top = int(math.floor(x))
+    if top > weights.top:
+        raise TableRangeError(f"twist cutoff {top} exceeds the weights' "
+                              f"range {weights.top}")
+    n = weights.n[:np.searchsorted(weights.n, top, side="right")]
+    w = weights.values[:len(n)]
+    out = np.empty((2, len(n)))
+    re, im = out
+    ends = np.searchsorted(n, np.arange(0, top + _PHASE_WINDOW, _PHASE_WINDOW),
+                           side="right")
+    for start, lo, hi in zip(range(0, top, _PHASE_WINDOW), ends, ends[1:]):
+        if lo == hi:
+            continue
+        fracs = symmetric_fracs(beta, min(start + _PHASE_WINDOW, top), start + 1)
+        arg = im[lo:hi]  # the phases, then their sines in place
+        np.take(fracs, n[lo:hi] - (start + 1), out=arg)
+        arg *= 2 * np.pi
+        np.cos(arg, out=re[lo:hi])
+        np.sin(arg, out=arg)
+        del fracs  # freed before the next window is made
+    out *= w
+    return Support(n, out, top)
 
 
-def residue_weight_sums(w: np.ndarray, q: int, x: float,
-                        twist: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum of w[n] over n <= x in each residue class mod q, each term
-    times twist[n-1] when a twist is given (then the sums are complex).
+def residue_weight_sums(weights: Support, q: int, x: float, *,
+                        classes: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of the weight over n <= x in each residue class mod q: float
+    for a real weight, complex for a twisted one (twisted_weights).
 
-    w is an ArithFunction's floats(tables): f(n) at index n, index 0 a
-    filler; a cutoff past its end raises TableRangeError. e(n a/q)
-    depends only on n mod q, so one aggregation pass serves every
-    numerator a (the sweep reuses it across a). With the twist
-    unit_exponentials(delta/x, floor(x)), the dot with e(ar/q) is the sum
+    e(n a/q) depends only on n mod q, so one aggregation serves every
+    numerator a (the sweep reuses it across a). For the weights
+    twisted_weights(support, delta/x, x), the dot with e(ar/q) is the sum
     at alpha = a/q + delta/x, since e(n alpha) = e(na/q) e(n delta/x).
-    Each class is summed in increasing n, as np.bincount sums it, and
-    to the same bits.
+    Each class is np.bincount's sum of its support terms in increasing n
+    from 0.0, which has the bits of bincount over every n <= x: under
+    round to nearest a running sum from +0.0 is never -0.0, so the +-0.0
+    terms off the support leave it unchanged. A cutoff past weights.top
+    raises TableRangeError. classes, when given, is weights.n % q, made
+    once by a caller that sums several weights on the same n.
     """
-    n = int(math.floor(x))
-    if n > len(w) - 1:
-        raise TableRangeError(f"direct sum cutoff {n} exceeds sieved range "
-                              f"n_max={len(w) - 1}")
-    v = w[1:n + 1]
-    if twist is None:
-        return _residue_fold(v, q)
-    # one real product at a time, never the complex w*twist
-    re = _residue_fold(v * twist.real, q)
-    return re + 1j * _residue_fold(v * twist.imag, q)
+    top = int(math.floor(x))
+    if top > weights.top:
+        raise TableRangeError(f"direct sum cutoff {top} exceeds sieved range "
+                              f"n_max={weights.top}")
+    cut = np.searchsorted(weights.n, top, side="right")
+    classes = weights.n[:cut] % q if classes is None else classes[:cut]
+    sums = [np.bincount(classes, weights=part[:cut], minlength=q)
+            for part in weights.values.reshape(-1, len(weights.n))]
+    return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
 
 
 def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,

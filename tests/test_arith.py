@@ -234,6 +234,24 @@ def test_registry_floats_to_a_top_index(tables_10k):
             f.floats(t, t.n_max + 1)
 
 
+def test_support_scatters_to_floats(tables_10k, tables_100k):
+    # the support, scattered into zeros, is floats bit for bit, and holds
+    # every n where f is nonzero, in increasing order
+    for t in (tables_10k, tables_100k):
+        for f in (MANGOLDT, MOBIUS):
+            for top in (None, 4_999):
+                n, values, got_top = f.support(t, top)
+                want = f.floats(t, top)
+                assert got_top == len(want) - 1
+                assert n.dtype == np.int64 and values.dtype == np.float64
+                assert np.all(np.diff(n) > 0) and np.all(values != 0.0)
+                dense = np.zeros(len(want))
+                dense[n] = values
+                assert dense.tobytes() == want.tobytes(), (t.n_max, f.name, top)
+        with pytest.raises(TableRangeError):
+            f.support(t, t.n_max + 1)
+
+
 def test_registry_one_star_is_divisor_sum(tables_small):
     t = tables_small
     for m in range(1, 400):

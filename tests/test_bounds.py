@@ -110,6 +110,18 @@ def test_choose_params_formulas():
     assert math.log(pc2.Delta) / math.log(1e6) == pytest.approx(-u0 / 2)
 
 
+def test_choose_params_overflow_is_domain_error():
+    # (delta0 q)^(5/2) past the float range is a domain error, and a large
+    # in-range delta0 q keeps the formula's bits
+    for q, d0 in ((1, 2.5e299), (5, 1e200), (5, 1e308)):
+        with pytest.raises(b.BoundDomainError, match="overflows"):
+            b.choose_params(1e6, q, d0, ETA)
+    x, q, d0 = 1e6, 5, 1e120
+    pc = b.choose_params(x, q, d0, ETA)
+    cap = min(1.0, math.sqrt(q / d0))
+    assert pc.R == (x ** (1.0 - ETA / 2.0) * cap / (d0 * q) ** 2.5) ** 0.25 / 3.0
+
+
 def test_condition_flags_q10_all_true():
     pc = b.choose_params(1e6, 10, 1.0, ETA)
     assert pc.all_flags, pc.condition_flags

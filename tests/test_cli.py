@@ -315,6 +315,23 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x", "1e4", "--q-range", "1", "3", "--delta", "1e300"],
+    ["compare", "--x", "1e4", "--q-range", "1", "2", "--delta", "1e200"],
+    ["bound", "--x", "1e6", "--q-range", "5", "5", "--delta", "1e300"],
+])
+def test_huge_delta_exits_2_without_traceback(argv, tmp_path):
+    # (delta0 q)^(5/2) overflows a float in choose_params
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsum_kit.cli", *argv, "-o", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: ") and "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_classical_vaughan_override_accepted(tmp_path):
     # U = 1 with U1 = U and R = 1: the classical Vaughan weights
     out = tmp_path / "v.json"

@@ -8,12 +8,14 @@ import pytest
 from mpmath import expjpi, mpf, workdps
 
 from expsum_kit import expsum
-from expsum_kit.arith import MANGOLDT, MOBIUS, TableRangeError, arith_function
+from expsum_kit.arith import (MANGOLDT, MOBIUS, TableRangeError, arith_function,
+                              build_tables)
 from expsum_kit.expsum import (_block_sum, _geometric_sum, _phase_blocks,
                                direct_sum, h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
-                               type_I_2, type_II, unit_exponentials)
+                               twisted_weights, type_I_2, type_II,
+                               unit_exponentials)
 from expsum_kit.weights import WeightConfig, WeightSystem
 
 
@@ -95,7 +97,7 @@ def test_rational_fast_path_matches_direct(tables_10k):
     for (a, q) in ((2, 7), (1, 2), (5, 12), (0, 1)):
         sa = direct_sum("mangoldt", Fraction(a, q), 5000, tables_10k)
         sb = rational_sum_from_residues(
-            residue_weight_sums(MANGOLDT.floats(tables_10k), q, 5000), a, q, 5000)
+            residue_weight_sums(MANGOLDT.support(tables_10k), q, 5000), a, q, 5000)
         assert abs(sa.value - sb.value) < 1e-7
 
 
@@ -116,23 +118,26 @@ def test_residue_fold_bytes_match_bincount(f, tables_10k):
     # delta = -0.25 keeps every imaginary twist negative, so the classes
     # where mu vanishes are sums of -0.0
     w = arith_function(f).floats(tables_10k)
+    support = arith_function(f).support(tables_10k)
     for x in (10_000, 7_777.5):
         n = int(x)
         for delta in (None, 8, -0.25):
             twist = (None if delta is None
                      else unit_exponentials(Fraction(delta) / Fraction(x), n))
+            weights = (support if delta is None
+                       else twisted_weights(support, Fraction(delta) / Fraction(x), x))
             for q in range(1, 41):
-                got = residue_weight_sums(w, q, x, twist)
+                got = residue_weight_sums(weights, q, x)
                 want = _bincount_residue_sums(w, q, x, twist)
                 assert got.dtype == want.dtype and got.shape == (q,)
                 assert got.tobytes() == want.tobytes(), (x, delta, q)
     # q > n, and n divisible by q (an empty tail)
     for x, q in ((100, 101), (100, 150), (100, 1), (100, 20), (9_996, 7),
                  (10_000, 16)):
-        got = residue_weight_sums(w, q, x)
+        got = residue_weight_sums(support, q, x)
         assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
     with pytest.raises(TableRangeError):
-        residue_weight_sums(w, 3, tables_10k.n_max + 1)
+        residue_weight_sums(support, 3, tables_10k.n_max + 1)
 
 
 def test_unit_exponentials_bitwise():
@@ -222,15 +227,81 @@ def test_twisted_residue_sums_match_direct(f, tables_10k):
     # e(n(a/q + t/x)) = e(na/q) e(nt/x): the twisted per-residue sums,
     # dotted with e(ar/q), give the direct sum at a/q + t/x
     for x in (10_000, 7_777.5):
-        n = int(x)
         for a, q, t in ((0, 1, 8), (2, 7, -20), (5, 12, 250), (3, 10, 2.5)):
             beta = Fraction(t) / Fraction(x)
-            per_residue = residue_weight_sums(arith_function(f).floats(tables_10k),
-                                              q, x, unit_exponentials(beta, n))
+            per_residue = residue_weight_sums(
+                twisted_weights(arith_function(f).support(tables_10k), beta, x), q, x)
             phases = np.exp(2j * np.pi * a * np.arange(q) / q)
             got = complex(np.dot(per_residue, phases))
             want = direct_sum(f, Fraction(a, q) + beta, x, tables_10k).value
             assert abs(got - want) <= 1e-9 * x, (x, a, q, t)
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_twisted_weights_bytes_match_unit_exponentials(f, tables_100k):
+    # w(n) e(n beta) on the support has the bits of the dense product with
+    # unit_exponentials, on both sides of every 2^14 window edge, up to a
+    # cutoff that is not an integer
+    w = arith_function(f).floats(tables_100k)
+    support = arith_function(f).support(tables_100k)
+    for x in (65_536.5, 100_000):
+        top = int(x)
+        for beta in (Fraction(8) / Fraction(x), Fraction(-20, 100_003),
+                     Fraction(1, 3)):
+            got = twisted_weights(support, beta, x)
+            n = got.n
+            assert got.top == top
+            assert np.array_equal(n, support.n[support.n <= top])
+            e = unit_exponentials(beta, top)[n - 1]
+            assert got.values.shape == (2, len(n))
+            assert got.values[0].tobytes() == (w[n] * e.real).tobytes(), (x, beta)
+            assert got.values[1].tobytes() == (w[n] * e.imag).tobytes(), (x, beta)
+    for edge in range(expsum._PHASE_WINDOW, 65_536, expsum._PHASE_WINDOW):
+        assert np.any((n > edge - 40) & (n <= edge))
+        assert np.any((n > edge) & (n <= edge + 40))
+    with pytest.raises(TableRangeError):
+        twisted_weights(support, beta, tables_100k.n_max + 1)
+
+
+def test_residue_sums_cut_at_a_support_n(tables_10k):
+    # floor(x) itself in the support is summed: 9973 is prime, 7777 and
+    # 9997 squarefree
+    for f, x in (("mangoldt", 9_973), ("mangoldt", 9_973.9), ("mobius", 7_777),
+                 ("mobius", 9_997.5)):
+        w = arith_function(f).floats(tables_10k)
+        support = arith_function(f).support(tables_10k)
+        assert w[int(x)] != 0.0
+        beta = Fraction(8) / Fraction(x)
+        for q in (1, 2, 7, 12):
+            got = residue_weight_sums(support, q, x)
+            assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes()
+            got = residue_weight_sums(twisted_weights(support, beta, x), q, x)
+            want = _bincount_residue_sums(w, q, x, unit_exponentials(beta, int(x)))
+            assert got.tobytes() == want.tobytes(), (f, x, q)
+            # classes made once by the caller give the same bits
+            classes = support.n % q
+            assert residue_weight_sums(support, q, x, classes=classes).tobytes() == (
+                residue_weight_sums(support, q, x).tobytes())
+
+
+def test_twisted_weights_peak_memory():
+    # the result's 16 bytes per support n plus two 2^14-windows of
+    # unit_exponentials' complex output, at most, and 4 KiB for array and
+    # object headers: no full-length array is made
+    tables = build_tables(200_000)
+    beta = Fraction(8, 200_000)
+    for f in ("mangoldt", "mobius"):
+        support = arith_function(f).support(tables)
+        twisted_weights(support, beta, 200_000)  # first-call caches
+        tracemalloc.start()
+        try:
+            out = twisted_weights(support, beta, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == 16 * len(support.n)
+        window = 16 * expsum._PHASE_WINDOW
+        assert peak <= 16 * len(support.n) + 2 * window + 4096, (f, peak)
 
 
 def test_type_I_1_collapses_when_h_is_delta(tables_small):
