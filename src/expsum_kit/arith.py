@@ -311,7 +311,11 @@ class ArithFunction:
     n at 5e7, mu on 61%); scattered into zeros it gives floats' bits;
     exact(n, tables) is f(n) exactly (a LogVector for Lambda, an int for
     mu); one_star(m, tables) is (1*f)(m) exactly (log m for Lambda,
-    [m = 1] for mu); zero is the zero of the identity's term values.
+    [m = 1] for mu); zero is the zero of the identity's term values;
+    int_table(tables), for an f whose values are -1, 0 and 1 only (mu), is
+    its dense integer table on [0, n_max], a view of the sieve table at
+    1 byte per n with index 0 a zero filler, over which every residue-class
+    sum is an exact integer; None for any other f (Lambda).
     """
 
     name: str
@@ -320,6 +324,7 @@ class ArithFunction:
     exact: Callable[[int, ArithTables], object]
     one_star: Callable[[int, ArithTables], object]
     zero: object
+    int_table: Optional[Callable[[ArithTables], np.ndarray]] = None
 
 
 def _float_range(tables: ArithTables, top: Optional[int]) -> int:
@@ -365,7 +370,8 @@ MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support,
                          _mangoldt_exact, LogVector.log_of, LogVector())
 MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
                        lambda n, tables: int(tables.mobius[n]),
-                       lambda m, tables: int(m == 1), mpf(0))
+                       lambda m, tables: int(m == 1), mpf(0),
+                       lambda tables: tables.mobius)
 
 #: The functions by name, in output order.
 FUNCTIONS: Dict[str, ArithFunction] = {f.name: f for f in (MANGOLDT, MOBIUS)}

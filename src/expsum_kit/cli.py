@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -150,17 +150,19 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-_WORKER_WEIGHTS: Dict[str, Support] = {}
+#: Each f's untwisted weights: an integer table (ArithFunction.int_table)
+#: or a Support.
+_WORKER_WEIGHTS: Dict[str, Union[Support, np.ndarray]] = {}
 _WORKER_TWISTS: Dict[Tuple[str, float], Support] = {}
 
 
-def _init_worker(weights: Dict[str, Support],
+def _init_worker(weights: Dict[str, Union[Support, np.ndarray]],
                  twists: Dict[Tuple[str, float], Support]) -> None:
     global _WORKER_WEIGHTS, _WORKER_TWISTS
     _WORKER_WEIGHTS, _WORKER_TWISTS = weights, twists
 
 
-def _init_pool_worker(weights: Dict[str, Support],
+def _init_pool_worker(weights: Dict[str, Union[Support, np.ndarray]],
                       twists: Dict[Tuple[str, float], Support]) -> None:
     """_init_worker, plus a thread that ends this pool worker once the
     process that owns the pool is gone: a killed owner would otherwise
@@ -176,21 +178,28 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
+def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
+    """(delta, delta0, (u, u0), condition flags) of every delta at q."""
+    plan = []
+    for delta in cfg.delta_list:
+        delta0 = delta0_of(delta)
+        flags = bnd.choose_params(cfg.x, q, delta0, cfg.eta).condition_flags
+        plan.append((delta, delta0, bnd.coordinates(cfg.x, q, delta0), flags))
+    return plan
+
+
 def _sweep_rows_for_q(args) -> List[Dict]:
-    q, cfg = args
+    q, cfg, plan = args
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
-    per_delta = []
-    for delta in cfg.delta_list:
-        delta0 = delta0_of(delta)
-        flags = bnd.choose_params(x, q, delta0, eta).condition_flags
-        per_delta.append((delta, delta0, bnd.coordinates(x, q, delta0), flags))
     rows: List[Dict] = []
-    for f, support in _WORKER_WEIGHTS.items():
-        classes = support.n % q  # every delta's weights share f's support
-        for delta, delta0, (u, u0), flags in per_delta:
-            weights = _WORKER_TWISTS.get((f, delta), support)
+    for f, untwisted in _WORKER_WEIGHTS.items():
+        classes = None  # n % q, made once: every Support of f has f's n
+        for delta, delta0, (u, u0), flags in plan:
+            weights = _WORKER_TWISTS.get((f, delta), untwisted)
+            if isinstance(weights, Support) and classes is None:
+                classes = weights.n % q
             per_residue = residue_weight_sums(weights, q, x, classes=classes)
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
@@ -215,19 +224,29 @@ SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
 def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     """Every sweep row, unsorted.
 
-    The support of each f is read from the tables once per run, and the
-    tables dropped before aggregating; the twisted weights f(n) e(n
-    delta/x) on that support are built once per (f, nonzero delta). Both
+    choose_params runs for every (q, delta) before the sieve, so a delta
+    outside the theorem's domain ends the run before any table is built.
+    The weights of each f are read from the tables once per run: the
+    integer table of an f that has one (mu), which serves delta = 0, else
+    its support. mu's support is read only when a nonzero delta needs its
+    twists. The tables are dropped before the twisted weights f(n) e(n
+    delta/x) are built on the supports, once per (f, nonzero delta). All
     are shared by every q, so each (f, q, delta) costs one residue
-    aggregation over the support. They sit in the module globals only
-    while the rows are computed.
+    aggregation. They sit in the module globals only while the rows are
+    computed.
     """
+    tasks = [(q, cfg, _delta_plan(cfg, q))
+             for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
     tables = build_tables(int(cfg.x))
-    weights = {f: FUNCTIONS[f].support(tables) for f in FUNCTIONS}
+    twisted = [d for d in cfg.delta_list if d != 0.0]
+    supports = {name: f.support(tables) for name, f in FUNCTIONS.items()
+                if f.int_table is None or twisted}
+    weights = {name: supports[name] if f.int_table is None else f.int_table(tables)
+               for name, f in FUNCTIONS.items()}
     del tables
     twists = {(f, d): twisted_weights(w, as_fraction(d) / as_fraction(cfg.x), cfg.x)
-              for d in cfg.delta_list if d != 0.0 for f, w in weights.items()}
-    tasks = [(q, cfg) for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
+              for d in twisted for f, w in supports.items()}
+    del supports
     try:
         if cfg.workers == 1:
             _init_worker(weights, twists)
@@ -279,15 +298,19 @@ def _weight_config(cfg: RunConfig, q: int, delta0: float) -> WeightConfig:
 
 
 def run_compare(cfg: RunConfig) -> int:
+    qs = range(cfg.q_range[0], cfg.q_range[1] + 1)
+    # every weight choice is checked before the sieve
+    configs = {(q, delta0_of(d)): _weight_config(cfg, q, delta0_of(d))
+               for q in qs for d in cfg.delta_list}
     tables = build_tables(int(cfg.x))
     rows: List[Dict] = []
     status = 0
-    for q in range(cfg.q_range[0], cfg.q_range[1] + 1):
+    for q in qs:
         for a in _residues(cfg, q):
             for delta in cfg.delta_list:
                 delta0 = delta0_of(delta)
                 alpha = Fraction(a, q) + as_fraction(delta) / as_fraction(cfg.x)
-                ws = WeightSystem(_weight_config(cfg, q, delta0), tables)
+                ws = WeightSystem(configs[q, delta0], tables)
                 for f in FUNCTIONS:
                     try:
                         rep = recombine(f, alpha, cfg.x, ws, tables)

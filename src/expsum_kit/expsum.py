@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _STEP = 1 << 5  # _ANCHOR = _STEP^2
 #: temporary is then 128 KiB, glibc's initial mmap threshold, so it is
 #: mapped fresh and leaves no heap fragments behind.
 _PHASE_WINDOW = 1 << 14
+#: An integer table's residue fold views it as rows of about this many n.
+_FOLD_WIDTH = 1 << 12
 
 
 class RecombinationError(RuntimeError):
@@ -305,7 +307,7 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
     return Support(n, out, top)
 
 
-def residue_weight_sums(weights: Support, q: int, x: float, *,
+def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *,
                         classes: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum of the weight over n <= x in each residue class mod q: float
     for a real weight, complex for a twisted one (twisted_weights).
@@ -314,14 +316,32 @@ def residue_weight_sums(weights: Support, q: int, x: float, *,
     numerator a (the sweep reuses it across a). For the weights
     twisted_weights(support, delta/x, x), the dot with e(ar/q) is the sum
     at alpha = a/q + delta/x, since e(n alpha) = e(na/q) e(n delta/x).
-    Each class is np.bincount's sum of its support terms in increasing n
-    from 0.0, which has the bits of bincount over every n <= x: under
-    round to nearest a running sum from +0.0 is never -0.0, so the +-0.0
-    terms off the support leave it unchanged. A cutoff past weights.top
-    raises TableRangeError. classes, when given, is weights.n % q, made
-    once by a caller that sums several weights on the same n.
+
+    weights is a Support, or the dense integer table of an f with values
+    in {-1, 0, 1} (ArithFunction.int_table, index 0 a zero filler).
+
+    A Support's classes are each np.bincount's sum of its support terms in
+    increasing n from 0.0, which has the bits of bincount over every
+    n <= x: under round to nearest a running sum from +0.0 is never -0.0,
+    so the +-0.0 terms off the support leave it unchanged. classes, when
+    given, is weights.n % q, made once by a caller that sums several
+    weights on the same n; a table ignores it.
+
+    A table is folded as integers: its first `full` entries, a multiple
+    of W = q max(1, 4096 // q), are viewed as (rows, W) and summed down
+    the columns in int32, the W columns are summed to their q classes in
+    int64 (a column sum has at most x / W terms of size <= 1, so int32
+    holds it), and the tail past `full` is added by one bincount. Every
+    partial sum of a class, in any order, is an integer of size
+    <= x < 2^53. So each float addition the dense bincount makes is
+    exact, and it gives the exact integer class sums; this fold gives the
+    same integers, +0.0 for an empty class included, 1 byte read per n.
+
+    A cutoff past the weights' range raises TableRangeError.
     """
     top = int(math.floor(x))
+    if isinstance(weights, np.ndarray):
+        return _int_table_residue_sums(weights, q, top)
     if top > weights.top:
         raise TableRangeError(f"direct sum cutoff {top} exceeds sieved range "
                               f"n_max={weights.top}")
@@ -330,6 +350,20 @@ def residue_weight_sums(weights: Support, q: int, x: float, *,
     sums = [np.bincount(classes, weights=part[:cut], minlength=q)
             for part in weights.values.reshape(-1, len(weights.n))]
     return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
+
+
+def _int_table_residue_sums(table: np.ndarray, q: int, top: int) -> np.ndarray:
+    """residue_weight_sums of a dense integer table on [0, top]."""
+    if top >= len(table):
+        raise TableRangeError(f"direct sum cutoff {top} exceeds sieved range "
+                              f"n_max={len(table) - 1}")
+    width = q * max(1, _FOLD_WIDTH // q)
+    full = (top + 1) // width * width
+    cols = table[:full].reshape(-1, width).sum(axis=0, dtype=np.int32)
+    sums = cols.reshape(-1, q).sum(axis=0, dtype=np.int64)
+    tail = np.bincount(np.arange(full, top + 1) % q, weights=table[full:top + 1],
+                       minlength=q)
+    return (sums + tail).astype(np.float64)  # an empty bincount is int64
 
 
 def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 
 from expsum_kit import bounds as bnd
 from expsum_kit import cli
+from expsum_kit.arith import MOBIUS
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
@@ -37,15 +39,67 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_workers_same_rows(tmp_path):
-    # the twists reach pool workers through the initializer
+    # the twists, and mu's integer table (alone at delta = 0), reach pool
+    # workers through the initializer
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
+    for deltas in ((0.0, 8.0), (0.0,)):
+        run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
+                      delta_list=deltas))
+        # a serial run leaves no weights or twists pinned in the module
+        assert cli._WORKER_WEIGHTS == {} and cli._WORKER_TWISTS == {}
+        run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out2),
+                      delta_list=deltas, workers=2))
+        assert out1.read_bytes() == out2.read_bytes(), deltas
+
+
+def test_delta0_sweep_never_reads_mobius_support(tmp_path, monkeypatch):
+    # at delta = 0 mu is folded from its int8 table: its support, 16 bytes
+    # per squarefree n, is read only for the twists of a nonzero delta
+    reads = []
+
+    def support(tables, top=None):
+        reads.append(top)
+        return MOBIUS.support(tables, top)
+    monkeypatch.setitem(cli.FUNCTIONS, "mobius",
+                        dataclasses.replace(MOBIUS, support=support))
+    out = tmp_path / "golden.csv"
+    assert main(["sweep", "--x", "1e4", "--q-range", "1", "12", "--seed", "0",
+                 "--output", str(out)]) == 0
+    assert reads == []
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d3ae5af67d0cc52ca31f2211abcecdaf201e0c2d90e1ae1fb21929092e6db346")
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 3), output=str(out),
                   delta_list=(0.0, 8.0)))
-    # a serial run leaves no weights or twists pinned in the module
-    assert cli._WORKER_WEIGHTS == {} and cli._WORKER_TWISTS == {}
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out2),
-                  delta_list=(0.0, 8.0), workers=2))
-    assert out1.read_bytes() == out2.read_bytes()
+    assert reads == [None]
+
+
+def test_sweep_one_residue_sum_per_f_and_q(tmp_path, monkeypatch):
+    # every fold goes through residue_weight_sums, so a traced run's
+    # expsum.residue_weight_sums span covers mu's integer fold too
+    calls = []
+    original = cli.residue_weight_sums
+
+    def counted(weights, q, x, **kwargs):
+        calls.append((type(weights).__name__, q))
+        return original(weights, q, x, **kwargs)
+    monkeypatch.setattr(cli, "residue_weight_sums", counted)
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 3),
+                  output=str(tmp_path / "s.csv")))
+    assert sorted(calls) == sorted([("Support", q) for q in (1, 2, 3)]
+                                   + [("ndarray", q) for q in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x", "1e7", "--q-range", "1", "3", "--delta", "1e300"],
+    ["compare", "--x", "1e7", "--q-range", "1", "2", "--delta", "1e200"],
+])
+def test_delta_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
+    def no_sieve(n_max):
+        raise AssertionError("sieved before the delta was checked")
+    monkeypatch.setattr(cli, "build_tables", no_sieve)
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "overflows" in err
 
 
 def test_sweep_delta0_golden_bytes(tmp_path):

@@ -140,6 +140,33 @@ def test_residue_fold_bytes_match_bincount(f, tables_10k):
         residue_weight_sums(support, 3, tables_10k.n_max + 1)
 
 
+@pytest.mark.parametrize("n_max", [10_000, 1_000_000])
+def test_int_table_fold_bytes_match_bincount(n_max, tables_10k):
+    # mu's partial sums are integers below 2^53, so the int8 table's
+    # integer fold has the dense float bincount's bits in every case:
+    # cut at the table's end and inside it, x + 1 a multiple of the fold
+    # width W (an empty tail), x < W (no full rows), and q > x
+    tables = tables_10k if n_max == 10_000 else build_tables(n_max)
+    table = MOBIUS.int_table(tables)
+    assert table.dtype == np.int8 and len(table) == n_max + 1
+    w = MOBIUS.floats(tables)
+    for q in (1, 2, 3, 7, 16, 97, 100, 4096, 5000):
+        width = q * max(1, 4096 // q)
+        aligned = (n_max + 1) // width * width - 1
+        for x in (n_max, n_max - 0.5, aligned, aligned + 1, width // 2 + 0.5,
+                  width - 1):
+            got = residue_weight_sums(table, q, x)
+            want = _bincount_residue_sums(w, q, x)
+            assert got.dtype == np.float64 and got.shape == (q,)
+            assert got.tobytes() == want.tobytes(), (n_max, q, x)
+    for x, q in ((100, 101), (100, 150), (1, 2), (4_095, 5_000)):
+        got = residue_weight_sums(table, q, x)
+        assert got.shape == (q,)
+        assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
+    with pytest.raises(TableRangeError):
+        residue_weight_sums(table, 3, n_max + 1)
+
+
 def test_unit_exponentials_bitwise():
     for alpha in (Fraction(3, 7), Fraction(-3, 7), Fraction(41, 137),
                   Fraction(-41, 137), Fraction(1, 4), Fraction(8, 10_007)):
