@@ -5,6 +5,7 @@ Provides:
   "Mangoldt base" (p for prime powers p^k, else 0): an spf sieve up to
   sqrt(n_max), then mu, phi and the base of each n from those of its
   cofactor n/spf(n), in dyadic chunked passes.
+- factorize, totient, divisor_count: phi and tau of one n, table-free.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
   Fraction (or int) values, LogVector values, or a mix of the two.
@@ -78,13 +79,6 @@ class ArithTables:
         for p, e in self.factorize(n):
             divs = [d * p**k for d in divs for k in range(e + 1)]
         return divs
-
-    def tau(self, n: int) -> int:
-        """Divisor count, computed on demand from the factorization."""
-        out = 1
-        for _, e in self.factorize(n):
-            out *= e + 1
-        return out
 
 
 def build_tables(n_max: int) -> ArithTables:
@@ -160,6 +154,32 @@ def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
     return mu * int(tables.totient[r]) // int(tables.totient[rg])
 
 
+def factorize(n: int) -> List[Tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1 by trial division, with
+    no tables: for the small moduli of the bounds and the audit."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) from factorize."""
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
+
+
+def divisor_count(n: int) -> int:
+    """tau(n), the number of divisors of n, from factorize."""
+    return math.prod(e + 1 for _, e in factorize(n))
+
+
 def coprime_residues(q: int) -> List[int]:
     """The a in [0, q) with gcd(a, q) = 1: [0] for q = 1."""
     return [a for a in range(q) if math.gcd(a, q) == 1]
@@ -210,19 +230,14 @@ class LogVector:
 
     __mul__ = scale  # by a scalar; a product of two LogVectors is undefined
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def max_abs_coeff(self) -> object:
+    def __abs__(self) -> object:
         """Largest |coefficient|, 0 for the zero vector."""
         if not self.coeffs:
             return 0
         return max(abs(c) for c in self.coeffs.values())
-
-    __abs__ = max_abs_coeff
 
     def to_float(self) -> float:
         return float(sum(float(c) * math.log(p) for p, c in self.coeffs.items()))

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import ArithTables, coprime_residues
+from .arith import ArithTables, coprime_residues, divisor_count
 from .expsum import symmetric_fracs
 
 _SLACK = 1e-9
@@ -241,7 +241,7 @@ def _check_gcd_squarefree(rng, tables, audit: LemmaAudit) -> None:
     mu2 = (tables.mobius[1:V + 1] != 0)
     # (l, q) depends only on l mod q: one period, repeated out to V.
     gcds = np.resize(np.gcd(np.arange(1, q + 1), q), V).astype(np.float64)
-    tau_q = tables.tau(q)
+    tau_q = divisor_count(q)
     lhs1 = float(np.sum(np.where(mu2, gcds / ls, 0.0)))
     rhs1 = tau_q * math.log(math.e * V)
     audit.record(lhs1, rhs1, {"q": q, "V": V, "form": "over_l"})

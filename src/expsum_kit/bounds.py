@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import mpmath
 
-from .arith import FUNCTIONS, MANGOLDT, arith_function
+from .arith import FUNCTIONS, MANGOLDT, arith_function, divisor_count, totient
 from .diophantine import coordinates
 
 DISCLAIMER = ("valid for x >= x0(eta) with x0 effectively computable but "
@@ -163,18 +163,17 @@ def choose_params(x: float, q: int, delta0: float, eta: float) -> ParamChoice:
 
 
 def verify_conditions(pc: ParamChoice, x: float, q: int, delta0: float,
-                      eta: float, Q: Optional[float] = None) -> Dict[str, bool]:
+                      eta: float) -> Dict[str, bool]:
     """One boolean per condition inequality, evaluated with FLAG_SLACK.
 
     The flags cover V >= x^{eta/3} delta0 q, R >= x^{eta/4}, the two lower
-    bounds on U, U1 V R <= x/(8 delta0), q V R <= Q (default x^{4/5-eta})
-    and U V < x/9. The error-budget inequality
+    bounds on U, U1 V R <= x/(8 delta0), q V R <= Q = x^{4/5-eta} and
+    U V < x/9. The error-budget inequality
     U V R R1 <= x Delta / (8 sqrt(delta0 q) log^2 x) exists only to absorb
     an O-term with unspecified constant, so it is reported separately by
     error_budget_report, not flagged.
     """
-    if Q is None:
-        Q = x ** (0.8 - eta)
+    Q = x ** (0.8 - eta)
     dq = delta0 * q
 
     def le(a: float, b: float) -> bool:
@@ -206,30 +205,6 @@ def error_budget_report(pc: ParamChoice, x: float, q: int, delta0: float) -> Dic
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "non_binding": True}
 
 
-def _factor(q: int) -> List[Tuple[int, int]]:
-    """[(p, e), ...] by trial division; bounds-layer inputs are small."""
-    out, n, p = [], q, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _phi(q: int) -> int:
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(q))
-
-
-def _tau(q: int) -> int:
-    return math.prod(e + 1 for _, e in _factor(q))
-
-
 def main_bound(f: str, x: float, q: int, delta0: float, eta: float) -> float:
     """Right-hand side of the main theorem for f in {mangoldt, mobius}.
 
@@ -240,7 +215,7 @@ def main_bound(f: str, x: float, q: int, delta0: float, eta: float) -> float:
     (1 <= delta0 q <= x^{2/5 - eta} and the (u, u0) region).
     """
     u, u0 = coordinates(x, q, delta0)
-    phi_q = _phi(q)
+    phi_q = totient(q)
     if arith_function(f) is MANGOLDT:
         return q / phi_q * F_eta(u, u0, eta) * x / math.sqrt(delta0 * q)
     return G_eta(u, u0, eta) * x / math.sqrt(delta0 * phi_q)
@@ -322,7 +297,7 @@ def theorem_bound_components(x: float, q: int, delta0: float, eta: float,
         bad = [k for k, v in pc.condition_flags.items() if not v]
         raise BoundDomainError(f"condition flags false: {bad}")
     u, u0 = coordinates(x, q, delta0)
-    phi_q = _phi(q)
+    phi_q = totient(q)
     log_x = math.log(x)
     log_r1 = math.log(pc.R1)
     log_r = math.log(pc.R)
@@ -333,7 +308,7 @@ def theorem_bound_components(x: float, q: int, delta0: float, eta: float,
     ti1_obig = ti1_main * (1.0 / eta) * log_x / (math.log(q * pc.R) * log_r1)
     ti2_den = delta0 * phi_q * log_r1 * log_u_qr
     ti2_mangoldt = 3.0 * x * math.log(pc.V * q) / ti2_den
-    ti2_mobius = 3.0 * x * _tau(q) * math.log(pc.V) / ti2_den
+    ti2_mobius = 3.0 * x * divisor_count(q) * math.log(pc.V) / ti2_den
     ti2_obig = (q / phi_q) * pc.U1 * pc.V * pc.R * log_x**2 / (log_r * log_r1)
 
     integral = integral_sqrt_ratio(math.log(pc.V) / log_x,
@@ -361,15 +336,6 @@ def theorem_bound_components(x: float, q: int, delta0: float, eta: float,
         main_bound_mangoldt=main_bound("mangoldt", x, q, delta0, eta),
         main_bound_mobius=main_bound("mobius", x, q, delta0, eta),
     )
-
-
-def half_alpha_remark(x: float = 1e12, eta: float = 1.0 / 15.0) -> Dict[str, float]:
-    """Discrepancy check for the alpha = 1/2 aside: the assembled bound is
-    sqrt(2) F_eta(u, 0) x at q = 2, which does not match the quoted ~8.25x;
-    both numbers are reported, nothing asserted."""
-    u, u0 = coordinates(x, 2, 1.0)
-    ours = math.sqrt(2.0) * F_eta(u, u0, eta)
-    return {"bound_over_x": ours, "quoted_over_x": 8.25, "x": x}
 
 
 def bound_report(x: float, q: int, delta0: float, eta: float) -> Dict[str, object]:

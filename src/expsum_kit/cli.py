@@ -150,24 +150,22 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-#: Each f's untwisted weights: an integer table (ArithFunction.int_table)
-#: or a Support.
-_WORKER_WEIGHTS: Dict[str, Union[Support, np.ndarray]] = {}
-_WORKER_TWISTS: Dict[Tuple[str, float], Support] = {}
+#: The weights of each (f, delta): at delta = 0 an integer table
+#: (ArithFunction.int_table) or a Support, else the twisted Support.
+_Weights = Dict[Tuple[str, float], Union[Support, np.ndarray]]
+_WORKER_WEIGHTS: _Weights = {}
 
 
-def _init_worker(weights: Dict[str, Union[Support, np.ndarray]],
-                 twists: Dict[Tuple[str, float], Support]) -> None:
-    global _WORKER_WEIGHTS, _WORKER_TWISTS
-    _WORKER_WEIGHTS, _WORKER_TWISTS = weights, twists
+def _init_worker(weights: _Weights) -> None:
+    global _WORKER_WEIGHTS
+    _WORKER_WEIGHTS = weights
 
 
-def _init_pool_worker(weights: Dict[str, Union[Support, np.ndarray]],
-                      twists: Dict[Tuple[str, float], Support]) -> None:
+def _init_pool_worker(weights: _Weights) -> None:
     """_init_worker, plus a thread that ends this pool worker once the
     process that owns the pool is gone: a killed owner would otherwise
     leave its workers running, reparented."""
-    _init_worker(weights, twists)
+    _init_worker(weights)
     threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
                      daemon=True).start()
 
@@ -194,10 +192,10 @@ def _sweep_rows_for_q(args) -> List[Dict]:
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
     rows: List[Dict] = []
-    for f, untwisted in _WORKER_WEIGHTS.items():
+    for f in FUNCTIONS:
         classes = None  # n % q, made once: every Support of f has f's n
         for delta, delta0, (u, u0), flags in plan:
-            weights = _WORKER_TWISTS.get((f, delta), untwisted)
+            weights = _WORKER_WEIGHTS[f, delta]
             if isinstance(weights, Support) and classes is None:
                 classes = weights.n % q
             per_residue = residue_weight_sums(weights, q, x, classes=classes)
@@ -230,34 +228,35 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     integer table of an f that has one (mu), which serves delta = 0, else
     its support. mu's support is read only when a nonzero delta needs its
     twists. The tables are dropped before the twisted weights f(n) e(n
-    delta/x) are built on the supports, once per (f, nonzero delta). All
-    are shared by every q, so each (f, q, delta) costs one residue
-    aggregation. They sit in the module globals only while the rows are
-    computed.
+    delta/x) are built on the supports, once per (f, nonzero delta). The
+    weights of every (f, delta) form one map, shared by every q, so each
+    (f, q, delta) costs one residue aggregation. The map sits in the
+    module globals only while the rows are computed.
     """
     tasks = [(q, cfg, _delta_plan(cfg, q))
              for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
     tables = build_tables(int(cfg.x))
-    twisted = [d for d in cfg.delta_list if d != 0.0]
+    twisted = any(d != 0.0 for d in cfg.delta_list)
     supports = {name: f.support(tables) for name, f in FUNCTIONS.items()
                 if f.int_table is None or twisted}
-    weights = {name: supports[name] if f.int_table is None else f.int_table(tables)
-               for name, f in FUNCTIONS.items()}
+    untwisted = {name: supports[name] if f.int_table is None else f.int_table(tables)
+                 for name, f in FUNCTIONS.items()}
     del tables
-    twists = {(f, d): twisted_weights(w, as_fraction(d) / as_fraction(cfg.x), cfg.x)
-              for d in twisted for f, w in supports.items()}
-    del supports
+    weights = {(f, d): untwisted[f] if d == 0.0 else twisted_weights(
+                   supports[f], as_fraction(d) / as_fraction(cfg.x), cfg.x)
+               for f in FUNCTIONS for d in cfg.delta_list}
+    del supports, untwisted
     try:
         if cfg.workers == 1:
-            _init_worker(weights, twists)
+            _init_worker(weights)
             chunks = [_sweep_rows_for_q(t) for t in tasks]
         else:
             with ProcessPoolExecutor(max_workers=cfg.workers,
                                      initializer=_init_pool_worker,
-                                     initargs=(weights, twists)) as pool:
+                                     initargs=(weights,)) as pool:
                 chunks = list(pool.map(_sweep_rows_for_q, tasks))
     finally:
-        _init_worker({}, {})
+        _init_worker({})
     return [r for chunk in chunks for r in chunk]
 
 
@@ -306,11 +305,11 @@ def run_compare(cfg: RunConfig) -> int:
     rows: List[Dict] = []
     status = 0
     for q in qs:
-        for a in _residues(cfg, q):
-            for delta in cfg.delta_list:
-                delta0 = delta0_of(delta)
+        for delta in cfg.delta_list:
+            delta0 = delta0_of(delta)
+            ws = WeightSystem(configs[q, delta0], tables)
+            for a in _residues(cfg, q):
                 alpha = Fraction(a, q) + as_fraction(delta) / as_fraction(cfg.x)
-                ws = WeightSystem(configs[q, delta0], tables)
                 for f in FUNCTIONS:
                     try:
                         rep = recombine(f, alpha, cfg.x, ws, tables)

@@ -65,8 +65,11 @@ def coordinates(x: float, q: int, delta0: float) -> Tuple[float, float]:
     """Theorem coordinates u = log(delta0 q)/log x, u0 = log+(delta0/q)/log x.
 
     Always 0 <= u0 <= u for q >= 1 and delta0 >= 1; the eta-dependent
-    range checks (u <= 2/5 - eta etc.) live in the bounds layer.
+    range checks (u <= 2/5 - eta etc.) live in the bounds layer. x <= 1
+    raises ValueError.
     """
+    if x <= 1:
+        raise ValueError("u coordinates need x > 1")
     log_x = math.log(x)
     u = math.log(delta0 * q) / log_x
     u0 = max(math.log(delta0 / q), 0.0) / log_x
@@ -180,9 +183,3 @@ def _window_scan(alpha: Fraction, lo: int, hi: int,
             return a, q
     return None
 
-
-def u_coordinates(approx: RationalApprox) -> Tuple[float, float]:
-    """coordinates(x, q, delta0) of the approximation; needs x > 1."""
-    if approx.x <= 1:
-        raise ValueError("u coordinates need x > 1")
-    return coordinates(approx.x, approx.q, approx.delta0)

@@ -348,8 +348,10 @@ def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *
     cut = np.searchsorted(weights.n, top, side="right")
     classes = weights.n[:cut] % q if classes is None else classes[:cut]
     sums = [np.bincount(classes, weights=part[:cut], minlength=q)
-            for part in weights.values.reshape(-1, len(weights.n))]
-    return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
+            for part in np.atleast_2d(weights.values)]
+    if len(sums) == 2:
+        return sums[0] + 1j * sums[1]
+    return sums[0].astype(np.float64, copy=False)  # an empty bincount is int64
 
 
 def _int_table_residue_sums(table: np.ndarray, q: int, top: int) -> np.ndarray:
@@ -471,12 +473,16 @@ class DecompositionReport:
     s_I2: ExpSumValue
     s_II: ExpSumValue
     s_tail: ExpSumValue
-    residual: float
 
     @property
     def combined(self) -> complex:
         return (self.s_I1.value - self.s_I2.value + self.s_II.value
                 + self.s_tail.value)
+
+    @property
+    def residual(self) -> float:
+        """|direct - (I1 - I2 + II + tail)|, pure float error."""
+        return abs(self.s_direct.value - self.combined)
 
     def rows(self, a: int, q: int, delta: float, delta0: float):
         """CSV rows (x, a, q, delta, delta0, re, im, abs, component)."""
@@ -501,14 +507,12 @@ def recombine(f: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     s2 = type_I_2(f, alpha, x, ws, tables)
     s_ii = type_II(f, alpha, x, ws, tables)
     tail = direct_sum(f, alpha, min(ws.cfg.V, x), tables)
-    combined = s1.value - s2.value + s_ii.value + tail.value
-    residual = abs(s_direct.value - combined)
     report = DecompositionReport(f=f, alpha=float(as_fraction(alpha)), x=float(x),
                                  s_direct=s_direct, s_I1=s1, s_I2=s2,
-                                 s_II=s_ii, s_tail=tail, residual=residual)
-    if residual > tol * x:
+                                 s_II=s_ii, s_tail=tail)
+    if report.residual > tol * x:
         raise RecombinationError(
-            f"residual {residual:.3e} exceeds budget {tol * x:.3e} "
+            f"residual {report.residual:.3e} exceeds budget {tol * x:.3e} "
             f"for f={f}, alpha={float(as_fraction(alpha))!r}, x={x}")
     return report
 

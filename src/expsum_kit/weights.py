@@ -11,9 +11,8 @@ tables and float64 tables for the exponential-sum layer.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -157,12 +156,9 @@ class WeightSystem:
         return {d: mpf(f.numerator) / mpf(f.denominator)
                 for d, f in self.lambda_table.items()}
 
-    def g_value(self, l: int, x: float) -> Fraction:
-        return g_series(l, x, self.tables, self.g_cache)
-
     @property
     def g_q_R(self) -> Fraction:
-        return self.g_value(self.cfg.q, self.cfg.R)
+        return g_series(self.cfg.q, self.cfg.R, self.tables, self.g_cache)
 
     def theta_prime(self, d: int, num=float):
         """theta'(d): mu(d) for d <= U, mu(d) log(U1/d)/log(U1/U) on (U, U1],
@@ -282,34 +278,6 @@ class WeightSystem:
         """Weights with |lambda(d)| > 1; measured, never assumed impossible."""
         return [(d, float(v)) for d, v in sorted(self.lambda_table.items())
                 if abs(v) > 1]
-
-    def export_csv(self, path) -> None:
-        """Weight tables as CSV: d, lambda_num, lambda_den, theta_prime, h."""
-        h = self.h_float()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d", "lambda_num", "lambda_den", "theta_prime", "h"])
-            for d in range(1, self.cfg.h_support_bound + 1):
-                lam = self.lam(d)
-                writer.writerow([d, lam.numerator, lam.denominator,
-                                 repr(self.theta_prime(d)), repr(float(h[d]))])
-
-
-def combined_h(cfg: WeightConfig, tables: ArithTables) -> Dict[int, float]:
-    """h on [1, floor(U1*R)] as a sparse float dict (zero entries absent)."""
-    ws = WeightSystem(cfg, tables)
-    h = ws.h_float()
-    return {d: float(h[d]) for d in range(1, len(h)) if h[d] != 0.0}
-
-
-def classic_vaughan_mode(ws: WeightSystem) -> WeightSystem:
-    """Degenerate system with U1 = U and R = 1.
-
-    Then theta' = mu restricted to d <= U, lambda is supported at d = 1
-    only, and h(d) = mu(d) for d <= U: the classical Vaughan weights.
-    """
-    cfg = replace(ws.cfg, U1=ws.cfg.U, R=1.0)
-    return WeightSystem(cfg, ws.tables)
 
 
 # ---------------------------------------------------------------------------

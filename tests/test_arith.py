@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, LogVector,
                               TableRangeError, arith_function, build_tables,
-                              dirichlet_convolve, mangoldt_table, mobius_table,
-                              ramanujan_sum, unit_table)
+                              dirichlet_convolve, divisor_count, factorize,
+                              mangoldt_table, mobius_table, ramanujan_sum,
+                              totient, unit_table)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
 
@@ -198,9 +199,21 @@ def test_logvector_arithmetic():
     a = LogVector({2: Fraction(1), 3: Fraction(2)})
     b = LogVector({3: Fraction(2), 5: Fraction(-1)})
     assert (a - b) == LogVector({2: Fraction(1), 5: Fraction(1)})
-    assert (a - a).is_zero()
-    assert a.scale(Fraction(0)).is_zero()
+    assert not (a - a)
+    assert not a.scale(Fraction(0))
     assert abs(a.to_float() - (math.log(2) + 2 * math.log(3))) < 1e-12
+
+
+def test_table_free_phi_and_tau(tables_10k):
+    # trial division against the spf chain, the sieved phi and the
+    # divisor list
+    t = tables_10k
+    for n in range(1, t.n_max + 1):
+        assert factorize(n) == t.factorize(n), n
+        assert totient(n) == int(t.totient[n]), n
+        assert divisor_count(n) == len(t.divisors(n)), n
+    assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
+    assert totient(10**6 + 3) == 10**6 + 2  # a prime past the tables
 
 
 def test_range_errors(tables_small):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expsum_kit import bounds as b
+from expsum_kit.arith import totient
 
 ETA = 1.0 / 15.0
 
@@ -163,10 +164,10 @@ def test_main_bound_corollary_envelope():
     x = 1e6
     for q in range(1, 101):
         got = b.main_bound("mangoldt", x, q, 1.0, ETA)
-        envelope = 51 * x * math.sqrt(q) / b._phi(q)
+        envelope = 51 * x * math.sqrt(q) / totient(q)
         assert got <= envelope * (1 + 1e-12)
         got_mu = b.main_bound("mobius", x, q, 1.0, ETA)
-        assert got_mu <= 15 * x / math.sqrt(b._phi(q)) * (1 + 1e-12)
+        assert got_mu <= 15 * x / math.sqrt(totient(q)) * (1 + 1e-12)
 
 
 def test_main_bound_range_errors():
@@ -203,15 +204,6 @@ def test_theorem_bound_components_flag_gate():
     assert not pc.all_flags
     with pytest.raises(b.BoundDomainError):
         b.theorem_bound_components(1e6, 80, 1.0, ETA, pc)
-
-
-def test_half_alpha_remark_discrepancy():
-    # our assembly gives sqrt(2) F(u, 0) per x at q = 2, which exceeds the
-    # quoted ~8.25; the report exposes both numbers, nothing is asserted
-    # about their agreement.
-    rep = b.half_alpha_remark()
-    assert rep["quoted_over_x"] == 8.25
-    assert rep["bound_over_x"] > math.sqrt(2) * 8.2
 
 
 def test_bound_report_shape():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from expsum_kit.diophantine import (ApproximationError, RationalApprox,
                                     alternate_approx, as_fraction, convergents,
-                                    dirichlet_approx, u_coordinates)
+                                    coordinates, dirichlet_approx)
 
 
 def test_convergents_of_rational():
@@ -111,11 +111,11 @@ def test_alternate_requires_nonzero_delta():
 def test_u_coordinates_examples():
     x = 10**6
     ap = dirichlet_approx(Fraction(0, 1), Q=10, x=x)
-    assert u_coordinates(ap) == (0.0, 0.0)
+    assert coordinates(ap.x, ap.q, ap.delta0) == (0.0, 0.0)
     # delta0 = q: u0 = log+(1) = 0
     ap2 = RationalApprox(a=1, q=3, delta=12.0, delta0=3.0, Q=30.0, x=float(x),
                          alpha=Fraction(1, 3) + Fraction(12, x))
-    u, u0 = u_coordinates(ap2)
+    u, u0 = coordinates(ap2.x, ap2.q, ap2.delta0)
     assert u0 == 0.0 and abs(u - math.log(9) / math.log(x)) < 1e-15
     # q = x^0.1, delta0 = x^0.15 -> (0.25, 0.05)
     q = round(x ** 0.1)
@@ -124,10 +124,12 @@ def test_u_coordinates_examples():
     ap3 = RationalApprox(a=1, q=q, delta=float(delta), delta0=d0,
                          Q=x / (float(delta) * q) * 0.99, x=float(x),
                          alpha=Fraction(1, q) + delta / x)
-    u, u0 = u_coordinates(ap3)
+    u, u0 = coordinates(ap3.x, ap3.q, ap3.delta0)
     assert abs(u - (math.log(d0 * q) / math.log(x))) < 1e-12
     assert abs(u0 - (math.log(d0 / q) / math.log(x))) < 1e-12
     assert 0 <= u0 <= u
+    with pytest.raises(ValueError):
+        coordinates(1.0, 2, 1.0)
 
 
 def test_as_fraction_float_resolution():

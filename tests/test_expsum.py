@@ -311,6 +311,23 @@ def test_residue_sums_cut_at_a_support_n(tables_10k):
                 residue_weight_sums(support, q, x).tobytes())
 
 
+def test_residue_sums_dtype_without_terms():
+    # no n <= 1.5 is a prime power: an empty bincount is int64, so the sums
+    # are cast to float64, as on the integer-table route; a twist with no n
+    # left is complex all the same
+    tables = build_tables(100)
+    for f in ("mangoldt", "mobius"):
+        support = arith_function(f).support(tables)
+        for x in (1.5, 2):
+            real = residue_weight_sums(support, 3, x)
+            twisted = residue_weight_sums(
+                twisted_weights(support, Fraction(8, 100), x), 3, x)
+            assert real.dtype == np.float64 and real.shape == (3,), (f, x)
+            assert twisted.dtype == np.complex128 and twisted.shape == (3,), (f, x)
+    empty = residue_weight_sums(MANGOLDT.support(tables), 3, 1.5)
+    assert empty.tobytes() == np.zeros(3).tobytes()
+
+
 def test_twisted_weights_peak_memory():
     # the result's 16 bytes per support n plus two 2^14-windows of
     # unit_exponentials' complex output, at most, and 4 KiB for array and

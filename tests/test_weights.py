@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -8,8 +9,7 @@ import pytest
 from mpmath import mpf, workdps
 
 from expsum_kit.arith import TableRangeError
-from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem,
-                                classic_vaughan_mode, combined_h, g_series,
+from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem, g_series,
                                 gq_lower_bound_holds, lbsum_b_report,
                                 lbsum_c_report, mobius_partial,
                                 mobius_partial_bounds_hold, selberg_lambda,
@@ -64,13 +64,6 @@ def test_theta_plus_theta_prime_is_mu(tables_small, num):
             s = ws.theta_prime(d, num) + ws.theta(d, num)
             assert type(s) is num
             assert abs(s - int(tables_small.mobius[d])) < tol
-
-
-def test_combined_h_examples(tables_small):
-    cfg = WeightConfig(U=2, U1=4, R=3, V=5, q=1)
-    h = combined_h(cfg, tables_small)
-    assert h[1] == 1.0
-    assert all(d <= cfg.h_support_bound for d in h)
 
 
 def test_combined_h_against_pair_oracle(tables_small, ws_small):
@@ -180,8 +173,9 @@ def test_lambda_size_findings_logged(tables_small):
 
 
 def test_classic_vaughan_mode(tables_small):
-    ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=10, q=1), tables_small)
-    classic = classic_vaughan_mode(ws)
+    # U1 = U and R = 1 give the classical Vaughan weights
+    cfg = WeightConfig(U=10, U1=40, R=5, V=10, q=1)
+    classic = WeightSystem(dataclasses.replace(cfg, U1=cfg.U, R=1.0), tables_small)
     assert classic.cfg.U1 == classic.cfg.U == 10 and classic.cfg.R == 1
     assert classic.lambda_table == {1: Fraction(1)}
     h = classic.h_float()
@@ -272,14 +266,6 @@ def test_report_only_sums_run(ws_small):
     assert lbsum_c_report(2, ws_small)["lhs"] >= 0
     rep = thtsum_report(2, ws_small)
     assert math.isfinite(rep["sum_over_d"])
-
-
-def test_csv_export(tmp_path, ws_small):
-    path = tmp_path / "weights.csv"
-    ws_small.export_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "d,lambda_num,lambda_den,theta_prime,h"
-    assert len(lines) == ws_small.cfg.h_support_bound + 1
 
 
 def test_config_validation():
