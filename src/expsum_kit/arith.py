@@ -7,6 +7,7 @@ Provides:
   cofactor n/spf(n), in dyadic chunked passes.
 - factorize, totient, divisor_count: phi and tau of one n, table-free.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
+- mpf_numerator: an mpf as an exact integer numerator over a power of two.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
   Fraction (or int) values, LogVector values, or a mix of the two.
 - LogVector: exact carrier for quantities of the form sum_p c_p * log p,
@@ -178,6 +179,15 @@ def totient(n: int) -> int:
 def divisor_count(n: int) -> int:
     """tau(n), the number of divisors of n, from factorize."""
     return math.prod(e + 1 for _, e in factorize(n))
+
+
+def mpf_numerator(v: mpf, P: int) -> int:
+    """The integer v * 2^P, exactly. An mpf is man * 2^exp, so this is
+    man << (exp + P) with no bit lost; a P below -exp is a negative shift,
+    and raises ValueError rather than drop bits."""
+    man, exp = v.man_exp
+    num = man << (exp + P)
+    return -num if v < 0 else num
 
 
 def coprime_residues(q: int) -> List[int]:
@@ -385,7 +395,7 @@ MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support,
                          _mangoldt_exact, LogVector.log_of, LogVector())
 MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
                        lambda n, tables: int(tables.mobius[n]),
-                       lambda m, tables: int(m == 1), mpf(0),
+                       lambda m, tables: int(m == 1), 0,
                        lambda tables: tables.mobius)
 
 #: The functions by name, in output order.

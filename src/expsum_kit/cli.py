@@ -332,16 +332,21 @@ def run_compare(cfg: RunConfig) -> int:
 def run_verify_identity(cfg: RunConfig) -> int:
     q = cfg.q_range[0]
     n_max = cfg.n_max or int(cfg.x)
+    if n_max > identity.MAX_N_MAX:
+        raise ConfigError(f"identity range {n_max} exceeds cap {identity.MAX_N_MAX}"
+                          " (--n-max, or --x when it is not given)")
     wc = _weight_config(cfg, q, 1.0)
     tables = build_tables(max(n_max, wc.h_support_bound, q))
     ws = WeightSystem(wc, tables)
     payload = {"config": asdict(cfg)}
     for name in FUNCTIONS:
-        # the public per-function entry point, so a wrapper on it sees the call
-        dec = getattr(identity, f"decompose_{name}")(n_max, ws, tables)
-        payload[name] = identity.residual_report(dec, ws, tables)
+        # the public per-function entry point, so a wrapper on it sees the
+        # call; one decomposition is alive at a time
+        payload[name] = identity.residual_report(
+            getattr(identity, f"decompose_{name}")(n_max, ws, tables), ws, tables)
     write_json(payload, cfg.output)
-    return 0 if max(payload[f]["max_abs_residual"] for f in FUNCTIONS) < 1e-25 else 1
+    worst = max(payload[f]["max_abs_residual"] for f in FUNCTIONS)
+    return 0 if worst < identity.RESIDUAL_BUDGET else 1
 
 
 def run_audit(cfg: RunConfig) -> int:

@@ -4,9 +4,10 @@ The Selberg-side quantities (G_l(x), lambda(d), the divisibility sum
 B_r = sum_{r|d} lambda(d)/d, and the Ramanujan-sum identity for
 G_q(R) sum_{d|n} lambda(d)) are fully rational and verified with exact
 Fraction arithmetic. The Barban-Vehov ramp theta'(d) = mu(d) log(U1/d)/log(U1/U)
-is irrational, so every identity that mixes in h is checked in 50-digit
-mpmath arithmetic instead; WeightSystem exposes both exact/high-precision
-tables and float64 tables for the exponential-sum layer.
+is irrational, so every identity that mixes in h is checked over its
+50-digit mpmath values, converted exactly to integer numerators over a power
+of two; WeightSystem exposes those integer tables and float64 tables for the
+exponential-sum layer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .arith import ArithTables, TableRangeError, ramanujan_sum
+from .arith import ArithTables, TableRangeError, mpf_numerator, ramanujan_sum
 
 #: Working precision (decimal digits) for identities that involve the
 #: irrational ramp weights.
@@ -107,10 +108,10 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     return Fraction(d * mu, int(tables.totient[d])) * g_top / g_bot
 
 
-def _one_star(g: Dict[int, object], n: int, num) -> np.ndarray:
-    """(1*g)(k) for k <= n from the sparse values g = {d: g(d)}: a float64
-    array, or for num = mpf an object array of mpf."""
-    out = np.zeros(n + 1) if num is float else np.full(n + 1, mpf(0), dtype=object)
+def _one_star(g: Dict[int, object], n: int, dtype) -> np.ndarray:
+    """(1*g)(k) for k <= n from the sparse values g = {d: g(d)}, in an
+    array of dtype: float64, int64, or object for exact Python ints."""
+    out = np.zeros(n + 1, dtype=dtype)
     for d, v in g.items():
         if d <= n:
             out[d::d] += v
@@ -121,9 +122,10 @@ class WeightSystem:
     """Materialized weight tables for one WeightConfig.
 
     Immutable after construction. Exact Fractions carry everything on the
-    Selberg side. Each irrational weight (theta', theta, h, the 1* sums)
-    has one formula, evaluated in the number type num: float64 for the
-    exponential sums, or mpf (RAMP_DPS digits) for identity certification.
+    Selberg side. Each irrational weight (theta', theta, h) has one
+    formula, evaluated in the number type num: float64 for the exponential
+    sums, or mpf (RAMP_DPS digits) for identity certification, where the
+    1* sums are then taken exactly in integers (identity_tables).
     """
 
     def __init__(self, cfg: WeightConfig, tables: ArithTables):
@@ -229,22 +231,42 @@ class WeightSystem:
             self._h_float[list(h)] = list(h.values())
         return self._h_float
 
-    def identity_tables_mp(self, n_max: int
-                           ) -> Tuple[Dict[int, mpf], np.ndarray, np.ndarray]:
-        """(h, 1*h, (1*theta)(1*lambda)) at RAMP_DPS digits up to n_max.
+    def identity_tables(self, n_max: int
+                        ) -> Tuple[int, Dict[int, int], List[int], List[int]]:
+        """(bits, h, 1*h, (1*theta)(1*lambda)) up to n_max, every value an
+        exact integer numerator over 2^bits.
 
-        Built once per n_max and shared by the Lambda and mu identities.
-        theta values come straight from the piecewise definition; lambda
-        from the exact rational table.
+        h, lambda and theta's ramp on (U, U1] are taken at RAMP_DPS digits.
+        With P the largest -exp among them, each is an integer over 2^P
+        (h over 2^(2P)), and every sum and product after that is exact, so
+        the tables are the exact divisor sums of the 50-digit weights;
+        bits = 2P, the scale of the product. theta is 0 up to U and mu past
+        U1, so its sum over the divisors d > U1 of k is the exact integer
+        [k = 1] - sum_{d | k, d <= U1} mu(d). Built once per n_max and
+        shared by the Lambda and mu identities.
         """
         if n_max not in self._identity_tables:
+            mobius = self.tables.mobius
+            u1 = min(int(math.floor(self.cfg.U1)), n_max)
             with workdps(RAMP_DPS):
                 h = self.h_mp()
-                theta = {d: v for d in range(1, n_max + 1)
-                         if (v := self.theta(d, mpf))}
-                conv_tl = (_one_star(theta, n_max, mpf)
-                           * _one_star(self._lambda(mpf), n_max, mpf))
-                self._identity_tables[n_max] = h, _one_star(h, n_max, mpf), conv_tl
+                lam = self._lambda(mpf)
+                ramp = {d: v for d in range(1, u1 + 1)
+                        if mobius[d] and (v := self.theta(d, mpf))}
+            P = max([0] + [-v.man_exp[1] for table in (h, lam, ramp)
+                           for v in table.values()])
+            beyond = -_one_star({d: int(mobius[d]) for d in range(1, u1 + 1)
+                                 if mobius[d]}, n_max, np.int64)
+            beyond[1] += 1
+            one_theta = (_one_star({d: mpf_numerator(v, P) for d, v in ramp.items()},
+                                   n_max, object)
+                         + beyond.astype(object) * (1 << P))
+            one_lambda = _one_star({d: mpf_numerator(v, P) for d, v in lam.items()},
+                                   n_max, object)
+            h_int = {d: mpf_numerator(v, 2 * P) for d, v in h.items()}
+            self._identity_tables[n_max] = (
+                2 * P, h_int, _one_star(h_int, n_max, object).tolist(),
+                (one_theta * one_lambda).tolist())
         return self._identity_tables[n_max]
 
     # -- float64 convolution tables for the exponential-sum layer -----------
@@ -252,13 +274,13 @@ class WeightSystem:
     def one_star_theta(self, n: int) -> np.ndarray:
         """(1 * theta)(k) for k <= n; theta = mu - theta', so this equals
         [k = 1] - (1 * theta')(k)."""
-        out = -_one_star(self._theta_prime_support(float), n, float)
+        out = -_one_star(self._theta_prime_support(float), n, np.float64)
         if n >= 1:
             out[1] += 1.0
         return out
 
     def one_star_lambda(self, n: int) -> np.ndarray:
-        return _one_star(self._lambda(float), n, float)
+        return _one_star(self._lambda(float), n, np.float64)
 
     def conv_theta_lambda(self, n: int) -> np.ndarray:
         """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n.

@@ -22,7 +22,7 @@ from expsum_kit import bounds as bnd
 from expsum_kit.audit import inequality_audit
 from expsum_kit.cli import RunConfig, run
 from expsum_kit.expsum import l2_profiles, recombine
-from expsum_kit.identity import decompose_mangoldt, decompose_mobius
+from expsum_kit.identity import RESIDUAL_BUDGET, decompose_mangoldt, decompose_mobius
 from expsum_kit.partition import partition_integers, partition_primes, separation_bound
 from expsum_kit.weights import (RAMARE_C1, RAMARE_C1_PRIME, RAMARE_C2,
                                 RAMARE_C2_PRIME, WeightConfig, WeightSystem,
@@ -49,10 +49,10 @@ def test_criterion_1_identity_certification(cfg_tuple, tables_10k):
     worst_l, arg_l = decompose_mangoldt(10_000, ws, tables_10k).max_residual(tables_10k)
     worst_m, arg_m = decompose_mobius(10_000, ws, tables_10k).max_residual(tables_10k)
     elapsed = time.perf_counter() - t0
-    ok = worst_l < 1e-25 and worst_m < 1e-25 and elapsed < 120
+    ok = worst_l < RESIDUAL_BUDGET and worst_m < RESIDUAL_BUDGET and elapsed < 120
     _line(1, ok, f"identity residuals {cfg_tuple}",
           f"Lambda {worst_l:.2e}@n={arg_l}, mu {worst_m:.2e}@n={arg_m}, {elapsed:.1f}s")
-    assert worst_l < 1e-25 and worst_m < 1e-25
+    assert worst_l < RESIDUAL_BUDGET and worst_m < RESIDUAL_BUDGET
     assert elapsed < 120
 
 

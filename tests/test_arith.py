@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf, workdps
 
 from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, LogVector,
                               TableRangeError, arith_function, build_tables,
                               dirichlet_convolve, divisor_count, factorize,
-                              mangoldt_table, mobius_table, ramanujan_sum,
-                              totient, unit_table)
+                              mangoldt_table, mobius_table, mpf_numerator,
+                              ramanujan_sum, totient, unit_table)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
 
@@ -284,3 +285,17 @@ def test_registry_unknown_name(tables_small):
                  lambda: main_bound("liouville", 1e6, 3, 1.0, 1.0 / 15.0)):
         with pytest.raises(ValueError, match="liouville"):
             call()
+
+
+def test_mpf_numerator_is_exact():
+    # v * 2^P as an integer, every bit kept; too small a P raises
+    with workdps(50):
+        third = mpf(1) / 3
+        man, exp = third.man_exp
+        assert mpf_numerator(third, -exp) == man
+        assert mpf_numerator(-third, 3 - exp) == -man * 8
+        assert mpf_numerator(mpf(-0.75), 2) == -3
+        assert mpf_numerator(mpf(5), 0) == 5
+        assert mpf_numerator(mpf(0), 0) == 0
+        with pytest.raises(ValueError):
+            mpf_numerator(third, -exp - 1)

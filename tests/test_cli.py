@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 
 from expsum_kit import bounds as bnd
-from expsum_kit import cli
+from expsum_kit import cli, identity
 from expsum_kit.arith import MOBIUS
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
                             parse_args, run)
+from expsum_kit.identity import RESIDUAL_BUDGET
 
 
 def _read_csv(path):
@@ -100,6 +101,20 @@ def test_delta_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
     assert main([*argv, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--x", "1e8"],
+    ["verify-identity", "--x", "1000", "--n-max", "100000000"],
+    ["verify-identity", "--x", "1000", "--n-max", str(identity.MAX_N_MAX + 1)],
+])
+def test_identity_range_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
+    def no_sieve(n_max):
+        raise AssertionError("sieved before the identity range was checked")
+    monkeypatch.setattr(cli, "build_tables", no_sieve)
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: identity range ") and "Traceback" not in err
 
 
 def test_sweep_delta0_golden_bytes(tmp_path):
@@ -282,8 +297,8 @@ def test_verify_identity_command(tmp_path):
                          output=str(out), format="json"))
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["mangoldt"]["max_abs_residual"] < 1e-25
-    assert payload["mobius"]["max_abs_residual"] < 1e-25
+    assert payload["mangoldt"]["max_abs_residual"] < RESIDUAL_BUDGET
+    assert payload["mobius"]["max_abs_residual"] < RESIDUAL_BUDGET
 
 
 def test_config_errors():
@@ -392,8 +407,8 @@ def test_classical_vaughan_override_accepted(tmp_path):
     assert main(["verify-identity", "--x", "300", "--q-range", "1", "1",
                  "--weight-overrides", "1", "1", "1", "5", "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["mangoldt"]["max_abs_residual"] < 1e-25
-    assert payload["mobius"]["max_abs_residual"] < 1e-25
+    assert payload["mangoldt"]["max_abs_residual"] < RESIDUAL_BUDGET
+    assert payload["mobius"]["max_abs_residual"] < RESIDUAL_BUDGET
 
 
 def test_verify_identity_certify_residuals(tmp_path):
@@ -403,8 +418,8 @@ def test_verify_identity_certify_residuals(tmp_path):
     payload = json.loads(out.read_text())
     got = {f: (payload[f]["max_abs_residual"], payload[f]["argmax_n"])
            for f in ("mangoldt", "mobius")}
-    assert got == {"mangoldt": (1.870935297064537e-50, 2912),
-                   "mobius": (5.345529420184391e-51, 231)}
+    assert got == {"mangoldt": (3.458812860877995e-51, 1792),
+                   "mobius": (3.386741360301042e-51, 2310)}
 
 
 def test_audit_runs_once_on_violation(tmp_path, monkeypatch, capsys):
