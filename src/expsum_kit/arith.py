@@ -1,11 +1,12 @@
 """Sieved arithmetic-function tables and exact convolution plumbing.
 
 Provides:
-- ArithTables: smallest prime factor, Mobius mu, Euler totient and the
-  "Mangoldt base" (p for prime powers p^k, else 0): an spf sieve up to
-  sqrt(n_max), then mu, phi and the base of each n from those of its
-  cofactor n/spf(n), in dyadic chunked passes.
-- factorize, totient, divisor_count: phi and tau of one n, table-free.
+- ArithTables: smallest prime factor, Mobius mu and the "Mangoldt base"
+  (p for prime powers p^k, else 0), 9 bytes per n: an spf sieve up to
+  sqrt(n_max), then mu and the base of each n from those of its cofactor
+  n/spf(n), in dyadic chunked passes. The primes are the n with spf(n) = n.
+- factorize, totient, divisor_count: phi and tau of one n, table-free; the
+  kit's one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - mpf_numerator: an mpf as an exact integer numerator over a power of two.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
@@ -18,6 +19,7 @@ Provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,9 +28,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 from mpmath import mpf
 
-# 17 bytes/entry across the four per-n tables (spf 4, mobius 1, totient 8,
-# mangoldt_base 4), plus 8 per prime; building them adds at most half a
-# byte per entry (the spf sieve's mask for p = 2) and per-chunk arrays.
+# 9 bytes/entry across the three per-n tables (spf 4, mobius 1,
+# mangoldt_base 4); building them adds at most half a byte per entry (the
+# spf sieve's mask for p = 2) and per-chunk arrays.
 # The cap keeps a typo from swallowing all RAM.
 MAX_N_MAX = 100_000_000
 
@@ -52,17 +54,17 @@ class ArithTables:
     n_max: int
     spf: np.ndarray            # int32; spf[n] = smallest prime factor, 0 for n < 2
     mobius: np.ndarray         # int8
-    totient: np.ndarray        # int64
     mangoldt_base: np.ndarray  # int32; p if n = p^k else 0
-    primes: np.ndarray         # int64, sorted
 
     def check_range(self, n: float, what: str = "index") -> None:
         if n > self.n_max:
             raise TableRangeError(f"{what} {n} exceeds sieved range n_max={self.n_max}")
 
     def factorize(self, n: int) -> List[Tuple[int, int]]:
-        """Prime factorization [(p, e), ...] from the spf chain."""
+        """Prime factorization [(p, e), ...] from the spf chain; n >= 1."""
         if not 1 <= n <= self.n_max:
+            if n < 1:
+                raise ValueError(f"factorize needs n >= 1, got {n}")
             self.check_range(n)
         out: List[Tuple[int, int]] = []
         while n > 1:
@@ -83,15 +85,15 @@ class ArithTables:
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Sieve all four tables up to n_max. Deterministic.
+    """Sieve all three tables up to n_max. Deterministic.
 
     The smallest prime factor comes from a sieve over the primes up to
     sqrt(n_max). Every n >= 2 has the cofactor c = n/p, p = spf(n), and
     c <= n/2, so passes over [2^k, 2^(k+1)), cut into chunks of at most
     2^17 entries, read only entries an earlier pass has finished:
-    mu(n) = 0 if spf(c) = p else -mu(c); phi(n) = phi(c) * p if
-    spf(c) = p else phi(c) * (p - 1); the Mangoldt base is p if c = 1, or
-    if spf(c) = p and base(c) != 0. The primes are the n with c = 1.
+    mu(n) = 0 if spf(c) = p else -mu(c); the Mangoldt base is p if c = 1,
+    or if spf(c) = p and base(c) != 0. phi has no table: it is read only at
+    small moduli, where the table-free totient serves.
     Past the tables themselves, only the spf sieve's masks grow with
     n_max; a segmented variant is the natural extension point beyond
     n_max = 1e8. Raises ValueError if n_max exceeds the allocation cap.
@@ -109,10 +111,8 @@ def build_tables(n_max: int) -> ArithTables:
             block[block == 0] = i
 
     mobius = np.zeros(n_max + 1, dtype=np.int8)
-    totient = np.zeros(n_max + 1, dtype=np.int64)
     mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
-    mobius[1] = totient[1] = 1
-    primes = [np.zeros(0, dtype=np.int64)]
+    mobius[1] = 1
     lo = 2
     while lo <= n_max:
         hi = min(2 * lo, lo + _SIEVE_CHUNK, n_max + 1)
@@ -123,20 +123,11 @@ def build_tables(n_max: int) -> ArithTables:
         c = n // p
         same = spf[c] == p
         mobius[lo:hi] = np.where(same, 0, -mobius[c])
-        totient[lo:hi] = totient[c] * np.where(same, p, p - 1)
         prime_power = (c == 1) | (same & (mangoldt_base[c] != 0))
         mangoldt_base[lo:hi] = np.where(prime_power, p, 0)
-        primes.append(n[c == 1])
         lo = hi
 
-    return ArithTables(
-        n_max=n_max,
-        spf=spf,
-        mobius=mobius,
-        totient=totient,
-        mangoldt_base=mangoldt_base,
-        primes=np.concatenate(primes),
-    )
+    return ArithTables(n_max=n_max, spf=spf, mobius=mobius, mangoldt_base=mangoldt_base)
 
 
 def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
@@ -152,12 +143,15 @@ def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
     mu = int(tables.mobius[rg])
     if mu == 0:
         return 0
-    return mu * int(tables.totient[r]) // int(tables.totient[rg])
+    return mu * totient(r) // totient(rg)
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1 by trial division, with
-    no tables: for the small moduli of the bounds and the audit."""
+    no tables: for the small moduli of the bounds, weights, partitions and
+    audit."""
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
     out, p = [], 2
     while p * p <= n:
         e = 0
@@ -171,8 +165,10 @@ def factorize(n: int) -> List[Tuple[int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def totient(n: int) -> int:
-    """Euler's phi(n) from factorize."""
+    """Euler's phi(n) from factorize, memoised: the kit reads phi at a few
+    small moduli over and over (verify_lbcr's r <= R for every n)."""
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
 
 

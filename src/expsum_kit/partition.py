@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .arith import ArithTables, coprime_residues
+from .arith import ArithTables, coprime_residues, totient
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ class Partition:
 
 def separation_bound(L: float, q: int, tables: ArithTables) -> float:
     """B(L, q) = (q/phi(q)) * 2L / log L, the prime-partition class budget."""
-    phi_q = int(tables.totient[q])
-    return q / phi_q * 2.0 * L / math.log(L)
+    return q / totient(q) * 2.0 * L / math.log(L)
 
 
 def _cyclic_partition(groups: List[np.ndarray], n_classes: int,
@@ -82,10 +81,8 @@ def partition_primes(M: float, q: int, L: float,
     if not 3 <= L <= M / q:
         raise ValueError(f"need 3 <= L <= M/q, got L={L}, M/q={M / q}")
     tables.check_range(2 * M, "partition upper end")
-    primes = tables.primes
-    lo = np.searchsorted(primes, math.floor(M) + 1)
-    hi = np.searchsorted(primes, math.floor(2 * M), side="right")
-    window = primes[lo:hi]
+    n = np.arange(math.floor(M) + 1, math.floor(2 * M) + 1, dtype=np.int64)
+    window = n[tables.spf[n] == n]
     n_classes = math.ceil(separation_bound(L, q, tables))
     groups = [window[window % q == a] for a in coprime_residues(q)]
     # Primes p | q in the window would fall outside the coprime residue

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .arith import ArithTables, TableRangeError, mpf_numerator, ramanujan_sum
+from .arith import ArithTables, TableRangeError, mpf_numerator, ramanujan_sum, totient
 
 #: Working precision (decimal digits) for identities that involve the
 #: irrational ramp weights.
@@ -86,10 +86,9 @@ def g_series(l: int, x: float, tables: ArithTables,
         return cache[key]
     total = Fraction(0)
     mob = tables.mobius
-    tot = tables.totient
     for r in range(1, xf + 1):
         if mob[r] != 0 and math.gcd(r, l) == 1:
-            total += Fraction(1, int(tot[r]))
+            total += Fraction(1, totient(r))
     if cache is not None:
         cache[key] = total
     return total
@@ -105,7 +104,7 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     g_top = g_series(cfg.q * d, cfg.R / d, tables, cache)
     g_bot = g_series(cfg.q, cfg.R, tables, cache)
     mu = int(tables.mobius[d])
-    return Fraction(d * mu, int(tables.totient[d])) * g_top / g_bot
+    return Fraction(d * mu, totient(d)) * g_top / g_bot
 
 
 def _one_star(g: Dict[int, object], n: int, dtype) -> np.ndarray:
@@ -334,7 +333,7 @@ def verify_lbsum_a(r: int, ws: WeightSystem) -> EqualityReport:
     lhs = sum((ws.lam(d) / d for d in range(r, int(math.floor(cfg.R)) + 1, r)),
               Fraction(0))
     if r <= cfg.R and math.gcd(r, cfg.q) == 1:
-        rhs = Fraction(int(tables.mobius[r]), int(tables.totient[r])) / ws.g_q_R
+        rhs = Fraction(int(tables.mobius[r]), totient(r)) / ws.g_q_R
     else:
         rhs = Fraction(0)
     return EqualityReport("lbsum_a", r, lhs, rhs)
@@ -349,15 +348,13 @@ def verify_lbcr(n: int, ws: WeightSystem) -> EqualityReport:
     for r in range(1, int(math.floor(cfg.R)) + 1):
         mu = int(tables.mobius[r])
         if mu and math.gcd(r, cfg.q) == 1:
-            rhs += Fraction(mu * ramanujan_sum(r, n, tables), int(tables.totient[r]))
+            rhs += Fraction(mu * ramanujan_sum(r, n, tables), totient(r))
     return EqualityReport("lbcr", n, lhs, rhs)
 
 
 def gq_lower_bound_holds(ws: WeightSystem) -> bool:
     """G_q(R) >= phi(q)/q * log R (the type-II normalizer lower bound)."""
-    ws.tables.check_range(ws.cfg.q, "q")
-    phi_q = int(ws.tables.totient[ws.cfg.q])
-    return float(ws.g_q_R) >= phi_q / ws.cfg.q * math.log(ws.cfg.R) - 1e-12
+    return float(ws.g_q_R) >= totient(ws.cfg.q) / ws.cfg.q * math.log(ws.cfg.R) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +370,7 @@ def lbsum_b_report(r: int, ws: WeightSystem) -> Dict[str, float]:
         if lam:
             lhs += float(lam) / d * math.log(d)
     mu2 = 1 if tables.mobius[r] != 0 else 0
-    main = mu2 / int(tables.totient[r]) * math.log(cfg.R) / float(ws.g_q_R)
+    main = mu2 / totient(r) * math.log(cfg.R) / float(ws.g_q_R)
     return {"r": r, "lhs": lhs, "main_term": main,
             "ratio": abs(lhs) / main if main else math.inf if lhs else 0.0}
 
@@ -384,7 +381,7 @@ def lbsum_c_report(g: int, ws: WeightSystem) -> Dict[str, float]:
     lhs = sum(abs(float(ws.lam(d)))
               for d in range(g, int(math.floor(cfg.R)) + 1, g))
     mu2 = 1 if tables.mobius[g] != 0 else 0
-    main = mu2 / int(tables.totient[g]) * cfg.R / float(ws.g_q_R)
+    main = mu2 / totient(g) * cfg.R / float(ws.g_q_R)
     return {"g": g, "lhs": lhs, "main_term": main,
             "ratio": lhs / main if main else math.inf if lhs else 0.0}
 
@@ -401,7 +398,7 @@ def thtsum_report(v: int, ws: WeightSystem) -> Dict[str, float]:
             s_log += t / d * math.log(d)
             s_abs += abs(t)
     log_ratio = math.log(cfg.U1 / cfg.U) if cfg.U1 > cfg.U else math.nan
-    phi_v = int(tables.totient[v])
+    phi_v = totient(v)
     return {
         "v": v,
         "sum_over_d": s_plain,

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
-from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, LogVector,
-                              TableRangeError, arith_function, build_tables,
+from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, ArithTables,
+                              LogVector, TableRangeError, arith_function,
+                              build_tables,
                               dirichlet_convolve, divisor_count, factorize,
                               mangoldt_table, mobius_table, mpf_numerator,
                               ramanujan_sum, totient, unit_table)
@@ -17,16 +19,22 @@ from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
 
 
+def _sieved_primes(t):
+    """The n >= 2 with spf(n) = n (index 0 is a filler)."""
+    return np.flatnonzero(t.spf[2:] == np.arange(2, t.n_max + 1)) + 2
+
+
 def test_table_examples(tables_small):
     t = tables_small
     assert t.mobius[6] == 1 and t.mobius[4] == 0 and t.mobius[7] == -1
-    assert t.totient[9] == 6 and t.totient[10] == 4
+    assert totient(9) == 6 and totient(10) == 4
+    assert _sieved_primes(t)[:10].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert t.mangoldt_base[8] == 2 and t.mangoldt_base[6] == 0
 
 
 def test_spf_is_prime_divisor(tables_small):
     t = tables_small
-    primeset = set(int(p) for p in t.primes)
+    primeset = set(_sieved_primes(t).tolist())
     for n in range(2, t.n_max + 1):
         p = int(t.spf[n])
         assert p in primeset and n % p == 0
@@ -34,10 +42,12 @@ def test_spf_is_prime_divisor(tables_small):
 
 def test_mobius_and_totient_divisor_identities(tables_small):
     t = tables_small
+    phi = _whole_range_sieve(2000)[2]
     for n in range(1, 2001):
         divs = t.divisors(n)
         assert sum(int(t.mobius[d]) for d in divs) == (1 if n == 1 else 0)
-        assert sum(int(t.totient[d]) for d in divs) == n
+        assert sum(totient(d) for d in divs) == n
+        assert totient(n) == phi[n], n
 
 
 def test_mangoldt_base_iff_prime_power(tables_small):
@@ -87,11 +97,13 @@ def _whole_range_sieve(n_max):
 
 
 def _assert_same_as_oracle(t):
-    names = ("spf", "mobius", "totient", "mangoldt_base", "primes")
-    for name, want in zip(names, _whole_range_sieve(t.n_max)):
+    spf, mobius, _, mangoldt_base, primes = _whole_range_sieve(t.n_max)
+    for name, want in (("spf", spf), ("mobius", mobius),
+                       ("mangoldt_base", mangoldt_base)):
         got = getattr(t, name)
         assert got.dtype == want.dtype, (t.n_max, name, got.dtype)
         assert np.array_equal(got, want), (t.n_max, name)
+    assert np.array_equal(_sieved_primes(t), primes), t.n_max
 
 
 def test_tables_match_whole_range_sieve_small():
@@ -114,7 +126,7 @@ def test_tables_2m_match_whole_range_sieve(tables_2m):
 def test_ramanujan_examples(tables_small):
     t = tables_small
     assert ramanujan_sum(1, 5, t) == 1
-    assert ramanujan_sum(6, 6, t) == t.totient[6] == 2
+    assert ramanujan_sum(6, 6, t) == totient(6) == 2
     assert ramanujan_sum(4, 2, t) == -2
 
 
@@ -206,15 +218,42 @@ def test_logvector_arithmetic():
 
 
 def test_table_free_phi_and_tau(tables_10k):
-    # trial division against the spf chain, the sieved phi and the
+    # trial division against the spf chain, the oracle's phi and the
     # divisor list
     t = tables_10k
+    phi = _whole_range_sieve(t.n_max)[2]
     for n in range(1, t.n_max + 1):
         assert factorize(n) == t.factorize(n), n
-        assert totient(n) == int(t.totient[n]), n
+        assert totient(n) == phi[n], n
         assert divisor_count(n) == len(t.divisors(n)), n
     assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
     assert totient(10**6 + 3) == 10**6 + 2  # a prime past the tables
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_table_free_factorize_rejects_n_below_1(n):
+    # [] for n <= 0 made phi(0) = tau(0) = phi(-7) = 1
+    for f in (factorize, totient, divisor_count):
+        with pytest.raises(ValueError):
+            f(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_table_factorize_rejects_n_below_1(tables_small, n):
+    # the range guard raised only above n_max, so divisors(0) was [1]
+    for f in (tables_small.factorize, tables_small.divisors):
+        with pytest.raises(ValueError):
+            f(n)
+
+
+def test_tables_hold_only_the_read_columns(tables_small):
+    # spf, mu and the Mangoldt base: 9 bytes per n; phi and the primes
+    # are derived (arith.totient, spf(n) = n), never stored
+    names = [f.name for f in dataclasses.fields(ArithTables)]
+    assert names == ["n_max", "spf", "mobius", "mangoldt_base"]
+    arrays = [getattr(tables_small, name) for name in names[1:]]
+    assert all(a.shape == (tables_small.n_max + 1,) for a in arrays)
+    assert sum(a.itemsize for a in arrays) == 9
 
 
 def test_range_errors(tables_small):

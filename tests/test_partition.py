@@ -12,7 +12,7 @@ def test_prime_partition_example(tables_2m):
     p = partition_primes(100, 1, 3, tables_2m)
     assert p.spacing_violations() == []
     assert p.class_count <= math.ceil(2 * 3 / math.log(3))
-    lo = set(int(v) for v in tables_2m.primes if 100 < v <= 200)
+    lo = {v for v in range(101, 201) if tables_2m.spf[v] == v}
     assert set(p.members()) == lo
 
 
