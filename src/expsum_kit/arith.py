@@ -1,10 +1,11 @@
 """Sieved arithmetic-function tables and exact convolution plumbing.
 
 Provides:
-- ArithTables: smallest prime factor, Mobius mu and the "Mangoldt base"
-  (p for prime powers p^k, else 0), 9 bytes per n: an spf sieve up to
-  sqrt(n_max), then mu and the base of each n from those of its cofactor
-  n/spf(n), in dyadic chunked passes. The primes are the n with spf(n) = n.
+- ArithTables: Mobius mu and the "Mangoldt base" (p for prime powers p^k,
+  else 0), 5 bytes per n, from a segmented sieve over the primes up to
+  sqrt(n_max); the primes are the n whose base is n. The smallest prime
+  factor (4 bytes per n) is sieved only when something reads it: the
+  spf-chain factorize and divisors.
 - factorize, totient, divisor_count: phi and tau of one n, table-free; the
   kit's one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
@@ -28,14 +29,16 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 from mpmath import mpf
 
-# 9 bytes/entry across the three per-n tables (spf 4, mobius 1,
-# mangoldt_base 4); building them adds at most half a byte per entry (the
-# spf sieve's mask for p = 2) and per-chunk arrays.
-# The cap keeps a typo from swallowing all RAM.
+# 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4),
+# 4 more once spf is read; the sieve adds a few MiB of per-segment arrays.
+# The cap keeps a typo from swallowing all RAM. It also keeps every n below
+# 2^31, which the sieve's int32 products of primes need: streaming the
+# sieve past the cap (ROADMAP item 2) needs int64 products.
 MAX_N_MAX = 100_000_000
 
-#: Most entries in one chunk of a dyadic sieve pass.
-_SIEVE_CHUNK = 1 << 17
+#: Entries per sieve segment (2 MiB of int32 products). Of 2^17..2^21,
+#: 2^19 sieved 1e7 and 5e7 fastest, or within 2%, on a 2-core x86-64 VM.
+_SEGMENT = 1 << 19
 
 
 class TableRangeError(ValueError):
@@ -49,12 +52,18 @@ class ArithTables:
 
     Index 0 is a filler in every array. Tables are safe for shared
     read access from worker processes; construction is single-threaded.
+    The fields are mu and the Mangoldt base, 5 bytes per n; spf is sieved
+    on its first read and kept.
     """
 
     n_max: int
-    spf: np.ndarray            # int32; spf[n] = smallest prime factor, 0 for n < 2
     mobius: np.ndarray         # int8
     mangoldt_base: np.ndarray  # int32; p if n = p^k else 0
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """int32; spf[n] = smallest prime factor, 0 for n < 2 (4 bytes per n)."""
+        return _spf_table(self.n_max, self.mangoldt_base)
 
     def check_range(self, n: float, what: str = "index") -> None:
         if n > self.n_max:
@@ -84,50 +93,94 @@ class ArithTables:
         return divs
 
 
-def build_tables(n_max: int) -> ArithTables:
-    """Sieve all three tables up to n_max. Deterministic.
+def _primes_upto(r: int) -> List[int]:
+    """The primes p <= r, by a whole-range sieve (r is at most sqrt(n_max))."""
+    is_prime = np.ones(r + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(r) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    return np.flatnonzero(is_prime).tolist()
 
-    The smallest prime factor comes from a sieve over the primes up to
-    sqrt(n_max). Every n >= 2 has the cofactor c = n/p, p = spf(n), and
-    c <= n/2, so passes over [2^k, 2^(k+1)), cut into chunks of at most
-    2^17 entries, read only entries an earlier pass has finished:
-    mu(n) = 0 if spf(c) = p else -mu(c); the Mangoldt base is p if c = 1,
-    or if spf(c) = p and base(c) != 0. phi has no table: it is read only at
-    small moduli, where the table-free totient serves.
-    Past the tables themselves, only the spf sieve's masks grow with
-    n_max; a segmented variant is the natural extension point beyond
-    n_max = 1e8. Raises ValueError if n_max exceeds the allocation cap.
+
+def _segments(n_max: int):
+    """(lo, hi) covering [2, n_max], cut at the multiples of _SEGMENT."""
+    for lo in range(0, n_max + 1, _SEGMENT):
+        lo, hi = max(lo, 2), min(lo + _SEGMENT, n_max + 1)
+        if lo < hi:
+            yield lo, hi
+
+
+def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
+                   mobius: np.ndarray, mangoldt_base: np.ndarray) -> None:
+    """mu on [lo, hi), and the Mangoldt base of each prime there that is
+    not in primes; 2 <= lo < hi <= 2^31, and primes holds every prime p with
+    p^2 < hi, and primes only.
+
+    prod(n) is the product of the listed p | n, each negated, as an int32:
+    |prod(n)| divides n < 2^31, so it is exact. A stride through n = 0 would
+    overflow it without a warning, hence lo >= 2. On an n that no p^2
+    divides (mu is 0 on the rest), |prod(n)| != n means that n has exactly
+    one more prime factor, above sqrt(hi); so mu(n) is the sign of prod(n),
+    flipped there. prod(n) = 1 marks n as a prime. A stride per p^k, k >= 2,
+    would change prod only where mu is 0, so none is taken.
+    """
+    mu = mobius[lo:hi]
+    mu[:] = 1
+    prod = np.ones(hi - lo, dtype=np.int32)
+    for p in primes:
+        prod[(-lo) % p :: p] *= -p
+        if p * p < hi:
+            mu[(-lo) % (p * p) :: p * p] = 0
+    n = np.arange(lo, hi, dtype=np.int32)
+    flip = np.abs(prod) != n
+    flip ^= prod < 0
+    mu *= 1 - 2 * flip.view(np.int8)
+    mangoldt_base[lo:hi] += n * (prod == 1)  # 0 there before: not a p^k
+
+
+def _spf_table(n_max: int, mangoldt_base: np.ndarray) -> np.ndarray:
+    """Smallest prime factors on [0, n_max], segment by segment: each prime
+    p <= sqrt(n_max), largest first, writes p on its multiples, so the
+    smallest one's write lands last; what is left unwritten are the primes
+    above sqrt(n_max), each its own Mangoldt base."""
+    spf = np.zeros(n_max + 1, dtype=np.int32)
+    primes = _primes_upto(math.isqrt(n_max))[::-1]
+    for lo, hi in _segments(n_max):
+        seg = spf[lo:hi]
+        for p in primes:
+            seg[(-lo) % p :: p] = p
+        np.copyto(seg, mangoldt_base[lo:hi], where=seg == 0)
+    return spf
+
+
+def build_tables(n_max: int) -> ArithTables:
+    """Sieve mu and the Mangoldt base up to n_max. Deterministic.
+
+    The primes p <= sqrt(n_max) are sieved once, and the base set on each
+    p^k <= n_max. Then [2, n_max] is sieved in segments of _SEGMENT entries
+    (see _sieve_segment), each by one strided pass per p, and per p^2 inside
+    the segment; no temporary grows with n_max.
+    phi has no table: it is read only at small moduli, where the table-free
+    totient serves. Raises ValueError if n_max exceeds the allocation cap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_N_MAX:
         raise TableRangeError(f"n_max={n_max} exceeds allocation cap {MAX_N_MAX}")
 
-    spf = np.zeros(n_max + 1, dtype=np.int32)
-    for i in range(2, math.isqrt(n_max) + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            block = spf[i * i :: i]
-            block[block == 0] = i
-
+    primes = _primes_upto(math.isqrt(n_max))
     mobius = np.zeros(n_max + 1, dtype=np.int8)
     mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
     mobius[1] = 1
-    lo = 2
-    while lo <= n_max:
-        hi = min(2 * lo, lo + _SIEVE_CHUNK, n_max + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi]
-        unset = p == 0  # primes above sqrt(n_max)
-        p[unset] = n[unset]
-        c = n // p
-        same = spf[c] == p
-        mobius[lo:hi] = np.where(same, 0, -mobius[c])
-        prime_power = (c == 1) | (same & (mangoldt_base[c] != 0))
-        mangoldt_base[lo:hi] = np.where(prime_power, p, 0)
-        lo = hi
-
-    return ArithTables(n_max=n_max, spf=spf, mobius=mobius, mangoldt_base=mangoldt_base)
+    for p in primes:
+        pk = p
+        while pk <= n_max:
+            mangoldt_base[pk] = p
+            pk *= p
+    for lo, hi in _segments(n_max):
+        _sieve_segment(lo, hi, primes, mobius, mangoldt_base)
+    return ArithTables(n_max=n_max, mobius=mobius, mangoldt_base=mangoldt_base)
 
 
 def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:

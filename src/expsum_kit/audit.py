@@ -30,6 +30,8 @@ _Q0_MAX = 50
 #: The squarefree-count check's eps and least M.
 _SQFREE_EPS = 0.01
 _SQFREE_M_MIN = 100_000
+#: The gcd check draws V from [10, _GCD_V_END).
+_GCD_V_END = 100_000
 #: Gauss-Legendre nodes per panel of _phi_e_integral.
 _VDC_NODES = 8
 
@@ -232,22 +234,22 @@ def _check_abel(rng, tables, audit: LemmaAudit) -> None:
     audit.record(float(lhs), float(rhs), {"n": n})
 
 
-def _check_gcd_squarefree(rng, tables, audit: LemmaAudit) -> None:
+def _check_gcd_squarefree(rng, tables, audit: LemmaAudit,
+                          ls: np.ndarray) -> None:
     """sum_{l <= V} mu^2(l)(l,q)/l <= tau(q) log(eV) and
-    sum_{l <= V} mu^2(l)(l,q) <= tau(q) V."""
+    sum_{l <= V} mu^2(l)(l,q) <= tau(q) V; ls is 1.0, 2.0, ... to at least
+    V, made once per audit."""
     q = int(rng.integers(1, 10_000))
-    V = int(rng.integers(10, 100_000))
-    ls = np.arange(1, V + 1, dtype=np.int64)
-    mu2 = (tables.mobius[1:V + 1] != 0)
+    V = int(rng.integers(10, _GCD_V_END))
     # (l, q) depends only on l mod q: one period, repeated out to V.
-    gcds = np.resize(np.gcd(np.arange(1, q + 1), q), V).astype(np.float64)
+    terms = np.resize(np.gcd(np.arange(1, q + 1), q).astype(np.float64), V)
+    terms *= tables.mobius[1:V + 1] != 0  # +0.0 where mu(l) = 0
     tau_q = divisor_count(q)
-    lhs1 = float(np.sum(np.where(mu2, gcds / ls, 0.0)))
-    rhs1 = tau_q * math.log(math.e * V)
-    audit.record(lhs1, rhs1, {"q": q, "V": V, "form": "over_l"})
-    lhs2 = float(np.sum(np.where(mu2, gcds, 0.0)))
-    rhs2 = tau_q * float(V)
-    audit.record(lhs2, rhs2, {"q": q, "V": V, "form": "plain"})
+    lhs2 = float(np.sum(terms))
+    terms /= ls[:V]
+    lhs1 = float(np.sum(terms))
+    audit.record(lhs1, tau_q * math.log(math.e * V), {"q": q, "V": V, "form": "over_l"})
+    audit.record(lhs2, tau_q * float(V), {"q": q, "V": V, "form": "plain"})
 
 
 def _check_squarefree_count(rng, tables, audit: LemmaAudit,
@@ -373,14 +375,13 @@ def inequality_audit(seed: int, tables: ArithTables, n_instances: int = 1000,
         raise ValueError("audit needs tables sieved to at least 2e5")
     rng = np.random.default_rng(seed)
     report = AuditReport(seed=seed)
-    sqfree_prefix = np.cumsum(tables.mobius != 0, dtype=np.int32)
+    # the per-audit arrays of the checks that take one
+    extra = {"gcd_squarefree": (np.arange(1.0, _GCD_V_END),),
+             "squarefree_count": (np.cumsum(tables.mobius != 0, dtype=np.int32),)}
     for name, check in _CHECKS.items():
         audit = LemmaAudit(name=name)
         for _ in range(n_instances):
-            if name == "squarefree_count":
-                check(rng, tables, audit, sqfree_prefix)
-            else:
-                check(rng, tables, audit)
+            check(rng, tables, audit, *extra.get(name, ()))
         report.lemmas[name] = audit
     report.non_binding = van_der_corput_report(rng)
     if raise_on_violation and report.total_violations:

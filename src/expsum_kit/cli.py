@@ -228,10 +228,12 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     integer table of an f that has one (mu), which serves delta = 0, else
     its support. mu's support is read only when a nonzero delta needs its
     twists. The tables are dropped before the twisted weights f(n) e(n
-    delta/x) are built on the supports, once per (f, nonzero delta). The
-    weights of every (f, delta) form one map, shared by every q, so each
-    (f, q, delta) costs one residue aggregation. The map sits in the
-    module globals only while the rows are computed.
+    delta/x) are built on the supports, once per (f, nonzero delta). An f
+    with an integer table is twisted first, and its support's values are
+    dropped before the next f's twists. The weights of every (f, delta)
+    form one map, shared by every q, so each (f, q, delta) costs one
+    residue aggregation. The map sits in the module globals only while the
+    rows are computed.
     """
     tasks = [(q, cfg, _delta_plan(cfg, q))
              for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
@@ -242,10 +244,13 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     untwisted = {name: supports[name] if f.int_table is None else f.int_table(tables)
                  for name, f in FUNCTIONS.items()}
     del tables
-    weights = {(f, d): untwisted[f] if d == 0.0 else twisted_weights(
-                   supports[f], as_fraction(d) / as_fraction(cfg.x), cfg.x)
-               for f in FUNCTIONS for d in cfg.delta_list}
-    del supports, untwisted
+    weights: _Weights = {}
+    for f in sorted(FUNCTIONS, key=lambda f: FUNCTIONS[f].int_table is None):
+        support = supports.pop(f, None)
+        for d in cfg.delta_list:
+            weights[f, d] = untwisted[f] if d == 0.0 else twisted_weights(
+                support, as_fraction(d) / as_fraction(cfg.x), cfg.x)
+    del support, untwisted
     try:
         if cfg.workers == 1:
             _init_worker(weights)

@@ -82,7 +82,7 @@ def partition_primes(M: float, q: int, L: float,
         raise ValueError(f"need 3 <= L <= M/q, got L={L}, M/q={M / q}")
     tables.check_range(2 * M, "partition upper end")
     n = np.arange(math.floor(M) + 1, math.floor(2 * M) + 1, dtype=np.int64)
-    window = n[tables.spf[n] == n]
+    window = n[tables.mangoldt_base[n] == n]
     n_classes = math.ceil(separation_bound(L, q, tables))
     groups = [window[window % q == a] for a in coprime_residues(q)]
     # Primes p | q in the window would fall outside the coprime residue

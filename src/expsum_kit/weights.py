@@ -12,10 +12,11 @@ exponential-sum layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf, workdps
@@ -414,6 +415,46 @@ def thtsum_report(v: int, ws: WeightSystem) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Logarithmically weighted Mobius partial sums
 
+#: Terms per chunk of a partial sum.
+_PARTIAL_CHUNK = 1 << 11
+
+
+def _mobius_partials(v: int, X: float, powers: Sequence[int],
+                     tables: ArithTables) -> List[float]:
+    """mobius_partial at each power, reading mu's support and taking
+    log(X/n) once for all of them.
+
+    Dividing by mu(n) n gives the bits of dividing by n and then
+    multiplying by mu(n) = +-1, since negating a divisor negates the rounded
+    quotient. fsum rounds the exact sum once, so terms made a chunk at a
+    time give the bits of whole arrays. So, as for one power, two float
+    arrays of the support are alive.
+    """
+    if tables.mobius[v] == 0:
+        raise ValueError("v must be squarefree")
+    tables.check_range(X, "partial-sum cutoff")
+    n_top = int(math.floor(X))
+    mu = tables.mobius[1:n_top + 1]
+    n = np.flatnonzero(mu) + 1
+    if v != 1:
+        n = n[np.gcd(n, v) == 1]
+        signs = mu[n - 1]
+    else:
+        signs = mu[mu != 0]
+    n = n.astype(np.float64)  # exact below 2^53
+    log_ratio = np.log(n)
+    np.subtract(math.log(X), log_ratio, out=log_ratio)
+    n *= signs
+
+    def terms(power):
+        # log(X/n)^power / (mu(n) n)
+        for lo in range(0, len(n), _PARTIAL_CHUNK):
+            chunk = np.power(log_ratio[lo:lo + _PARTIAL_CHUNK], power)
+            np.divide(chunk, n[lo:lo + _PARTIAL_CHUNK], out=chunk)
+            yield chunk.tolist()
+    return [math.fsum(itertools.chain.from_iterable(terms(power)))
+            for power in powers]
+
 
 def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:
     """m-check_v(X) (power=1) or m-double-check_v(X) (power=2).
@@ -422,31 +463,12 @@ def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    if tables.mobius[v] == 0:
-        raise ValueError("v must be squarefree")
-    tables.check_range(X, "partial-sum cutoff")
-    n_top = int(math.floor(X))
-    log_x = math.log(X)
-    mu = tables.mobius[1:n_top + 1]
-    n = np.flatnonzero(mu) + 1
-    if v != 1:
-        n = n[np.gcd(n, v) == 1]
-        signs = mu[n - 1]
-    else:
-        signs = mu[mu != 0]
-    # (log X - log n)^power / n * mu(n), each step in place.
-    terms = np.log(n)
-    np.subtract(log_x, terms, out=terms)
-    np.power(terms, power, out=terms)
-    np.divide(terms, n, out=terms)
-    terms *= signs
-    return math.fsum(terms)
+    return _mobius_partials(v, X, (power,), tables)[0]
 
 
 def mobius_partial_bounds_hold(X: float, tables: ArithTables) -> Dict[str, bool]:
     """The four partial-sum bounds with constants c1, c1', c2, c2' at one X."""
-    m1 = mobius_partial(1, X, 1, tables)
-    m2 = mobius_partial(1, X, 2, tables)
+    m1, m2 = _mobius_partials(1, X, (1, 2), tables)
     log_x = math.log(X)
     return {
         "m_check_asymptotic": abs(m1 - 1.0) <= RAMARE_C1 / log_x,

@@ -9,14 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
-from expsum_kit.arith import (FUNCTIONS, MANGOLDT, MOBIUS, ArithTables,
-                              LogVector, TableRangeError, arith_function,
+from expsum_kit import cli
+from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
+                              ArithTables, LogVector, TableRangeError,
+                              _primes_upto, _sieve_segment, arith_function,
                               build_tables,
                               dirichlet_convolve, divisor_count, factorize,
                               mangoldt_table, mobius_table, mpf_numerator,
                               ramanujan_sum, totient, unit_table)
+from expsum_kit.audit import inequality_audit
 from expsum_kit.bounds import main_bound
+from expsum_kit.cli import RunConfig, run
 from expsum_kit.expsum import direct_sum
+from expsum_kit.partition import partition_primes
 
 
 def _sieved_primes(t):
@@ -67,8 +72,9 @@ def test_allocation_cap():
 
 
 def _whole_range_sieve(n_max):
-    """The per-prime whole-range sieve the chunked build replaced, kept as
-    its oracle: (spf, mobius, totient, mangoldt_base, primes)."""
+    """The per-prime whole-range sieve that the chunked and then the
+    segmented build replaced, kept as their oracle: (spf, mobius, totient,
+    mangoldt_base, primes)."""
     idx = np.arange(n_max + 1, dtype=np.int64)
     spf = np.zeros(n_max + 1, dtype=np.int32)
     for i in range(2, math.isqrt(n_max) + 1):
@@ -98,12 +104,14 @@ def _whole_range_sieve(n_max):
 
 def _assert_same_as_oracle(t):
     spf, mobius, _, mangoldt_base, primes = _whole_range_sieve(t.n_max)
-    for name, want in (("spf", spf), ("mobius", mobius),
-                       ("mangoldt_base", mangoldt_base)):
+    for name, want in (("mobius", mobius), ("mangoldt_base", mangoldt_base),
+                       ("spf", spf)):
         got = getattr(t, name)
         assert got.dtype == want.dtype, (t.n_max, name, got.dtype)
         assert np.array_equal(got, want), (t.n_max, name)
     assert np.array_equal(_sieved_primes(t), primes), t.n_max
+    n = np.arange(2, t.n_max + 1)
+    assert np.array_equal(n[t.mangoldt_base[2:] == n], primes), t.n_max
 
 
 def test_tables_match_whole_range_sieve_small():
@@ -113,10 +121,34 @@ def test_tables_match_whole_range_sieve_small():
 
 
 @pytest.mark.parametrize("n_max", [2**17 - 1, 2**17, 2**17 + 1, 2**18 + 1,
-                                   100_000])
+                                   100_000, _SEGMENT - 1, _SEGMENT,
+                                   _SEGMENT + 1, 2 * _SEGMENT + 1])
 def test_tables_match_whole_range_sieve(n_max):
-    # the 2^17-entry chunk edges
+    # the former build's 2^17-entry chunk edges, and the segment edges (the
+    # second segment starts on 2^19, a prime power)
     _assert_same_as_oracle(build_tables(n_max))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2**19, 2**19 + 5_000),             # a prime power
+    (3**2 * 5**2 * 7**2 * 53, 590_000),  # a multiple of p^2, not a p^k
+    (510_511, 515_000),                 # squarefree: 19 * 97 * 277
+    (2**19 - 1, 2**19 + 5_000),         # a prime past the list
+    (1_001, 1_000_001),                 # just past sqrt(1e6)
+])
+def test_segment_matches_whole_range_sieve_at_any_start(lo, hi):
+    # the segment sieve alone, started off the _SEGMENT grid: mu on
+    # [lo, hi), and the base of every prime there above the listed primes
+    _, mobius, _, mangoldt_base, _ = _whole_range_sieve(hi - 1)
+    primes = _primes_upto(math.isqrt(hi - 1))
+    mu = np.full(hi, 7, dtype=np.int8)
+    base = np.zeros(hi, dtype=np.int32)
+    _sieve_segment(lo, hi, primes, mu, base)
+    n = np.arange(lo, hi)
+    want_base = np.where((mangoldt_base[lo:] == n) & (n > primes[-1]), n, 0)
+    assert np.array_equal(mu[lo:], mobius[lo:])
+    assert np.array_equal(base[lo:], want_base)
+    assert (mu[:lo] == 7).all() and not base[:lo].any()  # nothing below lo
 
 
 def test_tables_2m_match_whole_range_sieve(tables_2m):
@@ -247,13 +279,38 @@ def test_table_factorize_rejects_n_below_1(tables_small, n):
 
 
 def test_tables_hold_only_the_read_columns(tables_small):
-    # spf, mu and the Mangoldt base: 9 bytes per n; phi and the primes
-    # are derived (arith.totient, spf(n) = n), never stored
+    # mu and the Mangoldt base: 5 bytes per n; phi, the primes and spf are
+    # derived (arith.totient, base(n) = n, a sieve on spf's first read)
     names = [f.name for f in dataclasses.fields(ArithTables)]
-    assert names == ["n_max", "spf", "mobius", "mangoldt_base"]
+    assert names == ["n_max", "mobius", "mangoldt_base"]
     arrays = [getattr(tables_small, name) for name in names[1:]]
     assert all(a.shape == (tables_small.n_max + 1,) for a in arrays)
-    assert sum(a.itemsize for a in arrays) == 9
+    assert sum(a.itemsize for a in arrays) == 5
+
+
+def test_spf_is_sieved_only_when_read(tmp_path, monkeypatch):
+    # sweep, compare, the audit and the prime partitions never read spf;
+    # the first factorize sieves it, equal to the oracle's
+    built = []
+
+    def build(n_max):
+        built.append(build_tables(n_max))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_tables", build)
+    out = str(tmp_path / "out.csv")
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 3), output=out,
+                  delta_list=(0.0, 8.0)))
+    run(RunConfig(command="compare", x=2000, q_range=(3, 3), a_mode="sample:1",
+                  output=out, weight_overrides=(5.0, 20.0, 4.0, 10.0)))
+    t = build_tables(200_000)
+    inequality_audit(0, t, n_instances=3)
+    partition_primes(30_000, 7, 10.0, t)
+    assert len(built) == 2
+    for tables in built + [t]:
+        assert "spf" not in tables.__dict__, tables.n_max
+    assert t.factorize(2 * 99_991) == [(2, 1), (99_991, 1)]
+    assert "spf" in t.__dict__
+    assert np.array_equal(t.spf, _whole_range_sieve(t.n_max)[0])
 
 
 def test_range_errors(tables_small):

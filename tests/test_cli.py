@@ -8,14 +8,16 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from expsum_kit import bounds as bnd
 from expsum_kit import cli, identity
-from expsum_kit.arith import MOBIUS
+from expsum_kit.arith import MOBIUS, build_tables
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
@@ -88,6 +90,30 @@ def test_sweep_one_residue_sum_per_f_and_q(tmp_path, monkeypatch):
                   output=str(tmp_path / "s.csv")))
     assert sorted(calls) == sorted([("Support", q) for q in (1, 2, 3)]
                                    + [("ndarray", q) for q in (1, 2, 3)])
+
+
+def test_sweep_drops_mobius_support_before_mangoldt_twists(tmp_path, monkeypatch):
+    # mu's support serves only its twists: its values are gone before
+    # Lambda's twists are built, so the two twists' peaks do not stack
+    values, alive = [], []
+    original = cli.twisted_weights
+
+    def support(tables, top=None):
+        sup = MOBIUS.support(tables, top)
+        values.append(weakref.ref(sup.values))
+        return sup
+
+    def twist(weights, beta, x):
+        alive.append((len(weights.n), [ref() is not None for ref in values]))
+        return original(weights, beta, x)
+    monkeypatch.setitem(cli.FUNCTIONS, "mobius",
+                        dataclasses.replace(MOBIUS, support=support))
+    monkeypatch.setattr(cli, "twisted_weights", twist)
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 3),
+                  output=str(tmp_path / "s.csv"), delta_list=(0.0, 8.0, -3.0)))
+    n_mu = int(np.count_nonzero(build_tables(2000).mobius))
+    n_lam = int(np.count_nonzero(build_tables(2000).mangoldt_base))
+    assert alive == [(n_mu, [True])] * 2 + [(n_lam, [False])] * 2
 
 
 @pytest.mark.parametrize("argv", [

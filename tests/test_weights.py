@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mpf, workdps
 
+from expsum_kit import weights
 from expsum_kit.arith import TableRangeError
 from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem, g_series,
                                 gq_lower_bound_holds, lbsum_b_report,
@@ -251,6 +252,23 @@ def _mobius_partial_expr(v, X, power, tables):
 def test_mobius_partial_matches_expression_bitwise(tables_2m, v, X, power):
     expected = _mobius_partial_expr(v, X, power, tables_2m)
     assert mobius_partial(v, X, power, tables_2m) == expected
+
+
+@pytest.mark.parametrize("X", [1e5, 1e6, 12345.5])
+def test_partial_bounds_take_both_powers_in_one_pass(tables_2m, X, monkeypatch):
+    # one read of mu's support and of log(X/n) serves both powers, with
+    # the bits of two mobius_partial calls
+    passes, partials = [], weights._mobius_partials
+
+    def spy(v, X, powers, tables):
+        passes.append((v, X, tuple(powers), partials(v, X, powers, tables)))
+        return passes[-1][-1]
+    two_calls = [mobius_partial(1, X, power, tables_2m) for power in (1, 2)]
+    assert two_calls == [_mobius_partial_expr(1, X, power, tables_2m)
+                         for power in (1, 2)]
+    monkeypatch.setattr(weights, "_mobius_partials", spy)
+    assert all(mobius_partial_bounds_hold(X, tables_2m).values())
+    assert passes == [(1, X, (1, 2), two_calls)]
 
 
 def test_conv_theta_lambda_built_once(ws_small):
