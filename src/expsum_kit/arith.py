@@ -3,11 +3,9 @@
 Provides:
 - ArithTables: Mobius mu and the "Mangoldt base" (p for prime powers p^k,
   else 0), 5 bytes per n, from a segmented sieve over the primes up to
-  sqrt(n_max); the primes are the n whose base is n. The smallest prime
-  factor (4 bytes per n) is sieved only when something reads it: the
-  spf-chain factorize and divisors.
-- factorize, totient, divisor_count: phi and tau of one n, table-free; the
-  kit's one phi and one tau.
+  sqrt(n_max); the primes are the n whose base is n.
+- factorize, totient, divisor_count: the kit's one factorization, by trial
+  division with no tables, and from it its one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - mpf_numerator: an mpf as an exact integer numerator over a power of two.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
@@ -29,8 +27,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 from mpmath import mpf
 
-# 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4),
-# 4 more once spf is read; the sieve adds a few MiB of per-segment arrays.
+# 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4);
+# the sieve adds a few MiB of per-segment arrays.
 # The cap keeps a typo from swallowing all RAM. It also keeps every n below
 # 2^31, which the sieve's int32 products of primes need: streaming the
 # sieve past the cap (ROADMAP item 2) needs int64 products.
@@ -52,45 +50,16 @@ class ArithTables:
 
     Index 0 is a filler in every array. Tables are safe for shared
     read access from worker processes; construction is single-threaded.
-    The fields are mu and the Mangoldt base, 5 bytes per n; spf is sieved
-    on its first read and kept.
+    The fields are mu and the Mangoldt base, 5 bytes per n.
     """
 
     n_max: int
     mobius: np.ndarray         # int8
     mangoldt_base: np.ndarray  # int32; p if n = p^k else 0
 
-    @functools.cached_property
-    def spf(self) -> np.ndarray:
-        """int32; spf[n] = smallest prime factor, 0 for n < 2 (4 bytes per n)."""
-        return _spf_table(self.n_max, self.mangoldt_base)
-
     def check_range(self, n: float, what: str = "index") -> None:
         if n > self.n_max:
             raise TableRangeError(f"{what} {n} exceeds sieved range n_max={self.n_max}")
-
-    def factorize(self, n: int) -> List[Tuple[int, int]]:
-        """Prime factorization [(p, e), ...] from the spf chain; n >= 1."""
-        if not 1 <= n <= self.n_max:
-            if n < 1:
-                raise ValueError(f"factorize needs n >= 1, got {n}")
-            self.check_range(n)
-        out: List[Tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def divisors(self, n: int) -> List[int]:
-        """All positive divisors of n (unsorted)."""
-        divs = [1]
-        for p, e in self.factorize(n):
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return divs
 
 
 def _primes_upto(r: int) -> List[int]:
@@ -137,21 +106,6 @@ def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
     flip ^= prod < 0
     mu *= 1 - 2 * flip.view(np.int8)
     mangoldt_base[lo:hi] += n * (prod == 1)  # 0 there before: not a p^k
-
-
-def _spf_table(n_max: int, mangoldt_base: np.ndarray) -> np.ndarray:
-    """Smallest prime factors on [0, n_max], segment by segment: each prime
-    p <= sqrt(n_max), largest first, writes p on its multiples, so the
-    smallest one's write lands last; what is left unwritten are the primes
-    above sqrt(n_max), each its own Mangoldt base."""
-    spf = np.zeros(n_max + 1, dtype=np.int32)
-    primes = _primes_upto(math.isqrt(n_max))[::-1]
-    for lo, hi in _segments(n_max):
-        seg = spf[lo:hi]
-        for p in primes:
-            seg[(-lo) % p :: p] = p
-        np.copyto(seg, mangoldt_base[lo:hi], where=seg == 0)
-    return spf
 
 
 def build_tables(n_max: int) -> ArithTables:
@@ -201,8 +155,8 @@ def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
 
 def factorize(n: int) -> List[Tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1 by trial division, with
-    no tables: for the small moduli of the bounds, weights, partitions and
-    audit."""
+    no tables: [] for n = 1. It reads no sieve table, so the identity's
+    log m = (1*Lambda)(m) checks Lambda's table rather than echoing it."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out, p = [], 2
@@ -259,9 +213,9 @@ class LogVector:
     coeffs: Dict[int, object] = field(default_factory=dict)
 
     @staticmethod
-    def log_of(n: int, tables: ArithTables) -> "LogVector":
-        """log n = sum_p v_p(n) log p as an exact vector."""
-        return LogVector({p: e for p, e in tables.factorize(n)}) if n > 1 else LogVector()
+    def log_of(n: int) -> "LogVector":
+        """log n = sum_p v_p(n) log p as an exact vector (empty at n = 1)."""
+        return LogVector(dict(factorize(n)))
 
     def _merge(self, other: "LogVector", sign: int) -> "LogVector":
         out = dict(self.coeffs)
@@ -441,7 +395,8 @@ def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
 
 
 MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support,
-                         _mangoldt_exact, LogVector.log_of, LogVector())
+                         _mangoldt_exact, lambda m, tables: LogVector.log_of(m),
+                         LogVector())
 MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
                        lambda n, tables: int(tables.mobius[n]),
                        lambda m, tables: int(m == 1), 0,

@@ -197,6 +197,8 @@ def _sweep_rows_for_q(args) -> List[Dict]:
         for delta, delta0, (u, u0), flags in plan:
             weights = _WORKER_WEIGHTS[f, delta]
             if isinstance(weights, Support) and classes is None:
+                # int64 on purpose: np.bincount copies any non-intp input
+                # to intp, so int32 classes would add a copy, not halve one
                 classes = weights.n % q
             per_residue = residue_weight_sums(weights, q, x, classes=classes)
             try:

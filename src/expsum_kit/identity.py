@@ -12,17 +12,19 @@ Both identities share one shape, f = h*(1*f) - 1*h*f_{<=V}
 + (1*theta)(1*lambda)*f_{>V} + f_{<=V}, so one engine builds both: a walk
 over multiples driven by f's ArithFunction record, which gives the exact
 f(l) (a LogVector for Lambda, an int for mu), the exact (1*f)(m) (log m,
-or [m = 1]) and the zero of the value type. The weights are irrational,
-so h, theta and lambda are taken at RAMP_DPS digits and converted once,
-with no bit lost, to integer numerators over a common power of two
-(WeightSystem.identity_tables). Every sum after that is an exact integer
-sum over those 50-digit tables: Lambda's terms in the log basis with
-integer coefficients, mu's as integers. The residual at n is then the
-exact residual of the 50-digit tables, whatever the summation order, and
-it is taken against f(n) evaluated afresh, so the check cross-validates
-rather than cancelling by construction. The true residual is identically
-zero for any weights with lambda(1) = 1 and theta + theta' = mu; the
-rounding of the tables leaves about 1e-50.
+or [m = 1]) and the zero of the value type. log m comes from trial
+division, not from Lambda's table, so a wrong entry of that table shows up
+as a residual. The weights are irrational, so h, theta and lambda are
+taken at RAMP_DPS digits and converted once, with no bit lost, to integer
+numerators over a common power of two (WeightSystem.identity_tables).
+Every sum after that is an exact integer sum over those 50-digit tables:
+Lambda's terms in the log basis with integer coefficients, mu's as
+integers. The residual at n is then the exact residual of the 50-digit
+tables, whatever the summation order, and it is taken against f(n)
+evaluated afresh, so the check cross-validates rather than cancelling by
+construction. The true residual is identically zero for any weights with
+lambda(1) = 1 and theta + theta' = mu; the rounding of the tables leaves
+about 1e-50.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _decompose(f: ArithFunction, n_max: int, ws: WeightSystem,
         for key, c in coeffs.items():
             row[key] = row.get(key, 0) + c * weight
 
-    one_f = [_coeffs(f.one_star(m, tables)) for m in range(n_max + 1)]
+    one_f = [{}] + [_coeffs(f.one_star(m, tables)) for m in range(1, n_max + 1)]
     for d, hd in h.items():
         for m in range(1, n_max // d + 1):
             if one_f[m]:

@@ -342,8 +342,11 @@ def verify_lbsum_a(r: int, ws: WeightSystem) -> EqualityReport:
 
 def verify_lbcr(n: int, ws: WeightSystem) -> EqualityReport:
     """G_q(R) sum_{d|n} lambda(d) against sum_{r<=R,(r,q)=1} mu(r) c_r(n)/phi(r)."""
+    if n < 1:
+        raise ValueError(f"verify_lbcr needs n >= 1, got {n}")
     cfg, tables = ws.cfg, ws.tables
-    lhs = ws.g_q_R * sum((ws.lam(d) for d in tables.divisors(n) if d <= cfg.R),
+    # over lambda's support: lambda is 0 above R, so these are the d | n, d <= R
+    lhs = ws.g_q_R * sum((lam for d, lam in ws.lambda_table.items() if n % d == 0),
                          Fraction(0))
     rhs = Fraction(0)
     for r in range(1, int(math.floor(cfg.R)) + 1):

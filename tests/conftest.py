@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import expsum_kit
 from expsum_kit.arith import build_tables
+
+
+@pytest.fixture
+def kit_env():
+    """os.environ with the kit's source directory on PYTHONPATH, so that a
+    subprocess imports the same kit as the tests, installed or not."""
+    src = str(Path(expsum_kit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, workdps
 
-from expsum_kit import cli
 from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
                               ArithTables, LogVector, TableRangeError,
                               _primes_upto, _sieve_segment, arith_function,
@@ -17,16 +16,18 @@ from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
                               dirichlet_convolve, divisor_count, factorize,
                               mangoldt_table, mobius_table, mpf_numerator,
                               ramanujan_sum, totient, unit_table)
-from expsum_kit.audit import inequality_audit
 from expsum_kit.bounds import main_bound
-from expsum_kit.cli import RunConfig, run
 from expsum_kit.expsum import direct_sum
-from expsum_kit.partition import partition_primes
 
 
 def _sieved_primes(t):
-    """The n >= 2 with spf(n) = n (index 0 is a filler)."""
-    return np.flatnonzero(t.spf[2:] == np.arange(2, t.n_max + 1)) + 2
+    """The n >= 2 whose Mangoldt base is n (index 0 is a filler)."""
+    return np.flatnonzero(t.mangoldt_base[2:] == np.arange(2, t.n_max + 1)) + 2
+
+
+def _divisors(n):
+    """The divisors of n >= 1, by brute force."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_table_examples(tables_small):
@@ -37,19 +38,22 @@ def test_table_examples(tables_small):
     assert t.mangoldt_base[8] == 2 and t.mangoldt_base[6] == 0
 
 
-def test_spf_is_prime_divisor(tables_small):
-    t = tables_small
-    primeset = set(_sieved_primes(t).tolist())
-    for n in range(2, t.n_max + 1):
-        p = int(t.spf[n])
-        assert p in primeset and n % p == 0
+def test_factorize_is_product_of_sieved_primes(tables_10k):
+    # increasing primes of the sieve whose powers multiply back to n: by
+    # unique factorization, that is the factorization
+    primeset = set(_sieved_primes(tables_10k).tolist())
+    for n in range(1, tables_10k.n_max + 1):
+        factors = factorize(n)
+        assert math.prod(p**e for p, e in factors) == n, n
+        assert all(p in primeset and e >= 1 for p, e in factors), n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors}), n
 
 
 def test_mobius_and_totient_divisor_identities(tables_small):
     t = tables_small
-    phi = _whole_range_sieve(2000)[2]
+    phi = _whole_range_sieve(2000)[1]
     for n in range(1, 2001):
-        divs = t.divisors(n)
+        divs = _divisors(n)
         assert sum(int(t.mobius[d]) for d in divs) == (1 if n == 1 else 0)
         assert sum(totient(d) for d in divs) == n
         assert totient(n) == phi[n], n
@@ -58,10 +62,10 @@ def test_mobius_and_totient_divisor_identities(tables_small):
 def test_mangoldt_base_iff_prime_power(tables_small):
     t = tables_small
     for n in range(2, 2001):
-        is_pp = len(t.factorize(n)) == 1
-        assert (t.mangoldt_base[n] != 0) == is_pp
-        if is_pp:
-            assert t.mangoldt_base[n] == t.factorize(n)[0][0]
+        factors = factorize(n)
+        assert (t.mangoldt_base[n] != 0) == (len(factors) == 1)
+        if len(factors) == 1:
+            assert t.mangoldt_base[n] == factors[0][0]
 
 
 def test_allocation_cap():
@@ -73,7 +77,7 @@ def test_allocation_cap():
 
 def _whole_range_sieve(n_max):
     """The per-prime whole-range sieve that the chunked and then the
-    segmented build replaced, kept as their oracle: (spf, mobius, totient,
+    segmented build replaced, kept as their oracle: (mobius, totient,
     mangoldt_base, primes)."""
     idx = np.arange(n_max + 1, dtype=np.int64)
     spf = np.zeros(n_max + 1, dtype=np.int32)
@@ -99,19 +103,16 @@ def _whole_range_sieve(n_max):
             pk *= p
     mobius[0] = 0
     totient[0] = 0
-    return spf, mobius, totient, mangoldt_base, primes
+    return mobius, totient, mangoldt_base, primes
 
 
 def _assert_same_as_oracle(t):
-    spf, mobius, _, mangoldt_base, primes = _whole_range_sieve(t.n_max)
-    for name, want in (("mobius", mobius), ("mangoldt_base", mangoldt_base),
-                       ("spf", spf)):
+    mobius, _, mangoldt_base, primes = _whole_range_sieve(t.n_max)
+    for name, want in (("mobius", mobius), ("mangoldt_base", mangoldt_base)):
         got = getattr(t, name)
         assert got.dtype == want.dtype, (t.n_max, name, got.dtype)
         assert np.array_equal(got, want), (t.n_max, name)
     assert np.array_equal(_sieved_primes(t), primes), t.n_max
-    n = np.arange(2, t.n_max + 1)
-    assert np.array_equal(n[t.mangoldt_base[2:] == n], primes), t.n_max
 
 
 def test_tables_match_whole_range_sieve_small():
@@ -139,7 +140,7 @@ def test_tables_match_whole_range_sieve(n_max):
 def test_segment_matches_whole_range_sieve_at_any_start(lo, hi):
     # the segment sieve alone, started off the _SEGMENT grid: mu on
     # [lo, hi), and the base of every prime there above the listed primes
-    _, mobius, _, mangoldt_base, _ = _whole_range_sieve(hi - 1)
+    mobius, _, mangoldt_base, _ = _whole_range_sieve(hi - 1)
     primes = _primes_upto(math.isqrt(hi - 1))
     mu = np.full(hi, 7, dtype=np.int8)
     base = np.zeros(hi, dtype=np.int32)
@@ -198,7 +199,7 @@ def test_convolution_log_identity(tables_small):
     assert conv[12] == LogVector({2: 2, 3: 1})
     # brute force over the divisors of 12
     brute = LogVector()
-    for d in t.divisors(12):
+    for d in _divisors(12):
         brute = brute + MANGOLDT.exact(d, t)
     assert conv[12] == brute
 
@@ -211,7 +212,7 @@ def test_convolution_mu_musq_example(tables_small):
     musq = [Fraction(0)] + [Fraction(int(t.mobius[n]) ** 2) for n in range(1, n_max + 1)]
     conv = dirichlet_convolve(mu, musq, n_max)
     brute = sum(Fraction(int(t.mobius[d]) * int(t.mobius[4 // d]) ** 2)
-                for d in t.divisors(4))
+                for d in _divisors(4))
     assert conv[4] == brute == -1
 
 
@@ -250,14 +251,15 @@ def test_logvector_arithmetic():
 
 
 def test_table_free_phi_and_tau(tables_10k):
-    # trial division against the spf chain, the oracle's phi and the
-    # divisor list
+    # phi against the oracle's, and tau against a divisor-count sieve
     t = tables_10k
-    phi = _whole_range_sieve(t.n_max)[2]
+    phi = _whole_range_sieve(t.n_max)[1]
+    tau = np.zeros(t.n_max + 1, dtype=np.int64)
+    for d in range(1, t.n_max + 1):
+        tau[d::d] += 1
     for n in range(1, t.n_max + 1):
-        assert factorize(n) == t.factorize(n), n
         assert totient(n) == phi[n], n
-        assert divisor_count(n) == len(t.divisors(n)), n
+        assert divisor_count(n) == tau[n], n
     assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
     assert totient(10**6 + 3) == 10**6 + 2  # a prime past the tables
 
@@ -270,52 +272,22 @@ def test_table_free_factorize_rejects_n_below_1(n):
             f(n)
 
 
-@pytest.mark.parametrize("n", [0, -1, -7])
-def test_table_factorize_rejects_n_below_1(tables_small, n):
-    # the range guard raised only above n_max, so divisors(0) was [1]
-    for f in (tables_small.factorize, tables_small.divisors):
-        with pytest.raises(ValueError):
-            f(n)
-
-
 def test_tables_hold_only_the_read_columns(tables_small):
-    # mu and the Mangoldt base: 5 bytes per n; phi, the primes and spf are
-    # derived (arith.totient, base(n) = n, a sieve on spf's first read)
+    # mu and the Mangoldt base: 5 bytes per n; phi and the primes are
+    # derived (arith.totient, base(n) = n), and nothing factorizes through
+    # the tables (arith.factorize is the one factorization)
     names = [f.name for f in dataclasses.fields(ArithTables)]
     assert names == ["n_max", "mobius", "mangoldt_base"]
     arrays = [getattr(tables_small, name) for name in names[1:]]
     assert all(a.shape == (tables_small.n_max + 1,) for a in arrays)
     assert sum(a.itemsize for a in arrays) == 5
-
-
-def test_spf_is_sieved_only_when_read(tmp_path, monkeypatch):
-    # sweep, compare, the audit and the prime partitions never read spf;
-    # the first factorize sieves it, equal to the oracle's
-    built = []
-
-    def build(n_max):
-        built.append(build_tables(n_max))
-        return built[-1]
-    monkeypatch.setattr(cli, "build_tables", build)
-    out = str(tmp_path / "out.csv")
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 3), output=out,
-                  delta_list=(0.0, 8.0)))
-    run(RunConfig(command="compare", x=2000, q_range=(3, 3), a_mode="sample:1",
-                  output=out, weight_overrides=(5.0, 20.0, 4.0, 10.0)))
-    t = build_tables(200_000)
-    inequality_audit(0, t, n_instances=3)
-    partition_primes(30_000, 7, 10.0, t)
-    assert len(built) == 2
-    for tables in built + [t]:
-        assert "spf" not in tables.__dict__, tables.n_max
-    assert t.factorize(2 * 99_991) == [(2, 1), (99_991, 1)]
-    assert "spf" in t.__dict__
-    assert np.array_equal(t.spf, _whole_range_sieve(t.n_max)[0])
+    for name in ("spf", "factorize", "divisors"):
+        assert not hasattr(tables_small, name), name
 
 
 def test_range_errors(tables_small):
     with pytest.raises(TableRangeError):
-        tables_small.factorize(tables_small.n_max + 1)
+        ramanujan_sum(tables_small.n_max + 1, 1, tables_small)
     with pytest.raises(ValueError):
         ramanujan_sum(0, 1, tables_small)
 
@@ -365,7 +337,7 @@ def test_support_scatters_to_floats(tables_10k, tables_100k):
 def test_registry_one_star_is_divisor_sum(tables_small):
     t = tables_small
     for m in range(1, 400):
-        divisors = t.divisors(m)
+        divisors = _divisors(m)
         lam = LogVector()
         for d in divisors:
             lam = lam + MANGOLDT.exact(d, t)

@@ -228,12 +228,12 @@ def _proc_state(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="reads the process table from /proc")
-def test_sweep_workers_exit_when_owner_is_killed(tmp_path):
+def test_sweep_workers_exit_when_owner_is_killed(tmp_path, kit_env):
     proc = subprocess.Popen(
         [sys.executable, "-m", "expsum_kit.cli", "sweep", "--x", "1e6",
          "--q-range", "1", "30", "--delta", "8", "--workers", "2",
          "-o", str(tmp_path / "s.csv")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=kit_env)
     workers = []
     try:
         deadline = time.monotonic() + 60
@@ -352,12 +352,12 @@ def test_main_exit_codes(tmp_path):
     assert main(["bound", "--x", "50", "-o", str(out)]) == 2
 
 
-def test_cli_subprocess_smoke(tmp_path):
+def test_cli_subprocess_smoke(tmp_path, kit_env):
     out = tmp_path / "s.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "expsum_kit.cli", "sweep", "--x", "1000",
          "--q-range", "1", "3", "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=kit_env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -415,12 +415,12 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     ["compare", "--x", "1e4", "--q-range", "1", "2", "--delta", "1e200"],
     ["bound", "--x", "1e6", "--q-range", "5", "5", "--delta", "1e300"],
 ])
-def test_huge_delta_exits_2_without_traceback(argv, tmp_path):
+def test_huge_delta_exits_2_without_traceback(argv, tmp_path, kit_env):
     # (delta0 q)^(5/2) overflows a float in choose_params
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "expsum_kit.cli", *argv, "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=kit_env)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: ") and "overflows" in proc.stderr
     assert "Traceback" not in proc.stderr

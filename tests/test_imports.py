@@ -1,11 +1,5 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
-
-import expsum_kit
-
-SRC = str(Path(expsum_kit.__file__).resolve().parent.parent)
 
 # Imports the kit, runs the commands and oracles that used to need scipy,
 # and prints every scipy module left in sys.modules.
@@ -24,11 +18,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_kit_never_loads_scipy(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
+def test_kit_never_loads_scipy(tmp_path, kit_env):
     proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path / "b.json")],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=kit_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"

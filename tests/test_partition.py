@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from expsum_kit.arith import factorize
 from expsum_kit.partition import (Partition, partition_integers,
                                   partition_primes, separation_bound)
 
@@ -12,7 +13,7 @@ def test_prime_partition_example(tables_2m):
     p = partition_primes(100, 1, 3, tables_2m)
     assert p.spacing_violations() == []
     assert p.class_count <= math.ceil(2 * 3 / math.log(3))
-    lo = {v for v in range(101, 201) if tables_2m.spf[v] == v}
+    lo = {v for v in range(101, 201) if factorize(v) == [(v, 1)]}
     assert set(p.members()) == lo
 
 

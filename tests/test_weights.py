@@ -102,7 +102,7 @@ def test_one_star_h_factorizes(tables_small):
         for n in range(1, n_max + 1):
             tp = mpf(0)
             lm = mpf(0)
-            for d in tables_small.divisors(n):
+            for d in [d for d in range(1, n + 1) if n % d == 0]:
                 tp += ws.theta_prime(d, mpf)
                 lm += lam_mp.get(d, mpf(0))
             assert abs(one_h[n] - tp * lm) < mpf(10) ** -30
@@ -155,6 +155,20 @@ def test_lbcr_examples(tables_small, ws_small):
         assert verify_lbcr(n, ws_small).equal
 
 
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_verify_lbcr_rejects_n_below_1(ws_small, n):
+    # every d divides 0, so a support sum at n = 0 would add up all of lambda
+    with pytest.raises(ValueError):
+        verify_lbcr(n, ws_small)
+
+
+def test_verify_lbcr_above_the_tables(tables_small, ws_small):
+    # lambda's support and c_r(n) need no table entry at n
+    for n in (tables_small.n_max + 1, 2 * 3 * 5 * 7 * 11 * 13, 10**6 + 3):
+        assert n > tables_small.n_max
+        assert verify_lbcr(n, ws_small).equal, n
+
+
 def test_gq_lower_bound(tables_small):
     for q in (1, 2, 3, 5, 6):
         for R in (10, 30, 50):
@@ -187,7 +201,7 @@ def test_classic_vaughan_mode(tables_small):
     one_theta = classic.one_star_theta(200)
     for n in range(1, 201):
         direct = sum(int(tables_small.mobius[d])
-                     for d in tables_small.divisors(n) if d > 10)
+                     for d in range(11, n + 1) if n % d == 0)
         assert abs(one_theta[n] - direct) < 1e-12
 
 
