@@ -7,13 +7,14 @@ Provides:
 - factorize, totient, divisor_count: the kit's one factorization, by trial
   division with no tables, and from it its one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
-- mpf_numerator: an mpf as an exact integer numerator over a power of two.
 - dirichlet_convolve: exact Dirichlet convolution over tables of
   Fraction (or int) values, LogVector values, or a mix of the two.
 - LogVector: exact carrier for quantities of the form sum_p c_p * log p,
   so convolutions involving Lambda or log never round.
 - ArithFunction, FUNCTIONS: the one definition of each function of the
-  main theorem (Lambda and mu) in float, exact and (1*f) form.
+  main theorem (Lambda and mu) for the exponential sums, as float64 values,
+  as a support, and (mu) as an integer table. The identity certificate
+  defines its own residues of each f and of 1*f (identity).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from mpmath import mpf
 
 # 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4);
 # the sieve adds a few MiB of per-segment arrays.
@@ -155,8 +155,7 @@ def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
 
 def factorize(n: int) -> List[Tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1 by trial division, with
-    no tables: [] for n = 1. It reads no sieve table, so the identity's
-    log m = (1*Lambda)(m) checks Lambda's table rather than echoing it."""
+    no tables: [] for n = 1."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out, p = [], 2
@@ -184,15 +183,6 @@ def divisor_count(n: int) -> int:
     return math.prod(e + 1 for _, e in factorize(n))
 
 
-def mpf_numerator(v: mpf, P: int) -> int:
-    """The integer v * 2^P, exactly. An mpf is man * 2^exp, so this is
-    man << (exp + P) with no bit lost; a P below -exp is a negative shift,
-    and raises ValueError rather than drop bits."""
-    man, exp = v.man_exp
-    num = man << (exp + P)
-    return -num if v < 0 else num
-
-
 def coprime_residues(q: int) -> List[int]:
     """The a in [0, q) with gcd(a, q) = 1: [0] for q = 1."""
     return [a for a in range(q) if math.gcd(a, q) == 1]
@@ -212,11 +202,6 @@ class LogVector:
 
     coeffs: Dict[int, object] = field(default_factory=dict)
 
-    @staticmethod
-    def log_of(n: int) -> "LogVector":
-        """log n = sum_p v_p(n) log p as an exact vector (empty at n = 1)."""
-        return LogVector(dict(factorize(n)))
-
     def _merge(self, other: "LogVector", sign: int) -> "LogVector":
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
@@ -233,24 +218,13 @@ class LogVector:
     def __sub__(self, other: "LogVector") -> "LogVector":
         return self._merge(other, -1)
 
-    def __neg__(self) -> "LogVector":
-        return LogVector({p: -c for p, c in self.coeffs.items()})
-
     def scale(self, factor) -> "LogVector":
         if not factor:
             return LogVector()
         return LogVector({p: c * factor for p, c in self.coeffs.items()})
 
-    __mul__ = scale  # by a scalar; a product of two LogVectors is undefined
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __abs__(self) -> object:
-        """Largest |coefficient|, 0 for the zero vector."""
-        if not self.coeffs:
-            return 0
-        return max(abs(c) for c in self.coeffs.values())
 
     def to_float(self) -> float:
         return float(sum(float(c) * math.log(p) for p, c in self.coeffs.items()))
@@ -307,7 +281,8 @@ def mobius_table(n_max: int, tables: ArithTables) -> List[Fraction]:
 
 def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
     tables.check_range(n_max)
-    return [LogVector()] + [MANGOLDT.exact(n, tables) for n in range(1, n_max + 1)]
+    return [LogVector({int(b): 1}) if b else LogVector()
+            for b in tables.mangoldt_base[:n_max + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +312,6 @@ class ArithFunction:
     support(tables, top) is the Support of f on [1, top], read from the
     sieve tables with no dense float array (Lambda is nonzero on 1/16 of
     n at 5e7, mu on 61%); scattered into zeros it gives floats' bits;
-    exact(n, tables) is f(n) exactly (a LogVector for Lambda, an int for
-    mu); one_star(m, tables) is (1*f)(m) exactly (log m for Lambda,
-    [m = 1] for mu); zero is the zero of the identity's term values;
     int_table(tables), for an f whose values are -1, 0 and 1 only (mu), is
     its dense integer table on [0, n_max], a view of the sieve table at
     1 byte per n with index 0 a zero filler, over which every residue-class
@@ -349,9 +321,6 @@ class ArithFunction:
     name: str
     floats: Callable[..., np.ndarray]
     support: Callable[..., Support]
-    exact: Callable[[int, ArithTables], object]
-    one_star: Callable[[int, ArithTables], object]
-    zero: object
     int_table: Optional[Callable[[ArithTables], np.ndarray]] = None
 
 
@@ -388,18 +357,8 @@ def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray
     return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
 
 
-def _mangoldt_exact(n: int, tables: ArithTables) -> LogVector:
-    """{p: 1} when n is a power of p."""
-    base = int(tables.mangoldt_base[n])
-    return LogVector({base: 1}) if base else LogVector()
-
-
-MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support,
-                         _mangoldt_exact, lambda m, tables: LogVector.log_of(m),
-                         LogVector())
+MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support)
 MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
-                       lambda n, tables: int(tables.mobius[n]),
-                       lambda m, tables: int(m == 1), 0,
                        lambda tables: tables.mobius)
 
 #: The functions by name, in output order.

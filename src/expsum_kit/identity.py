@@ -1,40 +1,59 @@
-"""Sieve-weighted Vaughan decompositions of Lambda and mu, certified per n.
+"""Sieve-weighted Vaughan decompositions of Lambda and mu, certified per n
+by exact modular sums.
 
-The Lambda identity splits as
+Both identities have one shape, for f = Lambda (1*f = log) and f = mu
+(1*f = [k = 1]):
 
-    Lambda = h*log - 1*h*Lambda_{<=V} + (1*theta)(1*lambda)*Lambda_{>V} + Lambda_{<=V}
+    f = h*(1*f) - (1*h)*f_{<=V} + ((1*theta)(1*lambda))*f_{>V} + f_{<=V}.
 
-and the mu identity as
+Dyadic weights (WeightSystem.dyadic): lambda_P = round(lambda 2^P) from the
+exact Fractions, so lambda_P(1) = 2^P; theta'_P = round(theta' 2^P) from the
+float theta'; theta_P = mu 2^P - theta'_P; h_P = lambda_P *_lcm theta'_P,
+through the loop that makes the float and 50-digit h. Then
+1*h_P + (1*theta_P)(1*lambda_P) = 2^(2P) [k = 1], so with T1 = h_P*(1*f),
+T2 = (1*h_P)*f_{<=V}, T3 = ((1*theta_P)(1*lambda_P))*f_{>V} and
+T4 = 2^(2P) f_{<=V}, the residual T1 - T2 + T3 + T4 - 2^(2P) f is exactly 0
+at every n, for any f and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
+(1*theta_P)(1*lambda_P) (a product of strided sums) take three routes, so a
+slip in any one of them leaves a residual.
 
-    mu = h - 1*h*mu_{<=V} + (1*theta)(1*lambda)*mu_{>V} + mu_{<=V}.
+Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
+strided numpy adds: one per d of h's support (T1); one per l <= V (T2); for
+T3 one per m <= isqrt(n_max), over every l > V, then one per l > V, over
+every m > isqrt(n_max), the two halves of the hyperbola lm <= n_max; T4 and
+2^(2P) f are one slice each. Lambda goes through a random map: log q -> r_q,
+uniform mod p from a generator seeded with _SEED and p, so Lambda(n) is r at
+the Mangoldt base of n, and log m = sum_q v_q(m) r_q comes from a sieve of
+its own (_log_residues) that never reads the Mangoldt table.
 
-Both identities share one shape, f = h*(1*f) - 1*h*f_{<=V}
-+ (1*theta)(1*lambda)*f_{>V} + f_{<=V}, so one engine builds both: a walk
-over multiples driven by f's ArithFunction record, which gives the exact
-f(l) (a LogVector for Lambda, an int for mu), the exact (1*f)(m) (log m,
-or [m = 1]) and the zero of the value type. log m comes from trial
-division, not from Lambda's table, so a wrong entry of that table shows up
-as a residual. The weights are irrational, so h, theta and lambda are
-taken at RAMP_DPS digits and converted once, with no bit lost, to integer
-numerators over a common power of two (WeightSystem.identity_tables).
-Every sum after that is an exact integer sum over those 50-digit tables:
-Lambda's terms in the log basis with integer coefficients, mu's as
-integers. The residual at n is then the exact residual of the 50-digit
-tables, whatever the summation order, and it is taken against f(n)
-evaluated afresh, so the check cross-validates rather than cancelling by
-construction. The true residual is identically zero for any weights with
-lambda(1) = 1 and theta + theta' = mu; the rounding of the tables leaves
-about 1e-50.
+The bound. For n <= MAX_N_MAX = 1e7, n has at most 8 prime factors
+(2*3*...*23 > 1e7), at most 448 < 2^9 divisors, and v_q(n) <= 23.
+|lambda| <= 1 (Selberg: G_q(R) >= d/phi(d) G_qd(R/d) for (d, q) = 1) and
+|theta'|, |theta| <= 1, so lambda_P, theta'_P and theta_P are at most 2^P
+in size and vanish off the squarefree d. So |(1*g)(k)| <= 2^(P+8) for each,
+|(1*h_P)(k)| and |(1*theta_P)(1*lambda_P)(k)| are at most 2^(2P+16), and
+sum_{d|n} |h_P(d)| <= 2^(2P+16), as each pair of divisors of n has one lcm.
+Each entry of f's table is -1, 0 or 1 for mu, and one log or none for
+Lambda, so each coefficient in the log basis (the value, for mu) has
+|T1| <= 23 * 2^(2P+16), |T2| + |T3| <= 2^9 * 2^(2P+16) (each l | n is in T2
+or in T3), and |T4|, |2^(2P) f| <= 2^(2P). Every coefficient of the
+residual is then below B = 2^(2P+26), and the product of MODULI exceeds 2B.
+A residual that is 0 modulo each p is therefore 0: for mu with certainty;
+for Lambda, a nonzero coefficient is nonzero modulo some p, where a nonzero
+linear form in the uniform r_q vanishes with probability 1/p, so a false
+pass has probability at most 1/min(MODULI).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
-from .arith import MANGOLDT, MOBIUS, ArithFunction, ArithTables, LogVector
-from .weights import WeightSystem
+import numpy as np
+
+from .arith import ArithTables, TableRangeError, _primes_upto
+from .weights import WeightSystem, _one_star
 
 __all__ = [
     "MAX_N_MAX",
@@ -46,124 +65,182 @@ __all__ = [
 ]
 
 #: The certified bound on each identity's largest |residual| (per log-basis
-#: coefficient for Lambda).
+#: coefficient for Lambda). A nonzero residual is at least 2^(-2P) > 1e-25.
 RESIDUAL_BUDGET = 1e-25
 
-#: Largest identity range. Lambda's terms are Python objects, about 1.4 KB
-#: per n; verify-identity peaks at 168 MiB at n = 1e5 and 1.36 GiB at 1e6,
-#: so the cap keeps a run below about 1 GB.
-MAX_N_MAX = 500_000
+#: Largest identity range; the bound in the module docstring holds up to it.
+#: verify-identity at 1e7 peaks below 1 GiB.
+MAX_N_MAX = 10_000_000
+
+#: The weights are integers over 2^P (h over 2^(2P)).
+P = 17
+
+#: Primes below 2^31, so a product of two residues fits an int64; their
+#: product exceeds 2^(2P+27) = 2B.
+MODULI = (2**31 - 1, 2**31 - 19)
+
+#: Seed of the random map log q -> r_q.
+_SEED = 20250507
+
+#: Sign of each term in the residual T1 - T2 + T3 + T4 - 2^(2P) f.
+_SIGNS = (1, -1, 1, 1, -1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
-    """Four component tables of the Lambda or mu identity over [1, n_max].
+    """The certificate of the Lambda or mu identity over [1, n_max]: how
+    many n have a nonzero residual modulo some p in MODULI, and the first."""
 
-    Every term value is an exact integer numerator over 2**bits: an int for
-    mu, a LogVector with int coefficients for Lambda.
-    """
-
-    f: ArithFunction
     n_max: int
-    V: float
-    bits: int
-    term1: list  # (h * (1*f))(n)
-    term2: list  # (1 * h * f_{<=V})(n)
-    term3: list  # ((1*theta)(1*lambda) * f_{>V})(n)
-    term4: list  # f_{<=V}(n)
-
-    def residual(self, n: int, tables: ArithTables):
-        """T1 - T2 + T3 + T4 - f(n) 2^bits at n: an exact numerator over
-        2^bits, with f(n) evaluated afresh."""
-        return (self.term1[n] - self.term2[n] + self.term3[n] + self.term4[n]
-                - self.f.exact(n, tables) * (1 << self.bits))
+    nonzero_count: int
+    first_nonzero: int  # 0 when nonzero_count is 0
 
     def max_residual(self, tables: ArithTables) -> Tuple[float, int]:
-        """(max residual size, argmax n); size is the largest |coefficient|
-        for Lambda and |value| for mu, compared exactly and rounded once."""
-        worst, arg = 0, 1
-        for n in range(1, self.n_max + 1):
-            r = abs(self.residual(n, tables))
-            if r > worst:
-                worst, arg = r, n
-        return math.ldexp(worst, -self.bits), arg
+        """(0.0, 1) when every residual is 0; else (2^(-2P), the first n
+        with a nonzero residual), a proven lower bound on a nonzero
+        residual, which is a nonzero integer over 2^(2P). tables is not
+        read; the argument is kept for the callers."""
+        if not self.nonzero_count:
+            return 0.0, 1
+        return math.ldexp(1.0, -2 * P), self.first_nonzero
 
 
-def _coeffs(v) -> Dict[object, int]:
-    """An exact value of f by coordinates: a LogVector's {p: c}, or {1: v}
-    for an int."""
-    if isinstance(v, LogVector):
-        return v.coeffs
-    return {1: v} if v else {}
+Inputs = Callable[[int, ArithTables, int], Tuple[np.ndarray, np.ndarray]]
 
 
-def _value(row: Optional[Dict[object, int]], zero):
-    """The value with the coordinates row (None for none), in zero's type."""
-    if isinstance(zero, LogVector):
-        return LogVector({p: c for p, c in row.items() if c}) if row else zero
-    return row.get(1, 0) if row else zero
+def _mobius_inputs(n_max: int, tables: ArithTables, p: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """mu and 1*mu = [m = 1] on [0, n_max], as residues mod p."""
+    one_f = np.zeros(n_max + 1, dtype=np.int64)
+    one_f[1] = 1
+    return tables.mobius[:n_max + 1].astype(np.int64) % p, one_f
 
 
-def _decompose(f: ArithFunction, n_max: int, ws: WeightSystem,
+def _log_map(n_max: int, p: int) -> np.ndarray:
+    """r_q, the image of log q, at each index q <= n_max (read at primes),
+    uniform mod p; 0 at 0 (no prime power) and 1 (no log)."""
+    r = np.random.default_rng([_SEED, p]).integers(0, p, size=n_max + 1)
+    r[:2] = 0
+    return r
+
+
+def _mangoldt_inputs(n_max: int, tables: ArithTables, p: int
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Lambda and 1*Lambda = log on [0, n_max] under log q -> r_q, as
+    residues mod p: r at the Mangoldt base, and _log_residues."""
+    r = _log_map(n_max, p)
+    return r[tables.mangoldt_base[:n_max + 1]], _log_residues(n_max, r, p)
+
+
+def _log_residues(n_max: int, r: np.ndarray, p: int) -> np.ndarray:
+    """sum_q v_q(m) r_q mod p for m <= n_max, from a sieve of its own: one
+    strided add per power of each prime q <= isqrt(n_max), then r at the
+    cofactor left, 1 or m's one prime factor above isqrt(n_max). It reads
+    no sieve table. The sum is below 24 * 2^31, and the int32 product of
+    the small prime powers divides m < 2^31."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    smooth = np.ones(n_max + 1, dtype=np.int32)
+    for q in _primes_upto(math.isqrt(n_max)):
+        qk = q
+        while qk <= n_max:
+            out[qk::qk] += r[q]
+            smooth[qk::qk] *= q
+            qk *= q
+    out += r[np.arange(n_max + 1, dtype=np.int32) // smooth]
+    out %= p
+    return out
+
+
+def _add(out: np.ndarray, start: int, step: int, x: np.ndarray, c, p: int) -> None:
+    """out[start + i step] += c x[i] mod p, for residues c and x[i]."""
+    prod = x * c
+    prod %= p
+    out[start:start + step * len(x):step] += prod
+
+
+def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
+           p: int) -> Iterator[np.ndarray]:
+    """T1, T2, T3, T4 and 2^(2P) f on [0, n_max], each as int64 residues
+    mod p. l <= V is l <= floor(V) for integral l."""
+    f, one_f = inputs(n_max, tables, p)
+    lam, theta_prime, h = ws.dyadic(P)
+    v = min(math.floor(ws.cfg.V), n_max)
+    unit = (1 << 2 * P) % p
+
+    def one_star(g):
+        return _one_star({d: c % p for d, c in g.items()}, n_max, np.int64) % p
+
+    term = np.zeros(n_max + 1, dtype=np.int64)
+    for d, c in h.items():
+        if d <= n_max:
+            _add(term, d, d, one_f[1:n_max // d + 1], c % p, p)
+    term %= p
+    yield term
+
+    one_h = one_star(h)
+    term = np.zeros(n_max + 1, dtype=np.int64)
+    for l in np.flatnonzero(f[:v + 1]):
+        _add(term, l, l, one_h[1:n_max // l + 1], f[l], p)
+    del one_h
+    term %= p
+    yield term
+
+    one_theta = -one_star(theta_prime)  # 1*theta_P, as 1*mu = [k = 1]
+    one_theta[1] += 1 << P
+    conv = one_theta % p * one_star(lam) % p
+    del one_theta
+    k = math.isqrt(n_max)
+    term = np.zeros(n_max + 1, dtype=np.int64)
+    for m in np.flatnonzero(conv[:k + 1]):  # every l > V
+        if v < n_max // m:
+            _add(term, (v + 1) * m, m, f[v + 1:n_max // m + 1], conv[m], p)
+    for l in range(v + 1, n_max // (k + 1) + 1):  # every m > k
+        if f[l]:
+            _add(term, l * (k + 1), l, conv[k + 1:n_max // l + 1], f[l], p)
+    del conv
+    term %= p
+    yield term
+
+    term = np.zeros(n_max + 1, dtype=np.int64)
+    term[1:v + 1] = f[1:v + 1] * unit % p
+    yield term
+    yield f * unit % p
+
+
+def _decompose(inputs: Inputs, n_max: int, ws: WeightSystem,
                tables: ArithTables) -> Decomposition:
-    """Materialize the four terms on [1, n_max] by walking multiples.
-
-    Each d (h's support) or l is the outer index and m the inner one, with
-    n = dm or lm; f(l) and (1*f)(m) are evaluated once per argument, and
-    each term at n is summed coordinate by coordinate in integers. The
-    cutoff f_{<=V} compares l to V as exact integer-vs-real (l <= V, i.e.
-    l <= floor(V) for integral l).
-    """
+    """Sum the residual T1 - T2 + T3 + T4 - 2^(2P) f on [1, n_max] modulo
+    each p in MODULI, and mark the n where it is not 0 mod some p."""
     ws.tables.check_range(n_max, "n_max")
-    V = ws.cfg.V
-    bits, h, one_h, conv_tl = ws.identity_tables(n_max)
-    rows = [[None] * (n_max + 1) for _ in range(4)]
-
-    def add(term, n, coeffs, weight):
-        row = term[n]
-        if row is None:
-            row = term[n] = {}
-        for key, c in coeffs.items():
-            row[key] = row.get(key, 0) + c * weight
-
-    one_f = [{}] + [_coeffs(f.one_star(m, tables)) for m in range(1, n_max + 1)]
-    for d, hd in h.items():
-        for m in range(1, n_max // d + 1):
-            if one_f[m]:
-                add(rows[0], d * m, one_f[m], hd)
-    for l in range(1, n_max + 1):
-        fl = _coeffs(f.exact(l, tables))
-        if not fl:
-            continue
-        small = l <= V
-        table, term = (one_h, rows[1]) if small else (conv_tl, rows[2])
-        for m in range(1, n_max // l + 1):
-            if table[m]:
-                add(term, l * m, fl, table[m])
-        if small:
-            add(rows[3], l, fl, 1 << bits)
-    for term in rows:  # in place, so that each row is freed as it goes
-        for n, row in enumerate(term):
-            term[n] = _value(row, f.zero)
-    return Decomposition(f, n_max, V, bits, *rows)
+    if n_max > MAX_N_MAX:
+        raise TableRangeError(f"identity range {n_max} exceeds cap {MAX_N_MAX}")
+    nonzero = np.zeros(n_max + 1, dtype=bool)
+    for p in MODULI:
+        residual = np.zeros(n_max + 1, dtype=np.int64)
+        for sign, term in zip(_SIGNS, _terms(inputs, n_max, ws, tables, p)):
+            residual += term if sign > 0 else -term
+        residual %= p
+        nonzero |= residual != 0
+    bad = np.flatnonzero(nonzero)
+    return Decomposition(n_max, len(bad), int(bad[0]) if len(bad) else 0)
 
 
 def decompose_mangoldt(n_max: int, ws: WeightSystem,
                        tables: ArithTables) -> Decomposition:
-    """The four Lambda-identity terms on [1, n_max], as LogVectors."""
-    return _decompose(MANGOLDT, n_max, ws, tables)
+    """The certificate of the Lambda identity on [1, n_max]."""
+    return _decompose(_mangoldt_inputs, n_max, ws, tables)
 
 
 def decompose_mobius(n_max: int, ws: WeightSystem,
                      tables: ArithTables) -> Decomposition:
-    """The four mu-identity terms on [1, n_max], as ints."""
-    return _decompose(MOBIUS, n_max, ws, tables)
+    """The certificate of the mu identity on [1, n_max]."""
+    return _decompose(_mobius_inputs, n_max, ws, tables)
 
 
-def residual_report(decomposition, ws: WeightSystem,
+def residual_report(decomposition: Decomposition, ws: WeightSystem,
                     tables: ArithTables) -> Dict[str, object]:
     """JSON-ready residual summary: {config, n_max, max_abs_residual,
-    argmax_n, budget, budget_ratio}."""
+    argmax_n, budget, budget_ratio, nonzero_count}."""
     worst, arg = decomposition.max_residual(tables)
     return {
         "config": asdict(ws.cfg),
@@ -172,4 +249,5 @@ def residual_report(decomposition, ws: WeightSystem,
         "argmax_n": arg,
         "budget": RESIDUAL_BUDGET,
         "budget_ratio": worst / RESIDUAL_BUDGET,
+        "nonzero_count": decomposition.nonzero_count,
     }

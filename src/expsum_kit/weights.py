@@ -4,10 +4,10 @@ The Selberg-side quantities (G_l(x), lambda(d), the divisibility sum
 B_r = sum_{r|d} lambda(d)/d, and the Ramanujan-sum identity for
 G_q(R) sum_{d|n} lambda(d)) are fully rational and verified with exact
 Fraction arithmetic. The Barban-Vehov ramp theta'(d) = mu(d) log(U1/d)/log(U1/U)
-is irrational, so every identity that mixes in h is checked over its
-50-digit mpmath values, converted exactly to integer numerators over a power
-of two; WeightSystem exposes those integer tables and float64 tables for the
-exponential-sum layer.
+is irrational. WeightSystem evaluates each weight through one formula, in
+float64 for the exponential-sum layer or at 50 digits as a reference, and
+rounds lambda and theta' to integers over a power of two, with h the exact
+lcm convolution of those, for the identity certificate (identity).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from mpmath import mp, mpf, workdps
 
-from .arith import ArithTables, TableRangeError, mpf_numerator, ramanujan_sum, totient
+from .arith import ArithTables, TableRangeError, ramanujan_sum, totient
 
-#: Working precision (decimal digits) for identities that involve the
-#: irrational ramp weights.
+#: Working precision (decimal digits) of the reference weights (h_mp).
 RAMP_DPS = 50
 
 #: Partial-sum constants for the logarithmically weighted Mobius sums
@@ -110,7 +109,7 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
 
 def _one_star(g: Dict[int, object], n: int, dtype) -> np.ndarray:
     """(1*g)(k) for k <= n from the sparse values g = {d: g(d)}, in an
-    array of dtype: float64, int64, or object for exact Python ints."""
+    array of dtype: float64, or int64 for integer values."""
     out = np.zeros(n + 1, dtype=dtype)
     for d, v in g.items():
         if d <= n:
@@ -122,10 +121,10 @@ class WeightSystem:
     """Materialized weight tables for one WeightConfig.
 
     Immutable after construction. Exact Fractions carry everything on the
-    Selberg side. Each irrational weight (theta', theta, h) has one
-    formula, evaluated in the number type num: float64 for the exponential
-    sums, or mpf (RAMP_DPS digits) for identity certification, where the
-    1* sums are then taken exactly in integers (identity_tables).
+    Selberg side. Each irrational weight (theta', h) has one formula,
+    evaluated in the number type num: float64 for the exponential sums, or
+    mpf (RAMP_DPS digits) for the 50-digit reference h (h_mp). dyadic gives
+    the integer weights of the identity certificate.
     """
 
     def __init__(self, cfg: WeightConfig, tables: ArithTables):
@@ -142,7 +141,6 @@ class WeightSystem:
                 self.lambda_table[d] = lam
         self._h_mp: Optional[Dict[int, mpf]] = None
         self._h_float: Optional[np.ndarray] = None
-        self._identity_tables: Dict[int, tuple] = {}
         self._conv_theta_lambda: Dict[int, np.ndarray] = {}
 
     # -- weight accessors ---------------------------------------------------
@@ -163,31 +161,21 @@ class WeightSystem:
         return g_series(self.cfg.q, self.cfg.R, self.tables, self.g_cache)
 
     def theta_prime(self, d: int, num=float):
-        """theta'(d): mu(d) for d <= U, mu(d) log(U1/d)/log(U1/U) on (U, U1],
-        0 beyond."""
-        return self._barban_vehov(d, num, prime=True)
-
-    def theta(self, d: int, num=float):
-        """theta(d) = mu(d) - theta'(d): 0 for d <= U, mu(d) log(d/U)/log(U1/U)
-        on (U, U1], mu(d) beyond."""
-        return self._barban_vehov(d, num, prime=False)
-
-    def _barban_vehov(self, d: int, num, prime: bool):
-        """theta'(d) (prime) or theta(d) in the number type num; an mpf
-        value has the caller's working precision."""
+        """theta'(d) in the number type num: mu(d) for d <= U,
+        mu(d) log(U1/d)/log(U1/U) on (U, U1], 0 beyond; an mpf value has the
+        caller's working precision. theta = mu - theta' needs no table of its
+        own: it is 0 up to U and mu beyond U1, so 1*theta = [k = 1] - 1*theta'.
+        """
         if d < 1:
             raise ValueError("d must be positive")
         cfg = self.cfg
         mu = int(self.tables.mobius[d]) if d <= self.tables.n_max else 0
-        if mu == 0:
+        if mu == 0 or d > cfg.U1:
             return num(0)
-        if d <= cfg.U or d > cfg.U1:  # theta' is mu then 0, theta 0 then mu
-            return num(mu) if (d <= cfg.U) == prime else num(0)
+        if d <= cfg.U:
+            return num(mu)
         log = math.log if num is float else mp.log
-        span = log(num(cfg.U1) / num(cfg.U))
-        if prime:
-            return mu * log(num(cfg.U1) / d) / span
-        return mu * log(num(d) / num(cfg.U)) / span
+        return mu * log(num(cfg.U1) / d) / log(num(cfg.U1) / num(cfg.U))
 
     def _theta_prime_support(self, num) -> Dict[int, object]:
         """theta'(d) at every squarefree d <= U1. A 0 at the ramp's end d = U1
@@ -199,75 +187,48 @@ class WeightSystem:
 
     # -- h = lambda *_lcm theta' --------------------------------------------
 
-    def _h(self, num) -> Dict[int, object]:
-        """h as {d: h(d)} over [1, floor(U1*R)], zeros dropped.
+    def _h(self, lam: Dict[int, object], theta_prime: Dict[int, object],
+           zero) -> Dict[int, object]:
+        """h = lambda *_lcm theta' as {d: h(d)} over [1, floor(U1*R)], zeros
+        dropped, from lambda and theta' in one number type (float, mpf at
+        the caller's precision, or int) with zero its 0.
 
-        theta' is evaluated once per d; lambda(d1) theta'(d2) is added at
-        lcm(d1, d2) with d1 outer and d2 inner, both ascending.
+        lambda(d1) theta'(d2) is added at lcm(d1, d2) with d1 outer and d2
+        inner, both ascending.
         """
         bound = self.cfg.h_support_bound
-        zero = num(0)
         out: Dict[int, object] = {}
-        with workdps(RAMP_DPS):
-            theta_prime = self._theta_prime_support(num)
-            for d1, lam in self._lambda(num).items():
-                for d2, tp in theta_prime.items():
-                    l = d1 * d2 // math.gcd(d1, d2)
-                    if l <= bound:
-                        out[l] = out.get(l, zero) + lam * tp
+        for d1, lam1 in lam.items():
+            for d2, tp in theta_prime.items():
+                l = d1 * d2 // math.gcd(d1, d2)
+                if l <= bound:
+                    out[l] = out.get(l, zero) + lam1 * tp
         return {d: v for d, v in out.items() if v != 0}
 
     def h_mp(self) -> Dict[int, mpf]:
         """h(d) at RAMP_DPS digits, sparse over [1, floor(U1*R)]."""
         if self._h_mp is None:
-            self._h_mp = self._h(mpf)
+            with workdps(RAMP_DPS):
+                self._h_mp = self._h(self._lambda(mpf),
+                                     self._theta_prime_support(mpf), mpf(0))
         return self._h_mp
 
     def h_float(self) -> np.ndarray:
         """h as a float64 array indexed by d on [0, floor(U1*R)]."""
         if self._h_float is None:
-            h = self._h(float)
+            h = self._h(self._lambda(float), self._theta_prime_support(float), 0.0)
             self._h_float = np.zeros(self.cfg.h_support_bound + 1)
             self._h_float[list(h)] = list(h.values())
         return self._h_float
 
-    def identity_tables(self, n_max: int
-                        ) -> Tuple[int, Dict[int, int], List[int], List[int]]:
-        """(bits, h, 1*h, (1*theta)(1*lambda)) up to n_max, every value an
-        exact integer numerator over 2^bits.
-
-        h, lambda and theta's ramp on (U, U1] are taken at RAMP_DPS digits.
-        With P the largest -exp among them, each is an integer over 2^P
-        (h over 2^(2P)), and every sum and product after that is exact, so
-        the tables are the exact divisor sums of the 50-digit weights;
-        bits = 2P, the scale of the product. theta is 0 up to U and mu past
-        U1, so its sum over the divisors d > U1 of k is the exact integer
-        [k = 1] - sum_{d | k, d <= U1} mu(d). Built once per n_max and
-        shared by the Lambda and mu identities.
-        """
-        if n_max not in self._identity_tables:
-            mobius = self.tables.mobius
-            u1 = min(int(math.floor(self.cfg.U1)), n_max)
-            with workdps(RAMP_DPS):
-                h = self.h_mp()
-                lam = self._lambda(mpf)
-                ramp = {d: v for d in range(1, u1 + 1)
-                        if mobius[d] and (v := self.theta(d, mpf))}
-            P = max([0] + [-v.man_exp[1] for table in (h, lam, ramp)
-                           for v in table.values()])
-            beyond = -_one_star({d: int(mobius[d]) for d in range(1, u1 + 1)
-                                 if mobius[d]}, n_max, np.int64)
-            beyond[1] += 1
-            one_theta = (_one_star({d: mpf_numerator(v, P) for d, v in ramp.items()},
-                                   n_max, object)
-                         + beyond.astype(object) * (1 << P))
-            one_lambda = _one_star({d: mpf_numerator(v, P) for d, v in lam.items()},
-                                   n_max, object)
-            h_int = {d: mpf_numerator(v, 2 * P) for d, v in h.items()}
-            self._identity_tables[n_max] = (
-                2 * P, h_int, _one_star(h_int, n_max, object).tolist(),
-                (one_theta * one_lambda).tolist())
-        return self._identity_tables[n_max]
+    def dyadic(self, P: int) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
+        """(lambda_P, theta'_P, h_P): lambda rounded to an integer over 2^P
+        from its exact Fraction, so lambda_P(1) = 2^P; theta' rounded to one
+        from its float; and h_P = lambda_P *_lcm theta'_P, over 2^(2P)."""
+        lam = {d: round(v * (1 << P)) for d, v in self.lambda_table.items()}
+        theta_prime = {d: round(math.ldexp(v, P))
+                       for d, v in self._theta_prime_support(float).items()}
+        return lam, theta_prime, self._h(lam, theta_prime, 0)
 
     # -- float64 convolution tables for the exponential-sum layer -----------
 

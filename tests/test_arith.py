@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workdps
 
 from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
                               ArithTables, LogVector, TableRangeError,
                               _primes_upto, _sieve_segment, arith_function,
                               build_tables,
                               dirichlet_convolve, divisor_count, factorize,
-                              mangoldt_table, mobius_table, mpf_numerator,
+                              mangoldt_table, mobius_table,
                               ramanujan_sum, totient, unit_table)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
@@ -198,9 +197,10 @@ def test_convolution_log_identity(tables_small):
     conv = dirichlet_convolve(unit_table(12), mangoldt_table(12, t), 12)
     assert conv[12] == LogVector({2: 2, 3: 1})
     # brute force over the divisors of 12
+    lam = mangoldt_table(12, t)
     brute = LogVector()
     for d in _divisors(12):
-        brute = brute + MANGOLDT.exact(d, t)
+        brute = brute + lam[d]
     assert conv[12] == brute
 
 
@@ -297,10 +297,12 @@ def test_registry_floats_match_exact_values(tables_10k):
     lam, mu = MANGOLDT.floats(t), MOBIUS.floats(t)
     assert lam.dtype == mu.dtype == np.float64
     assert len(lam) == len(mu) == t.n_max + 1
+    exact = mangoldt_table(t.n_max, t)
     for n in range(1, t.n_max + 1):
-        exact = MANGOLDT.exact(n, t)
-        assert math.isclose(lam[n], exact.to_float(), rel_tol=1e-15), n
-        assert mu[n] == MOBIUS.exact(n, t), n
+        assert math.isclose(lam[n], exact[n].to_float(), rel_tol=1e-15), n
+        assert mu[n] == int(t.mobius[n]), n
+    assert list(FUNCTIONS) == ["mangoldt", "mobius"]
+    assert all(FUNCTIONS[name].name == name for name in FUNCTIONS)
 
 
 def test_registry_floats_to_a_top_index(tables_10k):
@@ -334,19 +336,6 @@ def test_support_scatters_to_floats(tables_10k, tables_100k):
             f.support(t, t.n_max + 1)
 
 
-def test_registry_one_star_is_divisor_sum(tables_small):
-    t = tables_small
-    for m in range(1, 400):
-        divisors = _divisors(m)
-        lam = LogVector()
-        for d in divisors:
-            lam = lam + MANGOLDT.exact(d, t)
-        assert MANGOLDT.one_star(m, t) == lam, m
-        assert MOBIUS.one_star(m, t) == sum(MOBIUS.exact(d, t) for d in divisors), m
-    assert list(FUNCTIONS) == ["mangoldt", "mobius"]
-    assert all(FUNCTIONS[name].name == name for name in FUNCTIONS)
-
-
 def test_registry_unknown_name(tables_small):
     for call in (lambda: arith_function("liouville"),
                  lambda: direct_sum("liouville", 0, 10, tables_small),
@@ -354,16 +343,3 @@ def test_registry_unknown_name(tables_small):
         with pytest.raises(ValueError, match="liouville"):
             call()
 
-
-def test_mpf_numerator_is_exact():
-    # v * 2^P as an integer, every bit kept; too small a P raises
-    with workdps(50):
-        third = mpf(1) / 3
-        man, exp = third.man_exp
-        assert mpf_numerator(third, -exp) == man
-        assert mpf_numerator(-third, 3 - exp) == -man * 8
-        assert mpf_numerator(mpf(-0.75), 2) == -3
-        assert mpf_numerator(mpf(5), 0) == 5
-        assert mpf_numerator(mpf(0), 0) == 0
-        with pytest.raises(ValueError):
-            mpf_numerator(third, -exp - 1)

@@ -442,10 +442,23 @@ def test_verify_identity_certify_residuals(tmp_path):
     assert main(["verify-identity", "--x", "3000", "--q-range", "3", "3",
                  "--weight-overrides", "10", "40", "5", "30", "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    got = {f: (payload[f]["max_abs_residual"], payload[f]["argmax_n"])
-           for f in ("mangoldt", "mobius")}
-    assert got == {"mangoldt": (3.458812860877995e-51, 1792),
-                   "mobius": (3.386741360301042e-51, 2310)}
+    for f in ("mangoldt", "mobius"):
+        got = {key: payload[f][key] for key in
+               ("max_abs_residual", "argmax_n", "budget_ratio", "nonzero_count")}
+        assert got == {"max_abs_residual": 0.0, "argmax_n": 1,
+                       "budget_ratio": 0.0, "nonzero_count": 0}
+
+
+def test_verify_identity_above_the_former_cap(tmp_path):
+    # 6e5 lies above the 5e5 that the Python-object engine was capped at
+    out = tmp_path / "v.json"
+    assert main(["verify-identity", "--x", "1000", "--n-max", "600000",
+                 "--q-range", "3", "3", "--weight-overrides", "10", "40", "5", "30",
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for f in ("mangoldt", "mobius"):
+        assert payload[f]["n_max"] == 600_000
+        assert payload[f]["nonzero_count"] == 0
 
 
 def test_audit_runs_once_on_violation(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,20 @@
 import dataclasses
+import functools
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
-from mpmath import ldexp, mp, mpf, workdps
+from mpmath import mpf, workdps
 
-from expsum_kit.arith import LogVector, TableRangeError, factorize
-from expsum_kit.identity import (RESIDUAL_BUDGET, decompose_mangoldt,
-                                 decompose_mobius, residual_report)
+from expsum_kit.arith import TableRangeError, factorize
+from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _log_map,
+                                 _mangoldt_inputs, _mobius_inputs, _terms,
+                                 decompose_mangoldt, decompose_mobius,
+                                 residual_report)
 from expsum_kit.weights import WeightConfig, WeightSystem
+
+DECOMPOSE = {"mangoldt": decompose_mangoldt, "mobius": decompose_mobius}
+INPUTS = {"mangoldt": _mangoldt_inputs, "mobius": _mobius_inputs}
 
 
 @pytest.fixture(scope="module")
@@ -16,42 +22,51 @@ def ws_small(tables_small):
     return WeightSystem(WeightConfig(U=2, U1=4, R=3, V=5, q=1), tables_small)
 
 
+@pytest.fixture(scope="module")
+def ws_crit(tables_small):
+    # criterion 1's second config
+    return WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=3), tables_small)
+
+
 def test_mangoldt_residual_zero_small_config(tables_small, ws_small):
     dec = decompose_mangoldt(500, ws_small, tables_small)
     worst, arg = dec.max_residual(tables_small)
     assert worst < RESIDUAL_BUDGET, f"residual {worst} at n={arg}"
+    assert dec.nonzero_count == 0
 
 
 def test_mobius_residual_zero_small_config(tables_small, ws_small):
     dec = decompose_mobius(500, ws_small, tables_small)
     worst, arg = dec.max_residual(tables_small)
     assert worst < RESIDUAL_BUDGET, f"residual {worst} at n={arg}"
+    assert dec.nonzero_count == 0
 
 
 def test_trivial_values(tables_small, ws_small):
-    dec = decompose_mangoldt(50, ws_small, tables_small)
-    # n = 1: every term empty, residual 0
-    assert not dec.term1[1] and not dec.term4[1]
-    assert not dec.residual(1, tables_small)
-    # prime p <= V: the four terms combine to {p: 1}
-    for p in (2, 3, 5):
-        combo = (dec.term1[p] - dec.term2[p] + dec.term3[p] + dec.term4[p])
-        assert abs(Fraction(combo.coeffs[p], 2 ** dec.bits) - 1) < 1e-30
+    for p in MODULI:
+        t1, t2, t3, t4, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p)
+        # n = 1: log 1 = 0 and Lambda(1) = 0, so every term is 0
+        assert t1[1] == t2[1] == t3[1] == t4[1] == f[1] == 0
+        # a prime q <= V: the four terms combine to 2^(2P) log q -> 2^(2P) r_q
+        r = _log_map(50, p)
+        for q in (2, 3, 5):
+            assert (t1[q] - t2[q] + t3[q] + t4[q]) % p == (int(r[q]) << 2 * P) % p
 
 
-# Exact f(l), exact (1*f)(m) and the zero of the value type, written
-# independently of the engine's own description of each function.
+# The four terms and 2^(2P) f by raw divisor sums over the dyadic integer
+# weights, each rebuilt here: lambda_P from the Fractions, theta'_P from
+# the float theta', h_P by a brute-force lcm, theta_P as mu 2^P - theta'_P.
+# f(l) and (1*f)(m) are {coordinate: int}: the log basis from the
+# factorization for Lambda, the coordinate 1 for mu.
 def _mangoldt_oracle(l, tables):
-    """Lambda(l) from the factorization: {p: 1} when l = p^k."""
     factors = factorize(l)
-    return LogVector({factors[0][0]: 1}) if len(factors) == 1 else LogVector()
+    return {factors[0][0]: 1} if len(factors) == 1 else {}
 
 
 ORACLE_FUNCTIONS = {
-    "mangoldt": (decompose_mangoldt, _mangoldt_oracle,
-                 lambda m, t: LogVector(dict(factorize(m))), LogVector),
-    "mobius": (decompose_mobius, lambda l, t: mpf(int(t.mobius[l])),
-               lambda m, t: mpf(1) if m == 1 else mpf(0), lambda: mpf(0)),
+    "mangoldt": (_mangoldt_oracle, lambda m, t: dict(factorize(m))),
+    "mobius": (lambda l, t: {1: int(t.mobius[l])} if t.mobius[l] else {},
+               lambda m, t: {1: 1} if m == 1 else {}),
 }
 
 
@@ -60,152 +75,185 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _size(v):
-    return float(abs(v)) if isinstance(v, LogVector) else abs(float(v))
+def _dyadic_oracle(ws):
+    """(lambda_P, theta_P, h_P) as functions of d."""
+    scale = 1 << P
+    lam = {d: round(v * scale) for d, v in ws.lambda_table.items()}
+    u1 = int(ws.cfg.U1)
+    tp = {d: round(ws.theta_prime(d) * scale) for d in range(1, u1 + 1)}
+
+    @functools.lru_cache(maxsize=None)
+    def h(d):
+        return sum(lam.get(d1, 0) * tp.get(d2, 0) for d1 in _divisors(d)
+                   for d2 in _divisors(d) if d1 * d2 // math.gcd(d1, d2) == d)
+
+    def theta(d):
+        return int(ws.tables.mobius[d]) * scale - tp.get(d, 0)
+
+    return lambda d: lam.get(d, 0), theta, h
 
 
-def _unscaled(v, bits):
-    """A term value, an integer numerator over 2^bits, as mpf (a LogVector
-    of mpf for Lambda)."""
-    if isinstance(v, LogVector):
-        return LogVector({p: ldexp(mpf(c), -bits) for p, c in v.coeffs.items()})
-    return ldexp(mpf(v), -bits)
+def _oracle_terms(f, one_f, n, ws, tables, oracle):
+    """T1, T2, T3, T4 and 2^(2P) f at n as {coordinate: int}, over the
+    weights oracle = _dyadic_oracle(ws)."""
+    lam, theta, h = oracle
+
+    def one(g, k):
+        return sum(g(d) for d in _divisors(k))
+
+    def add(total, coeffs, weight):
+        for key, c in coeffs.items():
+            total[key] = total.get(key, 0) + c * weight
+
+    terms = [{} for _ in range(5)]
+    for d in _divisors(n):
+        add(terms[0], one_f(n // d, tables), h(d))
+        k = n // d
+        if d <= ws.cfg.V:
+            add(terms[1], f(d, tables), one(h, k))
+        else:
+            add(terms[2], f(d, tables), one(theta, k) * one(lam, k))
+    if n <= ws.cfg.V:
+        add(terms[3], f(n, tables), 1 << 2 * P)
+    add(terms[4], f(n, tables), 1 << 2 * P)
+    return terms
 
 
-def _fraction(v):
-    """An mpf as the exact Fraction man * 2^exp."""
-    man, exp = v.man_exp
-    return Fraction(-man if v < 0 else man) * Fraction(2) ** exp
-
-
-def _oracle_terms(name, n, ws, tables):
-    """Independent evaluation of the four terms by raw divisor sums,
-    recomputing h from the lambda fractions and the theta' formula."""
-    _, f, one_f, zero = ORACLE_FUNCTIONS[name]
-    cfg = ws.cfg
-    with workdps(50):
-        def theta_prime(d):
-            mu = int(tables.mobius[d])
-            if mu == 0 or d > cfg.U1:
-                return mpf(0)
-            if d <= cfg.U:
-                return mpf(mu)
-            return mu * mp.log(mpf(cfg.U1) / d) / mp.log(mpf(cfg.U1) / mpf(cfg.U))
-
-        def h(m):
-            total = mpf(0)
-            for d1, lam in ws.lambda_table.items():
-                for d2 in range(1, int(cfg.U1) + 1):
-                    if d1 * d2 // math.gcd(d1, d2) == m:
-                        total += (mpf(lam.numerator) / lam.denominator
-                                  * theta_prime(d2))
-            return total
-
-        def one(g, m):
-            return sum((g(d) for d in _divisors(m)), mpf(0))
-
-        def lam_at(d):
-            fr = ws.lambda_table.get(d)
-            return mpf(fr.numerator) / fr.denominator if fr else mpf(0)
-
-        def theta(d):
-            return int(tables.mobius[d]) - theta_prime(d)
-
-        t1 = zero()
-        for d in _divisors(n):
-            t1 = t1 + one_f(n // d, tables) * h(d)
-        t2, t3 = zero(), zero()
-        for l in _divisors(n):
-            k = n // l
-            if l <= cfg.V:
-                t2 = t2 + f(l, tables) * one(h, k)
-            else:
-                t3 = t3 + f(l, tables) * (one(theta, k) * one(lam_at, k))
-        t4 = f(n, tables) if n <= cfg.V else zero()
-        return t1, t2, t3, t4
+def _residue(coeffs, r, p):
+    """A {coordinate: int} value mod p: log q -> r_q, and 1 -> 1."""
+    return sum(c * (1 if key == 1 else int(r[key])) for key, c in coeffs.items()) % p
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONS))
 def test_terms_against_independent_oracle(name, tables_small, ws_small):
-    dec = ORACLE_FUNCTIONS[name][0](80, ws_small, tables_small)
-    with workdps(50):
-        for n in (1, 2, 6, 12, 30, 36, 60, 64, 77):
-            o1, o2, o3, o4 = _oracle_terms(name, n, ws_small, tables_small)
-            for got, want in ((dec.term1[n], o1), (dec.term2[n], o2),
-                              (dec.term3[n], o3), (dec.term4[n], o4)):
-                got = _unscaled(got, dec.bits)
-                assert _size(got - want) < 1e-30, (n, got, want)
-
-
-# f(l) and (1*f)(m) as {coordinate: int}, from the factorization alone
-FRACTION_FUNCTIONS = {
-    "mangoldt": (decompose_mangoldt,
-                 lambda l, t: _mangoldt_oracle(l, t).coeffs,
-                 lambda m, t: dict(factorize(m))),
-    "mobius": (decompose_mobius,
-               lambda l, t: {1: int(t.mobius[l])} if t.mobius[l] else {},
-               lambda m, t: {1: 1} if m == 1 else {}),
-}
-
-
-def _fraction_residual(name, n, ws, tables, n_max):
-    """T1 - T2 + T3 + T4 - f(n) at n as {coordinate: Fraction}, summed over
-    the divisors of n in Fractions from the converted integer tables."""
-    _, f, one_f = FRACTION_FUNCTIONS[name]
-    bits, h, one_h, conv = ws.identity_tables(n_max)
-    unit = Fraction(1, 2 ** bits)
-    total = {}
-
-    def add(coeffs, weight):
-        for key, c in coeffs.items():
-            total[key] = total.get(key, 0) + c * weight
-
-    for d in _divisors(n):
-        add(one_f(n // d, tables), h.get(d, 0) * unit)
-        if d <= ws.cfg.V:
-            add(f(d, tables), -one_h[n // d] * unit)
-        else:
-            add(f(d, tables), conv[n // d] * unit)
-    if n <= ws.cfg.V:
-        add(f(n, tables), 1)
-    add(f(n, tables), -1)
-    return {key: c for key, c in total.items() if c}
-
-
-@pytest.mark.parametrize("name", sorted(FRACTION_FUNCTIONS))
-def test_residual_is_the_exact_residual_of_the_tables(name, tables_small, ws_small):
-    # the engine sums in its own order; an independent divisor sum in
-    # Fractions over the same converted tables must give the same residual
-    # at every n, and the report must round the largest of them once
     n_max = 400
-    dec = FRACTION_FUNCTIONS[name][0](n_max, ws_small, tables_small)
-    unit = Fraction(1, 2 ** dec.bits)
-    sizes = {}
+    f, one_f = ORACLE_FUNCTIONS[name]
+    oracle = _dyadic_oracle(ws_small)
+    want = [_oracle_terms(f, one_f, n, ws_small, tables_small, oracle)
+            for n in range(1, n_max + 1)]
+    for terms in want:  # the identity itself, in exact integers
+        total = {}
+        for sign, term in zip((1, -1, 1, 1, -1), terms):
+            for key, c in term.items():
+                total[key] = total.get(key, 0) + sign * c
+        assert not any(total.values())
+    for p in MODULI:
+        r = _log_map(n_max, p)
+        got = list(_terms(INPUTS[name], n_max, ws_small, tables_small, p))
+        for i in range(5):
+            assert got[i][0] == 0
+            assert got[i][1:].tolist() == [_residue(terms[i], r, p)
+                                           for terms in want], (p, i)
+
+
+def _corrupted(tables, name):
+    """A copy of tables with Lambda's base of 49 zeroed, or mu(30) flipped."""
+    if name == "mangoldt":
+        base = tables.mangoldt_base.copy()
+        base[49] = 0
+        return dataclasses.replace(tables, mangoldt_base=base)
+    mobius = tables.mobius.copy()
+    mobius[30] *= -1
+    return dataclasses.replace(tables, mobius=mobius)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FUNCTIONS))
+def test_residual_is_the_exact_residual_of_the_tables(name, tables_small, ws_small):
+    # on a corrupted table, the n that the certificate marks are the n
+    # where the exact residual of the oracle's divisor sums is not 0
+    n_max = 400
+    bad = _corrupted(tables_small, name)
+    f, one_f = ORACLE_FUNCTIONS[name]
+    if name == "mangoldt":
+        def f(l, t):
+            return {int(t.mangoldt_base[l]): 1} if t.mangoldt_base[l] else {}
+    oracle = _dyadic_oracle(ws_small)
+    want = []
     for n in range(1, n_max + 1):
-        r = dec.residual(n, tables_small)
-        got = {key: c * unit for key, c in
-               (r.coeffs.items() if isinstance(r, LogVector) else [(1, r)]) if c}
-        want = _fraction_residual(name, n, ws_small, tables_small, n_max)
-        assert got == want, n
-        sizes[n] = max(map(abs, want.values()), default=Fraction(0))
-    worst = max(sizes.values())
-    assert worst > 0
-    arg = min(n for n, size in sizes.items() if size == worst)
-    assert dec.max_residual(tables_small) == (float(worst), arg)
+        total = {}
+        for sign, term in zip((1, -1, 1, 1, -1),
+                              _oracle_terms(f, one_f, n, ws_small, bad, oracle)):
+            for key, c in term.items():
+                total[key] = total.get(key, 0) + sign * c
+        if any(total.values()):
+            want.append(n)
+    assert want
+    dec = DECOMPOSE[name](n_max, ws_small, bad)
+    assert (dec.nonzero_count, dec.first_nonzero) == (len(want), want[0])
+    assert dec.max_residual(bad) == (2.0 ** (-2 * P), want[0])
+
+
+def test_corrupted_table_is_caught(tables_small, ws_small):
+    n_max = tables_small.n_max
+    bad = _corrupted(tables_small, "mangoldt")
+    assert decompose_mangoldt(n_max, ws_small, bad).nonzero_count > 0
+    assert decompose_mobius(n_max, ws_small, bad).nonzero_count == 0
+    # 30 is squarefree and above V = 5
+    bad = _corrupted(tables_small, "mobius")
+    dec = decompose_mobius(n_max, ws_small, bad)
+    assert dec.nonzero_count > 0 and dec.first_nonzero == 30
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE))
+@pytest.mark.parametrize("which", ["small", "crit"])
+def test_edges(name, which, tables_small, ws_small, ws_crit):
+    # 1 and 2; V and the first l above it; the squares round 49 and 1600,
+    # where isqrt(n_max), the split of T3's hyperbola, steps; and a range
+    # below U1*R, where h's support is cut
+    ws = ws_small if which == "small" else ws_crit
+    v = math.floor(ws.cfg.V)
+    below = ws.cfg.h_support_bound - 1
+    for n_max in (1, 2, v, v + 1, 48, 49, 50, 1599, 1600, 1601, below):
+        dec = DECOMPOSE[name](n_max, ws, tables_small)
+        assert dec.nonzero_count == 0, n_max
+        assert dec.max_residual(tables_small) == (0.0, 1)
+
+
+def test_constants_certify():
+    # a nonzero residual is at least 2^(-2P), above the budget, and the
+    # moduli's product exceeds 2B = 2^(2P+27) (module docstring)
+    assert 2.0 ** (-2 * P) > RESIDUAL_BUDGET
+    assert math.prod(MODULI) > 2 ** (2 * P + 27)
+    assert all(p < 2**31 and all(p % q for q in range(2, math.isqrt(p) + 1))
+               for p in MODULI)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_residue_inputs_one_star_is_divisor_sum(name, tables_small):
+    # each f's two inputs agree: 1*f is the divisor sum of f, mod p
+    n_max = tables_small.n_max
+    for p in MODULI:
+        f, one_f = INPUTS[name](n_max, tables_small, p)
+        want = np.zeros(n_max + 1, dtype=np.int64)
+        for d in range(1, n_max + 1):
+            want[d::d] += f[d]
+        assert (want % p).tolist() == one_f.tolist()
 
 
 def test_mobius_term1_is_h(tables_small, ws_small):
-    dec = decompose_mobius(60, ws_small, tables_small)
+    # T1 = h_P for mu, and h_P 2^(-2P) is the 50-digit h up to the rounding
+    # of lambda and theta' to 2^(-P): at most 2^(-P) per pair (d1, d2)
+    n_max = ws_small.cfg.h_support_bound
+    _, _, h_p = ws_small.dyadic(P)
+    for p in MODULI:
+        t1 = next(_terms(_mobius_inputs, n_max, ws_small, tables_small, p))
+        assert t1.tolist() == [h_p.get(d, 0) % p for d in range(n_max + 1)]
     h = ws_small.h_mp()
-    for n in range(1, 61):
-        assert Fraction(dec.term1[n], 2 ** dec.bits) == _fraction(h.get(n, mpf(0)))
+    with workdps(50):
+        for d in range(1, n_max + 1):
+            pairs = sum(1 for d1 in ws_small.lambda_table for d2 in _divisors(d)
+                        if d1 * d2 // math.gcd(d1, d2) == d)
+            err = abs(mpf(h_p.get(d, 0)) / 2 ** (2 * P) - h.get(d, mpf(0)))
+            assert err <= pairs * 2.0 ** -P, d
 
 
 def test_mobius_prime_above_v_carried_by_term3(tables_small, ws_small):
     # next prime above V = 5 is 7; the identity must still be exact there
-    dec = decompose_mobius(7, ws_small, tables_small)
-    assert abs(math.ldexp(dec.residual(7, tables_small), -dec.bits)) < RESIDUAL_BUDGET
-    assert dec.term4[7] == 0  # 7 > V
+    for p in MODULI:
+        t1, t2, t3, t4, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p)
+        assert t4[7] == 0  # 7 > V
+        assert (t1[7] - t2[7] + t3[7] + t4[7] - f[7]) % p == 0
+    assert decompose_mobius(7, ws_small, tables_small).nonzero_count == 0
 
 
 def test_classic_mode_matches_general_degenerate(tables_small):
@@ -229,11 +277,17 @@ def test_residual_report(tables_small, ws_small):
     dec = decompose_mobius(100, ws_small, tables_small)
     report = residual_report(dec, ws_small, tables_small)
     assert set(report) == {"config", "n_max", "max_abs_residual", "argmax_n",
-                           "budget", "budget_ratio"}
+                           "budget", "budget_ratio", "nonzero_count"}
     assert report["n_max"] == 100
     assert report["config"]["V"] == 5
     assert report["budget"] == RESIDUAL_BUDGET
-    assert report["budget_ratio"] == report["max_abs_residual"] / RESIDUAL_BUDGET
+    assert (report["max_abs_residual"], report["argmax_n"]) == (0.0, 1)
+    assert report["budget_ratio"] == report["nonzero_count"] == 0
+    bad = _corrupted(tables_small, "mobius")
+    report = residual_report(decompose_mobius(100, ws_small, bad), ws_small, bad)
+    assert report["max_abs_residual"] == 2.0 ** (-2 * P)
+    assert report["argmax_n"] == 30 and report["nonzero_count"] > 0
+    assert report["budget_ratio"] == report["max_abs_residual"] / RESIDUAL_BUDGET > 1
 
 
 def test_range_errors(tables_small, ws_small):

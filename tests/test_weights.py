@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps
 
 from expsum_kit import weights
 from expsum_kit.arith import TableRangeError
@@ -44,9 +44,9 @@ def test_barban_vehov_branches(tables_small):
     ws = WeightSystem(WeightConfig(U=10, U1=90, R=3, V=5, q=1), tables_small)
     for d in (2, 3, 5, 7, 10):
         mu = int(tables_small.mobius[d])
-        assert ws.theta_prime(d) == mu and ws.theta(d) == 0
-    # beyond U1 theta' vanishes and theta is mu, here mu(91) = 1
-    assert ws.theta_prime(91) == 0 and ws.theta(91) == 1
+        assert ws.theta_prime(d) == mu
+    # beyond U1 theta' vanishes, here at mu(91) = 1
+    assert ws.theta_prime(91) == 0
     # midpoint of the log-linear ramp: d = sqrt(U*U1) = 30, mu(30) = -1
     assert abs(ws.theta_prime(30) - (-0.5)) < 1e-14
     with workdps(50):
@@ -60,9 +60,20 @@ def test_theta_plus_theta_prime_is_mu(tables_small, num):
     cfg = WeightConfig(U=7, U1=23, R=3, V=5, q=1)
     ws = WeightSystem(cfg, tables_small)
     tol = mpf(10) ** -30 if num is mpf else 1e-15
+    log = math.log if num is float else mp.log
+
+    def theta(d):
+        # 0 up to U, mu(d) log(d/U)/log(U1/U) on the ramp, mu(d) beyond U1
+        mu = int(tables_small.mobius[d])
+        if d <= cfg.U:
+            return num(0)
+        if d > cfg.U1:
+            return num(mu)
+        return mu * log(num(d) / num(cfg.U)) / log(num(cfg.U1) / num(cfg.U))
+
     with workdps(50):
         for d in range(1, 231):
-            s = ws.theta_prime(d, num) + ws.theta(d, num)
+            s = ws.theta_prime(d, num) + theta(d)
             assert type(s) is num
             assert abs(s - int(tables_small.mobius[d])) < tol
 
