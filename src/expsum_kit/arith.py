@@ -306,9 +306,9 @@ class Support(NamedTuple):
 class ArithFunction:
     """Everything the kit needs to know about one f in {Lambda, mu}.
 
-    floats(tables, top) is f(n) as float64 on [0, top] (top defaults to
-    n_max; beyond it TableRangeError), built on each call, so a caller
-    builds only the entries it reads;
+    floats(tables, top, lo) is f(lo + i) as float64 at i on [0, top - lo]
+    (top defaults to n_max, beyond it TableRangeError; lo to 0), built on
+    each call, so a caller builds only the entries it reads;
     support(tables, top) is the Support of f on [1, top], read from the
     sieve tables with no dense float array (Lambda is nonzero on 1/16 of
     n at 5e7, mu on 61%); scattered into zeros it gives floats' bits;
@@ -332,18 +332,21 @@ def _float_range(tables: ArithTables, top: Optional[int]) -> int:
     return top
 
 
-def _mangoldt_support(tables: ArithTables, top: Optional[int] = None) -> Support:
-    """log of the Mangoldt base on the prime powers."""
+def _mangoldt_support(tables: ArithTables, top: Optional[int] = None,
+                      lo: int = 0) -> Support:
+    """log of the Mangoldt base on the prime powers in [lo, top]."""
     top = _float_range(tables, top)
-    n = np.flatnonzero(tables.mangoldt_base[:top + 1])
+    n = np.flatnonzero(tables.mangoldt_base[lo:top + 1])
+    n += lo  # in place: no second index array beside a whole-range support
     return Support(n, np.log(tables.mangoldt_base[n].astype(np.float64)), top)
 
 
-def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
+def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None,
+                     lo: int = 0) -> np.ndarray:
     """The support scattered into zeros (no float copy of the whole base)."""
-    n, values, top = _mangoldt_support(tables, top)
-    out = np.zeros(top + 1)
-    out[n] = values
+    n, values, top = _mangoldt_support(tables, top, lo)
+    out = np.zeros(top + 1 - lo)
+    out[n - lo] = values
     return out
 
 
@@ -353,8 +356,9 @@ def _mobius_support(tables: ArithTables, top: Optional[int] = None) -> Support:
     return Support(n, tables.mobius[n].astype(np.float64), top)
 
 
-def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
-    return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
+def _mobius_floats(tables: ArithTables, top: Optional[int] = None,
+                   lo: int = 0) -> np.ndarray:
+    return tables.mobius[lo:_float_range(tables, top) + 1].astype(np.float64)
 
 
 MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support)

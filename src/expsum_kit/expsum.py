@@ -2,16 +2,16 @@
 recombination, and the L^2 weight profiles.
 
 alpha is held as an exact Fraction (floats become their exact dyadic
-value). Direct sums take phases e(n alpha) from the fractional part of
-n*alpha, re-anchored by exact integer arithmetic every 2^16 terms (only
-in-block products run in float64, so phase drift stays near one ulp out
-to n ~ 1e7). Type-I1 and type-II sums are Dirichlet convolutions: each
-part is built as one alpha-free coefficient row by strided real adds, and
-every row is summed against e(k alpha) in one streamed pass over 2^16-
-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10, times an
-exact step e(j alpha), j <= 2^10. Type-I2's weight-1 inner sums are closed-form geometric sums, their
-arguments reduced exactly. Sums are accumulated blockwise (pairwise
-within blocks, exactly rounded across block partials).
+value). Direct sums stream cos and sin of the fractional part of n*alpha,
+re-anchored by exact integer arithmetic every 2^16 terms (only in-block
+products run in float64, so phase drift stays near one ulp out to n ~ 1e7),
+with no array of length n. Type-I1 and type-II sums are Dirichlet
+convolutions: each part is one alpha-free coefficient row of strided real
+adds, and every row is summed against e(k alpha) in one streamed pass over
+2^16-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10, times
+an exact step e(j alpha), j <= 2^10. Type-I2's weight-1 inner sums are
+closed-form geometric sums, their arguments reduced exactly. Sums are
+accumulated blockwise (pairwise within blocks, exactly rounded across them).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,10 +30,11 @@ from .weights import WeightSystem
 _BLOCK = 1 << 16
 _ANCHOR = 1 << 10
 _STEP = 1 << 5  # _ANCHOR = _STEP^2
-#: unit_exponentials makes its phases this many at a time. Each float
+#: twisted_weights makes its phases this many at a time. Each float
 #: temporary is then 128 KiB, glibc's initial mmap threshold, so it is
 #: mapped fresh and leaves no heap fragments behind.
 _PHASE_WINDOW = 1 << 14
+_TRIG_WINDOW = 1 << 13  # _trig_sum: 64 KiB temporaries, reused from the heap
 #: An integer table's residue fold views it as rows of about this many n.
 _FOLD_WIDTH = 1 << 12
 
@@ -101,41 +102,35 @@ def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
     return out
 
 
-def unit_exponentials(alpha, n: int) -> np.ndarray:
-    """e(k*alpha) for k = 1..n, written into one complex array.
-
-    The phases are made one window of 2^14 at a time, so no full-length
-    float array is held beside the output; each window has the bits of the
-    whole symmetric_fracs array's slice.
-    """
-    out = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, _PHASE_WINDOW):
-        stop = min(start + _PHASE_WINDOW, n)
-        arg = (2 * np.pi) * symmetric_fracs(alpha, stop, start + 1)
-        np.cos(arg, out=out.real[start:stop])
-        np.sin(arg, out=out.imag[start:stop])
-    return out
+def _total(re: List[float], im: List[float], count: int) -> ExpSumValue:
+    """Exactly rounded totals of the block partials, of count terms; the 0.0
+    start turns an exact -0.0 into 0.0."""
+    return ExpSumValue(0.0 + math.fsum(re), 0.0 + math.fsum(im), count)
 
 
-def _total(re: List[float], im: List[float]) -> complex:
-    """Exactly rounded total of the block partials; the 0.0 start turns an
-    exact -0.0 into 0.0."""
-    return complex(0.0) + complex(math.fsum(re), math.fsum(im))
-
-
-def _block_sum(values: np.ndarray) -> complex:
-    """Blockwise pairwise sums, exactly-rounded combination of partials."""
-    re = [float(np.sum(values.real[i:i + _BLOCK]))
-          for i in range(0, len(values), _BLOCK)]
-    im = [float(np.sum(values.imag[i:i + _BLOCK]))
-          for i in range(0, len(values), _BLOCK)]
-    return _total(re, im)
-
-
-def _weighted_sum(w: np.ndarray, alpha, n: int) -> ExpSumValue:
-    """sum_{k <= n} w[k-1] e(k alpha) through one full phase array."""
-    total = _block_sum(w[:n] * unit_exponentials(alpha, n))
-    return ExpSumValue(total.real, total.imag, n)
+def _trig_sum(weights: Callable[[int, int], np.ndarray], alpha,
+              n: int) -> ExpSumValue:
+    """sum_{k <= n} w(k) e(k alpha), w on (lo, hi] from weights(lo, hi), in
+    2^16-blocks with no array of length n: a reused buffer takes cos and sin
+    of 2 pi symmetric_fracs, _TRIG_WINDOW terms at a time, times w in place,
+    and one np.sum per part is the block's partial. numpy rounds w times a
+    complex e to w cos and w sin up to the sign of a zero, which no total
+    keeps: these are the bits of the blocked sum of one complex array."""
+    af = as_fraction(alpha)
+    re, im = [], []
+    buf = np.empty((2, min(n, _BLOCK)))  # cos, then sin
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        for lo in range(start, stop, _TRIG_WINDOW):
+            hi = min(lo + _TRIG_WINDOW, stop)
+            arg = (2 * np.pi) * symmetric_fracs(af, hi, lo + 1)
+            part = buf[:, lo - start:hi - start]
+            np.cos(arg, out=part[0])
+            np.sin(arg, out=part[1])
+            part *= weights(lo, hi)
+        re.append(float(np.sum(buf[0, :stop - start])))
+        im.append(float(np.sum(buf[1, :stop - start])))
+    return _total(re, im, n)
 
 
 def _exact_phases(af: Fraction, ks) -> np.ndarray:
@@ -200,8 +195,7 @@ def _coef_sums(rows: np.ndarray, alpha, count: int) -> List[ExpSumValue]:
             c = row[start:start + len(e)]
             re[p].append(float(np.sum(np.multiply(c, e.real, out=t))))
             im[p].append(float(np.sum(np.multiply(c, e.imag, out=t))))
-    return [ExpSumValue(total.real, total.imag, count)
-            for total in map(_total, re, im)]
+    return [_total(r, i, count) for r, i in zip(re, im)]
 
 
 def _sin_pi(num: int, den: int) -> float:
@@ -265,23 +259,22 @@ def _split_or_total(parts: List[ExpSumValue], split: bool):
 
 
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
-    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha)."""
+    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a window at a time."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    return _weighted_sum(arith_function(f).floats(tables, n)[1:], alpha, n)
+    floats = arith_function(f).floats
+    return _trig_sum(lambda lo, hi: floats(tables, hi, lo + 1), alpha, n)
 
 
 def twisted_weights(weights: Support, beta, x: float) -> Support:
     """The Support of w(n) e(n beta) on n <= x, for a real weight w.
 
-    Row 0 is w(n) cos, row 1 w(n) sin, of the phases of
-    unit_exponentials(beta, floor(x)), bit for bit: they come from the
-    same 2^14-windows of symmetric_fracs, and the trig runs at the
-    support only. No full-length array is held: past the 16 bytes per
-    support n of the result, the peak is symmetric_fracs making one
-    window (four float arrays of 2^14, the bytes of two windows of
-    unit_exponentials' complex output). A cutoff past weights.top raises
-    TableRangeError.
+    Row 0 is w(n) cos, row 1 w(n) sin, of 2 pi symmetric_fracs(beta,
+    floor(x)) at n, bit for bit: each 2^14-window of symmetric_fracs has
+    the whole array's bits, and the trig runs at the support only. No
+    full-length array is held: past the 16 bytes per support n of the
+    result, the peak is symmetric_fracs making one window (four float
+    arrays of 2^14). A cutoff past weights.top raises TableRangeError.
     """
     top = int(math.floor(x))
     if top > weights.top:
@@ -460,7 +453,8 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
 def h_only_sum(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     """sum_m h(m) e(m alpha): the first term of the mu decomposition."""
     h = ws.h_float()
-    return _weighted_sum(h[1:], alpha, min(len(h) - 1, int(math.floor(x))))
+    return _trig_sum(lambda lo, hi: h[lo + 1:hi + 1], alpha,
+                     min(len(h) - 1, int(math.floor(x))))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,31 @@ from mpmath import expjpi, mpf, workdps
 from expsum_kit import expsum
 from expsum_kit.arith import (MANGOLDT, MOBIUS, TableRangeError, arith_function,
                               build_tables)
-from expsum_kit.expsum import (_block_sum, _geometric_sum, _phase_blocks,
+from expsum_kit.expsum import (_geometric_sum, _phase_blocks, _total,
                                direct_sum, h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
-                               twisted_weights, type_I_2, type_II,
-                               unit_exponentials)
+                               twisted_weights, type_I_2, type_II)
 from expsum_kit.weights import WeightConfig, WeightSystem
+
+
+def unit_exponentials(alpha, n):
+    """The dense oracle: e(k*alpha) for k = 1..n in one complex array, from
+    the whole symmetric_fracs array."""
+    arg = (2 * np.pi) * symmetric_fracs(alpha, n)
+    out = np.empty(n, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _block_sum(values):
+    """The dense route's sum: pairwise np.sum over each 2^16-block of one
+    full-length complex array, the partials combined exactly."""
+    starts = range(0, len(values), 65_536)
+    return _total([float(np.sum(values.real[i:i + 65_536])) for i in starts],
+                  [float(np.sum(values.imag[i:i + 65_536])) for i in starts],
+                  len(values)).value
 
 
 @pytest.fixture(scope="module")
@@ -179,19 +197,6 @@ def test_unit_exponentials_bitwise():
                           np.conj(unit_exponentials(Fraction(3, 7), 999)))
 
 
-def test_unit_exponentials_peak_memory():
-    # one complex result plus one 2^14 window of phases, no full-length
-    # float array
-    n = 1_000_000
-    tracemalloc.start()
-    try:
-        out = unit_exponentials(Fraction(8, 1_000_003), n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * out.nbytes, peak / out.nbytes
-
-
 def test_direct_sum_is_the_plain_blocked_sum(tables_10k):
     # the m = 1 case of the dilated-sum kernel returns the inner sum's bits
     for f in ("mangoldt", "mobius"):
@@ -201,6 +206,61 @@ def test_direct_sum_is_the_plain_blocked_sum(tables_10k):
             want = _block_sum(w * unit_exponentials(alpha, 9_000))
             assert (got.real_part, got.imag_part, got.n_terms) == (
                 want.real, want.imag, 9_000)
+
+
+_STREAM_CUTOFFS = (65_535, 65_536, 65_537, 131_072.5, 1_000_000)
+
+
+def _stream_alphas(x):
+    return (Fraction(2, 7), Fraction(-2, 7), Fraction(0), Fraction(1, 2),
+            Fraction(1, 3) + Fraction(8) / Fraction(x), 0.318309886)
+
+
+def _oracle_sum(w, alpha, n):
+    want = _block_sum(w[:n] * unit_exponentials(alpha, n))
+    return repr((want.real, want.imag, n))
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_direct_sum_bits_match_dense_oracle(f, tables_2m):
+    # the streamed pass has the bits of the blocked sum over one full-length
+    # complex array, on both sides of a 2^16-block edge and at 1e6
+    w = arith_function(f).floats(tables_2m, 1_000_000)[1:]
+    for x in _STREAM_CUTOFFS:
+        n = int(x)
+        for alpha in _stream_alphas(x):
+            got = direct_sum(f, alpha, x, tables_2m)
+            assert repr((got.real_part, got.imag_part, got.n_terms)) == (
+                _oracle_sum(w, alpha, n)), (x, alpha)
+
+
+def test_h_only_sum_bits_match_dense_oracle(tables_2m):
+    # an h that reaches past 1e6, so every cutoff is inside its range
+    ws = WeightSystem(WeightConfig(U=10, U1=4_000, R=300, V=30, q=3), tables_2m)
+    h = ws.h_float()
+    assert len(h) > 1_000_001 and np.count_nonzero(h[65_537:]) > 0
+    for x in _STREAM_CUTOFFS:
+        for alpha in _stream_alphas(x):
+            got = h_only_sum(alpha, x, ws)
+            assert repr((got.real_part, got.imag_part, got.n_terms)) == (
+                _oracle_sum(h[1:], alpha, int(x))), (x, alpha)
+
+
+def test_direct_sum_peak_memory(tables_2m):
+    # one reused 2^16-block buffer, 2^13-term windows and no array of
+    # length n: the peak stays under 2 MiB and does not grow from 2e5 to 1e6
+    alpha = Fraction(8, 1_000_003)
+    direct_sum("mangoldt", alpha, 1_000, tables_2m)  # first-call caches
+    peaks = []
+    for x in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            direct_sum("mangoldt", alpha, x, tables_2m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * 2**20, peaks
+    assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
 def _geometric_mp(k, den, n):
@@ -675,17 +735,17 @@ def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
 
 @pytest.mark.parametrize("cfg", [WeightConfig(U=10, U1=40, R=5, V=30, q=6),
                                  WeightConfig(U=20, U1=100, R=8, V=300, q=4)])
-def test_recombine_unit_exponentials_calls(cfg, tables_10k, monkeypatch):
-    # one full phase array for the direct sum and one for the tail, plus
+def test_recombine_trig_sum_passes(cfg, tables_10k, monkeypatch):
+    # one streamed trig pass for the direct sum and one for the tail, plus
     # mu's h-only first term; none per m, whatever the h or f support
     calls = []
-    real_unit_exponentials = expsum.unit_exponentials
+    real_trig_sum = expsum._trig_sum
 
-    def counting(alpha, n):
+    def counting(weights, alpha, n):
         calls.append(n)
-        return real_unit_exponentials(alpha, n)
+        return real_trig_sum(weights, alpha, n)
 
-    monkeypatch.setattr(expsum, "unit_exponentials", counting)
+    monkeypatch.setattr(expsum, "_trig_sum", counting)
     ws = WeightSystem(cfg, tables_10k)
     alpha = Fraction(1, 3) + Fraction(8, 10_000)
     for f, want in (("mangoldt", 2), ("mobius", 3)):
