@@ -69,6 +69,9 @@ class RunConfig:
             raise ConfigError(f"x must lie in [100, {MAX_N_MAX}]")
         if not all(map(math.isfinite, self.delta_list)):
             raise ConfigError("delta must be finite")
+        self.delta_list = tuple(0.0 + d for d in self.delta_list)  # -0.0 is 0.0
+        if len(set(self.delta_list)) < len(self.delta_list):
+            raise ConfigError("each delta may be given once")
         if not 1 <= self.q_range[0] <= self.q_range[1]:
             raise ConfigError("q-range must satisfy 1 <= min <= max")
         if self.a_mode != "all-coprime":

@@ -30,10 +30,6 @@ from .weights import WeightSystem
 _BLOCK = 1 << 16
 _ANCHOR = 1 << 10
 _STEP = 1 << 5  # _ANCHOR = _STEP^2
-#: twisted_weights makes its phases this many at a time. Each float
-#: temporary is then 128 KiB, glibc's initial mmap threshold, so it is
-#: mapped fresh and leaves no heap fragments behind.
-_PHASE_WINDOW = 1 << 14
 _TRIG_WINDOW = 1 << 13  # _trig_sum: 64 KiB temporaries, reused from the heap
 #: An integer table's residue fold views it as rows of about this many n.
 _FOLD_WIDTH = 1 << 12
@@ -75,6 +71,16 @@ def _signed_rep(num: int, den: int) -> float:
     return k / den
 
 
+def _reduced(j: np.ndarray, beta: float, anchor: float, out: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """out = v - round(v), v = anchor + j*beta, each step rounded as written
+    and made in place; scratch (which may be j) takes round(v)."""
+    np.multiply(j, beta, out=out)
+    out += anchor
+    np.round(out, out=scratch)
+    out -= scratch
+
+
 def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
     """k*alpha mod 1 in [-1/2, 1/2] for k = first..n (a half-integer
     k*alpha may land on either end).
@@ -88,7 +94,8 @@ def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
 
     A window (first > 1) keeps each k's block anchor and in-block index
     j, so it holds the same bits as symmetric_fracs(alpha, n)[first - 1:]
-    at O(n - first) cost.
+    at O(n - first) cost. Each block is computed in the result, past one
+    temporary: its in-block indices j.
     """
     af = as_fraction(alpha) % 1
     num, den = af.numerator, af.denominator
@@ -96,9 +103,9 @@ def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
     out = np.empty(max(n - first + 1, 0), dtype=np.float64)
     for start in range((first - 1) // _BLOCK * _BLOCK, n, _BLOCK):
         j_lo, j_hi = max(first - start, 1), min(_BLOCK, n - start)
-        anchor = _signed_rep(start * num, den)
-        vals = anchor + np.arange(j_lo, j_hi + 1, dtype=np.float64) * beta
-        out[start + j_lo - first:start + j_hi - first + 1] = vals - np.round(vals)
+        j = np.arange(j_lo, j_hi + 1, dtype=np.float64)
+        _reduced(j, beta, _signed_rep(start * num, den),
+                 out[start + j_lo - first:start + j_hi - first + 1], j)
     return out
 
 
@@ -270,33 +277,35 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
     """The Support of w(n) e(n beta) on n <= x, for a real weight w.
 
     Row 0 is w(n) cos, row 1 w(n) sin, of 2 pi symmetric_fracs(beta,
-    floor(x)) at n, bit for bit: each 2^14-window of symmetric_fracs has
-    the whole array's bits, and the trig runs at the support only. No
-    full-length array is held: past the 16 bytes per support n of the
-    result, the peak is symmetric_fracs making one window (four float
-    arrays of 2^14). A cutoff past weights.top raises TableRangeError.
+    floor(x)) at n, bit for bit: the phase is made at the support n only,
+    from n's 2^16-block anchor and in-block index j = n - start in [1, 2^16]
+    by symmetric_fracs' own float operations (_reduced). Every step writes
+    into the result's two rows, so past its 16 bytes per support n the
+    only array is the support's index at each block edge, 8 bytes per 2^16
+    n. A cutoff past weights.top raises TableRangeError.
     """
     top = int(math.floor(x))
     if top > weights.top:
         raise TableRangeError(f"twist cutoff {top} exceeds the weights' "
                               f"range {weights.top}")
     n = weights.n[:np.searchsorted(weights.n, top, side="right")]
-    w = weights.values[:len(n)]
+    af = as_fraction(beta) % 1
+    num, den = af.numerator, af.denominator
+    step = _signed_rep(num, den)
     out = np.empty((2, len(n)))
     re, im = out
-    ends = np.searchsorted(n, np.arange(0, top + _PHASE_WINDOW, _PHASE_WINDOW),
-                           side="right")
-    for start, lo, hi in zip(range(0, top, _PHASE_WINDOW), ends, ends[1:]):
+    ends = np.searchsorted(n, np.arange(0, top + _BLOCK, _BLOCK), side="right")
+    for start, lo, hi in zip(range(0, top, _BLOCK), ends, ends[1:]):
         if lo == hi:
             continue
-        fracs = symmetric_fracs(beta, min(start + _PHASE_WINDOW, top), start + 1)
-        arg = im[lo:hi]  # the phases, then their sines in place
-        np.take(fracs, n[lo:hi] - (start + 1), out=arg)
+        arg = im[lo:hi]  # j, then the phases, then their sines in place
+        arg[:] = n[lo:hi]  # a cast by assignment takes no ufunc buffer
+        arg -= start
+        _reduced(arg, step, _signed_rep(start * num, den), arg, re[lo:hi])
         arg *= 2 * np.pi
         np.cos(arg, out=re[lo:hi])
         np.sin(arg, out=arg)
-        del fracs  # freed before the next window is made
-    out *= w
+        out[:, lo:hi] *= weights.values[lo:hi]
     return Support(n, out, top)
 
 

@@ -18,9 +18,12 @@ at every n, for any f and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
 slip in any one of them leaves a residual.
 
 Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
-strided numpy adds: one per d of h's support (T1); one per l <= V (T2); for
-T3 one per m <= isqrt(n_max), over every l > V, then one per l > V, over
-every m > isqrt(n_max), the two halves of the hyperbola lm <= n_max; T4 and
+strided numpy adds. T1 and T3 are split on the hyperbola dm <= n_max at
+k = isqrt(n_max): T1 takes one add per d <= k of h's support, over every m
+up to the last m with (1*f)(m) != 0, then one per m <= n_max/(k+1) with
+(1*f)(m) != 0, over every d > k (for mu, where that m is 1 alone, the adds
+of the first half are one entry each); T3 one per m <= k, over every l > V,
+then one per l > V, over every m > k. T2 takes one per l <= V; T4 and
 2^(2P) f are one slice each. Lambda goes through a random map: log q -> r_q,
 uniform mod p from a generator seeded with _SEED and p, so Lambda(n) is r at
 the Mangoldt base of n, and log m = sum_q v_q(m) r_q comes from a sieve of
@@ -170,10 +173,19 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     def one_star(g):
         return _one_star({d: c % p for d, c in g.items()}, n_max, np.int64) % p
 
-    term = np.zeros(n_max + 1, dtype=np.int64)
+    k = math.isqrt(n_max)
+    h_res = np.zeros(min(max(h, default=0), n_max) + 1, dtype=np.int64)
     for d, c in h.items():
         if d <= n_max:
-            _add(term, d, d, one_f[1:n_max // d + 1], c % p, p)
+            h_res[d] = c % p
+    one_top = n_max - int(np.argmax(one_f[::-1] != 0))  # 1*f's last nonzero m
+    term = np.zeros(n_max + 1, dtype=np.int64)
+    for d in np.flatnonzero(h_res[:k + 1]).tolist():  # every m
+        _add(term, d, d, one_f[1:min(n_max // d, one_top) + 1], h_res[d], p)
+    ms = 1 + np.flatnonzero(one_f[1:n_max // (k + 1) + 1])
+    for m in ms.tolist():  # every d > k
+        _add(term, m * (k + 1), m, h_res[k + 1:n_max // m + 1], one_f[m], p)
+    del h_res
     term %= p
     yield term
 
@@ -189,7 +201,6 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     one_theta[1] += 1 << P
     conv = one_theta % p * one_star(lam) % p
     del one_theta
-    k = math.isqrt(n_max)
     term = np.zeros(n_max + 1, dtype=np.int64)
     for m in np.flatnonzero(conv[:k + 1]):  # every l > V
         if v < n_max // m:

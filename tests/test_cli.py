@@ -153,6 +153,20 @@ def test_sweep_delta0_golden_bytes(tmp_path):
         "d3ae5af67d0cc52ca31f2211abcecdaf201e0c2d90e1ae1fb21929092e6db346")
 
 
+@pytest.mark.parametrize("x, digest", [
+    ("1e5", "88423984e657ca36dd4e5131666b5e1f9a7a161097f1edbfc1111cadd0b8c906"),
+    ("1e6", "36f2133b0d40b55ebdffc4e9ecb98f3ccebf6927722efe35ac9b1ed1137622eb"),
+])
+def test_sweep_twisted_golden_bytes(x, digest, tmp_path):
+    # the delta != 0 rows are a byte contract too: a change to the twist's
+    # phases, its block anchors or its residue sums shows here
+    out = tmp_path / "golden.csv"
+    assert main(["sweep", "--x", x, "--q-range", "1", "6", "--seed", "0",
+                 "--delta", "0", "--delta", "8", "--delta", "-20",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_compare_golden_bytes_except_I2(tmp_path):
     # the whole compare CSV is a byte contract. The I2 rows are pinned by
     # their own digest (their closed-form inner sums are checked against
@@ -338,6 +352,13 @@ def test_config_errors():
         run(RunConfig(command="nope"))
 
 
+def test_negative_zero_delta_is_zero():
+    # -0.0 labels its rows 0.0, so it cannot stand beside a 0.0
+    cfg = RunConfig(command="sweep", delta_list=(8.0, -0.0))
+    cfg.validate()
+    assert [math.copysign(1.0, d) for d in cfg.delta_list] == [1.0, 1.0]
+
+
 def test_degenerate_derived_weights_is_config_error(tmp_path):
     # at x = 400, q = 2 the canonical R drops below 1
     with pytest.raises(ConfigError, match="degenerate"):
@@ -401,6 +422,11 @@ def test_parser_fills_every_flag():
     ["bound", "--format", "csv"],
     ["audit", "--format", "csv"],
     ["verify-identity", "--format", "csv"],
+    ["sweep", "--x", "1000", "--delta", "8", "--delta", "8"],
+    ["sweep", "--x", "1000", "--delta", "0", "--delta", "-0.0"],
+    ["compare", "--x", "1000", "--q-range", "1", "2", "--delta", "8", "--delta", "8"],
+    ["compare", "--x", "1000", "--q-range", "1", "2", "--delta", "-0.0",
+     "--delta", "0"],
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -325,16 +325,18 @@ def test_twisted_residue_sums_match_direct(f, tables_10k):
 
 
 @pytest.mark.parametrize("f", ["mangoldt", "mobius"])
-def test_twisted_weights_bytes_match_unit_exponentials(f, tables_100k):
+def test_twisted_weights_bytes_match_unit_exponentials(f, tables_2m):
     # w(n) e(n beta) on the support has the bits of the dense product with
-    # unit_exponentials, on both sides of every 2^14 window edge, up to a
-    # cutoff that is not an integer
-    w = arith_function(f).floats(tables_100k)
-    support = arith_function(f).support(tables_100k)
-    for x in (65_536.5, 100_000):
+    # unit_exponentials, on both sides of every 2^16-block anchor up to
+    # 2^18 (65,536 = 2^16 is j = 2^16 of block 0 and 65,537 is j = 1 of
+    # block 1, both prime powers), for a beta whose denominator exceeds
+    # 2^63, and up to a cutoff that is not an integer
+    w = arith_function(f).floats(tables_2m, 300_000)
+    support = arith_function(f).support(tables_2m, 300_000)
+    for x in (65_536.5, 100_000, 262_200.5):
         top = int(x)
         for beta in (Fraction(8) / Fraction(x), Fraction(-20, 100_003),
-                     Fraction(1, 3)):
+                     Fraction(1, 3), Fraction(math.sqrt(2) - 1) + 8 / Fraction(x)):
             got = twisted_weights(support, beta, x)
             n = got.n
             assert got.top == top
@@ -343,11 +345,14 @@ def test_twisted_weights_bytes_match_unit_exponentials(f, tables_100k):
             assert got.values.shape == (2, len(n))
             assert got.values[0].tobytes() == (w[n] * e.real).tobytes(), (x, beta)
             assert got.values[1].tobytes() == (w[n] * e.imag).tobytes(), (x, beta)
-    for edge in range(expsum._PHASE_WINDOW, 65_536, expsum._PHASE_WINDOW):
+    assert (Fraction(math.sqrt(2) - 1) + 8 / Fraction(x)).denominator > 2**63
+    if f == "mangoldt":
+        assert {65_536, 65_537} <= set(n.tolist())
+    for edge in range(65_536, top, 65_536):
         assert np.any((n > edge - 40) & (n <= edge))
         assert np.any((n > edge) & (n <= edge + 40))
     with pytest.raises(TableRangeError):
-        twisted_weights(support, beta, tables_100k.n_max + 1)
+        twisted_weights(support, beta, support.top + 1)
 
 
 def test_residue_sums_cut_at_a_support_n(tables_10k):
@@ -389,9 +394,9 @@ def test_residue_sums_dtype_without_terms():
 
 
 def test_twisted_weights_peak_memory():
-    # the result's 16 bytes per support n plus two 2^14-windows of
-    # unit_exponentials' complex output, at most, and 4 KiB for array and
-    # object headers: no full-length array is made
+    # the result's 16 bytes per support n, the support's index at each
+    # 2^16-block edge, and 4 KiB for array and object headers: no phase
+    # array, no temporary and no ufunc buffer is made
     tables = build_tables(200_000)
     beta = Fraction(8, 200_000)
     for f in ("mangoldt", "mobius"):
@@ -404,8 +409,8 @@ def test_twisted_weights_peak_memory():
         finally:
             tracemalloc.stop()
         assert out.values.nbytes == 16 * len(support.n)
-        window = 16 * expsum._PHASE_WINDOW
-        assert peak <= 16 * len(support.n) + 2 * window + 4096, (f, peak)
+        edges = 8 * (200_000 // 65_536 + 2)
+        assert peak <= 16 * len(support.n) + edges + 4096, (f, peak)
 
 
 def test_type_I_1_collapses_when_h_is_delta(tables_small):
