@@ -5,7 +5,8 @@ Outputs are machine-readable: CSV (RFC 4180, with one leading comment
 line "# expsum-kit v1" carrying the schema version) or JSON (UTF-8,
 stable key order, resolved config embedded). Runs are deterministic
 given (config, seed): rows are fully sorted before writing, so the CSV
-is byte-identical for any worker count. Exit status 0 is success, 1 is
+is byte-identical for any worker count. Only sweep reads --workers: its q
+run on that many threads of the one process. Exit status 0 is success, 1 is
 an internal or hard-assert failure, 2 a config error: a bad flag value, a
 format the command does not write, or parameters outside the sieve cap or
 the theorem's domain.
@@ -19,9 +20,7 @@ import json
 import math
 import os
 import sys
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -156,54 +155,34 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
 #: The weights of each (f, delta): at delta = 0 an integer table
 #: (ArithFunction.int_table) or a Support, else the twisted Support.
 _Weights = Dict[Tuple[str, float], Union[Support, np.ndarray]]
-_WORKER_WEIGHTS: _Weights = {}
-
-
-def _init_worker(weights: _Weights) -> None:
-    global _WORKER_WEIGHTS
-    _WORKER_WEIGHTS = weights
-
-
-def _init_pool_worker(weights: _Weights) -> None:
-    """_init_worker, plus a thread that ends this pool worker once the
-    process that owns the pool is gone: a killed owner would otherwise
-    leave its workers running, reparented."""
-    _init_worker(weights)
-    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
-                     daemon=True).start()
-
-
-def _exit_with_parent(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.2)
-    os._exit(1)
 
 
 def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
-    """(delta, delta0, (u, u0), condition flags) of every delta at q."""
+    """(delta, delta0, (u, u0), flags column, all_flags) of every delta at q."""
     plan = []
     for delta in cfg.delta_list:
         delta0 = delta0_of(delta)
         flags = bnd.choose_params(cfg.x, q, delta0, cfg.eta).condition_flags
-        plan.append((delta, delta0, bnd.coordinates(cfg.x, q, delta0), flags))
+        plan.append((delta, delta0, bnd.coordinates(cfg.x, q, delta0),
+                     flags_to_str(flags), int(all(flags.values()))))
     return plan
 
 
-def _sweep_rows_for_q(args) -> List[Dict]:
-    q, cfg, plan = args
+def _sweep_rows_for_q(q: int, cfg: RunConfig, plan: List[Tuple],
+                      weights: _Weights) -> List[Dict]:
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
     rows: List[Dict] = []
     for f in FUNCTIONS:
         classes = None  # n % q, made once: every Support of f has f's n
-        for delta, delta0, (u, u0), flags in plan:
-            weights = _WORKER_WEIGHTS[f, delta]
-            if isinstance(weights, Support) and classes is None:
+        for delta, delta0, (u, u0), flags, all_flags in plan:
+            fw = weights[f, delta]
+            if isinstance(fw, Support) and classes is None:
                 # int64 on purpose: np.bincount copies any non-intp input
                 # to intp, so int32 classes would add a copy, not halve one
-                classes = weights.n % q
-            per_residue = residue_weight_sums(weights, q, x, classes=classes)
+                classes = fw.n % q
+            per_residue = residue_weight_sums(fw, q, x, classes=classes)
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
             except bnd.BoundDomainError:
@@ -214,8 +193,7 @@ def _sweep_rows_for_q(args) -> List[Dict]:
                     "function": f, "q": q, "a": a, "delta": delta,
                     "delta0": delta0, "u": u, "u0": u0,
                     "s_abs": s_abs, "bound": bound, "ratio": s_abs / bound,
-                    "flags": flags_to_str(flags),
-                    "all_flags": int(all(flags.values())),
+                    "flags": flags, "all_flags": all_flags,
                 })
     return rows
 
@@ -237,8 +215,9 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     with an integer table is twisted first, and its support's values are
     dropped before the next f's twists. The weights of every (f, delta)
     form one map, shared by every q, so each (f, q, delta) costs one
-    residue aggregation. The map sits in the module globals only while the
-    rows are computed.
+    residue aggregation. The q run on --workers threads, capped at the
+    number of q and of usable CPUs: the folds are numpy calls that release
+    the GIL, and every thread reads the one map.
     """
     tasks = [(q, cfg, _delta_plan(cfg, q))
              for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
@@ -256,17 +235,14 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
             weights[f, d] = untwisted[f] if d == 0.0 else twisted_weights(
                 support, as_fraction(d) / as_fraction(cfg.x), cfg.x)
     del support, untwisted
-    try:
-        if cfg.workers == 1:
-            _init_worker(weights)
-            chunks = [_sweep_rows_for_q(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=cfg.workers,
-                                     initializer=_init_pool_worker,
-                                     initargs=(weights,)) as pool:
-                chunks = list(pool.map(_sweep_rows_for_q, tasks))
-    finally:
-        _init_worker({})
+    def rows_for(task: Tuple) -> List[Dict]:
+        return _sweep_rows_for_q(*task, weights)
+    threads = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
+    if threads == 1:  # in the caller: a pool thread ran 1-3% slower here
+        chunks = list(map(rows_for, tasks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(rows_for, tasks))
     return [r for chunk in chunks for r in chunk]
 
 

@@ -16,6 +16,7 @@ accumulated blockwise (pairwise within blocks, exactly rounded across them).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,15 +250,6 @@ def _dilated_sums(af: Fraction, ks, coeffs, n: int) -> List[ExpSumValue]:
     return rows
 
 
-def _split_rows(cols: np.ndarray, divisible: np.ndarray, coef: np.ndarray,
-                width: int) -> np.ndarray:
-    """Two coefficient rows of the given width: coef[i] is added at column
-    cols[i] of row 0 where divisible[i] holds, of row 1 where it does not."""
-    rows = np.zeros((2, width))
-    np.add.at(rows, (np.where(divisible, 0, 1), cols), coef)
-    return rows
-
-
 def _split_or_total(parts: List[ExpSumValue], split: bool):
     if split:
         return tuple(parts)
@@ -370,10 +362,21 @@ def _int_table_residue_sums(table: np.ndarray, q: int, top: int) -> np.ndarray:
     return (sums + tail).astype(np.float64)  # an empty bincount is int64
 
 
+@functools.lru_cache(maxsize=256)
+def _unit_roots(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(r, e(r/q)) for r < q, read-only, shared by every a of one q: each
+    e(r/q) has the bits of e(((a r) mod q)/q) made for one a."""
+    r = np.arange(q, dtype=np.int64)
+    roots = np.exp(2j * np.pi * r / q)
+    r.setflags(write=False)
+    roots.setflags(write=False)
+    return r, roots
+
+
 def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,
                                n_terms: int) -> ExpSumValue:
-    phases = np.exp(2j * np.pi * ((a * np.arange(q, dtype=np.int64)) % q) / q)
-    total = complex(np.dot(per_residue, phases))
+    r, roots = _unit_roots(q)
+    total = complex(np.dot(per_residue, roots[(a * r) % q]))
     return ExpSumValue(total.real, total.imag, n_terms)
 
 
@@ -419,19 +422,28 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     q_l not| m where q_l = q/(q, l), the split the long type-I bounds use.
 
     The inner sum depends only on k = l*m (floor(floor(x/l)/m) = floor(x/k),
-    {m{l alpha}} = {k alpha}): each distinct k costs one closed-form
-    geometric sum, and n_terms counts the floor(x/k) terms they represent.
+    {m{l alpha}} = {k alpha}): each k = lm with a pair w(l) h(m) != 0
+    costs one closed-form geometric sum, and n_terms counts the floor(x/k)
+    terms they represent. The coefficients c = (w 1_{<= V}) * h are built
+    one l at a time, c[lm] += w(l) h(m), so each c(k) adds its pairs in
+    increasing l. As q_l | m exactly when q | lm, the split is by q | k.
     """
     n = int(math.floor(x))
     h = ws.h_float()
     w = arith_function(f0).floats(tables, min(int(math.floor(ws.cfg.V)), n))
-    ls = 1 + np.flatnonzero(w[1:])
-    hs = 1 + np.flatnonzero(h[1:])
-    l_idx, m_idx = np.nonzero(np.outer(ls, hs) <= n)
-    l, m = ls[l_idx], hs[m_idx]
-    ks, k_idx = np.unique(l * m, return_inverse=True)
-    q_l = ws.cfg.q // np.gcd(ws.cfg.q, l)
-    coeffs = _split_rows(k_idx, m % q_l == 0, w[l] * h[m], len(ks))
+    c = np.zeros(n + 1)
+    hit = np.zeros(n + 1, dtype=bool)  # k = lm for some pair, even if c(k) = 0
+    h_live = h != 0
+    for l in map(int, 1 + np.flatnonzero(w[1:])):
+        j = min(n // l, len(h) - 1)
+        c[l:l * j + 1:l] += w[l] * h[1:j + 1]
+        hit[l:l * j + 1:l] |= h_live[1:j + 1]
+    ks = np.flatnonzero(hit)
+    divisible = ks % ws.cfg.q == 0
+    coeffs = np.zeros((2, len(ks)))
+    coeffs[0, divisible] = c[ks[divisible]]
+    coeffs[1, ~divisible] = c[ks[~divisible]]
+    del c, hit  # freed before the closed forms, which set the peak
     return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, n), split)
 
 

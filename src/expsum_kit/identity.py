@@ -18,7 +18,9 @@ at every n, for any f and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
 slip in any one of them leaves a residual.
 
 Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
-strided numpy adds. T1 and T3 are split on the hyperbola dm <= n_max at
+strided numpy adds. 1*h_P and (1*theta_P)(1*lambda_P), which depend on
+neither f nor p, are summed once per f, exactly, and reduced mod each p.
+T1 and T3 are split on the hyperbola dm <= n_max at
 k = isqrt(n_max): T1 takes one add per d <= k of h's support, over every m
 up to the last m with (1*f)(m) != 0, then one per m <= n_max/(k+1) with
 (1*f)(m) != 0, over every d > k (for mu, where that m is 1 alone, the adds
@@ -161,17 +163,28 @@ def _add(out: np.ndarray, start: int, step: int, x: np.ndarray, c, p: int) -> No
     out[start:start + step * len(x):step] += prod
 
 
-def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
-           p: int) -> Iterator[np.ndarray]:
-    """T1, T2, T3, T4 and 2^(2P) f on [0, n_max], each as int64 residues
-    mod p. l <= V is l <= floor(V) for integral l."""
-    f, one_f = inputs(n_max, tables, p)
+def _weight_sums(ws: WeightSystem, n_max: int
+                 ) -> Tuple[Dict[int, int], np.ndarray, np.ndarray]:
+    """h_P, 1*h_P and (1*theta_P)(1*lambda_P) on [0, n_max]: the terms'
+    tables that depend on neither f nor p, exact in int64, as every partial
+    sum and product is at most 2^(2P+16) in size (module docstring)."""
     lam, theta_prime, h = ws.dyadic(P)
+    conv = -_one_star(theta_prime, n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
+    conv[1] += 1 << P
+    conv *= _one_star(lam, n_max, np.int64)
+    return h, _one_star(h, n_max, np.int64), conv
+
+
+def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
+           p: int, sums: Tuple[Dict[int, int], np.ndarray, np.ndarray]
+           ) -> Iterator[np.ndarray]:
+    """T1, T2, T3, T4 and 2^(2P) f on [0, n_max], each as int64 residues
+    mod p, from sums = _weight_sums(ws, n_max). l <= V is l <= floor(V)
+    for integral l."""
+    f, one_f = inputs(n_max, tables, p)
+    h, one_h, conv = sums
     v = min(math.floor(ws.cfg.V), n_max)
     unit = (1 << 2 * P) % p
-
-    def one_star(g):
-        return _one_star({d: c % p for d, c in g.items()}, n_max, np.int64) % p
 
     k = math.isqrt(n_max)
     h_res = np.zeros(min(max(h, default=0), n_max) + 1, dtype=np.int64)
@@ -189,7 +202,7 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     term %= p
     yield term
 
-    one_h = one_star(h)
+    one_h = one_h % p
     term = np.zeros(n_max + 1, dtype=np.int64)
     for l in np.flatnonzero(f[:v + 1]):
         _add(term, l, l, one_h[1:n_max // l + 1], f[l], p)
@@ -197,10 +210,7 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     term %= p
     yield term
 
-    one_theta = -one_star(theta_prime)  # 1*theta_P, as 1*mu = [k = 1]
-    one_theta[1] += 1 << P
-    conv = one_theta % p * one_star(lam) % p
-    del one_theta
+    conv = conv % p
     term = np.zeros(n_max + 1, dtype=np.int64)
     for m in np.flatnonzero(conv[:k + 1]):  # every l > V
         if v < n_max // m:
@@ -225,10 +235,11 @@ def _decompose(inputs: Inputs, n_max: int, ws: WeightSystem,
     ws.tables.check_range(n_max, "n_max")
     if n_max > MAX_N_MAX:
         raise TableRangeError(f"identity range {n_max} exceeds cap {MAX_N_MAX}")
+    sums = _weight_sums(ws, n_max)
     nonzero = np.zeros(n_max + 1, dtype=bool)
     for p in MODULI:
         residual = np.zeros(n_max + 1, dtype=np.int64)
-        for sign, term in zip(_SIGNS, _terms(inputs, n_max, ws, tables, p)):
+        for sign, term in zip(_SIGNS, _terms(inputs, n_max, ws, tables, p, sums)):
             residual += term if sign > 0 else -term
         residual %= p
         nonzero |= residual != 0

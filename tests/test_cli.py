@@ -41,18 +41,24 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_workers_same_rows(tmp_path):
-    # the twists, and mu's integer table (alone at delta = 0), reach pool
-    # workers through the initializer
+def test_sweep_workers_same_rows(tmp_path, monkeypatch):
+    # the twists, and mu's integer table (alone at delta = 0), are read by
+    # every worker thread from one map; 6 threads on faked CPUs, switching
+    # every microsecond, still give the serial bytes
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    for deltas in ((0.0, 8.0), (0.0,)):
-        run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
-                      delta_list=deltas))
-        # a serial run leaves no weights or twists pinned in the module
-        assert cli._WORKER_WEIGHTS == {}
-        run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out2),
-                      delta_list=deltas, workers=2))
-        assert out1.read_bytes() == out2.read_bytes(), deltas
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for deltas in ((0.0, 8.0), (0.0,)):
+            run(RunConfig(command="sweep", x=2000, q_range=(1, 6), output=str(out1),
+                          delta_list=deltas))
+            for workers in (2, 8):
+                run(RunConfig(command="sweep", x=2000, q_range=(1, 6),
+                              output=str(out2), delta_list=deltas, workers=workers))
+                assert out1.read_bytes() == out2.read_bytes(), (deltas, workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_delta0_sweep_never_reads_mobius_support(tmp_path, monkeypatch):
@@ -221,6 +227,34 @@ def test_sweep_bound_work_once_per_q_delta(tmp_path, monkeypatch):
     assert calls == {"choose_params": 12, "main_bound": 24}
 
 
+def test_sweep_pool_capped_at_q_count(tmp_path, monkeypatch):
+    # 64 workers for 3 q on as many CPUs as asked: the pool gets 3 threads
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert main(["sweep", "--x", "2000", "--q-range", "1", "3", "--workers", "64",
+                 "-o", str(tmp_path / "s.csv")]) == 0
+    assert sizes == [3]
+    # and at most one thread per usable CPU
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["sweep", "--x", "2000", "--q-range", "1", "3", "--workers", "64",
+                 "-o", str(tmp_path / "s.csv")]) == 0
+    assert sizes == [3, 2]
+
+
 def _live_children(pid):
     """Pids of the non-zombie processes whose parent is pid, from /proc."""
     found = []
@@ -240,36 +274,34 @@ def _proc_state(pid):
     return state, int(ppid)
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                    reason="reads the process table from /proc")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists()
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads the process table from /proc; needs 2 CPUs")
 def test_sweep_workers_exit_when_owner_is_killed(tmp_path, kit_env):
+    # --workers 2 starts threads, not processes, so SIGTERM ends the whole
+    # run at once and it writes no output
+    out = tmp_path / "s.csv"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "expsum_kit.cli", "sweep", "--x", "1e6",
-         "--q-range", "1", "30", "--delta", "8", "--workers", "2",
-         "-o", str(tmp_path / "s.csv")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=kit_env)
-    workers = []
+        [sys.executable, "-m", "expsum_kit.cli", "sweep", "--x", "2e6",
+         "--q-range", "1", "100", "--delta", "8", "--workers", "2",
+         "-o", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**kit_env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     try:
+        task = Path(f"/proc/{proc.pid}/task")
         deadline = time.monotonic() + 60
-        while (len(workers) < 2 and proc.poll() is None
-               and time.monotonic() < deadline):
-            workers = _live_children(proc.pid)
+        while (proc.poll() is None and time.monotonic() < deadline
+               and len(list(task.iterdir())) < 3):  # the main and 2 workers
             time.sleep(0.01)
-        assert len(workers) == 2
+        assert proc.poll() is None, "the sweep ended before its threads started"
+        assert _live_children(proc.pid) == []
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == -signal.SIGTERM  # killed mid-run
-        deadline = time.monotonic() + 5
-        while (any(_proc_state(w)[0] not in ("Z", "gone") for w in workers)
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert [w for w in workers if _proc_state(w)[0] not in ("Z", "gone")] == []
+        assert not out.exists()
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-        for w in workers:
-            if _proc_state(w)[0] not in ("Z", "gone"):
-                os.kill(w, signal.SIGKILL)
 
 
 def test_sweep_flags_consistent_with_reevaluation(tmp_path):

@@ -119,6 +119,19 @@ def test_rational_fast_path_matches_direct(tables_10k):
         assert abs(sa.value - sb.value) < 1e-7
 
 
+def test_rational_sum_unit_roots_same_bits():
+    # the per-q table of e(r/q) gives each a the phases it made for itself
+    rng = np.random.default_rng(5)
+    for q in range(1, 130):
+        per_residue = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        for a in range(q):
+            phases = np.exp(2j * np.pi * ((a * np.arange(q, dtype=np.int64)) % q) / q)
+            want = complex(np.dot(per_residue, phases))
+            got = rational_sum_from_residues(per_residue, a, q, 0)
+            assert (got.real_part.hex(), got.imag_part.hex()) == (
+                want.real.hex(), want.imag.hex()), (a, q)
+
+
 def _bincount_residue_sums(w, q, x, twist=None):
     """The residue-array route the fold replaced, kept as its oracle."""
     n = int(math.floor(x))
@@ -479,6 +492,38 @@ def test_type_I_1_zero_part_skipped_same_bits(q, tables_10k):
     got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
            for v in (whole, *parts)]
     assert got == I1_BITS[q]
+
+
+# type_I_2 at x = 1e4, q = 6, alpha = 2/7 + 8/1e4: (whole, q_l | m part,
+# q_l not| m part) as (re.hex(), im.hex(), n_terms), taken when the
+# coefficients were grouped pair by pair (np.outer, np.unique, np.add.at).
+# Under the classical weights (U = U1, R = 1) Lambda's c(p^2) = Lambda(p)
+# mu(p) + Lambda(p^2) is exactly 0, yet its floor(x/p^2) terms count.
+I2_BITS = {
+    ("mangoldt", (10, 40, 5, 30)): [
+        ("0x1.18d12c2bf01d1p+5", "-0x1.0e586bf3762e7p+4", 46791),
+        ("-0x1.27f4bad8cc0bep+1", "-0x1.d8b241270934fp+3", 46791),
+        ("0x1.2b5077d97cdddp+5", "-0x1.0ffa5aff8c9ffp+1", 46791)],
+    ("mobius", (10, 40, 5, 30)): [
+        ("-0x1.da92b5f46180ap+3", "-0x1.ab7ad6b754e80p-3", 51545),
+        ("0x1.16dc42a086eafp+1", "-0x1.98ad26594d109p+4", 51545),
+        ("-0x1.1024e34e419dbp+4", "0x1.955630abde66cp+4", 51545)],
+    ("mangoldt", (10, 10, 1, 30)): [
+        ("0x1.e15aa06086c90p+1", "-0x1.59386ecb2b93cp+3", 38035),
+        ("-0x1.14b7144246a50p+4", "-0x1.2987d7bdc5c8bp+5", 38035),
+        ("0x1.50e2684e577e2p+4", "0x1.a6737815f5c78p+4", 38035)],
+}
+
+
+@pytest.mark.parametrize("f, weights", sorted(I2_BITS))
+def test_type_I_2_strided_coefficients_same_bits(f, weights, tables_10k):
+    ws = WeightSystem(WeightConfig(*weights, q=6), tables_10k)  # U, U1, R, V
+    alpha = Fraction(2, 7) + Fraction(8, 10_000)
+    whole = type_I_2(f, alpha, 10_000, ws, tables_10k)
+    parts = type_I_2(f, alpha, 10_000, ws, tables_10k, split=True)
+    got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
+           for v in (whole, *parts)]
+    assert got == I2_BITS[f, weights]
 
 
 def test_type_I_2_empty_and_l1_cases(tables_small):

@@ -9,8 +9,8 @@ from mpmath import mpf, workdps
 from expsum_kit.arith import TableRangeError, factorize
 from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _log_map,
                                  _mangoldt_inputs, _mobius_inputs, _terms,
-                                 decompose_mangoldt, decompose_mobius,
-                                 residual_report)
+                                 _weight_sums, decompose_mangoldt,
+                                 decompose_mobius, residual_report)
 from expsum_kit.weights import WeightConfig, WeightSystem
 
 DECOMPOSE = {"mangoldt": decompose_mangoldt, "mobius": decompose_mobius}
@@ -44,7 +44,8 @@ def test_mobius_residual_zero_small_config(tables_small, ws_small):
 
 def test_trivial_values(tables_small, ws_small):
     for p in MODULI:
-        t1, t2, t3, t4, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p)
+        t1, t2, t3, t4, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p,
+                                   _weight_sums(ws_small, 50))
         # n = 1: log 1 = 0 and Lambda(1) = 0, so every term is 0
         assert t1[1] == t2[1] == t3[1] == t4[1] == f[1] == 0
         # a prime q <= V: the four terms combine to 2^(2P) log q -> 2^(2P) r_q
@@ -139,7 +140,8 @@ def test_terms_against_independent_oracle(name, tables_small, ws_small):
         assert not any(total.values())
     for p in MODULI:
         r = _log_map(n_max, p)
-        got = list(_terms(INPUTS[name], n_max, ws_small, tables_small, p))
+        got = list(_terms(INPUTS[name], n_max, ws_small, tables_small, p,
+                          _weight_sums(ws_small, n_max)))
         for i in range(5):
             assert got[i][0] == 0
             assert got[i][1:].tolist() == [_residue(terms[i], r, p)
@@ -236,7 +238,8 @@ def test_mobius_term1_is_h(tables_small, ws_small):
     n_max = ws_small.cfg.h_support_bound
     _, _, h_p = ws_small.dyadic(P)
     for p in MODULI:
-        t1 = next(_terms(_mobius_inputs, n_max, ws_small, tables_small, p))
+        t1 = next(_terms(_mobius_inputs, n_max, ws_small, tables_small, p,
+                         _weight_sums(ws_small, n_max)))
         assert t1.tolist() == [h_p.get(d, 0) % p for d in range(n_max + 1)]
     h = ws_small.h_mp()
     with workdps(50):
@@ -250,7 +253,8 @@ def test_mobius_term1_is_h(tables_small, ws_small):
 def test_mobius_prime_above_v_carried_by_term3(tables_small, ws_small):
     # next prime above V = 5 is 7; the identity must still be exact there
     for p in MODULI:
-        t1, t2, t3, t4, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p)
+        t1, t2, t3, t4, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p,
+                                   _weight_sums(ws_small, 7))
         assert t4[7] == 0  # 7 > V
         assert (t1[7] - t2[7] + t3[7] + t4[7] - f[7]) % p == 0
     assert decompose_mobius(7, ws_small, tables_small).nonzero_count == 0
