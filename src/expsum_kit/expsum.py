@@ -337,7 +337,7 @@ def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *
     if isinstance(weights, np.ndarray):
         return _int_table_residue_sums(weights, q, top)
     if top > weights.top:
-        raise TableRangeError(f"direct sum cutoff {top} exceeds sieved range "
+        raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
                               f"n_max={weights.top}")
     cut = np.searchsorted(weights.n, top, side="right")
     classes = weights.n[:cut] % q if classes is None else classes[:cut]
@@ -351,7 +351,7 @@ def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *
 def _int_table_residue_sums(table: np.ndarray, q: int, top: int) -> np.ndarray:
     """residue_weight_sums of a dense integer table on [0, top]."""
     if top >= len(table):
-        raise TableRangeError(f"direct sum cutoff {top} exceeds sieved range "
+        raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
                               f"n_max={len(table) - 1}")
     width = q * max(1, _FOLD_WIDTH // q)
     full = (top + 1) // width * width

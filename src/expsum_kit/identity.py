@@ -18,18 +18,21 @@ at every n, for any f and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
 slip in any one of them leaves a residual.
 
 Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
-strided numpy adds. 1*h_P and (1*theta_P)(1*lambda_P), which depend on
-neither f nor p, are summed once per f, exactly, and reduced mod each p.
-T1 and T3 are split on the hyperbola dm <= n_max at
-k = isqrt(n_max): T1 takes one add per d <= k of h's support, over every m
-up to the last m with (1*f)(m) != 0, then one per m <= n_max/(k+1) with
-(1*f)(m) != 0, over every d > k (for mu, where that m is 1 alone, the adds
-of the first half are one entry each); T3 one per m <= k, over every l > V,
-then one per l > V, over every m > k. T2 takes one per l <= V; T4 and
-2^(2P) f are one slice each. Lambda goes through a random map: log q -> r_q,
-uniform mod p from a generator seeded with _SEED and p, so Lambda(n) is r at
-the Mangoldt base of n, and log m = sum_q v_q(m) r_q comes from a sieve of
-its own (_log_residues) that never reads the Mangoldt table.
+strided numpy adds. h_P, 1*h_P and (1*theta_P)(1*lambda_P), which depend
+on neither f nor p, are tabled once per f, exactly, and reduced mod each
+p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and T3 = (1*theta_P)(1*lambda_P)
+*f_{>V} are one call each of one kernel, _convolve: a Dirichlet
+convolution mod p split on the hyperbola dm <= n_max at k = isqrt(n_max),
+one add per d <= k with a(d) != 0, over every m, then one per
+m <= n_max/(k+1) with b(m) != 0, over every d > k. An input may stop short
+of n_max and is 0 past its end: h_P stops at its support, f_{<=V} at V,
+and 1*mu = [m = 1] is its two entries [0, 1], so for mu each add of T1's
+first half is one entry and its second half is the one m = 1. f_{>V} is
+f read from m = V + 1 on. T4 and 2^(2P) f are one slice each. Lambda goes
+through a random map: log q -> r_q, uniform mod p from a generator seeded
+with _SEED and p, so Lambda(n) is r at the Mangoldt base of n, and
+log m = sum_q v_q(m) r_q comes from a sieve of its own (_log_residues)
+that never reads the Mangoldt table.
 
 The bound. For n <= MAX_N_MAX = 1e7, n has at most 8 prime factors
 (2*3*...*23 > 1e7), at most 448 < 2^9 divisors, and v_q(n) <= 23.
@@ -115,9 +118,8 @@ Inputs = Callable[[int, ArithTables, int], Tuple[np.ndarray, np.ndarray]]
 
 def _mobius_inputs(n_max: int, tables: ArithTables, p: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """mu and 1*mu = [m = 1] on [0, n_max], as residues mod p."""
-    one_f = np.zeros(n_max + 1, dtype=np.int64)
-    one_f[1] = 1
+    """mu on [0, n_max] and 1*mu = [m = 1] on [0, 1], as residues mod p."""
+    one_f = np.array([0, 1], dtype=np.int64)
     return tables.mobius[:n_max + 1].astype(np.int64) % p, one_f
 
 
@@ -163,20 +165,42 @@ def _add(out: np.ndarray, start: int, step: int, x: np.ndarray, c, p: int) -> No
     out[start:start + step * len(x):step] += prod
 
 
+def _convolve(n_max: int, a: np.ndarray, b: np.ndarray, p: int,
+              lo: int = 1) -> np.ndarray:
+    """sum_{dm = n, m >= lo} a(d) b(m) mod p for 1 <= n <= n_max (0 at
+    n = 0), from residues a and b, each 0 past its end (a(0) and b(0) are
+    not read). Split on the hyperbola dm <= n_max at k = isqrt(n_max): one
+    add per d <= k with a(d) != 0, over every m, then one per
+    m <= n_max/(k+1) with b(m) != 0, over every d > k."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    k = math.isqrt(n_max)
+    for d in (1 + np.flatnonzero(a[1:min(k, n_max // lo) + 1])).tolist():
+        _add(out, d * lo, d, b[lo:n_max // d + 1], a[d], p)
+    if len(a) > k + 1:  # some d > k
+        for m in (lo + np.flatnonzero(b[lo:n_max // (k + 1) + 1])).tolist():
+            _add(out, m * (k + 1), m, a[k + 1:n_max // m + 1], b[m], p)
+    out %= p
+    return out
+
+
 def _weight_sums(ws: WeightSystem, n_max: int
-                 ) -> Tuple[Dict[int, int], np.ndarray, np.ndarray]:
-    """h_P, 1*h_P and (1*theta_P)(1*lambda_P) on [0, n_max]: the terms'
-    tables that depend on neither f nor p, exact in int64, as every partial
-    sum and product is at most 2^(2P+16) in size (module docstring)."""
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h_P (up to its support), 1*h_P and (1*theta_P)(1*lambda_P) on
+    [0, n_max]: the terms' tables that depend on neither f nor p, exact in
+    int64, as every partial sum and product is at most 2^(2P+16) in size
+    (module docstring)."""
     lam, theta_prime, h = ws.dyadic(P)
     conv = -_one_star(theta_prime, n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
     conv[1] += 1 << P
     conv *= _one_star(lam, n_max, np.int64)
-    return h, _one_star(h, n_max, np.int64), conv
+    support = [d for d in h if d <= n_max]
+    h_table = np.zeros(max(support, default=0) + 1, dtype=np.int64)
+    h_table[support] = [h[d] for d in support]
+    return h_table, _one_star(h, n_max, np.int64), conv
 
 
 def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
-           p: int, sums: Tuple[Dict[int, int], np.ndarray, np.ndarray]
+           p: int, sums: Tuple[np.ndarray, np.ndarray, np.ndarray]
            ) -> Iterator[np.ndarray]:
     """T1, T2, T3, T4 and 2^(2P) f on [0, n_max], each as int64 residues
     mod p, from sums = _weight_sums(ws, n_max). l <= V is l <= floor(V)
@@ -185,43 +209,9 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     h, one_h, conv = sums
     v = min(math.floor(ws.cfg.V), n_max)
     unit = (1 << 2 * P) % p
-
-    k = math.isqrt(n_max)
-    h_res = np.zeros(min(max(h, default=0), n_max) + 1, dtype=np.int64)
-    for d, c in h.items():
-        if d <= n_max:
-            h_res[d] = c % p
-    one_top = n_max - int(np.argmax(one_f[::-1] != 0))  # 1*f's last nonzero m
-    term = np.zeros(n_max + 1, dtype=np.int64)
-    for d in np.flatnonzero(h_res[:k + 1]).tolist():  # every m
-        _add(term, d, d, one_f[1:min(n_max // d, one_top) + 1], h_res[d], p)
-    ms = 1 + np.flatnonzero(one_f[1:n_max // (k + 1) + 1])
-    for m in ms.tolist():  # every d > k
-        _add(term, m * (k + 1), m, h_res[k + 1:n_max // m + 1], one_f[m], p)
-    del h_res
-    term %= p
-    yield term
-
-    one_h = one_h % p
-    term = np.zeros(n_max + 1, dtype=np.int64)
-    for l in np.flatnonzero(f[:v + 1]):
-        _add(term, l, l, one_h[1:n_max // l + 1], f[l], p)
-    del one_h
-    term %= p
-    yield term
-
-    conv = conv % p
-    term = np.zeros(n_max + 1, dtype=np.int64)
-    for m in np.flatnonzero(conv[:k + 1]):  # every l > V
-        if v < n_max // m:
-            _add(term, (v + 1) * m, m, f[v + 1:n_max // m + 1], conv[m], p)
-    for l in range(v + 1, n_max // (k + 1) + 1):  # every m > k
-        if f[l]:
-            _add(term, l * (k + 1), l, conv[k + 1:n_max // l + 1], f[l], p)
-    del conv
-    term %= p
-    yield term
-
+    yield _convolve(n_max, h % p, one_f, p)
+    yield _convolve(n_max, f[:v + 1], one_h % p, p)
+    yield _convolve(n_max, conv % p, f, p, lo=v + 1)
     term = np.zeros(n_max + 1, dtype=np.int64)
     term[1:v + 1] = f[1:v + 1] * unit % p
     yield term

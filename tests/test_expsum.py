@@ -167,7 +167,8 @@ def test_residue_fold_bytes_match_bincount(f, tables_10k):
                  (10_000, 16)):
         got = residue_weight_sums(support, q, x)
         assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
-    with pytest.raises(TableRangeError):
+    with pytest.raises(TableRangeError, match=r"^residue sum cutoff 10001 exceeds "
+                       r"sieved range n_max=10000$"):
         residue_weight_sums(support, 3, tables_10k.n_max + 1)
 
 
@@ -194,7 +195,8 @@ def test_int_table_fold_bytes_match_bincount(n_max, tables_10k):
         got = residue_weight_sums(table, q, x)
         assert got.shape == (q,)
         assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
-    with pytest.raises(TableRangeError):
+    with pytest.raises(TableRangeError, match=rf"^residue sum cutoff {n_max + 1} "
+                       rf"exceeds sieved range n_max={n_max}$"):
         residue_weight_sums(table, 3, n_max + 1)
 
 

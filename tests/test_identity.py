@@ -7,9 +7,9 @@ import pytest
 from mpmath import mpf, workdps
 
 from expsum_kit.arith import TableRangeError, factorize
-from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _log_map,
-                                 _mangoldt_inputs, _mobius_inputs, _terms,
-                                 _weight_sums, decompose_mangoldt,
+from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _convolve,
+                                 _log_map, _mangoldt_inputs, _mobius_inputs,
+                                 _terms, _weight_sums, decompose_mangoldt,
                                  decompose_mobius, residual_report)
 from expsum_kit.weights import WeightConfig, WeightSystem
 
@@ -200,8 +200,8 @@ def test_corrupted_table_is_caught(tables_small, ws_small):
 @pytest.mark.parametrize("which", ["small", "crit"])
 def test_edges(name, which, tables_small, ws_small, ws_crit):
     # 1 and 2; V and the first l above it; the squares round 49 and 1600,
-    # where isqrt(n_max), the split of T3's hyperbola, steps; and a range
-    # below U1*R, where h's support is cut
+    # where isqrt(n_max), the split of _convolve's hyperbola, steps; and a
+    # range below U1*R, where h's support is cut
     ws = ws_small if which == "small" else ws_crit
     v = math.floor(ws.cfg.V)
     below = ws.cfg.h_support_bound - 1
@@ -222,14 +222,54 @@ def test_constants_certify():
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_residue_inputs_one_star_is_divisor_sum(name, tables_small):
-    # each f's two inputs agree: 1*f is the divisor sum of f, mod p
+    # each f's two inputs agree: 1*f is the divisor sum of f, mod p, on
+    # 1*f's own length, and that sum is 0 past it; mu's 1*f = [m = 1] is
+    # held as its two entries [0, 1]
     n_max = tables_small.n_max
     for p in MODULI:
         f, one_f = INPUTS[name](n_max, tables_small, p)
+        assert len(f) == n_max + 1
+        assert len(one_f) == (2 if name == "mobius" else n_max + 1)
         want = np.zeros(n_max + 1, dtype=np.int64)
         for d in range(1, n_max + 1):
             want[d::d] += f[d]
-        assert (want % p).tolist() == one_f.tolist()
+        want %= p
+        assert want[:len(one_f)].tolist() == one_f.tolist()
+        assert not want[len(one_f):].any()
+
+
+def _brute_convolve(n_max, a, b, p, lo):
+    """sum_{dm = n, m >= lo} a(d) b(m) mod p for n <= n_max, pair by pair."""
+    out = [0] * (n_max + 1)
+    for d in range(1, min(len(a) - 1, n_max) + 1):
+        for m in range(lo, min(len(b) - 1, n_max // d) + 1):
+            out[d * m] += int(a[d]) * int(b[m])
+    return [c % p for c in out]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12])
+def test_convolve_matches_brute_force(k):
+    # n_max round k^2, where isqrt(n_max), the split of the hyperbola,
+    # steps; a and b shorter and longer than n_max + 1; lo = V + 1 for
+    # V in {0, 1, k - 1, k}. Entries at index 0 are never read; about a
+    # third of the rest are 0, so both halves skip some d and m
+    p = MODULI[0]
+    rng = np.random.default_rng(k)
+
+    def residues(n):
+        x = rng.integers(0, p, size=n)
+        x[rng.random(n) < 0.3] = 0
+        return x
+
+    for n_max in (k * k - 1, k * k, k * k + 1):
+        for len_a in (2, k + 1, k + 2, n_max // 2 + 1, n_max + 1, n_max + 4):
+            for len_b in (2, k + 2, n_max + 1, n_max + 4):
+                a, b = residues(len_a), residues(len_b)
+                for lo in (1, 2, k, k + 1):
+                    got = _convolve(n_max, a, b, p, lo=lo)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == _brute_convolve(n_max, a, b, p, lo), (
+                        n_max, len_a, len_b, lo)
 
 
 def test_mobius_term1_is_h(tables_small, ws_small):
