@@ -1,7 +1,7 @@
 """expsum-kit: verification and computation toolkit for log-free
 exponential-sum bounds over primes and the Mobius function."""
 
-from .arith import ArithTables, LogVector, build_tables, dirichlet_convolve, ramanujan_sum
+from .arith import ArithTables, build_tables, ramanujan_sum
 from .bounds import (F_eta, G_eta, ParamChoice, choose_params, corollary_constants,
                      integral_sqrt_ratio, main_bound, verify_conditions)
 from .diophantine import RationalApprox, alternate_approx, coordinates, dirichlet_approx

@@ -1,4 +1,4 @@
-"""Sieved arithmetic-function tables and exact convolution plumbing.
+"""Sieved arithmetic-function tables and the functions of the main theorem.
 
 Provides:
 - ArithTables: Mobius mu and the "Mangoldt base" (p for prime powers p^k,
@@ -7,10 +7,6 @@ Provides:
 - factorize, totient, divisor_count: the kit's one factorization, by trial
   division with no tables, and from it its one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
-- dirichlet_convolve: exact Dirichlet convolution over tables of
-  Fraction (or int) values, LogVector values, or a mix of the two.
-- LogVector: exact carrier for quantities of the form sum_p c_p * log p,
-  so convolutions involving Lambda or log never round.
 - ArithFunction, FUNCTIONS: the one definition of each function of the
   main theorem (Lambda and mu) for the exponential sums, as float64 values,
   as a support, and (mu) as an integer table. The identity certificate
@@ -21,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +44,7 @@ class ArithTables:
     """Immutable per-integer tables on [0, n_max].
 
     Index 0 is a filler in every array. Tables are safe for shared
-    read access from worker processes; construction is single-threaded.
+    read access from worker threads; construction is single-threaded.
     The fields are mu and the Mangoldt base, 5 bytes per n.
     """
 
@@ -186,103 +181,6 @@ def divisor_count(n: int) -> int:
 def coprime_residues(q: int) -> List[int]:
     """The a in [0, q) with gcd(a, q) = 1: [0] for q = 1."""
     return [a for a in range(q) if math.gcd(a, q) == 1]
-
-
-# ---------------------------------------------------------------------------
-# Exact log-basis vectors
-
-
-@dataclass
-class LogVector:
-    """Exact sum_p coeffs[p] * log p with zero coefficients absent.
-
-    Coefficients may be int, Fraction, or mpmath mpf; arithmetic is
-    whatever the coefficient type supports.
-    """
-
-    coeffs: Dict[int, object] = field(default_factory=dict)
-
-    def _merge(self, other: "LogVector", sign: int) -> "LogVector":
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            v = out.get(p, 0) + sign * c
-            if v:
-                out[p] = v
-            else:
-                out.pop(p, None)
-        return LogVector(out)
-
-    def __add__(self, other: "LogVector") -> "LogVector":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "LogVector") -> "LogVector":
-        return self._merge(other, -1)
-
-    def scale(self, factor) -> "LogVector":
-        if not factor:
-            return LogVector()
-        return LogVector({p: c * factor for p, c in self.coeffs.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def to_float(self) -> float:
-        return float(sum(float(c) * math.log(p) for p, c in self.coeffs.items()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LogVector) and self.coeffs == other.coeffs
-
-
-TableValue = Union[int, Fraction, LogVector]
-
-
-def _scale(a: TableValue, b: TableValue) -> TableValue:
-    """Product of two table values; at most one may be a LogVector."""
-    if isinstance(a, LogVector):
-        if isinstance(b, LogVector):
-            raise TypeError("product of two LogVectors is outside the log basis")
-        return a.scale(b)
-    if isinstance(b, LogVector):
-        return b.scale(a)
-    return a * b
-
-
-def dirichlet_convolve(
-    f: Sequence[TableValue], g: Sequence[TableValue], n_max: int
-) -> List[TableValue]:
-    """(f*g)(n) = sum_{d|n} f(d) g(n/d), exact in the operand arithmetic.
-
-    Tables are 1-indexed sequences of length >= n_max+1 (index 0 ignored).
-    Mixing rational and LogVector tables yields a LogVector table.
-    """
-    if len(f) <= n_max or len(g) <= n_max:
-        raise ValueError("operand tables must be defined on [1, n_max]")
-    logvec = isinstance(f[1], LogVector) or isinstance(g[1], LogVector)
-    zero = LogVector() if logvec else Fraction(0)
-    out: List[TableValue] = [zero] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        fd = f[d]
-        if not fd:
-            continue
-        for n in range(d, n_max + 1, d):
-            out[n] = out[n] + _scale(fd, g[n // d])
-    return out
-
-
-def unit_table(n_max: int) -> List[Fraction]:
-    """The constant function 1 on [1, n_max]."""
-    return [Fraction(0)] + [Fraction(1)] * n_max
-
-
-def mobius_table(n_max: int, tables: ArithTables) -> List[Fraction]:
-    tables.check_range(n_max)
-    return [Fraction(0)] + [Fraction(int(tables.mobius[n])) for n in range(1, n_max + 1)]
-
-
-def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
-    tables.check_range(n_max)
-    return [LogVector({int(b): 1}) if b else LogVector()
-            for b in tables.mangoldt_base[:n_max + 1]]
 
 
 # ---------------------------------------------------------------------------

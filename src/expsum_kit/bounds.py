@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
-import mpmath
-
 from .arith import FUNCTIONS, MANGOLDT, arith_function, divisor_count, totient
 from .diophantine import coordinates
 
@@ -62,8 +60,11 @@ def integral_sqrt_ratio_quadrature(A: float, B: float, u: float) -> float:
 
     Substituting t = u + s^2 removes the square-root singularity at t = u:
     the integrand becomes 2 sqrt(u + s^2), smooth on [sqrt(A-u), sqrt(B-u)],
-    and mpmath's tanh-sinh quadrature integrates it at 15 digits.
+    and mpmath's tanh-sinh quadrature integrates it at 15 digits. mpmath is
+    imported here, so that no command loads it.
     """
+    import mpmath
+
     if A < u * (1 - 1e-15) - 1e-300 or B < A:
         raise BoundDomainError("need u <= A <= B")
     A = max(A, u)

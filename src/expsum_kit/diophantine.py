@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-#: Widest denominator window the fallback scan will walk.
-_SCAN_MAX_WIDTH = 200_000
-
-
 class ApproximationError(RuntimeError):
-    """No admissible fraction found; signals a numerical bug, not a math gap."""
+    """No admissible fraction found: a cap beyond the float range, or a
+    numerical bug, never a math gap."""
 
 
 @dataclass(frozen=True)
@@ -46,14 +43,20 @@ class RationalApprox:
             raise ValueError("a/q must be in lowest terms")
         if self.q > self.Q * (1 + 1e-12):
             raise ValueError(f"q={self.q} exceeds the cap Q={self.Q}")
-        err = float(abs(self.alpha - Fraction(self.a, self.q)))
-        # |delta|/x <= 1/(qQ), with 1 ulp of slack for the float cap.
-        if err > (1.0 / (self.q * self.Q)) * (1 + 1e-12):
+        if not _within_cap(self.alpha, self.a, self.q, self.Q):
+            err = float(abs(self.alpha - Fraction(self.a, self.q)))
             raise ApproximationError(
                 f"{self.a}/{self.q} violates |delta|/x <= 1/(qQ): "
-                f"|alpha - a/q| = {err:.3e} > {1.0 / (self.q * self.Q):.3e}")
+                f"|alpha - a/q| = {err:.3e} > 1/({self.q} * {self.Q:.6g})")
         if not self.delta0 >= 1:
             raise ValueError("delta0 must be >= 1")
+
+
+def _within_cap(alpha: Fraction, a: int, q: int, Q: float) -> bool:
+    """|alpha - a/q| <= 1/(qQ), with 1e-12 relative slack for the float cap
+    Q; compared exactly, since q Q may overflow a float."""
+    err = abs(alpha - Fraction(a, q))
+    return not err if math.isinf(Q) else err * q * Fraction(Q) <= 1 + 1e-12
 
 
 def delta0_of(delta: float) -> float:
@@ -133,9 +136,8 @@ def alternate_approx(approx: RationalApprox) -> RationalApprox:
     The last convergent with denominator <= Q' is always admissible (the
     next convergent exceeds Q'); when it undershoots the window we must
     have Q' < 2q and a/q itself sits in the window with the boundary
-    equality |delta|/y = 1/(qQ'). A bounded exhaustive denominator scan
-    remains as a belt-and-braces fallback; reaching it (let alone
-    exhausting it) indicates a numerical bug, not a math gap.
+    equality |delta|/y = 1/(qQ'). If neither is admissible, which takes a
+    Q' beyond the float range, ApproximationError is raised.
     """
     if approx.delta == 0:
         raise ValueError("alternate approximation requires delta != 0")
@@ -143,13 +145,6 @@ def alternate_approx(approx: RationalApprox) -> RationalApprox:
     q_cap = y / (abs(approx.delta) * approx.q)
     q_lo = q_cap / 2.0
     alpha = approx.alpha
-
-    def admissible(p: int, q: int) -> bool:
-        if not q_lo * (1 - 1e-12) <= q <= q_cap * (1 + 1e-12):
-            return False
-        err = float(abs(alpha - Fraction(p, q)))
-        return err <= (1.0 / (q * q_cap)) * (1 + 1e-12)
-
     last: Optional[Tuple[int, int]] = None
     for p, q in convergents(alpha):
         if q > q_cap * (1 + 1e-12):
@@ -157,29 +152,10 @@ def alternate_approx(approx: RationalApprox) -> RationalApprox:
         last = (p, q)
     candidates = ([last] if last else []) + [(approx.a, approx.q)]
     for p, q in candidates:
-        if admissible(p, q):
+        if (q_lo * (1 - 1e-12) <= q <= q_cap * (1 + 1e-12)
+                and _within_cap(alpha, p, q, q_cap)):
             return _build(alpha, p, q, q_cap, y)
-    hit = _window_scan(alpha, int(math.ceil(q_lo)), int(math.floor(q_cap)),
-                       q_cap)
-    if hit is None:
-        raise ApproximationError(
-            f"no admissible fraction in window [{q_lo:.1f}, {q_cap:.1f}] "
-            f"for alpha ~ {float(alpha)!r}")
-    return _build(alpha, hit[0], hit[1], q_cap, y)
-
-
-def _window_scan(alpha: Fraction, lo: int, hi: int,
-                 q_cap: float) -> Optional[Tuple[int, int]]:
-    """Exhaustive scan of denominators in [lo, hi]; last-resort descent."""
-    if hi - lo > _SCAN_MAX_WIDTH:
-        raise ApproximationError(
-            f"window [{lo}, {hi}] too wide for the fallback scan; "
-            "the convergent route should have succeeded")
-    for q in range(max(lo, 1), hi + 1):
-        a = round(alpha * q)
-        if math.gcd(a, q) != 1:
-            continue
-        if float(abs(alpha - Fraction(a, q))) <= (1.0 / (q * q_cap)) * (1 + 1e-12):
-            return a, q
-    return None
+    raise ApproximationError(
+        f"no admissible fraction in window [{q_lo:.1f}, {q_cap:.1f}] "
+        f"for alpha ~ {float(alpha)!r}")
 

@@ -34,6 +34,8 @@ _STEP = 1 << 5  # _ANCHOR = _STEP^2
 _TRIG_WINDOW = 1 << 13  # _trig_sum: 64 KiB temporaries, reused from the heap
 #: An integer table's residue fold views it as rows of about this many n.
 _FOLD_WIDTH = 1 << 12
+#: Below this a sine in _geometric_sum may come from a subnormal argument.
+_TINY_SIN = 2.0 ** -1000
 
 
 class RecombinationError(RuntimeError):
@@ -214,6 +216,18 @@ def _sin_pi(num: int, den: int) -> float:
     return math.sin(math.pi * (r / den)) * (-1.0 if m & 1 else 1.0)
 
 
+def _sin_pi_scaled(num: int, den: int) -> Tuple[float, Fraction]:
+    """sin(pi num/den) as s c, c exact: s = _sin_pi and c = 1, or, for a
+    reduced t within 2^-30 of 0, s = +-pi and c = t, since there
+    sin(pi t) = pi t (1 - (pi t)^2/6 + ...) is pi t to within 2^-58."""
+    m, r = divmod(num, den)
+    if 2 * r > den:
+        m, r = m + 1, r - den
+    if abs(r) << 30 >= den:
+        return _sin_pi(num, den), Fraction(1)
+    return (-math.pi if m & 1 else math.pi), Fraction(r, den)
+
+
 def _geometric_sum(k: int, den: int, n: int) -> complex:
     """G = sum_{j<=n} e(jb), b = k/den: n if b is an integer, else
     e((n+1)b/2) sin(pi nb)/sin(pi b), with no 1 - e(b) to cancel, so b
@@ -221,12 +235,18 @@ def _geometric_sum(k: int, den: int, n: int) -> complex:
     one correctly rounded t in (-1/2, 1/2], where |pi t cot pi t| <= 1. With
     u = 2^-53 each sine is off by <= 5u relative (t, pi, product, sin), the
     quotient by <= 11u, the phase e(t') by <= 3 pi u + 2u, the product by
-    2u: |G^ - G| <= 25u |G|, about 12 ulps; G^ = 0 exactly if nb is integer."""
+    2u: |G^ - G| <= 25u |G|, about 12 ulps; G^ = 0 exactly if nb is integer.
+    A sine below _TINY_SIN (t subnormal, or rounded to 0) takes the quotient
+    from _sin_pi_scaled: at a tiny b, n times a sinc ratio 1 to within u."""
     if k % den == 0:
         return complex(n)
     arg = 2 * math.pi * _signed_rep((n + 1) * k, 2 * den)
-    return complex(math.cos(arg), math.sin(arg)) * (_sin_pi(n * k, den)
-                                                     / _sin_pi(k, den))
+    phase = complex(math.cos(arg), math.sin(arg))
+    s_nb, s_b = _sin_pi(n * k, den), _sin_pi(k, den)
+    if abs(s_b) < _TINY_SIN or (abs(s_nb) < _TINY_SIN and n * k % den):
+        (s_nb, c_nb), (s_b, c_b) = _sin_pi_scaled(n * k, den), _sin_pi_scaled(k, den)
+        return phase * float(Fraction(s_nb / s_b) * c_nb / c_b)
+    return phase * (s_nb / s_b)
 
 
 def _dilated_sums(af: Fraction, ks, coeffs, n: int) -> List[ExpSumValue]:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp, mpf, workdps
 
 from .arith import ArithTables, TableRangeError, ramanujan_sum, totient
 
@@ -123,8 +122,9 @@ class WeightSystem:
     Immutable after construction. Exact Fractions carry everything on the
     Selberg side. Each irrational weight (theta', h) has one formula,
     evaluated in the number type num: float64 for the exponential sums, or
-    mpf (RAMP_DPS digits) for the 50-digit reference h (h_mp). dyadic gives
-    the integer weights of the identity certificate.
+    mpmath's mpf (RAMP_DPS digits) for the 50-digit reference h (h_mp),
+    which alone imports mpmath. dyadic gives the integer weights of the
+    identity certificate.
     """
 
     def __init__(self, cfg: WeightConfig, tables: ArithTables):
@@ -139,7 +139,7 @@ class WeightSystem:
             lam = selberg_lambda(d, cfg, tables, self.g_cache)
             if lam:
                 self.lambda_table[d] = lam
-        self._h_mp: Optional[Dict[int, mpf]] = None
+        self._h_mp: Optional[Dict[int, object]] = None
         self._h_float: Optional[np.ndarray] = None
         self._conv_theta_lambda: Dict[int, np.ndarray] = {}
 
@@ -153,7 +153,7 @@ class WeightSystem:
         value is the numerator over the denominator, each converted first."""
         if num is float:
             return {d: float(f) for d, f in self.lambda_table.items()}
-        return {d: mpf(f.numerator) / mpf(f.denominator)
+        return {d: num(f.numerator) / num(f.denominator)
                 for d, f in self.lambda_table.items()}
 
     @property
@@ -174,7 +174,10 @@ class WeightSystem:
             return num(0)
         if d <= cfg.U:
             return num(mu)
-        log = math.log if num is float else mp.log
+        if num is float:
+            log = math.log
+        else:
+            from mpmath import log
         return mu * log(num(cfg.U1) / d) / log(num(cfg.U1) / num(cfg.U))
 
     def _theta_prime_support(self, num) -> Dict[int, object]:
@@ -205,9 +208,10 @@ class WeightSystem:
                     out[l] = out.get(l, zero) + lam1 * tp
         return {d: v for d, v in out.items() if v != 0}
 
-    def h_mp(self) -> Dict[int, mpf]:
-        """h(d) at RAMP_DPS digits, sparse over [1, floor(U1*R)]."""
+    def h_mp(self) -> Dict[int, object]:
+        """h(d) as mpf at RAMP_DPS digits, sparse over [1, floor(U1*R)]."""
         if self._h_mp is None:
+            from mpmath import mpf, workdps
             with workdps(RAMP_DPS):
                 self._h_mp = self._h(self._lambda(mpf),
                                      self._theta_prime_support(mpf), mpf(0))

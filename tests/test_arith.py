@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
-                              ArithTables, LogVector, TableRangeError,
+                              ArithTables, TableRangeError,
                               _primes_upto, _sieve_segment, arith_function,
-                              build_tables,
-                              dirichlet_convolve, divisor_count, factorize,
-                              mangoldt_table, mobius_table,
-                              ramanujan_sum, totient, unit_table)
+                              build_tables, divisor_count, factorize,
+                              ramanujan_sum, totient)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
+from oracles import (LogVector, dirichlet_convolve, mangoldt_table,
+                     mobius_table, unit_table)
 
 
 def _sieved_primes(t):

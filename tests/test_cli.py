@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from expsum_kit import bounds as bnd
-from expsum_kit import cli, identity
+from expsum_kit import cli, expsum, identity
 from expsum_kit.arith import MOBIUS, build_tables
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
@@ -193,6 +193,48 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     assert len(i2) == 2 * 4 * 2
     assert hashlib.sha256("\n".join(i2).encode()).hexdigest() == (
         "e3e0f287b2f68bcb8fe97515457e18aa14c730885b08e7d08c8ba89e5d0b31b0")
+
+
+@pytest.mark.parametrize("delta", ["1e-310", "1e-320", "5e-324"])
+def test_compare_tiny_delta_matches_delta_zero(delta, tmp_path):
+    # alpha = delta/x rounds to a subnormal or to 0: the I2 rows, whose
+    # closed-form inner sums divide by sin(pi k alpha), agree with delta = 0
+    i2 = {}
+    for d in ("0", delta):
+        out = tmp_path / f"c{d}.csv"
+        assert main(["compare", "--x", "1000", "--q-range", "1", "1",
+                     "--delta", d, "--output", str(out)]) == 0
+        i2[d] = {r["function"]: complex(float(r["re"]), float(r["im"]))
+                 for r in _read_csv(out) if r["component"] == "I2"}
+    assert i2["0"].keys() == i2[delta].keys() == {"mangoldt", "mobius"}
+    for f, want in i2["0"].items():
+        assert abs(i2[delta][f] - want) <= 1e-12 * abs(want), f
+
+
+def test_compare_recombination_failure(tmp_path, monkeypatch, capsys):
+    # a type-II sum off by 1 for mu fails every mu recombination: each
+    # (a, q) prints one error line and the run exits 1, with Lambda's five
+    # rows per (a, q) still written
+    type_ii = expsum.type_II
+
+    def broken(f, *args):
+        s = type_ii(f, *args)
+        return s if f == "mangoldt" else dataclasses.replace(
+            s, real_part=s.real_part + 1.0)
+
+    monkeypatch.setattr(expsum, "type_II", broken)
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--x", "2000", "--q-range", "1", "3",
+                 "--weight-overrides", "5", "20", "4", "10",
+                 "--output", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    pairs = [(a, q) for q in (1, 2, 3) for a in range(q) if math.gcd(a, q) == 1]
+    assert len(errors) == len(pairs) == 4
+    assert all(e.startswith("error: residual ") and "f=mobius" in e
+               for e in errors)
+    rows = _read_csv(out)
+    assert {r["function"] for r in rows} == {"mangoldt"}
+    assert sorted((int(r["a"]), int(r["q"])) for r in rows) == sorted(pairs * 5)
 
 
 @pytest.mark.parametrize("x", [10_000, 100_000])

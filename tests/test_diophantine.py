@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expsum_kit.diophantine import (ApproximationError, RationalApprox,
@@ -100,6 +100,35 @@ def test_alternate_approx_random_windows():
         assert q_cap / 2 * (1 - 1e-12) <= alt.q <= q_cap * (1 + 1e-12)
         err = abs(float(alt.alpha - Fraction(alt.a, alt.q)))
         assert err <= 1 / (alt.q * q_cap) * (1 + 1e-12)
+
+
+_ALPHAS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(Fraction, st.integers(0, 10**12), st.integers(1, 10**12)),
+    st.builds(lambda a, q, eps: Fraction(a, q) + Fraction(eps),
+              st.integers(0, 10**4), st.integers(1, 10**4),
+              st.floats(min_value=-1e-6, max_value=1e-6)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ALPHAS, st.floats(min_value=1e2, max_value=1e8),
+       st.floats(min_value=1.0, max_value=1e7))
+def test_alternate_approx_lands_in_window(alpha, x, Q):
+    # floats, rationals up to 1e12 and a/q plus a tiny offset: one of the
+    # two candidates (last convergent under the cap, a/q) is admissible,
+    # unless the window's cap overflows a float. The cap is checked exactly:
+    # q' Q' overflows a float from |alpha - a/q| ~ 1e-154 on.
+    ap = dirichlet_approx(alpha, Q=Q, x=x)
+    assume(ap.delta != 0)
+    q_cap = ap.x / (abs(ap.delta) * ap.q)
+    if math.isinf(q_cap):
+        with pytest.raises(ApproximationError):
+            alternate_approx(ap)
+        return
+    alt = alternate_approx(ap)
+    assert q_cap / 2 * (1 - 1e-12) <= alt.q <= q_cap * (1 + 1e-12)
+    err = abs(alt.alpha - Fraction(alt.a, alt.q))
+    assert err * alt.q * Fraction(q_cap) <= 1 + 1e-12
 
 
 def test_alternate_requires_nonzero_delta():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import expjpi, mpf, workdps
+from mpmath import expjpi, expm1, mpf, pi, workdps
 
 from expsum_kit import expsum
 from expsum_kit.arith import (MANGOLDT, MOBIUS, TableRangeError, arith_function,
@@ -278,14 +278,22 @@ def test_direct_sum_peak_memory(tables_2m):
     assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
+def _centred(num, den):
+    """num/den mod 1 in (-1/2, 1/2] as an mpf: no digit is lost at a tiny
+    num/den, nor next to an integer."""
+    r = num % den
+    return mpf(r - den if 2 * r > den else r) / den
+
+
 def _geometric_mp(k, den, n):
-    """sum_{j<=n} e(jk/den) at 50 digits, as e(b)(1 - e(nb))/(1 - e(b)),
-    b and nb reduced exactly; 1 - e(b) costs at most 14 of the digits."""
+    """sum_{j<=n} e(jk/den) at 50 digits, as e(b)(e(nb) - 1)/(e(b) - 1),
+    b and nb reduced exactly, each e(t) - 1 an expm1, which keeps its
+    digits even at t below 2^-1074."""
     if k % den == 0:
         return complex(n)
     with workdps(50):
-        b, nb = mpf(k % den) / den, mpf(n * k % den) / den
-        return complex(expjpi(2 * b) * (1 - expjpi(2 * nb)) / (1 - expjpi(2 * b)))
+        b, nb = _centred(k, den), _centred(n * k, den)
+        return complex(expjpi(2 * b) * expm1(2j * pi * nb) / expm1(2j * pi * b))
 
 
 def test_geometric_sum_matches_mpmath():
@@ -310,6 +318,17 @@ def test_geometric_sum_matches_mpmath():
     for k, den, n in cases:
         got, want = _geometric_sum(k, den, n), _geometric_mp(k, den, n)
         assert abs(got - want) <= 32 * eps * max(abs(want), 1), (k, den, n)
+    # reduced arguments below 2^-1022, to 32 eps of G itself: b subnormal,
+    # b rounding to 0, b next to an odd integer, and nb (not b) subnormal
+    # where G = n^2 2^-1060 is a normal float
+    tiny = 2**1030 + 1
+    edge = Fraction(1, 2**20) + Fraction(1, 2**1060)
+    assert float(Fraction(1, 2**1100)) == 0.0
+    for k, den, n in [(1, tiny, 10**6), (-1, tiny, 1000), (1, 2**1100, 10**6),
+                      (-3, 2**1100, 999), (2**1100 + 1, 2**1100, 10**6),
+                      (edge.numerator, edge.denominator, 2**20)]:
+        got, want = _geometric_sum(k, den, n), _geometric_mp(k, den, n)
+        assert abs(got - want) <= 32 * eps * abs(want), (k, den, n)
 
 
 def test_geometric_sum_matches_block_sum():

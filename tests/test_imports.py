@@ -2,8 +2,9 @@ import subprocess
 import sys
 
 # Imports the kit, runs the commands and oracles that used to need scipy,
-# checks that no multiprocessing came with them, and prints every scipy
-# module left in sys.modules.
+# checks that no multiprocessing came with them and that mpmath loads only
+# with the quadrature oracle, and prints every scipy module left in
+# sys.modules.
 PROBE = """
 import sys
 import numpy as np
@@ -14,7 +15,9 @@ from expsum_kit.bounds import integral_sqrt_ratio_quadrature
 assert expsum_kit.cli.main(["bound", "--x", "1000000", "--q-range", "3", "3",
                             "-o", sys.argv[1]]) == 0
 van_der_corput_report(np.random.default_rng(0), 3)
+assert "mpmath" not in sys.modules
 integral_sqrt_ratio_quadrature(0.3, 0.9, 0.2)
+assert "mpmath" in sys.modules
 assert "multiprocessing" not in sys.modules
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -5,8 +5,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "expsum_kit"
 
 # Public top-level names that no other definition in src, no benchmark file
-# and no acceptance test reads: each is wired in by a ROADMAP item, or is a
-# test oracle. A helper that only unit tests reach does not belong here.
+# and no acceptance test reads: each is wired in by a ROADMAP item. A
+# helper that only unit tests reach does not belong here; a test oracle
+# lives under tests (oracles.py).
 UNREACHED = {
     "theorem_bound_components": "ROADMAP item 6: per-piece bounds in compare",
     "error_budget_report": "ROADMAP item 6: error_budget in bound",
@@ -16,10 +17,6 @@ UNREACHED = {
     "thtsum_report": "ROADMAP item 7: weights block of verify-identity",
     "dirichlet_approx": "ROADMAP item 7: bound --alpha",
     "alternate_approx": "ROADMAP item 7: bound --alpha",
-    "dirichlet_convolve": "test oracle: exact Dirichlet convolution",
-    "unit_table": "test oracle: dirichlet_convolve operand",
-    "mobius_table": "test oracle: dirichlet_convolve operand",
-    "mangoldt_table": "test oracle: dirichlet_convolve operand",
 }
 
 
@@ -41,7 +38,6 @@ def _names_read(tree, strings=False):
 # Public methods (Class.name) that no other definition in src, no benchmark
 # file and no acceptance test reads by name, tagged the same way.
 UNREACHED_METHODS = {
-    "LogVector.to_float": "test oracle: the float value of a log-basis vector",
     "ComponentReport.consistency_ratio_mangoldt": "ROADMAP item 6: bounds block of compare",
     "ComponentReport.consistency_ratio_mobius": "ROADMAP item 6: bounds block of compare",
     "WeightSystem.lambda_findings": "ROADMAP item 7: weights block of verify-identity",
