@@ -2,14 +2,12 @@
 recombination, and the L^2 weight profiles.
 
 alpha is held as an exact Fraction (floats become their exact dyadic
-value). Direct sums stream cos and sin of the fractional part of n*alpha,
-re-anchored by exact integer arithmetic every 2^16 terms (only in-block
-products run in float64, so phase drift stays near one ulp out to n ~ 1e7),
-with no array of length n. Type-I1 and type-II sums are Dirichlet
-convolutions: each part is one alpha-free coefficient row of strided real
-adds, and every row is summed against e(k alpha) in one streamed pass over
-2^16-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10, times
-an exact step e(j alpha), j <= 2^10. Type-I2's weight-1 inner sums are
+value). Every sum_k w(k) e(k alpha) (the direct and h-only sums, and the
+type-I1 and type-II sums, whose parts are alpha-free coefficient rows of
+strided real adds) runs through one kernel, _coef_sum: a streamed pass
+over 2^16-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10,
+times an exact step e(j alpha), j <= 2^10, with no array of length n and
+an error of at most 83u sum|w|. Type-I2's weight-1 inner sums are
 closed-form geometric sums, their arguments reduced exactly. Sums are
 accumulated blockwise (pairwise within blocks, exactly rounded across them).
 """
@@ -31,7 +29,6 @@ from .weights import WeightSystem
 _BLOCK = 1 << 16
 _ANCHOR = 1 << 10
 _STEP = 1 << 5  # _ANCHOR = _STEP^2
-_TRIG_WINDOW = 1 << 13  # _trig_sum: 64 KiB temporaries, reused from the heap
 #: An integer table's residue fold views it as rows of about this many n.
 _FOLD_WIDTH = 1 << 12
 #: Below this a sine in _geometric_sum may come from a subnormal argument.
@@ -89,11 +86,14 @@ def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
     k*alpha may land on either end).
 
     The fractional part is re-anchored by exact integer arithmetic every
-    2^16 steps; within a block only the j*beta product rounds, keeping
-    the phase error near one ulp. All operations are negation-symmetric,
-    so the array for -alpha is exactly the negation of the one for alpha
-    wherever k*alpha is not a half-integer (and conjugation identities
-    hold bitwise downstream when no k*alpha is).
+    2^16 steps. Within a block (j <= 2^16) beta's rounding times j, and the
+    roundings of j*beta (below 2^15) and of the anchor sum (below 2^16), add
+    <= 2^-39, 2^-39 and 2^-38, the anchor 2^-55: each value is within
+    2^-37 + 2^-55 < 7.3e-12 of the exact k*alpha mod 1 (2^-38 is reached at
+    1/3 and 2/7), not one ulp. All operations are negation-symmetric, so
+    the array for -alpha is exactly the negation of the one for alpha
+    wherever k*alpha is not a half-integer (and conjugation identities hold
+    bitwise downstream when no k*alpha is).
 
     A window (first > 1) keeps each k's block anchor and in-block index
     j, so it holds the same bits as symmetric_fracs(alpha, n)[first - 1:]
@@ -118,31 +118,6 @@ def _total(re: List[float], im: List[float], count: int) -> ExpSumValue:
     return ExpSumValue(0.0 + math.fsum(re), 0.0 + math.fsum(im), count)
 
 
-def _trig_sum(weights: Callable[[int, int], np.ndarray], alpha,
-              n: int) -> ExpSumValue:
-    """sum_{k <= n} w(k) e(k alpha), w on (lo, hi] from weights(lo, hi), in
-    2^16-blocks with no array of length n: a reused buffer takes cos and sin
-    of 2 pi symmetric_fracs, _TRIG_WINDOW terms at a time, times w in place,
-    and one np.sum per part is the block's partial. numpy rounds w times a
-    complex e to w cos and w sin up to the sign of a zero, which no total
-    keeps: these are the bits of the blocked sum of one complex array."""
-    af = as_fraction(alpha)
-    re, im = [], []
-    buf = np.empty((2, min(n, _BLOCK)))  # cos, then sin
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        for lo in range(start, stop, _TRIG_WINDOW):
-            hi = min(lo + _TRIG_WINDOW, stop)
-            arg = (2 * np.pi) * symmetric_fracs(af, hi, lo + 1)
-            part = buf[:, lo - start:hi - start]
-            np.cos(arg, out=part[0])
-            np.sin(arg, out=part[1])
-            part *= weights(lo, hi)
-        re.append(float(np.sum(buf[0, :stop - start])))
-        im.append(float(np.sum(buf[1, :stop - start])))
-    return _total(re, im, n)
-
-
 def _exact_phases(af: Fraction, ks) -> np.ndarray:
     """e(k af) for each int k in ks, from {k af} reduced exactly."""
     t = np.array([_signed_rep(k * af.numerator, af.denominator) for k in ks],
@@ -164,7 +139,7 @@ def _phase_blocks(af: Fraction, n: int):
     operation is negation-symmetric: for -af the real parts are the same
     bits and the imaginary parts the negated bits (up to the sign of a
     zero), wherever k af is not a half-integer. e is a view of a buffer
-    that the next block overwrites.
+    that the caller may write and the next block overwrites.
     """
     fine = _exact_phases(af, range(_STEP))
     coarse = _exact_phases(af, range(0, _ANCHOR + 1, _STEP))
@@ -173,39 +148,39 @@ def _phase_blocks(af: Fraction, n: int):
     for start in range(0, n, _BLOCK):
         ln = min(_BLOCK, n - start)
         anchors = _exact_phases(af, range(start, start + ln, _ANCHOR))
-        grid = buf[:len(anchors)]
-        np.multiply(anchors[:, None], steps, out=grid)
-        yield start, grid.reshape(-1)[:ln]
+        for anchor, row in zip(anchors, buf):  # a 2-D broadcast takes 256 KiB
+            np.multiply(anchor, steps, out=row)  # of ufunc buffers per block
+        yield start, buf.reshape(-1)[:ln]
 
 
-def _coef_sums(rows: np.ndarray, alpha, count: int) -> List[ExpSumValue]:
-    """Row p: sum_{k <= n} rows[p, k-1] e(k alpha), n = rows.shape[1].
-
-    One pass over _phase_blocks serves every row, and no full-length
-    complex array is formed. Each block's partial is a pairwise np.sum of
-    real products; the partials are combined exactly (_total). n_terms is
-    count, the same for every row.
+def _coef_sum(weights: Callable[[int, int], np.ndarray], alpha, n: int,
+              count: int) -> ExpSumValue:
+    """sum_{k <= n} w(k) e(k alpha), w on (lo, hi] from weights(lo, hi) for
+    one 2^16-block at a time, with count as n_terms. w is multiplied into
+    _phase_blocks' buffer in place, and a pairwise np.sum of each part is
+    the block's partial; the partials are combined exactly (_total).
 
     Error, with u = 2^-53, taking cos and sin within 2u each. An exact
     phase has {k alpha} correctly rounded (<= u/2), times 2 pi (<= 2 pi u
     with the rounding of 2 pi): within 8u + 2 sqrt2 u < 11u of e(k alpha).
     A complex product adds <= sqrt5 u, so a step is within 25u and a block
-    phase within 40u. Each product c Re(e), c Im(e) rounds by u|c|, the
-    pairwise sum of a block adds <= 28u sum|c| and the exact combination
-    u|S| per component, together <= sqrt2 30u sum|c|. In all,
-    |S^ - S| <= 83u sum_k |c(k)| < 1e-14 sum_k |c(k)|.
+    phase within 40u. Each product w Re(e), w Im(e) rounds by u|w|, the
+    pairwise sum of a block adds <= 28u sum|w| and the exact combination
+    u|S| per component, together <= sqrt2 30u sum|w|. In all,
+    |S^ - S| <= 83u sum_k |w(k)| < 1e-14 sum_k |w(k)|.
     """
-    n = rows.shape[1]
-    re = [[] for _ in rows]
-    im = [[] for _ in rows]
-    prod = np.empty(min(n, _BLOCK))
+    re, im = [], []
     for start, e in _phase_blocks(as_fraction(alpha), n):
-        t = prod[:len(e)]
-        for p, row in enumerate(rows):
-            c = row[start:start + len(e)]
-            re[p].append(float(np.sum(np.multiply(c, e.real, out=t))))
-            im[p].append(float(np.sum(np.multiply(c, e.imag, out=t))))
-    return [_total(r, i, count) for r, i in zip(re, im)]
+        w = weights(start, start + len(e))
+        for part, partials in ((e.real, re), (e.imag, im)):
+            partials.append(float(np.sum(np.multiply(part, w, out=part))))
+        del w  # freed before the next block's w is built
+    return _total(re, im, count)
+
+
+def _by_k(row: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """_coef_sum's weights from a row indexed by k (row[0] unused)."""
+    return lambda lo, hi: row[lo + 1:hi + 1]
 
 
 def _sin_pi(num: int, den: int) -> float:
@@ -278,11 +253,11 @@ def _split_or_total(parts: List[ExpSumValue], split: bool):
 
 
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
-    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a window at a time."""
+    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a block at a time."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
     floats = arith_function(f).floats
-    return _trig_sum(lambda lo, hi: floats(tables, hi, lo + 1), alpha, n)
+    return _coef_sum(lambda lo, hi: floats(tables, hi, lo + 1), alpha, n, n)
 
 
 def twisted_weights(weights: Support, beta, x: float) -> Support:
@@ -416,21 +391,21 @@ def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
 
     h vanishes off the squarefree m, so at q = 1 (no m with q not| m) and
     at q with a square factor (no m with q | m) one part has no m; it is
-    returned as 0 without a row in the phase pass.
+    returned as 0 without a phase pass.
     """
     n = int(math.floor(x))
     h = ws.h_float()
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
-    divisible = ms % ws.cfg.q == 0
-    live = [p for p, part in enumerate((divisible, ~divisible)) if part.any()]
     logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    rows = np.zeros((len(live), n + 1))  # column k: (h 1_part * log)(k)
-    for m, d in zip(map(int, ms), divisible):
-        rows[live.index(0 if d else 1), m::m] += h[m] * logs[:n // m]
-    del logs  # freed before the phase pass, which sets the peak
     count = sum(n // m for m in map(int, ms))
-    sums = dict(zip(live, _coef_sums(rows[:, 1:], alpha, count)))
-    parts = [sums.get(p, ExpSumValue(0.0, 0.0, count)) for p in (0, 1)]
+    def part_sum(part):  # one row at a time, beside logs: 16 bytes per k
+        row = np.zeros(n + 1)  # column k: (h 1_part * log)(k)
+        for m in map(int, part):
+            row[m::m] += h[m] * logs[:n // m]
+        return _coef_sum(_by_k(row), alpha, n, count)
+    divisible = ms % ws.cfg.q == 0
+    parts = [part_sum(p) if len(p) else ExpSumValue(0.0, 0.0, count)
+             for p in (ms[divisible], ms[~divisible])]
     return _split_or_total(parts, split)
 
 
@@ -488,14 +463,14 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     j0 = u_floor + 1  # conv vanishes below j0
     for m in map(int, ms):
         c[m * j0::m] += w[m] * conv[j0:n // m + 1]
-    return _coef_sums(c[None, 1:], alpha, sum(n // m for m in map(int, ms)))[0]
+    return _coef_sum(_by_k(c), alpha, n, sum(n // m for m in map(int, ms)))
 
 
 def h_only_sum(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     """sum_m h(m) e(m alpha): the first term of the mu decomposition."""
     h = ws.h_float()
-    return _trig_sum(lambda lo, hi: h[lo + 1:hi + 1], alpha,
-                     min(len(h) - 1, int(math.floor(x))))
+    n = min(len(h) - 1, int(math.floor(x)))
+    return _coef_sum(_by_k(h), alpha, n, n)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,9 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     # the per-pair loop in test_expsum), so the first digest alone shows
     # that the direct, I1, II and tail rows are unchanged. It was re-pinned
     # when Lambda's I1 and both II rows moved to coefficient-row sums,
-    # which test_expsum checks against the per-m route and a 40-digit sum
+    # which test_expsum checks against the per-m route and a 40-digit sum,
+    # and again when the direct, tail and mu's h-only I1 rows moved to the
+    # same kernel, which test_expsum holds to the same 40-digit sum
     out = tmp_path / "compare.csv"
     assert main(["compare", "--x", "20000", "--q-range", "1", "4",
                  "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
@@ -188,11 +190,31 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     lines = [ln for ln in out.read_text().splitlines() if not ln.endswith(",I2")]
     assert len(lines) == 2 + 2 * 4 * 2 * 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "e2489071f5d7062e22c5cdd85845e8ec9494941ac12c8a551766b7810acd98a5")
+        "c2b96304163bcf2faeef8d440409e88bc8b34b70d55aa49f22cc24002e2d496d")
     i2 = [ln for ln in out.read_text().splitlines() if ln.endswith(",I2")]
     assert len(i2) == 2 * 4 * 2
     assert hashlib.sha256("\n".join(i2).encode()).hexdigest() == (
         "e3e0f287b2f68bcb8fe97515457e18aa14c730885b08e7d08c8ba89e5d0b31b0")
+
+
+def test_compare_decompose_config_residual(tmp_path):
+    # the benchmark's decompose run (canonical weights at x = 2e5, q <= 4,
+    # delta 0 and 8, one sampled a, seed 0): every sum but I2 is within
+    # 83u sum|w| of its exact value, so the largest recombination residual
+    # stays below 1e-10, far inside the 1e-9 x budget (2e-4)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--x", "200000", "--q-range", "1", "4",
+                 "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
+                 "--seed", "0", "--output", str(out)]) == 0
+    groups = {}
+    for r in _read_csv(out):
+        key = (r["function"], r["q"], r["a"], r["delta"])
+        groups.setdefault(key, {})[r["component"]] = complex(float(r["re"]),
+                                                            float(r["im"]))
+    assert len(groups) == 2 * 4 * 2
+    residual = max(abs(p["direct"] - (p["I1"] - p["I2"] + p["II"] + p["tail"]))
+                   for p in groups.values())
+    assert residual <= 1e-10, residual
 
 
 @pytest.mark.parametrize("delta", ["1e-310", "1e-320", "5e-324"])

@@ -19,13 +19,23 @@ from expsum_kit.weights import WeightConfig, WeightSystem
 
 
 def unit_exponentials(alpha, n):
-    """The dense oracle: e(k*alpha) for k = 1..n in one complex array, from
-    the whole symmetric_fracs array."""
+    """The twists' dense oracle: e(k*alpha) for k = 1..n in one complex
+    array, from the whole symmetric_fracs array."""
     arg = (2 * np.pi) * symmetric_fracs(alpha, n)
     out = np.empty(n, dtype=np.complex128)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
+
+
+def _phase_arrays(alpha, n):
+    """The kernel's dense oracle: (block starts, e(k*alpha) for k = 1..n in
+    one complex array), the blocks of _phase_blocks concatenated."""
+    starts, blocks = [], []
+    for start, e in _phase_blocks(Fraction(alpha), n):
+        starts.append(start)
+        blocks.append(e.copy())
+    return starts, np.concatenate(blocks)
 
 
 def _block_sum(values):
@@ -94,6 +104,25 @@ def test_symmetric_fracs_exact():
     big = symmetric_fracs(alpha, 200_000)
     for n in (65_537, 131_073, 196_609):  # a block start: anchor plus beta
         assert abs(abs(big[n - 1]) - _dist(n * alpha)) < 1e-15
+
+
+def test_symmetric_fracs_in_block_drift():
+    # within a 2^16-block beta's rounding times j, and the roundings of
+    # j*beta and of the anchor sum, reach 2^-38 each: over two full blocks,
+    # at odd denominators (no half-integer k*alpha), every value is within
+    # the docstring's 2^-37 + 2^-55 of the exact k*alpha mod 1 (to the
+    # 2^-52 of this float check), and the drift is far above one ulp
+    n = 2 * 65_536
+    k = np.arange(1, n + 1, dtype=np.int64)
+    worst = 0.0
+    for alpha in (Fraction(1, 3), Fraction(2, 7), Fraction(-2, 7),
+                  Fraction(17, 31), Fraction(355, 113)):
+        fr = symmetric_fracs(alpha, n)
+        gap = fr - (k * alpha.numerator % alpha.denominator) / alpha.denominator
+        err = np.abs(gap - np.round(gap)).max()
+        assert err <= 2.0**-37 + 2.0**-55 + 2.0**-52, (alpha, err)
+        worst = max(worst, err)
+    assert worst >= 2.0**-39, worst
 
 
 @pytest.mark.parametrize("first, hi", [
@@ -213,12 +242,12 @@ def test_unit_exponentials_bitwise():
 
 
 def test_direct_sum_is_the_plain_blocked_sum(tables_10k):
-    # the m = 1 case of the dilated-sum kernel returns the inner sum's bits
+    # the kernel returns the bits of the blocked sum of w times its phases
     for f in ("mangoldt", "mobius"):
         w = arith_function(f).floats(tables_10k)[1:9_001]
         for alpha in (Fraction(2, 7), Fraction(-2, 7), Fraction(0), 0.318309886):
             got = direct_sum(f, alpha, 9_000.5, tables_10k)
-            want = _block_sum(w * unit_exponentials(alpha, 9_000))
+            want = _block_sum(w * _phase_arrays(alpha, 9_000)[1])
             assert (got.real_part, got.imag_part, got.n_terms) == (
                 want.real, want.imag, 9_000)
 
@@ -232,14 +261,15 @@ def _stream_alphas(x):
 
 
 def _oracle_sum(w, alpha, n):
-    want = _block_sum(w[:n] * unit_exponentials(alpha, n))
+    want = _block_sum(w[:n] * _phase_arrays(alpha, n)[1])
     return repr((want.real, want.imag, n))
 
 
 @pytest.mark.parametrize("f", ["mangoldt", "mobius"])
 def test_direct_sum_bits_match_dense_oracle(f, tables_2m):
     # the streamed pass has the bits of the blocked sum over one full-length
-    # complex array, on both sides of a 2^16-block edge and at 1e6
+    # array of _phase_blocks' phases, on both sides of a 2^16-block edge
+    # and at 1e6
     w = arith_function(f).floats(tables_2m, 1_000_000)[1:]
     for x in _STREAM_CUTOFFS:
         n = int(x)
@@ -262,8 +292,9 @@ def test_h_only_sum_bits_match_dense_oracle(tables_2m):
 
 
 def test_direct_sum_peak_memory(tables_2m):
-    # one reused 2^16-block buffer, 2^13-term windows and no array of
-    # length n: the peak stays under 2 MiB and does not grow from 2e5 to 1e6
+    # _phase_blocks' one reused 2^16-block buffer, w multiplied into it in
+    # place and no array of length n: the peak stays under 2 MiB and does
+    # not grow from 2e5 to 1e6
     alpha = Fraction(8, 1_000_003)
     direct_sum("mangoldt", alpha, 1_000, tables_2m)  # first-call caches
     peaks = []
@@ -731,15 +762,6 @@ def test_type_II_row_matches_per_m_route(x, cfg, tables_10k, tables_100k):
             assert got.n_terms == sum(x // m for m in ms if x // m > cfg.U)
 
 
-def _phase_arrays(alpha, n):
-    starts, blocks = [], []
-    for start, e in _phase_blocks(Fraction(alpha), n):
-        starts.append(start)
-        blocks.append(e.copy())
-    e = np.concatenate(blocks)
-    return starts, e.real, e.imag
-
-
 @pytest.mark.parametrize("n", [1_000, 3 * 1024 + 517, 2 * 65_536 + 5 * 1024 + 3])
 def test_phase_blocks_negation_symmetric(n):
     # below one anchor step, a tail that is not a multiple of 2^10, and
@@ -747,9 +769,11 @@ def test_phase_blocks_negation_symmetric(n):
     # gives the same cos bits and the negated sin bits (0.0 stays 0.0)
     for alpha in (Fraction(5, 13), Fraction(1, 3) + Fraction(8, n),
                   Fraction(math.sqrt(2) - 1)):
-        starts, cos, sin = _phase_arrays(alpha, n)
-        assert starts == list(range(0, n, 65_536)) and len(cos) == len(sin) == n
-        _, ncos, nsin = _phase_arrays(-alpha, n)
+        starts, e = _phase_arrays(alpha, n)
+        cos, sin = e.real, e.imag
+        assert starts == list(range(0, n, 65_536)) and len(e) == n
+        _, ne = _phase_arrays(-alpha, n)
+        ncos, nsin = ne.real, ne.imag
         assert ncos.tobytes() == cos.tobytes(), (alpha, n)
         assert np.array_equal(nsin, -sin), (alpha, n)
         nonzero = sin != 0
@@ -779,50 +803,59 @@ def _coef_sum_reference(row, alpha, bits=150):
 
 
 def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
-    # I1 and II against the same float coefficient rows summed to 40
-    # digits: |err| <= 83u sum_k |c(k)|, the bound _coef_sums derives
+    # every row recombine sums (direct, both type-I1 parts or mu's h-only
+    # first term, II and tail) against the same float weights summed to 40
+    # digits: |err| <= 83u sum_k |w(k)|, the bound _coef_sum derives
     x = 20_000
     ws = WeightSystem(WeightConfig(U=20, U1=100, R=5, V=100, q=3), tables_100k)
+    h_top = min(len(ws.h_float()) - 1, x)
     captured = []
-    real_coef_sums = expsum._coef_sums
+    real_coef_sum = expsum._coef_sum
 
-    def capture(rows, alpha, count):
-        captured.extend(np.array(row) for row in rows)
-        return real_coef_sums(rows, alpha, count)
+    def capture(weights, alpha, n, count):
+        row = np.concatenate([weights(lo, min(lo + 65_536, n))
+                              for lo in range(0, n, 65_536)])
+        value = real_coef_sum(weights, alpha, n, count)
+        captured.append((row, value))
+        return value
 
-    monkeypatch.setattr(expsum, "_coef_sums", capture)
-    for alpha in (Fraction(1, 3) + Fraction(8, x), Fraction(3, 4) - Fraction(20, x),
-                  Fraction(2, 7) + Fraction(1, 2 * x), Fraction(math.sqrt(2) - 1)):
-        captured.clear()
-        got = [*type_I_1(alpha, x, ws, tables_100k, split=True),
-               type_II("mangoldt", alpha, x, ws, tables_100k),
-               type_II("mobius", alpha, x, ws, tables_100k)]
-        assert len(captured) == len(got) == 4
-        for row, value in zip(captured, got):
-            assert len(row) == x and np.count_nonzero(row) > 0
-            err = abs(value.value - _coef_sum_reference(row, alpha))
-            assert err <= 83 * 2.0**-53 * np.sum(np.abs(row)), (alpha, err)
+    monkeypatch.setattr(expsum, "_coef_sum", capture)
+    for alpha in (Fraction(1, 3), Fraction(1, 3) + Fraction(8, x),
+                  Fraction(3, 4) - Fraction(20, x), Fraction(2, 7) + Fraction(1, 2 * x),
+                  Fraction(math.sqrt(2) - 1)):
+        for f, lengths in (("mangoldt", [x, x, x, x, 100]),
+                           ("mobius", [x, h_top, x, 100])):
+            captured.clear()
+            recombine(f, alpha, x, ws, tables_100k)
+            assert [len(row) for row, _ in captured] == lengths, f
+            for row, value in captured:
+                assert np.count_nonzero(row) > 0
+                err = abs(value.value - _coef_sum_reference(row, alpha))
+                assert err <= 83 * 2.0**-53 * np.sum(np.abs(row)), (f, alpha, err)
 
 
-@pytest.mark.parametrize("cfg", [WeightConfig(U=10, U1=40, R=5, V=30, q=6),
-                                 WeightConfig(U=20, U1=100, R=8, V=300, q=4)])
-def test_recombine_trig_sum_passes(cfg, tables_10k, monkeypatch):
-    # one streamed trig pass for the direct sum and one for the tail, plus
-    # mu's h-only first term; none per m, whatever the h or f support
+@pytest.mark.parametrize("cfg, i1_parts", [
+    (WeightConfig(U=10, U1=40, R=5, V=30, q=6), 2),
+    (WeightConfig(U=20, U1=100, R=8, V=300, q=4), 1)])
+def test_recombine_phase_passes(cfg, i1_parts, tables_10k, monkeypatch):
+    # one kernel pass each for the direct sum, II and the tail, plus one per
+    # live type-I1 part (at q = 4 no squarefree m has 4 | m) or mu's h-only
+    # first term; none per m, whatever the h or f support
     calls = []
-    real_trig_sum = expsum._trig_sum
+    real_coef_sum = expsum._coef_sum
 
-    def counting(weights, alpha, n):
+    def counting(weights, alpha, n, count):
         calls.append(n)
-        return real_trig_sum(weights, alpha, n)
+        return real_coef_sum(weights, alpha, n, count)
 
-    monkeypatch.setattr(expsum, "_trig_sum", counting)
+    monkeypatch.setattr(expsum, "_coef_sum", counting)
     ws = WeightSystem(cfg, tables_10k)
     alpha = Fraction(1, 3) + Fraction(8, 10_000)
-    for f, want in (("mangoldt", 2), ("mobius", 3)):
+    for f, want in (("mangoldt", 3 + i1_parts), ("mobius", 4)):
         calls.clear()
         recombine(f, alpha, 10_000, ws, tables_10k)
         assert len(calls) == want, (f, calls)
+        assert calls[0] == 10_000 and calls[-1] == int(cfg.V), (f, calls)
 
 
 def test_recombine_classic_config(tables_10k):
