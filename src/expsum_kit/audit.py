@@ -127,7 +127,7 @@ def _inv_sin_norm(alpha: Fraction, n: int, first: int = 1) -> np.ndarray:
 # --- individual checks -------------------------------------------------------
 
 
-def _check_window_min_sum(rng, tables, audit: LemmaAudit) -> None:
+def _check_window_min_sum(rng, audit: LemmaAudit) -> None:
     """sum over a window of length <= q0 of min(A, 1/|sin pi m alpha|)
     <= 2A + (2 q0/pi) log(4 q0)."""
     ap = _random_ap0(rng)
@@ -145,7 +145,7 @@ def _check_window_min_sum(rng, tables, audit: LemmaAudit) -> None:
                             "delta": ap.delta, "y": ap.y})
 
 
-def _check_window_nondivisible(rng, tables, audit: LemmaAudit) -> None:
+def _check_window_nondivisible(rng, audit: LemmaAudit) -> None:
     """Same window, m not divisible by q0, 1/|sin| alone: <= q0 log(e q0);
     needs z2 <= y/(2|delta| q0)."""
     ap = _random_ap0(rng)
@@ -165,7 +165,7 @@ def _check_window_nondivisible(rng, tables, audit: LemmaAudit) -> None:
                             "delta": ap.delta, "y": ap.y})
 
 
-def _check_weighted_min_sum(rng, tables, audit: LemmaAudit) -> None:
+def _check_weighted_min_sum(rng, audit: LemmaAudit) -> None:
     """sum_{m <= Y} log(Y/m)^r min(y/m, 1/|sin pi m alpha|) against the
     log(4q0)(2 r!/pi Y + 2 q0 log^r Y) + (2y/q0) log+(2Y/q0)^r (...) bound."""
     ap = _random_ap0(rng)
@@ -184,7 +184,7 @@ def _check_weighted_min_sum(rng, tables, audit: LemmaAudit) -> None:
     audit.record(lhs, rhs, {"q0": q0, "Y": Y, "r": r, "delta": ap.delta, "y": y})
 
 
-def _check_weighted_nondivisible(rng, tables, audit: LemmaAudit) -> None:
+def _check_weighted_nondivisible(rng, audit: LemmaAudit) -> None:
     """sum_{m <= Y, q0 not| m} log(Y/m)^r / |sin pi m alpha|
     <= log(e q0)(r! Y + q0 log^r Y), for Y <= y/(2|delta| q0)."""
     ap = _random_ap0(rng)
@@ -204,7 +204,7 @@ def _check_weighted_nondivisible(rng, tables, audit: LemmaAudit) -> None:
     audit.record(lhs, rhs, {"q0": q0, "Y": Y, "r": r, "delta": ap.delta, "y": y})
 
 
-def _check_shifted_log_sums(rng, tables, audit: LemmaAudit) -> None:
+def _check_shifted_log_sums(rng, audit: LemmaAudit) -> None:
     """Both Euler-summation counting bounds:
     sum_{0 <= m <= X-rho} log(X/(m+rho))^r <= r! X + log(X/rho)^r and the
     1/(m+rho)-weighted version."""
@@ -222,7 +222,7 @@ def _check_shifted_log_sums(rng, tables, audit: LemmaAudit) -> None:
     audit.record(lhs2, rhs2, {"X": X, "rho": rho, "r": r, "form": "weighted"})
 
 
-def _check_abel(rng, tables, audit: LemmaAudit) -> None:
+def _check_abel(rng, audit: LemmaAudit) -> None:
     """|sum a_n phi(n)| <= phi(b) max_c |sum_{c < n <= b} a_n| for
     nonnegative nondecreasing phi."""
     n = int(rng.integers(2, 400))
@@ -234,8 +234,7 @@ def _check_abel(rng, tables, audit: LemmaAudit) -> None:
     audit.record(float(lhs), float(rhs), {"n": n})
 
 
-def _check_gcd_squarefree(rng, tables, audit: LemmaAudit,
-                          ls: np.ndarray) -> None:
+def _check_gcd_squarefree(rng, audit: LemmaAudit, tables, ls: np.ndarray) -> None:
     """sum_{l <= V} mu^2(l)(l,q)/l <= tau(q) log(eV) and
     sum_{l <= V} mu^2(l)(l,q) <= tau(q) V; ls is 1.0, 2.0, ... to at least
     V, made once per audit."""
@@ -252,16 +251,15 @@ def _check_gcd_squarefree(rng, tables, audit: LemmaAudit,
     audit.record(lhs2, tau_q * float(V), {"q": q, "V": V, "form": "plain"})
 
 
-def _check_squarefree_count(rng, tables, audit: LemmaAudit,
-                            sqfree_prefix: np.ndarray) -> None:
+def _check_squarefree_count(rng, audit: LemmaAudit, sqfree_prefix: np.ndarray) -> None:
     """sum_{M < m <= 2M} mu^2(m) <= (6/pi^2 + eps) M, eps = _SQFREE_EPS,
-    M >= _SQFREE_M_MIN.
+    M >= _SQFREE_M_MIN, from the squarefree count on [0, n] at each n.
 
     Only the squarefree display is audited: its Lambda^2 companion needs
     M beyond exp(0.386/eps) before the (1+eps) factor absorbs the
     2 log 2 - 1 excess, far outside table range.
     """
-    m_top = (tables.n_max) // 2
+    m_top = (len(sqfree_prefix) - 1) // 2
     M = int(rng.integers(_SQFREE_M_MIN, m_top + 1))
     lhs = float(sqfree_prefix[2 * M] - sqfree_prefix[M])
     rhs = (6.0 / math.pi**2 + _SQFREE_EPS) * M
@@ -285,7 +283,7 @@ def _phi_family(rng) -> Tuple[Callable[[float], float], Callable[[float, float],
     return phi, integral, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
-def _check_dyadic(rng, tables, audit: LemmaAudit) -> None:
+def _check_dyadic(rng, audit: LemmaAudit) -> None:
     """sum over powers of two in (A, B] of phi(log m/log x)
     <= (log x/log 2) int phi + phi(log A/log x), phi >= 0 decreasing."""
     x = float(rng.uniform(1e2, 1e8))
@@ -350,17 +348,21 @@ def van_der_corput_report(rng: np.random.Generator,
     return out
 
 
-_CHECKS = {
-    "window_min_sum": _check_window_min_sum,
-    "window_nondivisible": _check_window_nondivisible,
-    "weighted_min_sum": _check_weighted_min_sum,
-    "weighted_nondivisible": _check_weighted_nondivisible,
-    "shifted_log_sums": _check_shifted_log_sums,
-    "abel": _check_abel,
-    "gcd_squarefree": _check_gcd_squarefree,
-    "squarefree_count": _check_squarefree_count,
-    "dyadic": _check_dyadic,
-}
+def _checks(tables: ArithTables) -> Dict[str, Callable]:
+    """Every check as check(rng, audit), in draw order, with what it reads bound."""
+    ls = np.arange(1.0, _GCD_V_END)
+    prefix = np.cumsum(tables.mobius != 0, dtype=np.int32)
+    return {
+        "window_min_sum": _check_window_min_sum,
+        "window_nondivisible": _check_window_nondivisible,
+        "weighted_min_sum": _check_weighted_min_sum,
+        "weighted_nondivisible": _check_weighted_nondivisible,
+        "shifted_log_sums": _check_shifted_log_sums,
+        "abel": _check_abel,
+        "gcd_squarefree": lambda rng, audit: _check_gcd_squarefree(rng, audit, tables, ls),
+        "squarefree_count": lambda rng, audit: _check_squarefree_count(rng, audit, prefix),
+        "dyadic": _check_dyadic,
+    }
 
 
 def inequality_audit(seed: int, tables: ArithTables, n_instances: int = 1000,
@@ -375,13 +377,10 @@ def inequality_audit(seed: int, tables: ArithTables, n_instances: int = 1000,
         raise ValueError("audit needs tables sieved to at least 2e5")
     rng = np.random.default_rng(seed)
     report = AuditReport(seed=seed)
-    # the per-audit arrays of the checks that take one
-    extra = {"gcd_squarefree": (np.arange(1.0, _GCD_V_END),),
-             "squarefree_count": (np.cumsum(tables.mobius != 0, dtype=np.int32),)}
-    for name, check in _CHECKS.items():
+    for name, check in _checks(tables).items():
         audit = LemmaAudit(name=name)
         for _ in range(n_instances):
-            check(rng, tables, audit, *extra.get(name, ()))
+            check(rng, audit)
         report.lemmas[name] = audit
     report.non_binding = van_der_corput_report(rng)
     if raise_on_violation and report.total_violations:

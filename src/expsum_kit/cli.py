@@ -8,8 +8,8 @@ given (config, seed): rows are fully sorted before writing, so the CSV
 is byte-identical for any worker count. Only sweep reads --workers: its q
 run on that many threads of the one process. Exit status 0 is success, 1 is
 an internal or hard-assert failure, 2 a config error: a bad flag value, a
-format the command does not write, or parameters outside the sieve cap or
-the theorem's domain.
+format the command does not write, an output path that is a directory or in
+a missing directory, or parameters outside the sieve cap or the theorem's domain.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.n_max is not None and not 1 <= self.n_max <= MAX_N_MAX:
             raise ConfigError(f"n-max must lie in [1, {MAX_N_MAX}]")
+        if self.output != "-" and (os.path.isdir(self.output) or not os.path.isdir(
+                os.path.dirname(self.output) or ".")):  # checked, not created
+            raise ConfigError(f"output {self.output!r} is a directory, or its directory is missing")
 
 
 class ConfigError(ValueError):

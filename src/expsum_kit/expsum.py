@@ -3,8 +3,8 @@ recombination, and the L^2 weight profiles.
 
 alpha is held as an exact Fraction (floats become their exact dyadic
 value). Every sum_k w(k) e(k alpha) (the direct and h-only sums, and the
-type-I1 and type-II sums, whose parts are alpha-free coefficient rows of
-strided real adds) runs through one kernel, _coef_sum: a streamed pass
+type-I1 and type-II sums, whose parts are alpha-free Dirichlet rows made
+by weights._one_star) runs through one kernel, _coef_sum: a streamed pass
 over 2^16-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10,
 times an exact step e(j alpha), j <= 2^10, with no array of length n and
 an error of at most 83u sum|w|. Type-I2's weight-1 inner sums are
@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import MANGOLDT, ArithTables, Support, TableRangeError, arith_function
 from .diophantine import as_fraction
-from .weights import WeightSystem
+from .weights import WeightSystem, _one_star
 
 _BLOCK = 1 << 16
 _ANCHOR = 1 << 10
@@ -379,8 +379,7 @@ def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,
 # Type-I and type-II sums
 
 
-def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
-             split: bool = False):
+def type_I_1(alpha, x: float, ws: WeightSystem, split: bool = False):
     """S_I1 = sum_m h(m) sum_{mn <= x} log(n) e(mn alpha), summed as
     sum_{k <= x} (h * log)(k) e(k alpha), one coefficient row per part.
 
@@ -396,12 +395,11 @@ def type_I_1(alpha, x: float, ws: WeightSystem, tables: ArithTables,
     n = int(math.floor(x))
     h = ws.h_float()
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
-    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    logs = np.arange(n + 1.0)  # log m at m, in place; 0.0 at 0, which is not read
+    np.log(logs, out=logs, where=logs > 0)
     count = sum(n // m for m in map(int, ms))
     def part_sum(part):  # one row at a time, beside logs: 16 bytes per k
-        row = np.zeros(n + 1)  # column k: (h 1_part * log)(k)
-        for m in map(int, part):
-            row[m::m] += h[m] * logs[:n // m]
+        row = _one_star(((m, h[m]) for m in map(int, part)), n, np.float64, logs)
         return _coef_sum(_by_k(row), alpha, n, count)
     divisible = ms % ws.cfg.q == 0
     parts = [part_sum(p) if len(p) else ExpSumValue(0.0, 0.0, count)
@@ -419,26 +417,23 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     The inner sum depends only on k = l*m (floor(floor(x/l)/m) = floor(x/k),
     {m{l alpha}} = {k alpha}): each k = lm with a pair w(l) h(m) != 0
     costs one closed-form geometric sum, and n_terms counts the floor(x/k)
-    terms they represent. The coefficients c = (w 1_{<= V}) * h are built
-    one l at a time, c[lm] += w(l) h(m), so each c(k) adds its pairs in
-    increasing l. As q_l | m exactly when q | lm, the split is by q | k.
+    terms they represent. The row c = (w 1_{<= V}) * h (_one_star: each c(k)
+    adds its pairs in increasing l) ends at the largest k = lm. As q_l | m
+    exactly when q | lm, the split is by q | k.
     """
     n = int(math.floor(x))
     h = ws.h_float()
     w = arith_function(f0).floats(tables, min(int(math.floor(ws.cfg.V)), n))
-    c = np.zeros(n + 1)
-    hit = np.zeros(n + 1, dtype=bool)  # k = lm for some pair, even if c(k) = 0
-    h_live = h != 0
-    for l in map(int, 1 + np.flatnonzero(w[1:])):
-        j = min(n // l, len(h) - 1)
-        c[l:l * j + 1:l] += w[l] * h[1:j + 1]
-        hit[l:l * j + 1:l] |= h_live[1:j + 1]
-    ks = np.flatnonzero(hit)
+    top = min(n, (len(w) - 1) * (len(h) - 1))
+    ls = 1 + np.flatnonzero(w[1:])
+    c = _one_star(((l, w[l]) for l in map(int, ls)), top, np.float64, h)
+    # every k = lm with a pair, even if c(k) = 0
+    ks = np.flatnonzero(_one_star(((l, True) for l in map(int, ls)), top, bool, h != 0))
     divisible = ks % ws.cfg.q == 0
     coeffs = np.zeros((2, len(ks)))
     coeffs[0, divisible] = c[ks[divisible]]
     coeffs[1, ~divisible] = c[ks[~divisible]]
-    del c, hit  # freed before the closed forms, which set the peak
+    del c  # freed before the closed forms, which set the peak
     return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, n), split)
 
 
@@ -459,10 +454,7 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
     conv = ws.conv_theta_lambda(n // m_lo)
     w = arith_function(f).floats(tables, m_hi)
     ms = m_lo + np.flatnonzero(w[m_lo:])
-    c = np.zeros(n + 1)
-    j0 = u_floor + 1  # conv vanishes below j0
-    for m in map(int, ms):
-        c[m * j0::m] += w[m] * conv[j0:n // m + 1]
+    c = _one_star(((m, w[m]) for m in map(int, ms)), n, np.float64, conv, u_floor + 1)
     return _coef_sum(_by_k(c), alpha, n, sum(n // m for m in map(int, ms)))
 
 
@@ -512,7 +504,7 @@ def recombine(f: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     residual |direct - (I1 - I2 + II + tail)| is pure float error and a
     value above tol*x raises (it would mean a decomposition bug)."""
     s_direct = direct_sum(f, alpha, x, tables)
-    s1 = (type_I_1(alpha, x, ws, tables) if arith_function(f) is MANGOLDT
+    s1 = (type_I_1(alpha, x, ws) if arith_function(f) is MANGOLDT
           else h_only_sum(alpha, x, ws))
     s2 = type_I_2(f, alpha, x, ws, tables)
     s_ii = type_II(f, alpha, x, ws, tables)

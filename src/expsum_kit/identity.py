@@ -190,13 +190,13 @@ def _weight_sums(ws: WeightSystem, n_max: int
     int64, as every partial sum and product is at most 2^(2P+16) in size
     (module docstring)."""
     lam, theta_prime, h = ws.dyadic(P)
-    conv = -_one_star(theta_prime, n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
+    conv = -_one_star(theta_prime.items(), n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
     conv[1] += 1 << P
-    conv *= _one_star(lam, n_max, np.int64)
+    conv *= _one_star(lam.items(), n_max, np.int64)
     support = [d for d in h if d <= n_max]
     h_table = np.zeros(max(support, default=0) + 1, dtype=np.int64)
     h_table[support] = [h[d] for d in support]
-    return h_table, _one_star(h, n_max, np.int64), conv
+    return h_table, _one_star(h.items(), n_max, np.int64), conv
 
 
 def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,

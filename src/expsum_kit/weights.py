@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,13 +106,19 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     return Fraction(d * mu, totient(d)) * g_top / g_bot
 
 
-def _one_star(g: Dict[int, object], n: int, dtype) -> np.ndarray:
-    """(1*g)(k) for k <= n from the sparse values g = {d: g(d)}, in an
-    array of dtype: float64, or int64 for integer values."""
+def _one_star(pairs: Iterable[Tuple[int, object]], n: int, dtype,
+              b: Optional[np.ndarray] = None, lo: int = 1) -> np.ndarray:
+    """(g*b)(k) = sum_{dm = k, m >= lo} g(d) b(m) for k <= n, as dtype (float64,
+    int64, or bool: * is and, + is or), from the (d, g(d)) pairs in the caller's
+    order; b = 1 when None (1*g), else 0 past its end. One strided add per pair,
+    so each entry adds its terms in the pairs' order, one at a time from 0."""
     out = np.zeros(n + 1, dtype=dtype)
-    for d, v in g.items():
-        if d <= n:
-            out[d::d] += v
+    for d, v in pairs:  # past n, or past b's end, a slice is cut short
+        if b is None:
+            out[d * lo::d] += v
+        else:
+            t = b[lo:n // d + 1]
+            out[d * lo:d * (lo + len(t)):d] += v * t
     return out
 
 
@@ -239,13 +245,12 @@ class WeightSystem:
     def one_star_theta(self, n: int) -> np.ndarray:
         """(1 * theta)(k) for k <= n; theta = mu - theta', so this equals
         [k = 1] - (1 * theta')(k)."""
-        out = -_one_star(self._theta_prime_support(float), n, np.float64)
-        if n >= 1:
-            out[1] += 1.0
+        out = -_one_star(self._theta_prime_support(float).items(), n, np.float64)
+        out[1:2] += 1.0  # [k = 1], when n >= 1
         return out
 
     def one_star_lambda(self, n: int) -> np.ndarray:
-        return _one_star(self._lambda(float), n, np.float64)
+        return _one_star(self._lambda(float).items(), n, np.float64)
 
     def conv_theta_lambda(self, n: int) -> np.ndarray:
         """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n.

@@ -135,6 +135,22 @@ def test_delta_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("config error: ") and "overflows" in err
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("place", ["missing-directory", "a-directory"])
+def test_unwritable_output_checked_before_sieve(command, place, tmp_path,
+                                                monkeypatch, capsys):
+    # an output path that cannot be written ends the run before any work,
+    # with no file made on the way
+    def no_sieve(n_max):
+        raise AssertionError("sieved before the output path was checked")
+    monkeypatch.setattr(cli, "build_tables", no_sieve)
+    out = tmp_path / "missing" / "out" if place == "missing-directory" else tmp_path
+    assert main([command, "--x", "1000", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-identity", "--x", "1e8"],
     ["verify-identity", "--x", "1000", "--n-max", "100000000"],

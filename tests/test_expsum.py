@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from mpmath import expjpi, expm1, mpf, pi, workdps
 
+from expsum_kit import bounds as bnd
 from expsum_kit import expsum
 from expsum_kit.arith import (MANGOLDT, MOBIUS, TableRangeError, arith_function,
                               build_tables)
@@ -484,7 +486,7 @@ def test_type_I_1_collapses_when_h_is_delta(tables_small):
     h = ws.h_float()
     assert h[1] == 1.0 and np.all(h[2:] == 0.0)
     alpha = Fraction(2, 9)
-    got = type_I_1(alpha, 500, ws, tables_small)
+    got = type_I_1(alpha, 500, ws)
     logs = np.log(np.arange(1, 501))
     expected = complex(np.sum(logs * unit_exponentials(alpha, 500)))
     assert abs(got.value - expected) < 1e-10
@@ -493,7 +495,7 @@ def test_type_I_1_collapses_when_h_is_delta(tables_small):
 def test_type_I_1_alpha_zero_oracle(tables_small, ws_mid):
     ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=3), tables_small)
     x = 2000
-    got = type_I_1(0, x, ws, tables_small)
+    got = type_I_1(0, x, ws)
     h = ws.h_float()
     expected = 0.0
     for m in range(1, len(h)):
@@ -506,16 +508,16 @@ def test_type_I_1_alpha_zero_oracle(tables_small, ws_mid):
 def test_type_I_1_conjugation(tables_small):
     ws = WeightSystem(WeightConfig(U=4, U1=16, R=4, V=10, q=2), tables_small)
     alpha = Fraction(5, 13)
-    s_pos = type_I_1(alpha, 1000, ws, tables_small)
-    s_neg = type_I_1(-alpha, 1000, ws, tables_small)
+    s_pos = type_I_1(alpha, 1000, ws)
+    s_neg = type_I_1(-alpha, 1000, ws)
     assert abs(s_pos.value.conjugate() - s_neg.value) < 1e-10
 
 
 def test_type_I_1_split_consistent(tables_small):
     ws = WeightSystem(WeightConfig(U=4, U1=16, R=4, V=10, q=2), tables_small)
     alpha = Fraction(5, 13)
-    whole = type_I_1(alpha, 1000, ws, tables_small)
-    div, nondiv = type_I_1(alpha, 1000, ws, tables_small, split=True)
+    whole = type_I_1(alpha, 1000, ws)
+    div, nondiv = type_I_1(alpha, 1000, ws, split=True)
     assert abs(whole.value - (div.value + nondiv.value)) < 1e-12
 
 
@@ -539,8 +541,8 @@ I1_BITS = {
 def test_type_I_1_zero_part_skipped_same_bits(q, tables_10k):
     ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=q), tables_10k)
     alpha = Fraction(2, 7) + Fraction(8, 10_000)
-    whole = type_I_1(alpha, 10_000, ws, tables_10k)
-    parts = type_I_1(alpha, 10_000, ws, tables_10k, split=True)
+    whole = type_I_1(alpha, 10_000, ws)
+    parts = type_I_1(alpha, 10_000, ws, split=True)
     got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
            for v in (whole, *parts)]
     assert got == I1_BITS[q]
@@ -576,6 +578,52 @@ def test_type_I_2_strided_coefficients_same_bits(f, weights, tables_10k):
     got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
            for v in (whole, *parts)]
     assert got == I2_BITS[f, weights]
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_type_I_2_rows_end_at_largest_lm(f, tables_2m):
+    # c and its hit row end at the largest k = lm, V (U1 R) = 30 * 200 here:
+    # rows of length x would take 9 bytes per k, 18 MB at x = 2e6
+    ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=3), tables_2m)
+    ws.h_float()  # cached before the trace
+    tracemalloc.start()
+    try:
+        type_I_2(f, Fraction(1, 3), 2_000_000, ws, tables_2m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+
+
+# sha256 over (re.hex(), im.hex(), n_terms) of type I1 (split False, True)
+# and of type I2 (split False, True) and type II for both f, at four alpha
+# on each config below, taken before the rows moved onto weights._one_star
+PIECES_DIGEST = "78a0209675aada440f67c550fe6e96237095d3be86dc74cec1a9daf94f76fa3d"
+
+
+def test_type_I_and_II_pieces_digest(tables_100k):
+    configs = [(10_000, WeightConfig(10, 40, 5, 30, q=3)),
+               (30_000, WeightConfig(100, 1000, 30, 200, q=4))]
+    for q in (1, 3):
+        pc = bnd.choose_params(100_000, q, 1.0, 1 / 15)
+        configs.append((100_000, WeightConfig(pc.U, pc.U1, pc.R, pc.V, q=q)))
+    digest = hashlib.sha256()
+    for x, cfg in configs:
+        ws, q = WeightSystem(cfg, tables_100k), cfg.q
+        for alpha in (Fraction(1, q), Fraction(1, q) + Fraction(8, x),
+                      Fraction(2, 7), 0.318309886):
+            values = []
+            for split in (False, True):
+                values.append(type_I_1(alpha, x, ws, split=split))
+                values += [type_I_2(f, alpha, x, ws, tables_100k, split=split)
+                           for f in ("mangoldt", "mobius")]
+            values += [type_II(f, alpha, x, ws, tables_100k)
+                       for f in ("mangoldt", "mobius")]
+            for v in values:
+                for p in v if isinstance(v, tuple) else (v,):
+                    digest.update(f"{p.real_part.hex()} {p.imag_part.hex()} "
+                                  f"{p.n_terms}\n".encode())
+    assert digest.hexdigest() == PIECES_DIGEST
 
 
 def test_type_I_2_empty_and_l1_cases(tables_small):
@@ -736,10 +784,10 @@ def test_type_I_1_rows_match_per_m_route(x, cfg, tables_10k, tables_100k):
                   Fraction(7, 12) + Fraction(8, x)):
         want_div, want_nondiv = _per_m_sums(alpha, ms, coeffs, logs, x)
         assert want_div != 0 and want_nondiv != 0  # both rows have terms
-        div, nondiv = type_I_1(alpha, x, ws, tables, split=True)
+        div, nondiv = type_I_1(alpha, x, ws, split=True)
         assert abs(div.value - want_div) <= 1e-9 * x, alpha
         assert abs(nondiv.value - want_nondiv) <= 1e-9 * x, alpha
-        whole = type_I_1(alpha, x, ws, tables)
+        whole = type_I_1(alpha, x, ws)
         assert abs(whole.value - (want_div + want_nondiv)) <= 1e-9 * x, alpha
         assert whole.n_terms == div.n_terms == sum(x // m for m in ms)
 

@@ -97,6 +97,44 @@ def test_combined_h_against_pair_oracle(tables_small, ws_small):
     assert support == {d for d in range(1, len(h)) if abs(h[d]) > 1e-15}
 
 
+def _dirichlet_oracle(pairs, n, dtype, b=None, lo=1):
+    """(g*b)(k) term by term: for each d in the pairs' order, each m >= lo
+    on b with dm <= n adds g(d) b(m) (g(d) when b is None) as a scalar."""
+    out = np.zeros(n + 1, dtype=dtype)
+    for d, v in pairs:
+        m = lo
+        while d * m <= n and (b is None or m < len(b)):
+            out[d * m] += v if b is None else v * b[m]
+            m += 1
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
+@pytest.mark.parametrize("b_len, lo", [(None, 1), (None, 3), (301, 1), (41, 1),
+                                       (301, 4), (29, 5)])
+def test_one_star_matches_term_by_term_loop(dtype, b_len, lo):
+    # every entry adds its terms in the pairs' order, one at a time from 0,
+    # so a float row has the oracle's bits; b ends early at 41 and 29, and
+    # the pairs hold d > n and come in no sorted order
+    rng = np.random.default_rng(7)
+    n = 300
+    ds = rng.permutation(np.concatenate([np.arange(1, 60), [97, 150, 299, 300,
+                                                            301, 450]]))
+    if dtype is bool:
+        values, b = rng.random(len(ds)) < 0.7, rng.random(b_len or 1) < 0.6
+    elif dtype is np.int64:
+        values = rng.integers(-2**40, 2**40, len(ds))
+        b = rng.integers(-2**20, 2**20, b_len or 1)
+    else:
+        values, b = rng.normal(size=len(ds)), rng.normal(size=b_len or 1)
+    b = None if b_len is None else b
+    pairs = [(int(d), v) for d, v in zip(ds, values)]
+    got = weights._one_star(iter(pairs), n, dtype, b, lo)
+    want = _dirichlet_oracle(pairs, n, dtype, b, lo)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got[1:].any()  # the rows are not trivially 0
+
+
 def test_one_star_h_factorizes(tables_small):
     # (1*h)(n) = (1*theta')(n) (1*lambda)(n) at 50 digits, n <= U1 R
     cfg = WeightConfig(U=3, U1=9, R=5, V=5, q=2)
