@@ -34,6 +34,8 @@ _SQFREE_M_MIN = 100_000
 _GCD_V_END = 100_000
 #: Gauss-Legendre nodes per panel of _phi_e_integral.
 _VDC_NODES = 8
+#: Random instances in the van der Corput report.
+_VDC_INSTANCES = 20
 
 
 class AuditViolation(AssertionError):
@@ -326,13 +328,12 @@ def _phi_e_integral(phi: Callable[[np.ndarray], np.ndarray], beta: float,
     return complex(np.dot(fw, np.cos(arg)), np.dot(fw, np.sin(arg)))
 
 
-def van_der_corput_report(rng: np.random.Generator,
-                          n_instances: int = 20) -> List[Dict]:
+def van_der_corput_report(rng: np.random.Generator) -> List[Dict]:
     """Non-binding: sum_{a<n<=b} phi(n) e(n beta) vs the integral, for
     increasing differentiable phi and |beta| <= 1/2; the discrepancy is
     O(|phi(b)|) with unspecified constant, so only ratios are reported."""
     out = []
-    for _ in range(n_instances):
+    for _ in range(_VDC_INSTANCES):
         a = float(rng.uniform(1.0, 50.0))
         b = a + float(rng.uniform(5.0, 500.0))
         beta = float(rng.uniform(-0.5, 0.5))

@@ -3,8 +3,8 @@ recombination, and the L^2 weight profiles.
 
 alpha is held as an exact Fraction (floats become their exact dyadic
 value). Every sum_k w(k) e(k alpha) (the direct and h-only sums, and the
-type-I1 and type-II sums, whose parts are alpha-free Dirichlet rows made
-by weights._one_star) runs through one kernel, _coef_sum: a streamed pass
+type-I1 and type-II sums, each one alpha-free Dirichlet row made by
+weights._one_star) runs through one kernel, _coef_sum: a streamed pass
 over 2^16-blocks, each phase an exact anchor e(s alpha), s = 0 mod 2^10,
 times an exact step e(j alpha), j <= 2^10, with no array of length n and
 an error of at most 83u sum|w|. Type-I2's weight-1 inner sums are
@@ -224,34 +224,6 @@ def _geometric_sum(k: int, den: int, n: int) -> complex:
     return phase * (s_nb / s_b)
 
 
-def _dilated_sums(af: Fraction, ks, coeffs, n: int) -> List[ExpSumValue]:
-    """Row p: sum_i coeffs[p, i] sum_{j <= n/ks[i]} e(ks[i] j af).
-
-    ks is a sorted sparse support. Each weight-1 inner sum is taken once
-    in closed form (_geometric_sum) and shared by every row; a row adds
-    its terms in the order of ks, one at a time from 0.0 (np.cumsum, which
-    never reorders). n_terms counts the inner terms represented, the same
-    for every row.
-    """
-    num, den = af.numerator, af.denominator
-    sums = np.array([_geometric_sum(k * num, den, n // k) for k in map(int, ks)],
-                    dtype=np.complex128)
-    count = sum(n // k for k in map(int, ks))
-    rows = []
-    for row in coeffs:
-        re, im = (np.cumsum(np.concatenate(([0.0], row * part)))[-1]
-                  for part in (sums.real, sums.imag))
-        rows.append(ExpSumValue(re, im, count))
-    return rows
-
-
-def _split_or_total(parts: List[ExpSumValue], split: bool):
-    if split:
-        return tuple(parts)
-    total = parts[0].value + parts[1].value
-    return ExpSumValue(total.real, total.imag, parts[0].n_terms)
-
-
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a block at a time."""
     n = int(math.floor(x))
@@ -379,47 +351,30 @@ def rational_sum_from_residues(per_residue: np.ndarray, a: int, q: int,
 # Type-I and type-II sums
 
 
-def type_I_1(alpha, x: float, ws: WeightSystem, split: bool = False):
+def type_I_1(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     """S_I1 = sum_m h(m) sum_{mn <= x} log(n) e(mn alpha), summed as
-    sum_{k <= x} (h * log)(k) e(k alpha), one coefficient row per part.
-
-    With split=True returns (part with q | m, part with q not| m), the
-    two slices whose bounds are proved separately (the q | m slice is the
-    one the contour-integral proposition speaks about; its inequality has
-    an unspecified O-constant and is never asserted here).
-
-    h vanishes off the squarefree m, so at q = 1 (no m with q not| m) and
-    at q with a square factor (no m with q | m) one part has no m; it is
-    returned as 0 without a phase pass.
-    """
+    sum_{k <= x} (h * log)(k) e(k alpha): one coefficient row over every m
+    in h's support, one phase pass."""
     n = int(math.floor(x))
     h = ws.h_float()
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
     logs = np.arange(n + 1.0)  # log m at m, in place; 0.0 at 0, which is not read
     np.log(logs, out=logs, where=logs > 0)
-    count = sum(n // m for m in map(int, ms))
-    def part_sum(part):  # one row at a time, beside logs: 16 bytes per k
-        row = _one_star(((m, h[m]) for m in map(int, part)), n, np.float64, logs)
-        return _coef_sum(_by_k(row), alpha, n, count)
-    divisible = ms % ws.cfg.q == 0
-    parts = [part_sum(p) if len(p) else ExpSumValue(0.0, 0.0, count)
-             for p in (ms[divisible], ms[~divisible])]
-    return _split_or_total(parts, split)
+    row = _one_star(((m, h[m]) for m in map(int, ms)), n, np.float64, logs)
+    return _coef_sum(_by_k(row), alpha, n, sum(n // m for m in map(int, ms)))
 
 
-def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
-             split: bool = False):
+def type_I_2(f0: str, alpha, x: float, ws: WeightSystem,
+             tables: ArithTables) -> ExpSumValue:
     """S_I2,f = sum_{l <= V} f(l) sum_m h(m) sum_{mn <= x/l} e(lmn alpha).
-
-    With split=True the two returned parts separate m by q_l | m versus
-    q_l not| m where q_l = q/(q, l), the split the long type-I bounds use.
 
     The inner sum depends only on k = l*m (floor(floor(x/l)/m) = floor(x/k),
     {m{l alpha}} = {k alpha}): each k = lm with a pair w(l) h(m) != 0
-    costs one closed-form geometric sum, and n_terms counts the floor(x/k)
-    terms they represent. The row c = (w 1_{<= V}) * h (_one_star: each c(k)
-    adds its pairs in increasing l) ends at the largest k = lm. As q_l | m
-    exactly when q | lm, the split is by q | k.
+    costs one closed-form geometric sum G(k) (_geometric_sum), and n_terms
+    counts the floor(x/k) terms they represent. The row c = (w 1_{<= V}) * h
+    (_one_star: each c(k) adds its pairs in increasing l) ends at the
+    largest k = lm; the terms c(k) G(k) are added in increasing k, one at a
+    time from 0.0 (np.cumsum, which never reorders).
     """
     n = int(math.floor(x))
     h = ws.h_float()
@@ -429,12 +384,13 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem, tables: ArithTables,
     c = _one_star(((l, w[l]) for l in map(int, ls)), top, np.float64, h)
     # every k = lm with a pair, even if c(k) = 0
     ks = np.flatnonzero(_one_star(((l, True) for l in map(int, ls)), top, bool, h != 0))
-    divisible = ks % ws.cfg.q == 0
-    coeffs = np.zeros((2, len(ks)))
-    coeffs[0, divisible] = c[ks[divisible]]
-    coeffs[1, ~divisible] = c[ks[~divisible]]
-    del c  # freed before the closed forms, which set the peak
-    return _split_or_total(_dilated_sums(as_fraction(alpha), ks, coeffs, n), split)
+    c = c[ks]  # the full row is freed before the closed forms, which set the peak
+    af = as_fraction(alpha)
+    sums = np.array([_geometric_sum(k * af.numerator, af.denominator, n // k)
+                     for k in map(int, ks)], dtype=np.complex128)
+    re, im = (np.cumsum(np.concatenate(([0.0], c * part)))[-1]
+              for part in (sums.real, sums.imag))
+    return ExpSumValue(re, im, sum(n // k for k in map(int, ks)))
 
 
 def type_II(f: str, alpha, x: float, ws: WeightSystem,

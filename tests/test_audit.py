@@ -112,7 +112,7 @@ def test_small_table_rejected(tables_small):
 
 def test_vdc_report_non_binding():
     import numpy as np
-    rows = van_der_corput_report(np.random.default_rng(5), n_instances=5)
+    rows = van_der_corput_report(np.random.default_rng(5))
     assert all(r["non_binding"] for r in rows)
     assert all(r["ratio"] >= 0 for r in rows)
 

@@ -196,8 +196,10 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     # that the direct, I1, II and tail rows are unchanged. It was re-pinned
     # when Lambda's I1 and both II rows moved to coefficient-row sums,
     # which test_expsum checks against the per-m route and a 40-digit sum,
-    # and again when the direct, tail and mu's h-only I1 rows moved to the
-    # same kernel, which test_expsum holds to the same 40-digit sum
+    # again when the direct, tail and mu's h-only I1 rows moved to the
+    # same kernel, which test_expsum holds to the same 40-digit sum, and
+    # again when Lambda's I1 at q = 2, 3 and the I2 rows became one row
+    # each, summed once, checked against that sum and the per-pair loop
     out = tmp_path / "compare.csv"
     assert main(["compare", "--x", "20000", "--q-range", "1", "4",
                  "--a-mode", "sample:1", "--delta", "0", "--delta", "8",
@@ -206,11 +208,11 @@ def test_compare_golden_bytes_except_I2(tmp_path):
     lines = [ln for ln in out.read_text().splitlines() if not ln.endswith(",I2")]
     assert len(lines) == 2 + 2 * 4 * 2 * 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "c2b96304163bcf2faeef8d440409e88bc8b34b70d55aa49f22cc24002e2d496d")
+        "b1723a2078acfd0f85df6ad14d6c76c37c8a9dea1ab1e943642ac6961e4acea1")
     i2 = [ln for ln in out.read_text().splitlines() if ln.endswith(",I2")]
     assert len(i2) == 2 * 4 * 2
     assert hashlib.sha256("\n".join(i2).encode()).hexdigest() == (
-        "e3e0f287b2f68bcb8fe97515457e18aa14c730885b08e7d08c8ba89e5d0b31b0")
+        "b3517f848d5564678a0f3693c943b2640d0d6e49234291f6edd7253846e8d3ca")
 
 
 def test_compare_decompose_config_residual(tmp_path):

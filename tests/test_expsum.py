@@ -513,27 +513,15 @@ def test_type_I_1_conjugation(tables_small):
     assert abs(s_pos.value.conjugate() - s_neg.value) < 1e-10
 
 
-def test_type_I_1_split_consistent(tables_small):
-    ws = WeightSystem(WeightConfig(U=4, U1=16, R=4, V=10, q=2), tables_small)
-    alpha = Fraction(5, 13)
-    whole = type_I_1(alpha, 1000, ws)
-    div, nondiv = type_I_1(alpha, 1000, ws, split=True)
-    assert abs(whole.value - (div.value + nondiv.value)) < 1e-12
-
-
-# (whole, q | m part, q not| m part) as (re.hex(), im.hex(), n_terms), taken
-# when both rows still went through the phase pass; at q = 1 the q not| m
-# part is identically zero, at q = 4 the q | m part
+# type_I_1 at x = 1e4, alpha = 2/7 + 8/1e4 as (re.hex(), im.hex(), n_terms).
+# At q = 1 and q = 4 these are the bits from when the q | m and q not| m
+# rows were summed apart and an empty one was skipped (h vanishes off the
+# squarefree m, so one part was empty there); q = 6 was re-pinned when the
+# two rows became one, against the 40-digit sum of that row
 I1_BITS = {
-    1: [("0x1.1e39a03907facp+4", "0x1.65ebebf766790p+5", 36682),
-        ("0x1.1e39a03907facp+4", "0x1.65ebebf766790p+5", 36682),
-        ("0x0.0p+0", "0x0.0p+0", 36682)],
-    4: [("0x1.75a5b9345a06cp+4", "0x1.7d765e2a90998p+5", 35997),
-        ("0x0.0p+0", "0x0.0p+0", 35997),
-        ("0x1.75a5b9345a06cp+4", "0x1.7d765e2a90998p+5", 35997)],
-    6: [("0x1.2ef010b3e049ap+4", "0x1.9dc73551705f4p+5", 34469),
-        ("0x1.3cc1342f998b4p+2", "0x1.da786f404b7c0p-2", 34469),
-        ("0x1.bf7f874ff3cdap+3", "0x1.9a124472efc84p+5", 34469)],
+    1: ("0x1.1e39a03907facp+4", "0x1.65ebebf766790p+5", 36682),
+    4: ("0x1.75a5b9345a06cp+4", "0x1.7d765e2a90998p+5", 35997),
+    6: ("0x1.2ef010b3e04a0p+4", "0x1.9dc73551705fap+5", 34469),
 }
 
 
@@ -541,31 +529,22 @@ I1_BITS = {
 def test_type_I_1_zero_part_skipped_same_bits(q, tables_10k):
     ws = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=q), tables_10k)
     alpha = Fraction(2, 7) + Fraction(8, 10_000)
-    whole = type_I_1(alpha, 10_000, ws)
-    parts = type_I_1(alpha, 10_000, ws, split=True)
-    got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
-           for v in (whole, *parts)]
-    assert got == I1_BITS[q]
+    v = type_I_1(alpha, 10_000, ws)
+    assert (v.real_part.hex(), v.imag_part.hex(), v.n_terms) == I1_BITS[q]
 
 
-# type_I_2 at x = 1e4, q = 6, alpha = 2/7 + 8/1e4: (whole, q_l | m part,
-# q_l not| m part) as (re.hex(), im.hex(), n_terms), taken when the
-# coefficients were grouped pair by pair (np.outer, np.unique, np.add.at).
-# Under the classical weights (U = U1, R = 1) Lambda's c(p^2) = Lambda(p)
-# mu(p) + Lambda(p^2) is exactly 0, yet its floor(x/p^2) terms count.
+# type_I_2 at x = 1e4, q = 6, alpha = 2/7 + 8/1e4 as (re.hex(), im.hex(),
+# n_terms), re-pinned when the q | k and q not| k rows became one row,
+# against the per-pair loop. Under the classical weights (U = U1, R = 1)
+# Lambda's c(p^2) = Lambda(p) mu(p) + Lambda(p^2) is exactly 0, yet its
+# floor(x/p^2) terms count.
 I2_BITS = {
-    ("mangoldt", (10, 40, 5, 30)): [
-        ("0x1.18d12c2bf01d1p+5", "-0x1.0e586bf3762e7p+4", 46791),
-        ("-0x1.27f4bad8cc0bep+1", "-0x1.d8b241270934fp+3", 46791),
-        ("0x1.2b5077d97cdddp+5", "-0x1.0ffa5aff8c9ffp+1", 46791)],
-    ("mobius", (10, 40, 5, 30)): [
-        ("-0x1.da92b5f46180ap+3", "-0x1.ab7ad6b754e80p-3", 51545),
-        ("0x1.16dc42a086eafp+1", "-0x1.98ad26594d109p+4", 51545),
-        ("-0x1.1024e34e419dbp+4", "0x1.955630abde66cp+4", 51545)],
-    ("mangoldt", (10, 10, 1, 30)): [
-        ("0x1.e15aa06086c90p+1", "-0x1.59386ecb2b93cp+3", 38035),
-        ("-0x1.14b7144246a50p+4", "-0x1.2987d7bdc5c8bp+5", 38035),
-        ("0x1.50e2684e577e2p+4", "0x1.a6737815f5c78p+4", 38035)],
+    ("mangoldt", (10, 40, 5, 30)):
+        ("0x1.18d12c2bf01d0p+5", "-0x1.0e586bf3762f5p+4", 46791),
+    ("mobius", (10, 40, 5, 30)):
+        ("-0x1.da92b5f461815p+3", "-0x1.ab7ad6b754c65p-3", 51545),
+    ("mangoldt", (10, 10, 1, 30)):
+        ("0x1.e15aa06086c92p+1", "-0x1.59386ecb2b942p+3", 38035),
 }
 
 
@@ -573,11 +552,8 @@ I2_BITS = {
 def test_type_I_2_strided_coefficients_same_bits(f, weights, tables_10k):
     ws = WeightSystem(WeightConfig(*weights, q=6), tables_10k)  # U, U1, R, V
     alpha = Fraction(2, 7) + Fraction(8, 10_000)
-    whole = type_I_2(f, alpha, 10_000, ws, tables_10k)
-    parts = type_I_2(f, alpha, 10_000, ws, tables_10k, split=True)
-    got = [(v.real_part.hex(), v.imag_part.hex(), v.n_terms)
-           for v in (whole, *parts)]
-    assert got == I2_BITS[f, weights]
+    v = type_I_2(f, alpha, 10_000, ws, tables_10k)
+    assert (v.real_part.hex(), v.imag_part.hex(), v.n_terms) == I2_BITS[f, weights]
 
 
 @pytest.mark.parametrize("f", ["mangoldt", "mobius"])
@@ -595,10 +571,10 @@ def test_type_I_2_rows_end_at_largest_lm(f, tables_2m):
     assert peak <= 2**20, peak
 
 
-# sha256 over (re.hex(), im.hex(), n_terms) of type I1 (split False, True)
-# and of type I2 (split False, True) and type II for both f, at four alpha
-# on each config below, taken before the rows moved onto weights._one_star
-PIECES_DIGEST = "78a0209675aada440f67c550fe6e96237095d3be86dc74cec1a9daf94f76fa3d"
+# sha256 over (re.hex(), im.hex(), n_terms) of type I1, and of type I2 and
+# type II for both f, at four alpha on each config below, re-pinned when
+# each piece became one row summed once
+PIECES_DIGEST = "0aa1421ce5827376fc970a1f8c3fa9a3044cb50bcd1320b4c18222174864e3ad"
 
 
 def test_type_I_and_II_pieces_digest(tables_100k):
@@ -612,17 +588,12 @@ def test_type_I_and_II_pieces_digest(tables_100k):
         ws, q = WeightSystem(cfg, tables_100k), cfg.q
         for alpha in (Fraction(1, q), Fraction(1, q) + Fraction(8, x),
                       Fraction(2, 7), 0.318309886):
-            values = []
-            for split in (False, True):
-                values.append(type_I_1(alpha, x, ws, split=split))
-                values += [type_I_2(f, alpha, x, ws, tables_100k, split=split)
-                           for f in ("mangoldt", "mobius")]
-            values += [type_II(f, alpha, x, ws, tables_100k)
-                       for f in ("mangoldt", "mobius")]
+            values = [type_I_1(alpha, x, ws)]
+            values += [piece(f, alpha, x, ws, tables_100k)
+                       for piece in (type_I_2, type_II) for f in ("mangoldt", "mobius")]
             for v in values:
-                for p in v if isinstance(v, tuple) else (v,):
-                    digest.update(f"{p.real_part.hex()} {p.imag_part.hex()} "
-                                  f"{p.n_terms}\n".encode())
+                digest.update(f"{v.real_part.hex()} {v.imag_part.hex()} "
+                              f"{v.n_terms}\n".encode())
     assert digest.hexdigest() == PIECES_DIGEST
 
 
@@ -667,25 +638,23 @@ def test_type_I_2_triple_loop_oracle(tables_small):
 
 def _type_I_2_pair_loop(f0, alpha, x, ws, tables):
     """The per-(l, m) type-I2 loop that the k = l*m grouping replaced: one
-    inner sum per pair, split by q_l | m with q_l = q/(q, l)."""
+    inner sum per pair."""
     n = int(math.floor(x))
     af = Fraction(alpha)
     h = ws.h_float()
     w = arith_function(f0).floats(tables)
-    q = ws.cfg.q
-    acc = {True: complex(0.0), False: complex(0.0)}
+    acc = complex(0.0)
     for l in range(1, min(int(math.floor(ws.cfg.V)), n) + 1):
         if w[l] == 0.0:
             continue
-        q_l = q // math.gcd(q, l)
         x_l = n // l
         for m in range(1, min(len(h) - 1, x_l) + 1):
             if h[m] == 0.0:
                 continue
             beta = Fraction(l * m * af.numerator % af.denominator, af.denominator)
             inner = _block_sum(unit_exponentials(beta, x_l // m))
-            acc[m % q_l == 0] += w[l] * h[m] * inner
-    return acc[True], acc[False]
+            acc += w[l] * h[m] * inner
+    return acc
 
 
 @pytest.mark.parametrize("x,cfg", [
@@ -698,26 +667,14 @@ def test_type_I_2_k_grouping_matches_pair_loop(x, cfg, tables_10k, tables_100k):
     for f in ("mangoldt", "mobius"):
         for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
                       Fraction(7, 12) + Fraction(8, x)):
-            div, nondiv = type_I_2(f, alpha, x, ws, tables, split=True)
-            want_div, want_nondiv = _type_I_2_pair_loop(f, alpha, x, ws, tables)
-            assert abs(div.value - want_div) <= 1e-9 * x, (f, alpha)
-            assert abs(nondiv.value - want_nondiv) <= 1e-9 * x, (f, alpha)
-            assert want_div != 0 and want_nondiv != 0  # both halves have terms
             whole = type_I_2(f, alpha, x, ws, tables)
-            assert whole.value == div.value + nondiv.value
+            want = _type_I_2_pair_loop(f, alpha, x, ws, tables)
+            assert abs(whole.value - want) <= 1e-9 * x, (f, alpha)
             # n_terms counts one inner sum per distinct k = l*m
             w, h = arith_function(f).floats(tables), ws.h_float()
             ks = {l * m for l in range(1, int(cfg.V) + 1) if w[l]
                   for m in range(1, len(h)) if h[m] and l * m <= x}
-            assert whole.n_terms == div.n_terms == sum(x // k for k in ks)
-
-
-def test_type_I_2_split_consistent(tables_small):
-    ws = WeightSystem(WeightConfig(U=3, U1=9, R=3, V=8, q=6), tables_small)
-    alpha = Fraction(1, 6)
-    whole = type_I_2("mobius", alpha, 400, ws, tables_small)
-    da, db = type_I_2("mobius", alpha, 400, ws, tables_small, split=True)
-    assert abs(whole.value - (da.value + db.value)) < 1e-12
+            assert whole.n_terms == sum(x // k for k in ks)
 
 
 def test_type_II_empty_range(tables_small):
@@ -754,15 +711,14 @@ def test_type_II_loop_order_oracle(tables_small):
 
 
 def _per_m_sums(alpha, ms, coeffs, inner, n):
-    """The per-m weighted route that the coefficient rows replaced: row p
-    is sum_i coeffs[p][i] sum_{j <= n/ms[i]} inner[j-1] e(ms[i] j alpha),
-    one phase array per m."""
+    """The per-m weighted route that the coefficient rows replaced:
+    sum_i coeffs[i] sum_{j <= n/ms[i]} inner[j-1] e(ms[i] j alpha), one
+    phase array per m."""
     af = Fraction(alpha)
     num, den = af.numerator, af.denominator
     sums = [_block_sum(inner[:n // m] * unit_exponentials(
         Fraction(m * num % den, den), n // m)) for m in ms]
-    return [sum((c * s for c, s in zip(row, sums) if c), complex(0.0))
-            for row in coeffs]
+    return sum((c * s for c, s in zip(coeffs, sums) if c), complex(0.0))
 
 
 _ORACLE_CASES = [  # h vanishes off the squarefree m, so q is squarefree
@@ -777,19 +733,13 @@ def test_type_I_1_rows_match_per_m_route(x, cfg, tables_10k, tables_100k):
     ws = WeightSystem(cfg, tables)
     h = ws.h_float()
     ms = [m for m in range(1, min(len(h) - 1, x) + 1) if h[m]]
-    coeffs = [[h[m] if m % cfg.q == 0 else 0.0 for m in ms],
-              [0.0 if m % cfg.q == 0 else h[m] for m in ms]]
     logs = np.log(np.arange(1, x + 1, dtype=np.float64))
     for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
                   Fraction(7, 12) + Fraction(8, x)):
-        want_div, want_nondiv = _per_m_sums(alpha, ms, coeffs, logs, x)
-        assert want_div != 0 and want_nondiv != 0  # both rows have terms
-        div, nondiv = type_I_1(alpha, x, ws, split=True)
-        assert abs(div.value - want_div) <= 1e-9 * x, alpha
-        assert abs(nondiv.value - want_nondiv) <= 1e-9 * x, alpha
+        want = _per_m_sums(alpha, ms, [h[m] for m in ms], logs, x)
         whole = type_I_1(alpha, x, ws)
-        assert abs(whole.value - (want_div + want_nondiv)) <= 1e-9 * x, alpha
-        assert whole.n_terms == div.n_terms == sum(x // m for m in ms)
+        assert abs(whole.value - want) <= 1e-9 * x, alpha
+        assert whole.n_terms == sum(x // m for m in ms)
 
 
 @pytest.mark.parametrize("x,cfg", _ORACLE_CASES)
@@ -804,7 +754,7 @@ def test_type_II_row_matches_per_m_route(x, cfg, tables_10k, tables_100k):
         ms = [m for m in range(1, x // int(cfg.U) + 1) if m > cfg.V and w[m]]
         for alpha in (Fraction(5, cfg.q), Fraction(1, 3) + Fraction(-20, x),
                       Fraction(7, 12) + Fraction(8, x)):
-            want, = _per_m_sums(alpha, ms, [[w[m] for m in ms]], conv, x)
+            want = _per_m_sums(alpha, ms, [w[m] for m in ms], conv, x)
             got = type_II(f, alpha, x, ws, tables)
             assert abs(got.value - want) <= 1e-9 * x, (f, alpha)
             assert got.n_terms == sum(x // m for m in ms if x // m > cfg.U)
@@ -851,7 +801,7 @@ def _coef_sum_reference(row, alpha, bits=150):
 
 
 def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
-    # every row recombine sums (direct, both type-I1 parts or mu's h-only
+    # every row recombine sums (direct, Lambda's type-I1 row or mu's h-only
     # first term, II and tail) against the same float weights summed to 40
     # digits: |err| <= 83u sum_k |w(k)|, the bound _coef_sum derives
     x = 20_000
@@ -871,7 +821,7 @@ def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
     for alpha in (Fraction(1, 3), Fraction(1, 3) + Fraction(8, x),
                   Fraction(3, 4) - Fraction(20, x), Fraction(2, 7) + Fraction(1, 2 * x),
                   Fraction(math.sqrt(2) - 1)):
-        for f, lengths in (("mangoldt", [x, x, x, x, 100]),
+        for f, lengths in (("mangoldt", [x, x, x, 100]),
                            ("mobius", [x, h_top, x, 100])):
             captured.clear()
             recombine(f, alpha, x, ws, tables_100k)
@@ -882,13 +832,14 @@ def test_coef_sums_match_40_digit_reference(tables_100k, monkeypatch):
                 assert err <= 83 * 2.0**-53 * np.sum(np.abs(row)), (f, alpha, err)
 
 
-@pytest.mark.parametrize("cfg, i1_parts", [
-    (WeightConfig(U=10, U1=40, R=5, V=30, q=6), 2),
-    (WeightConfig(U=20, U1=100, R=8, V=300, q=4), 1)])
-def test_recombine_phase_passes(cfg, i1_parts, tables_10k, monkeypatch):
-    # one kernel pass each for the direct sum, II and the tail, plus one per
-    # live type-I1 part (at q = 4 no squarefree m has 4 | m) or mu's h-only
-    # first term; none per m, whatever the h or f support
+@pytest.mark.parametrize("cfg", [
+    WeightConfig(U=10, U1=40, R=5, V=30, q=6),
+    WeightConfig(U=20, U1=100, R=8, V=300, q=4),
+    WeightConfig(U=10, U1=40, R=5, V=30, q=1)])
+def test_recombine_phase_passes(cfg, tables_10k, monkeypatch):
+    # one kernel pass each for the direct sum, Lambda's type-I1 row or mu's
+    # h-only first term, II and the tail, at every q; none per m, whatever
+    # the h or f support
     calls = []
     real_coef_sum = expsum._coef_sum
 
@@ -899,10 +850,10 @@ def test_recombine_phase_passes(cfg, i1_parts, tables_10k, monkeypatch):
     monkeypatch.setattr(expsum, "_coef_sum", counting)
     ws = WeightSystem(cfg, tables_10k)
     alpha = Fraction(1, 3) + Fraction(8, 10_000)
-    for f, want in (("mangoldt", 3 + i1_parts), ("mobius", 4)):
+    for f in ("mangoldt", "mobius"):
         calls.clear()
         recombine(f, alpha, 10_000, ws, tables_10k)
-        assert len(calls) == want, (f, calls)
+        assert len(calls) == 4, (f, calls)
         assert calls[0] == 10_000 and calls[-1] == int(cfg.V), (f, calls)
 
 

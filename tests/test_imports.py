@@ -14,7 +14,7 @@ from expsum_kit.audit import van_der_corput_report
 from expsum_kit.bounds import integral_sqrt_ratio_quadrature
 assert expsum_kit.cli.main(["bound", "--x", "1000000", "--q-range", "3", "3",
                             "-o", sys.argv[1]]) == 0
-van_der_corput_report(np.random.default_rng(0), 3)
+van_der_corput_report(np.random.default_rng(0))
 assert "mpmath" not in sys.modules
 integral_sqrt_ratio_quadrature(0.3, 0.9, 0.2)
 assert "mpmath" in sys.modules

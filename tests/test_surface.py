@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +91,68 @@ def test_every_public_method_is_reached():
     read |= _outside_reads()
     unreached = {m for m in methods if m.split(".")[1] not in read}
     assert sorted(unreached) == sorted(UNREACHED_METHODS)
+
+
+# Defaulted parameters of public src functions and methods that no call in
+# src, no benchmark file and no acceptance test passes, by position or by
+# keyword. A default that only unit tests change is an option with one
+# value in use: it belongs in the body as a constant, or here with a reason.
+UNPASSED_DEFAULTS = {
+    "recombine.tol": "the bench tracer reads argument 5 (test_bench_names pins it)",
+    "theorem_bound_components.require_flags": "ROADMAP item 6: compare passes False",
+}
+
+
+def _defaulted_parameters():
+    """{"[Class.]function.param": (callee name, positional slot, param)} for
+    each defaulted parameter of a public function of src, or of a public
+    method of a public class; a method's slot skips self, and a
+    keyword-only parameter's slot is inf."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owned = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                owned = [(f"{node.name}.{item.name}", item, 1) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for qual, fn, skip in owned:
+                if fn.name.startswith("_"):
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for slot, arg in enumerate(positional[first:], first):
+                    out[f"{qual}.{arg.arg}"] = (fn.name, slot - skip, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out[f"{qual}.{arg.arg}"] = (fn.name, math.inf, arg.arg)
+    return out
+
+
+def _calls_by_name():
+    """{callee name: [(positional argument count, inf with a *splat;
+    keyword names, with None for a **splat)]} over every call in src, the
+    benchmark files and the acceptance tests."""
+    paths = (sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+             + [ROOT / "tests" / "test_acceptance.py"])
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            out.setdefault(name, []).append((n, {k.arg for k in node.keywords}))
+    return out
+
+
+def test_every_default_is_passed_outside_unit_tests():
+    calls = _calls_by_name()
+    unpassed = {key for key, (name, slot, param) in _defaulted_parameters().items()
+                if not any(n > slot or param in kws or None in kws
+                           for n, kws in calls.get(name, []))}
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
