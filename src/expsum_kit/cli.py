@@ -277,7 +277,7 @@ def _weight_config(cfg: RunConfig, q: int, delta0: float) -> WeightConfig:
         pc = bnd.choose_params(cfg.x, q, delta0, cfg.eta)
         u, u1, r, v = pc.U, pc.U1, pc.R, pc.V
     try:
-        return WeightConfig(U=u, U1=u1, R=r, V=v, q=q, eta=cfg.eta)
+        return WeightConfig(U=u, U1=u1, R=r, V=v, q=q)
     except ValueError as exc:
         raise ConfigError(
             f"weight parameters degenerate at x={cfg.x}, q={q} (U={u:.3g}, "

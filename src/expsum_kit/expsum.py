@@ -360,7 +360,7 @@ def type_I_1(alpha, x: float, ws: WeightSystem) -> ExpSumValue:
     ms = 1 + np.flatnonzero(h[1:min(len(h) - 1, n) + 1])
     logs = np.arange(n + 1.0)  # log m at m, in place; 0.0 at 0, which is not read
     np.log(logs, out=logs, where=logs > 0)
-    row = _one_star(((m, h[m]) for m in map(int, ms)), n, np.float64, logs)
+    row = _one_star(h, n, np.float64, logs)
     return _coef_sum(_by_k(row), alpha, n, sum(n // m for m in map(int, ms)))
 
 
@@ -380,10 +380,9 @@ def type_I_2(f0: str, alpha, x: float, ws: WeightSystem,
     h = ws.h_float()
     w = arith_function(f0).floats(tables, min(int(math.floor(ws.cfg.V)), n))
     top = min(n, (len(w) - 1) * (len(h) - 1))
-    ls = 1 + np.flatnonzero(w[1:])
-    c = _one_star(((l, w[l]) for l in map(int, ls)), top, np.float64, h)
+    c = _one_star(w, top, np.float64, h)
     # every k = lm with a pair, even if c(k) = 0
-    ks = np.flatnonzero(_one_star(((l, True) for l in map(int, ls)), top, bool, h != 0))
+    ks = np.flatnonzero(_one_star(w != 0, top, bool, h != 0))
     c = c[ks]  # the full row is freed before the closed forms, which set the peak
     af = as_fraction(alpha)
     sums = np.array([_geometric_sum(k * af.numerator, af.denominator, n // k)
@@ -409,8 +408,9 @@ def type_II(f: str, alpha, x: float, ws: WeightSystem,
         return ExpSumValue(0.0, 0.0, 0)
     conv = ws.conv_theta_lambda(n // m_lo)
     w = arith_function(f).floats(tables, m_hi)
-    ms = m_lo + np.flatnonzero(w[m_lo:])
-    c = _one_star(((m, w[m]) for m in map(int, ms)), n, np.float64, conv, u_floor + 1)
+    w[:m_lo] = 0.0
+    c = _one_star(w, n, np.float64, conv, u_floor + 1)
+    ms = np.flatnonzero(w)
     return _coef_sum(_by_k(c), alpha, n, sum(n // m for m in map(int, ms)))
 
 

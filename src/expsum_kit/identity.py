@@ -11,9 +11,9 @@ exact Fractions, so lambda_P(1) = 2^P; theta'_P = round(theta' 2^P) from the
 float theta'; theta_P = mu 2^P - theta'_P; h_P = lambda_P *_lcm theta'_P,
 through the loop that makes the float and 50-digit h. Then
 1*h_P + (1*theta_P)(1*lambda_P) = 2^(2P) [k = 1], so with T1 = h_P*(1*f),
-T2 = (1*h_P)*f_{<=V}, T3 = ((1*theta_P)(1*lambda_P))*f_{>V} and
-T4 = 2^(2P) f_{<=V}, the residual T1 - T2 + T3 + T4 - 2^(2P) f is exactly 0
-at every n, for any f and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
+T2 = (1*h_P)*f_{<=V} and T3 = ((1*theta_P)(1*lambda_P))*f_{>V}, the
+residual T1 - T2 + T3 - 2^(2P) f_{>V} is exactly 0 at every n, for any f
+and V. h_P (by lcm), 1*h_P (strided sums over h_P) and
 (1*theta_P)(1*lambda_P) (a product of strided sums) take three routes, so a
 slip in any one of them leaves a residual.
 
@@ -25,10 +25,10 @@ p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and T3 = (1*theta_P)(1*lambda_P)
 convolution mod p split on the hyperbola dm <= n_max at k = isqrt(n_max),
 one add per d <= k with a(d) != 0, over every m, then one per
 m <= n_max/(k+1) with b(m) != 0, over every d > k. An input may stop short
-of n_max and is 0 past its end: h_P stops at its support, f_{<=V} at V,
+of n_max and is 0 past its end: h_P stops at U1 R, f_{<=V} at V,
 and 1*mu = [m = 1] is its two entries [0, 1], so for mu each add of T1's
 first half is one entry and its second half is the one m = 1. f_{>V} is
-f read from m = V + 1 on. T4 and 2^(2P) f are one slice each. Lambda goes
+f read from m = V + 1 on. 2^(2P) f_{>V} is one slice. Lambda goes
 through a random map: log q -> r_q, uniform mod p from a generator seeded
 with _SEED and p, so Lambda(n) is r at the Mangoldt base of n, and
 log m = sum_q v_q(m) r_q comes from a sieve of its own (_log_residues)
@@ -44,7 +44,7 @@ sum_{d|n} |h_P(d)| <= 2^(2P+16), as each pair of divisors of n has one lcm.
 Each entry of f's table is -1, 0 or 1 for mu, and one log or none for
 Lambda, so each coefficient in the log basis (the value, for mu) has
 |T1| <= 23 * 2^(2P+16), |T2| + |T3| <= 2^9 * 2^(2P+16) (each l | n is in T2
-or in T3), and |T4|, |2^(2P) f| <= 2^(2P). Every coefficient of the
+or in T3), and |2^(2P) f_{>V}| <= 2^(2P). Every coefficient of the
 residual is then below B = 2^(2P+26), and the product of MODULI exceeds 2B.
 A residual that is 0 modulo each p is therefore 0: for mu with certainty;
 for Lambda, a nonzero coefficient is nonzero modulo some p, where a nonzero
@@ -90,8 +90,8 @@ MODULI = (2**31 - 1, 2**31 - 19)
 #: Seed of the random map log q -> r_q.
 _SEED = 20250507
 
-#: Sign of each term in the residual T1 - T2 + T3 + T4 - 2^(2P) f.
-_SIGNS = (1, -1, 1, 1, -1)
+#: Sign of each term in the residual T1 - T2 + T3 - 2^(2P) f_{>V}.
+_SIGNS = (1, -1, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -185,24 +185,22 @@ def _convolve(n_max: int, a: np.ndarray, b: np.ndarray, p: int,
 
 def _weight_sums(ws: WeightSystem, n_max: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h_P (up to its support), 1*h_P and (1*theta_P)(1*lambda_P) on
+    """h_P (up to min(n_max, U1 R)), 1*h_P and (1*theta_P)(1*lambda_P) on
     [0, n_max]: the terms' tables that depend on neither f nor p, exact in
     int64, as every partial sum and product is at most 2^(2P+16) in size
     (module docstring)."""
     lam, theta_prime, h = ws.dyadic(P)
-    conv = -_one_star(theta_prime.items(), n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
+    conv = -_one_star(theta_prime, n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
     conv[1] += 1 << P
-    conv *= _one_star(lam.items(), n_max, np.int64)
-    support = [d for d in h if d <= n_max]
-    h_table = np.zeros(max(support, default=0) + 1, dtype=np.int64)
-    h_table[support] = [h[d] for d in support]
-    return h_table, _one_star(h.items(), n_max, np.int64), conv
+    conv *= _one_star(lam, n_max, np.int64)
+    h = h[:n_max + 1]
+    return h, _one_star(h, n_max, np.int64), conv
 
 
 def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
            p: int, sums: Tuple[np.ndarray, np.ndarray, np.ndarray]
            ) -> Iterator[np.ndarray]:
-    """T1, T2, T3, T4 and 2^(2P) f on [0, n_max], each as int64 residues
+    """T1, T2, T3 and 2^(2P) f_{>V} on [0, n_max], each as int64 residues
     mod p, from sums = _weight_sums(ws, n_max). l <= V is l <= floor(V)
     for integral l."""
     f, one_f = inputs(n_max, tables, p)
@@ -212,15 +210,14 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
     yield _convolve(n_max, h % p, one_f, p)
     yield _convolve(n_max, f[:v + 1], one_h % p, p)
     yield _convolve(n_max, conv % p, f, p, lo=v + 1)
-    term = np.zeros(n_max + 1, dtype=np.int64)
-    term[1:v + 1] = f[1:v + 1] * unit % p
+    term = f * unit % p
+    term[:v + 1] = 0
     yield term
-    yield f * unit % p
 
 
 def _decompose(inputs: Inputs, n_max: int, ws: WeightSystem,
                tables: ArithTables) -> Decomposition:
-    """Sum the residual T1 - T2 + T3 + T4 - 2^(2P) f on [1, n_max] modulo
+    """Sum the residual T1 - T2 + T3 - 2^(2P) f_{>V} on [1, n_max] modulo
     each p in MODULI, and mark the n where it is not 0 mod some p."""
     ws.tables.check_range(n_max, "n_max")
     if n_max > MAX_N_MAX:

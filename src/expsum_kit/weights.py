@@ -7,7 +7,8 @@ Fraction arithmetic. The Barban-Vehov ramp theta'(d) = mu(d) log(U1/d)/log(U1/U)
 is irrational. WeightSystem evaluates each weight through one formula, in
 float64 for the exponential-sum layer or at 50 digits as a reference, and
 rounds lambda and theta' to integers over a power of two, with h the exact
-lcm convolution of those, for the identity certificate (identity).
+lcm convolution of those, for the identity certificate (identity), each
+as an array indexed by d, the input format of _one_star.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ RAMARE_C2_PRIME = 2.0
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Parameters (U, U1, R, V, q, eta) for one weight system.
+    """Parameters (U, U1, R, V, q) for one weight system.
 
     Generic position is 1 < U < U1 and R > 1; the degenerate equalities
     U = 1, U1 = U, R = 1 are allowed and reproduce the classical Vaughan
@@ -47,7 +48,6 @@ class WeightConfig:
     R: float
     V: float
     q: int
-    eta: float = 1.0 / 15.0
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.U, self.U1, self.R, self.V))):
@@ -62,8 +62,6 @@ class WeightConfig:
             raise ValueError("V must exceed 1")
         if self.q < 1:
             raise ValueError("q must be a positive integer")
-        if not 0 < self.eta <= 0.1:
-            raise ValueError("eta must lie in (0, 1/10]")
 
     @property
     def h_support_bound(self) -> int:
@@ -106,14 +104,16 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     return Fraction(d * mu, totient(d)) * g_top / g_bot
 
 
-def _one_star(pairs: Iterable[Tuple[int, object]], n: int, dtype,
-              b: Optional[np.ndarray] = None, lo: int = 1) -> np.ndarray:
+def _one_star(g: np.ndarray, n: int, dtype, b: Optional[np.ndarray] = None,
+              lo: int = 1) -> np.ndarray:
     """(g*b)(k) = sum_{dm = k, m >= lo} g(d) b(m) for k <= n, as dtype (float64,
-    int64, or bool: * is and, + is or), from the (d, g(d)) pairs in the caller's
-    order; b = 1 when None (1*g), else 0 past its end. One strided add per pair,
-    so each entry adds its terms in the pairs' order, one at a time from 0."""
+    int64, or bool: * is and, + is or), from g indexed by d (g[0] is not
+    read); b = 1 when None (1*g), else 0 past its end. One strided add per d
+    with g(d) != 0, in increasing d, so each entry adds its terms in
+    increasing d, one at a time from 0."""
     out = np.zeros(n + 1, dtype=dtype)
-    for d, v in pairs:  # past n, or past b's end, a slice is cut short
+    ds = 1 + np.flatnonzero(g[1:n // lo + 1])
+    for d, v in zip(ds.tolist(), g[ds].tolist()):  # past b's end, a slice is cut short
         if b is None:
             out[d * lo::d] += v
         else:
@@ -145,7 +145,7 @@ class WeightSystem:
             lam = selberg_lambda(d, cfg, tables, self.g_cache)
             if lam:
                 self.lambda_table[d] = lam
-        self._h_mp: Optional[Dict[int, object]] = None
+        self._h_mp: Optional[np.ndarray] = None
         self._h_float: Optional[np.ndarray] = None
         self._conv_theta_lambda: Dict[int, np.ndarray] = {}
 
@@ -154,13 +154,10 @@ class WeightSystem:
     def lam(self, d: int) -> Fraction:
         return self.lambda_table.get(d, Fraction(0))
 
-    def _lambda(self, num) -> Dict[int, object]:
-        """lambda in the number type num. mpf takes no Fraction, so an mpf
-        value is the numerator over the denominator, each converted first."""
-        if num is float:
-            return {d: float(f) for d, f in self.lambda_table.items()}
-        return {d: num(f.numerator) / num(f.denominator)
-                for d, f in self.lambda_table.items()}
+    def _lambda(self, value) -> np.ndarray:
+        """value(lambda(d)) of the exact Fraction, indexed by d on
+        [0, floor(R)]: float64 for float, int64 for int, object for mpf."""
+        return np.array([value(self.lam(d)) for d in range(int(math.floor(self.cfg.R)) + 1)])
 
     @property
     def g_q_R(self) -> Fraction:
@@ -186,71 +183,64 @@ class WeightSystem:
             from mpmath import log
         return mu * log(num(cfg.U1) / d) / log(num(cfg.U1) / num(cfg.U))
 
-    def _theta_prime_support(self, num) -> Dict[int, object]:
-        """theta'(d) at every squarefree d <= U1. A 0 at the ramp's end d = U1
-        is kept, so that h's keys, and with them the order of 1*h's sums,
-        stay fixed."""
+    def _theta_prime_support(self, num) -> np.ndarray:
+        """theta' in the number type num, indexed by d on [0, floor(U1)]:
+        float64 for float, object for mpf."""
         u1 = int(math.floor(self.cfg.U1))
-        return {d: self.theta_prime(d, num)
-                for d in range(1, u1 + 1) if self.tables.mobius[d]}
+        return np.array([num(0)] + [self.theta_prime(d, num) for d in range(1, u1 + 1)])
 
     # -- h = lambda *_lcm theta' --------------------------------------------
 
-    def _h(self, lam: Dict[int, object], theta_prime: Dict[int, object],
-           zero) -> Dict[int, object]:
-        """h = lambda *_lcm theta' as {d: h(d)} over [1, floor(U1*R)], zeros
-        dropped, from lambda and theta' in one number type (float, mpf at
-        the caller's precision, or int) with zero its 0.
+    def _h(self, lam: np.ndarray, theta_prime: np.ndarray) -> np.ndarray:
+        """h = lambda *_lcm theta', indexed by d on [0, floor(U1*R)], from
+        lambda and theta' in one dtype (float64, int64, or object for mpf at
+        the caller's precision). lambda(d1) theta'(d2) is added at
+        lcm(d1, d2) with d1 outer and d2 inner, both ascending, each entry
+        from 0: one np.add.at per d1, which adds a repeated index in order."""
+        out = np.zeros(self.cfg.h_support_bound + 1, dtype=lam.dtype)
+        d2 = 1 + np.flatnonzero(theta_prime[1:])
+        tp = theta_prime[d2]
+        for d1 in (1 + np.flatnonzero(lam[1:])).tolist():
+            l = d2 // np.gcd(d2, d1) * d1
+            keep = l < len(out)
+            np.add.at(out, l[keep], lam[d1] * tp[keep])
+        return out
 
-        lambda(d1) theta'(d2) is added at lcm(d1, d2) with d1 outer and d2
-        inner, both ascending.
-        """
-        bound = self.cfg.h_support_bound
-        out: Dict[int, object] = {}
-        for d1, lam1 in lam.items():
-            for d2, tp in theta_prime.items():
-                l = d1 * d2 // math.gcd(d1, d2)
-                if l <= bound:
-                    out[l] = out.get(l, zero) + lam1 * tp
-        return {d: v for d, v in out.items() if v != 0}
-
-    def h_mp(self) -> Dict[int, object]:
-        """h(d) as mpf at RAMP_DPS digits, sparse over [1, floor(U1*R)]."""
+    def h_mp(self) -> np.ndarray:
+        """h as mpf at RAMP_DPS digits, indexed by d on [0, floor(U1*R)]."""
         if self._h_mp is None:
             from mpmath import mpf, workdps
-            with workdps(RAMP_DPS):
-                self._h_mp = self._h(self._lambda(mpf),
-                                     self._theta_prime_support(mpf), mpf(0))
+            with workdps(RAMP_DPS):  # mpf takes no Fraction
+                lam = self._lambda(lambda f: mpf(f.numerator) / mpf(f.denominator))
+                self._h_mp = self._h(lam, self._theta_prime_support(mpf))
         return self._h_mp
 
     def h_float(self) -> np.ndarray:
-        """h as a float64 array indexed by d on [0, floor(U1*R)]."""
+        """h as float64, indexed by d on [0, floor(U1*R)]."""
         if self._h_float is None:
-            h = self._h(self._lambda(float), self._theta_prime_support(float), 0.0)
-            self._h_float = np.zeros(self.cfg.h_support_bound + 1)
-            self._h_float[list(h)] = list(h.values())
+            self._h_float = self._h(self._lambda(float), self._theta_prime_support(float))
         return self._h_float
 
-    def dyadic(self, P: int) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
-        """(lambda_P, theta'_P, h_P): lambda rounded to an integer over 2^P
-        from its exact Fraction, so lambda_P(1) = 2^P; theta' rounded to one
-        from its float; and h_P = lambda_P *_lcm theta'_P, over 2^(2P)."""
-        lam = {d: round(v * (1 << P)) for d, v in self.lambda_table.items()}
-        theta_prime = {d: round(math.ldexp(v, P))
-                       for d, v in self._theta_prime_support(float).items()}
-        return lam, theta_prime, self._h(lam, theta_prime, 0)
+    def dyadic(self, P: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lambda_P, theta'_P, h_P) as int64 arrays indexed by d: lambda
+        rounded to an integer over 2^P from its exact Fraction, so
+        lambda_P(1) = 2^P; theta' rounded to one from its float; and
+        h_P = lambda_P *_lcm theta'_P, over 2^(2P)."""
+        lam = self._lambda(lambda f: round(f * (1 << P)))
+        theta_prime = np.rint(np.ldexp(self._theta_prime_support(float), P)).astype(np.int64)
+        return lam, theta_prime, self._h(lam, theta_prime)
 
     # -- float64 convolution tables for the exponential-sum layer -----------
 
     def one_star_theta(self, n: int) -> np.ndarray:
         """(1 * theta)(k) for k <= n; theta = mu - theta', so this equals
         [k = 1] - (1 * theta')(k)."""
-        out = -_one_star(self._theta_prime_support(float).items(), n, np.float64)
+        out = -_one_star(self._theta_prime_support(float), n, np.float64)
         out[1:2] += 1.0  # [k = 1], when n >= 1
         return out
 
     def one_star_lambda(self, n: int) -> np.ndarray:
-        return _one_star(self._lambda(float).items(), n, np.float64)
+        return _one_star(self._lambda(float), n, np.float64)
 
     def conv_theta_lambda(self, n: int) -> np.ndarray:
         """The type-II inner factor (1*theta)(k) (1*lambda)(k) for k <= n.

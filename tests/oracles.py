@@ -5,10 +5,12 @@ of Fraction (or int) values, LogVector values, or a mix of the two.
   so convolutions involving Lambda or log never round.
 - dirichlet_convolve: exact Dirichlet convolution, with unit_table,
   mobius_table and mangoldt_table as its operands, read from the sieve.
+- lcm_dict_loop: lambda *_lcm theta' pair by pair over {d: value} dicts,
+  the reference for WeightSystem's h in every number type.
 
 No command runs these: the kit certifies its identities by exact modular
-sums (identity). They check the sieve's mu and Mangoldt base by the
-identities 1*mu = [n = 1] and 1*Lambda = log.
+sums (identity). The convolutions check the sieve's mu and Mangoldt base by
+the identities 1*mu = [n = 1] and 1*Lambda = log.
 """
 
 from __future__ import annotations
@@ -112,3 +114,18 @@ def mangoldt_table(n_max: int, tables: ArithTables) -> List[LogVector]:
     tables.check_range(n_max)
     return [LogVector({int(b): 1}) if b else LogVector()
             for b in tables.mangoldt_base[:n_max + 1]]
+
+
+def lcm_dict_loop(lam: Dict[int, object], theta_prime: Dict[int, object],
+                  bound: int, zero) -> Dict[int, object]:
+    """lambda *_lcm theta' as {d: h(d)} over [1, bound], zeros dropped, from
+    lambda and theta' as {d: value} in one number type with zero its 0:
+    lambda(d1) theta'(d2) is added at lcm(d1, d2) one pair at a time, d1
+    outer and d2 inner, each in its dict's order."""
+    out: Dict[int, object] = {}
+    for d1, lam1 in lam.items():
+        for d2, tp in theta_prime.items():
+            l = d1 * d2 // math.gcd(d1, d2)
+            if l <= bound:
+                out[l] = out.get(l, zero) + lam1 * tp
+    return {d: v for d, v in out.items() if v != 0}

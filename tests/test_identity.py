@@ -44,17 +44,20 @@ def test_mobius_residual_zero_small_config(tables_small, ws_small):
 
 def test_trivial_values(tables_small, ws_small):
     for p in MODULI:
-        t1, t2, t3, t4, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p,
-                                   _weight_sums(ws_small, 50))
+        t1, t2, t3, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p,
+                               _weight_sums(ws_small, 50))
         # n = 1: log 1 = 0 and Lambda(1) = 0, so every term is 0
-        assert t1[1] == t2[1] == t3[1] == t4[1] == f[1] == 0
-        # a prime q <= V: the four terms combine to 2^(2P) log q -> 2^(2P) r_q
+        assert t1[1] == t2[1] == t3[1] == f[1] == 0
+        # a prime q: the three terms cancel at q <= V = 5, and above V they
+        # combine to 2^(2P) log q -> 2^(2P) r_q, which f_{>V} carries
         r = _log_map(50, p)
-        for q in (2, 3, 5):
-            assert (t1[q] - t2[q] + t3[q] + t4[q]) % p == (int(r[q]) << 2 * P) % p
+        for q in (2, 3, 5, 7, 11, 13):
+            want = (int(r[q]) << 2 * P) % p if q > 5 else 0
+            assert f[q] == want
+            assert (t1[q] - t2[q] + t3[q]) % p == want
 
 
-# The four terms and 2^(2P) f by raw divisor sums over the dyadic integer
+# The three terms and 2^(2P) f_{>V} by raw divisor sums over the dyadic integer
 # weights, each rebuilt here: lambda_P from the Fractions, theta'_P from
 # the float theta', h_P by a brute-force lcm, theta_P as mu 2^P - theta'_P.
 # f(l) and (1*f)(m) are {coordinate: int}: the log basis from the
@@ -95,7 +98,7 @@ def _dyadic_oracle(ws):
 
 
 def _oracle_terms(f, one_f, n, ws, tables, oracle):
-    """T1, T2, T3, T4 and 2^(2P) f at n as {coordinate: int}, over the
+    """T1, T2, T3 and 2^(2P) f_{>V} at n as {coordinate: int}, over the
     weights oracle = _dyadic_oracle(ws)."""
     lam, theta, h = oracle
 
@@ -106,7 +109,7 @@ def _oracle_terms(f, one_f, n, ws, tables, oracle):
         for key, c in coeffs.items():
             total[key] = total.get(key, 0) + c * weight
 
-    terms = [{} for _ in range(5)]
+    terms = [{} for _ in range(4)]
     for d in _divisors(n):
         add(terms[0], one_f(n // d, tables), h(d))
         k = n // d
@@ -114,9 +117,8 @@ def _oracle_terms(f, one_f, n, ws, tables, oracle):
             add(terms[1], f(d, tables), one(h, k))
         else:
             add(terms[2], f(d, tables), one(theta, k) * one(lam, k))
-    if n <= ws.cfg.V:
+    if n > ws.cfg.V:
         add(terms[3], f(n, tables), 1 << 2 * P)
-    add(terms[4], f(n, tables), 1 << 2 * P)
     return terms
 
 
@@ -134,7 +136,7 @@ def test_terms_against_independent_oracle(name, tables_small, ws_small):
             for n in range(1, n_max + 1)]
     for terms in want:  # the identity itself, in exact integers
         total = {}
-        for sign, term in zip((1, -1, 1, 1, -1), terms):
+        for sign, term in zip((1, -1, 1, -1), terms):
             for key, c in term.items():
                 total[key] = total.get(key, 0) + sign * c
         assert not any(total.values())
@@ -142,7 +144,8 @@ def test_terms_against_independent_oracle(name, tables_small, ws_small):
         r = _log_map(n_max, p)
         got = list(_terms(INPUTS[name], n_max, ws_small, tables_small, p,
                           _weight_sums(ws_small, n_max)))
-        for i in range(5):
+        assert len(got) == 4
+        for i in range(4):
             assert got[i][0] == 0
             assert got[i][1:].tolist() == [_residue(terms[i], r, p)
                                            for terms in want], (p, i)
@@ -173,7 +176,7 @@ def test_residual_is_the_exact_residual_of_the_tables(name, tables_small, ws_sma
     want = []
     for n in range(1, n_max + 1):
         total = {}
-        for sign, term in zip((1, -1, 1, 1, -1),
+        for sign, term in zip((1, -1, 1, -1),
                               _oracle_terms(f, one_f, n, ws_small, bad, oracle)):
             for key, c in term.items():
                 total[key] = total.get(key, 0) + sign * c
@@ -280,23 +283,23 @@ def test_mobius_term1_is_h(tables_small, ws_small):
     for p in MODULI:
         t1 = next(_terms(_mobius_inputs, n_max, ws_small, tables_small, p,
                          _weight_sums(ws_small, n_max)))
-        assert t1.tolist() == [h_p.get(d, 0) % p for d in range(n_max + 1)]
+        assert t1.tolist() == (h_p % p).tolist()
     h = ws_small.h_mp()
     with workdps(50):
         for d in range(1, n_max + 1):
             pairs = sum(1 for d1 in ws_small.lambda_table for d2 in _divisors(d)
                         if d1 * d2 // math.gcd(d1, d2) == d)
-            err = abs(mpf(h_p.get(d, 0)) / 2 ** (2 * P) - h.get(d, mpf(0)))
+            err = abs(mpf(int(h_p[d])) / 2 ** (2 * P) - h[d])
             assert err <= pairs * 2.0 ** -P, d
 
 
 def test_mobius_prime_above_v_carried_by_term3(tables_small, ws_small):
     # next prime above V = 5 is 7; the identity must still be exact there
     for p in MODULI:
-        t1, t2, t3, t4, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p,
-                                   _weight_sums(ws_small, 7))
-        assert t4[7] == 0  # 7 > V
-        assert (t1[7] - t2[7] + t3[7] + t4[7] - f[7]) % p == 0
+        t1, t2, t3, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p,
+                               _weight_sums(ws_small, 7))
+        assert f[5] == 0 and f[7] != 0  # f_{>V}, with 5 <= V < 7
+        assert (t1[7] - t2[7] + t3[7] - f[7]) % p == 0
     assert decompose_mobius(7, ws_small, tables_small).nonzero_count == 0
 
 
@@ -305,7 +308,7 @@ def test_classic_mode_matches_general_degenerate(tables_small):
     classic = WeightSystem(dataclasses.replace(cfg, U1=cfg.U, R=1.0), tables_small)
     general = WeightSystem(WeightConfig(U=10, U1=10, R=1, V=10, q=1),
                            tables_small)
-    assert classic.h_mp() == general.h_mp()
+    assert classic.h_mp().tolist() == general.h_mp().tolist()
     assert classic.lambda_table == general.lambda_table
 
 

@@ -156,3 +156,41 @@ def test_every_default_is_passed_outside_unit_tests():
                 if not any(n > slot or param in kws or None in kws
                            for n, kws in calls.get(name, []))}
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+# Parameters of src functions and methods that their body never reads, each
+# kept for a caller. Any other unread parameter is dead input: it goes, or
+# it is read.
+UNREAD_PARAMETERS = {
+    "Decomposition.max_residual.tables": "test_acceptance passes it",
+    "separation_bound.tables": "perfbench/workloads.py passes three arguments",
+    "partition_integers.tables": "the bench and the acceptance tests call it "
+                                 "as they call partition_primes",
+}
+
+
+def _functions(node, prefix=""):
+    """("[Class.][outer.]name", node) for each function and method below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{child.name}", child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_every_parameter_is_read():
+    # a nested function's body is part of its enclosing body, so a
+    # parameter that only a closure reads counts as read
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qual, fn in _functions(ast.parse(path.read_text())):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unread |= {f"{qual}.{a.arg}" for a in params if a.arg not in read}
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)

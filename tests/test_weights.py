@@ -10,11 +10,14 @@ from mpmath import mp, mpf, workdps
 
 from expsum_kit import weights
 from expsum_kit.arith import TableRangeError
+from expsum_kit.bounds import choose_params
+from expsum_kit.identity import P
 from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem, g_series,
                                 gq_lower_bound_holds, lbsum_b_report,
                                 lbsum_c_report, mobius_partial,
                                 mobius_partial_bounds_hold, selberg_lambda,
                                 thtsum_report, verify_lbcr, verify_lbsum_a)
+from oracles import lcm_dict_loop
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +101,9 @@ def test_combined_h_against_pair_oracle(tables_small, ws_small):
 
 
 def _dirichlet_oracle(pairs, n, dtype, b=None, lo=1):
-    """(g*b)(k) term by term: for each d in the pairs' order, each m >= lo
-    on b with dm <= n adds g(d) b(m) (g(d) when b is None) as a scalar."""
+    """(g*b)(k) term by term: for each (d, g(d)) in increasing d, each
+    m >= lo on b with dm <= n adds g(d) b(m) (g(d) when b is None) as a
+    scalar."""
     out = np.zeros(n + 1, dtype=dtype)
     for d, v in pairs:
         m = lo
@@ -113,24 +117,26 @@ def _dirichlet_oracle(pairs, n, dtype, b=None, lo=1):
 @pytest.mark.parametrize("b_len, lo", [(None, 1), (None, 3), (301, 1), (41, 1),
                                        (301, 4), (29, 5)])
 def test_one_star_matches_term_by_term_loop(dtype, b_len, lo):
-    # every entry adds its terms in the pairs' order, one at a time from 0,
-    # so a float row has the oracle's bits; b ends early at 41 and 29, and
-    # the pairs hold d > n and come in no sorted order
+    # every entry adds its terms in increasing d, one at a time from 0, so
+    # a float row has the oracle's bits; b ends early at 41 and 29; g holds
+    # d > n, d with n // d < lo (150 at lo 3, 97 at lo 4 and 5), and a
+    # nonzero g[0], which is not read
     rng = np.random.default_rng(7)
     n = 300
-    ds = rng.permutation(np.concatenate([np.arange(1, 60), [97, 150, 299, 300,
-                                                            301, 450]]))
+    ds = np.concatenate([np.arange(1, 60), [97, 150, 299, 300, 301, 450]])
+    g = np.zeros(451, dtype=dtype)
     if dtype is bool:
-        values, b = rng.random(len(ds)) < 0.7, rng.random(b_len or 1) < 0.6
+        g[ds], b = rng.random(len(ds)) < 0.7, rng.random(b_len or 1) < 0.6
     elif dtype is np.int64:
-        values = rng.integers(-2**40, 2**40, len(ds))
+        g[ds] = rng.integers(-2**40, 2**40, len(ds))
         b = rng.integers(-2**20, 2**20, b_len or 1)
     else:
-        values, b = rng.normal(size=len(ds)), rng.normal(size=b_len or 1)
+        g[ds], b = rng.normal(size=len(ds)), rng.normal(size=b_len or 1)
+    g[0] = 1
     b = None if b_len is None else b
-    pairs = [(int(d), v) for d, v in zip(ds, values)]
-    got = weights._one_star(iter(pairs), n, dtype, b, lo)
-    want = _dirichlet_oracle(pairs, n, dtype, b, lo)
+    got = weights._one_star(g, n, dtype, b, lo)
+    want = _dirichlet_oracle([(d, g[d]) for d in range(1, len(g)) if g[d]],
+                             n, dtype, b, lo)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got[1:].any()  # the rows are not trivially 0
 
@@ -143,9 +149,9 @@ def test_one_star_h_factorizes(tables_small):
     with workdps(50):
         h = ws.h_mp()
         one_h = [mpf(0)] * (n_max + 1)
-        for d, v in h.items():
+        for d in range(1, len(h)):
             for k in range(d, n_max + 1, d):
-                one_h[k] += v
+                one_h[k] += h[d]
         lam_mp = {d: mpf(f.numerator) / mpf(f.denominator)
                   for d, f in ws.lambda_table.items()}
         for n in range(1, n_max + 1):
@@ -155,6 +161,46 @@ def test_one_star_h_factorizes(tables_small):
                 tp += ws.theta_prime(d, mpf)
                 lm += lam_mp.get(d, mpf(0))
             assert abs(one_h[n] - tp * lm) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("params", [(10, 40, 5, 30, 3), (10, 10, 1, 30, 1),
+                                    (3, 9, 5, 5, 2), "choose_params"])
+def test_h_arrays_match_dict_loop(tables_100k, params):
+    # h in each number type against the per-pair dict loop over {d: value}
+    # inputs: float64 bit for bit, mpf and the dyadic integers exactly
+    if params == "choose_params":
+        pc = choose_params(1e6, 3, 1.0, 1.0 / 15.0)
+        params = (pc.U, pc.U1, pc.R, pc.V, 3)
+    U, U1, R, V, q = params
+    ws = WeightSystem(WeightConfig(U=U, U1=U1, R=R, V=V, q=q), tables_100k)
+    bound = ws.cfg.h_support_bound
+    squarefree = [d for d in range(1, int(U1) + 1) if tables_100k.mobius[d]]
+
+    h = ws.h_float()
+    want = lcm_dict_loop({d: float(f) for d, f in ws.lambda_table.items()},
+                         {d: ws.theta_prime(d) for d in squarefree}, bound, 0.0)
+    dense = np.zeros(bound + 1)
+    dense[list(want)] = list(want.values())
+    assert h.dtype == np.float64 and h.tobytes() == dense.tobytes()
+
+    with workdps(50):
+        want = lcm_dict_loop({d: mpf(f.numerator) / mpf(f.denominator)
+                              for d, f in ws.lambda_table.items()},
+                             {d: ws.theta_prime(d, mpf) for d in squarefree},
+                             bound, mpf(0))
+    h = ws.h_mp()
+    assert len(h) == bound + 1
+    assert all(h[d] == want.get(d, 0) for d in range(1, bound + 1))
+    assert all(type(h[d]) is mpf for d in want)
+
+    lam, theta_prime, h = ws.dyadic(P)
+    lam_p = {d: round(f * (1 << P)) for d, f in ws.lambda_table.items()}
+    tp_p = {d: round(math.ldexp(ws.theta_prime(d), P)) for d in squarefree}
+    want = lcm_dict_loop(lam_p, tp_p, bound, 0)
+    for got, table in ((lam, lam_p), (theta_prime, tp_p), (h, want)):
+        assert got.dtype == np.int64
+        assert got[1:].tolist() == [table.get(d, 0) for d in range(1, len(got))]
+    assert len(h) == bound + 1
 
 
 # sha256 of the float64 bytes of h and of (1*theta)(1*lambda) on [0, 5000]
@@ -356,8 +402,6 @@ def test_config_validation():
         WeightConfig(U=2, U1=1.5, R=3, V=5, q=1)
     with pytest.raises(ValueError):
         WeightConfig(U=2, U1=4, R=0.5, V=5, q=1)
-    with pytest.raises(ValueError):
-        WeightConfig(U=2, U1=4, R=3, V=5, q=1, eta=0.2)
 
 
 def test_h_range_error(tables_small):
