@@ -20,15 +20,16 @@ slip in any one of them leaves a residual.
 Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
 strided numpy adds. h_P, 1*h_P and (1*theta_P)(1*lambda_P), which depend
 on neither f nor p, are tabled once per f, exactly, and reduced mod each
-p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and T3 = (1*theta_P)(1*lambda_P)
-*f_{>V} are one call each of one kernel, _convolve: a Dirichlet
-convolution mod p split on the hyperbola dm <= n_max at k = isqrt(n_max),
-one add per d <= k with a(d) != 0, over every m, then one per
-m <= n_max/(k+1) with b(m) != 0, over every d > k. An input may stop short
-of n_max and is 0 past its end: h_P stops at U1 R, f_{<=V} at V,
-and 1*mu = [m = 1] is its two entries [0, 1], so for mu each add of T1's
-first half is one entry and its second half is the one m = 1. f_{>V} is
-f read from m = V + 1 on. 2^(2P) f_{>V} is one slice. Lambda goes
+p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and T3 = f_{>V}*((1*theta_P)
+(1*lambda_P)) are one call each of the kit's one Dirichlet-row kernel,
+weights._one_star, on its mod-p path: one strided add per d with a(d) != 0
+in the left factor, over every m of the right. An input may stop short of
+n_max and is 0 past its end: h_P stops at U1 R, f_{<=V} at V, and
+1*mu = [m = 1] is its two entries [0, 1], so for mu each add of T1 is one
+entry. T3 reads the product table from its first nonzero u >= 1 on (it is
+0 at 1 and up to U), so its left factor, f_{>V}, a copy of f zeroed up to
+V, stops at n_max/u: a few thousand m, where the table's own support would
+be millions of d. 2^(2P) f_{>V} is one slice. Lambda goes
 through a random map: log q -> r_q, uniform mod p from a generator seeded
 with _SEED and p, so Lambda(n) is r at the Mangoldt base of n, and
 log m = sum_q v_q(m) r_q comes from a sieve of its own (_log_residues)
@@ -158,31 +159,6 @@ def _log_residues(n_max: int, r: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _add(out: np.ndarray, start: int, step: int, x: np.ndarray, c, p: int) -> None:
-    """out[start + i step] += c x[i] mod p, for residues c and x[i]."""
-    prod = x * c
-    prod %= p
-    out[start:start + step * len(x):step] += prod
-
-
-def _convolve(n_max: int, a: np.ndarray, b: np.ndarray, p: int,
-              lo: int = 1) -> np.ndarray:
-    """sum_{dm = n, m >= lo} a(d) b(m) mod p for 1 <= n <= n_max (0 at
-    n = 0), from residues a and b, each 0 past its end (a(0) and b(0) are
-    not read). Split on the hyperbola dm <= n_max at k = isqrt(n_max): one
-    add per d <= k with a(d) != 0, over every m, then one per
-    m <= n_max/(k+1) with b(m) != 0, over every d > k."""
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    k = math.isqrt(n_max)
-    for d in (1 + np.flatnonzero(a[1:min(k, n_max // lo) + 1])).tolist():
-        _add(out, d * lo, d, b[lo:n_max // d + 1], a[d], p)
-    if len(a) > k + 1:  # some d > k
-        for m in (lo + np.flatnonzero(b[lo:n_max // (k + 1) + 1])).tolist():
-            _add(out, m * (k + 1), m, a[k + 1:n_max // m + 1], b[m], p)
-    out %= p
-    return out
-
-
 def _weight_sums(ws: WeightSystem, n_max: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h_P (up to min(n_max, U1 R)), 1*h_P and (1*theta_P)(1*lambda_P) on
@@ -202,14 +178,18 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
            ) -> Iterator[np.ndarray]:
     """T1, T2, T3 and 2^(2P) f_{>V} on [0, n_max], each as int64 residues
     mod p, from sums = _weight_sums(ws, n_max). l <= V is l <= floor(V)
-    for integral l."""
+    for integral l. T3 reads conv from its first nonzero u >= 1, below
+    which it is 0, so f_{>V} is read up to n_max/u."""
     f, one_f = inputs(n_max, tables, p)
     h, one_h, conv = sums
     v = min(math.floor(ws.cfg.V), n_max)
     unit = (1 << 2 * P) % p
-    yield _convolve(n_max, h % p, one_f, p)
-    yield _convolve(n_max, f[:v + 1], one_h % p, p)
-    yield _convolve(n_max, conv % p, f, p, lo=v + 1)
+    yield _one_star(h % p, n_max, np.int64, one_f, p=p)
+    yield _one_star(f[:v + 1], n_max, np.int64, one_h % p, p=p)
+    u = 1 + int((conv[1:] != 0).argmax()) if conv[1:].any() else n_max + 1
+    f_above = f[:n_max // u + 1].copy()  # f_{>V}, read up to n_max/u
+    f_above[:v + 1] = 0
+    yield _one_star(f_above, n_max, np.int64, conv % p, u, p)
     term = f * unit % p
     term[:v + 1] = 0
     yield term

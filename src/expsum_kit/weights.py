@@ -105,20 +105,32 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
 
 
 def _one_star(g: np.ndarray, n: int, dtype, b: Optional[np.ndarray] = None,
-              lo: int = 1) -> np.ndarray:
+              lo: int = 1, p: int = 0) -> np.ndarray:
     """(g*b)(k) = sum_{dm = k, m >= lo} g(d) b(m) for k <= n, as dtype (float64,
     int64, or bool: * is and, + is or), from g indexed by d (g[0] is not
     read); b = 1 when None (1*g), else 0 past its end. One strided add per d
     with g(d) != 0, in increasing d, so each entry adds its terms in
-    increasing d, one at a time from 0."""
+    increasing d, one at a time from 0.
+
+    With a prime p < 2^31, g and b hold int64 residues mod p: each product,
+    below 2^62, is reduced mod p before its add, and the row at the end.
+    An entry k <= 1e7 takes at most 448 < 2^9 adds (identity's divisor
+    bound), so it stays below 2^40 in between."""
     out = np.zeros(n + 1, dtype=dtype)
     ds = 1 + np.flatnonzero(g[1:n // lo + 1])
     for d, v in zip(ds.tolist(), g[ds].tolist()):  # past b's end, a slice is cut short
         if b is None:
             out[d * lo::d] += v
-        else:
-            t = b[lo:n // d + 1]
+            continue
+        t = b[lo:n // d + 1]  # a view: the last mod-p product is freed here
+        if not p:
             out[d * lo:d * (lo + len(t)):d] += v * t
+        else:
+            t = v * t
+            t %= p
+            out[d * lo:d * (lo + len(t)):d] += t
+    if p:
+        out %= p
     return out
 
 

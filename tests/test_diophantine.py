@@ -170,3 +170,16 @@ def test_invariant_violation_raises():
     with pytest.raises(ApproximationError):
         RationalApprox(a=1, q=3, delta=500.0, delta0=125.0, Q=100.0, x=100.0,
                        alpha=Fraction(1, 3) + Fraction(5))
+
+
+def test_cap_slack_is_1e_12():
+    # |alpha - a/q| q Q may exceed 1 by the float cap's 1e-12 relative
+    # slack, and by no more: 1 + 1e-13 constructs, 1 + 1e-9 raises
+    def approx(excess):
+        alpha = Fraction(3, 7) + (1 + excess) / Fraction(7 * 1000)
+        return RationalApprox(a=3, q=7, delta=float(alpha - Fraction(3, 7)) * 1e4,
+                              delta0=1.0, Q=1000.0, x=1e4, alpha=alpha)
+
+    assert approx(Fraction(1, 10**13)).q == 7
+    with pytest.raises(ApproximationError):
+        approx(Fraction(1, 10**9))

@@ -7,11 +7,11 @@ import pytest
 from mpmath import mpf, workdps
 
 from expsum_kit.arith import TableRangeError, factorize
-from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _convolve,
-                                 _log_map, _mangoldt_inputs, _mobius_inputs,
-                                 _terms, _weight_sums, decompose_mangoldt,
+from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _log_map,
+                                 _mangoldt_inputs, _mobius_inputs, _terms,
+                                 _weight_sums, decompose_mangoldt,
                                  decompose_mobius, residual_report)
-from expsum_kit.weights import WeightConfig, WeightSystem
+from expsum_kit.weights import WeightConfig, WeightSystem, _one_star
 
 DECOMPOSE = {"mangoldt": decompose_mangoldt, "mobius": decompose_mobius}
 INPUTS = {"mangoldt": _mangoldt_inputs, "mobius": _mobius_inputs}
@@ -202,16 +202,40 @@ def test_corrupted_table_is_caught(tables_small, ws_small):
 @pytest.mark.parametrize("name", sorted(DECOMPOSE))
 @pytest.mark.parametrize("which", ["small", "crit"])
 def test_edges(name, which, tables_small, ws_small, ws_crit):
-    # 1 and 2; V and the first l above it; the squares round 49 and 1600,
-    # where isqrt(n_max), the split of _convolve's hyperbola, steps; and a
+    # 1 and 2; V and the first l above it; the squares round 49 and 1600;
+    # round the first nonzero u of (1*theta_P)(1*lambda_P), where T3's
+    # loop starts (below u the table is all 0 and the loop is empty); and a
     # range below U1*R, where h's support is cut
     ws = ws_small if which == "small" else ws_crit
     v = math.floor(ws.cfg.V)
+    u = int(np.flatnonzero(_weight_sums(ws, 1600)[2])[0])
     below = ws.cfg.h_support_bound - 1
-    for n_max in (1, 2, v, v + 1, 48, 49, 50, 1599, 1600, 1601, below):
+    for n_max in (1, 2, v, v + 1, 48, 49, 50, 1599, 1600, 1601, u - 1, u,
+                  u + 1, below):
         dec = DECOMPOSE[name](n_max, ws, tables_small)
         assert dec.nonzero_count == 0, n_max
         assert dec.max_residual(tables_small) == (0.0, 1)
+
+
+@pytest.mark.parametrize("name, count", [("mangoldt", 44), ("mobius", 103)])
+def test_slip_in_conv_below_U_is_caught(name, count, tables_small, ws_crit):
+    # (1*theta_P)(1*lambda_P) is 0 up to U = 10 and first nonzero at
+    # u = 11. A 1 slipped in at k = 2 adds f_{>V}(n/2) to T3 at even n, so
+    # the residual marks the n = 2m with m in (V, n_max/2] = (30, 200] and
+    # f(m) != 0: 44 prime powers, 103 squarefree m, first at n = 62. A T3
+    # that read the table from floor(U) + 1 would mark none
+    n_max = 400
+    h, one_h, conv = _weight_sums(ws_crit, n_max)
+    assert not conv[:11].any() and conv[11]
+    conv[2] += 1
+    nonzero = np.zeros(n_max + 1, dtype=bool)
+    for p in MODULI:
+        terms = _terms(INPUTS[name], n_max, ws_crit, tables_small, p,
+                       (h, one_h, conv))
+        residual = sum(sign * t for sign, t in zip((1, -1, 1, -1), terms)) % p
+        nonzero |= residual != 0
+    bad = np.flatnonzero(nonzero)
+    assert (len(bad), bad[0]) == (count, 62)
 
 
 def test_constants_certify():
@@ -252,10 +276,10 @@ def _brute_convolve(n_max, a, b, p, lo):
 
 @pytest.mark.parametrize("k", [2, 3, 5, 12])
 def test_convolve_matches_brute_force(k):
-    # n_max round k^2, where isqrt(n_max), the split of the hyperbola,
-    # steps; a and b shorter and longer than n_max + 1; lo = V + 1 for
-    # V in {0, 1, k - 1, k}. Entries at index 0 are never read; about a
-    # third of the rest are 0, so both halves skip some d and m
+    # _one_star's mod-p path: n_max round k^2; a and b shorter and longer
+    # than n_max + 1; lo = u for u in {1, 2, k, k + 1}. Entries at index 0
+    # are never read; about a third of the rest are 0, so some d are skipped
+    # and some products are 0
     p = MODULI[0]
     rng = np.random.default_rng(k)
 
@@ -269,7 +293,7 @@ def test_convolve_matches_brute_force(k):
             for len_b in (2, k + 2, n_max + 1, n_max + 4):
                 a, b = residues(len_a), residues(len_b)
                 for lo in (1, 2, k, k + 1):
-                    got = _convolve(n_max, a, b, p, lo=lo)
+                    got = _one_star(a, n_max, np.int64, b, lo, p)
                     assert got.dtype == np.int64
                     assert got.tolist() == _brute_convolve(n_max, a, b, p, lo), (
                         n_max, len_a, len_b, lo)
