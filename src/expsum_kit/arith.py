@@ -23,15 +23,25 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 # 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4);
-# the sieve adds a few MiB of per-segment arrays.
+# the sieve adds one 2 MiB segment product and about 0.3 MiB more.
 # The cap keeps a typo from swallowing all RAM. It also keeps every n below
 # 2^31, which the sieve's int32 products of primes need: streaming the
 # sieve past the cap (ROADMAP item 2) needs int64 products.
 MAX_N_MAX = 100_000_000
 
-#: Entries per sieve segment (2 MiB of int32 products). Of 2^17..2^21,
-#: 2^19 sieved 1e7 and 5e7 fastest, or within 2%, on a 2-core x86-64 VM.
+#: Entries per sieve segment (2 MiB of int32 products). Of 2^18..2^20,
+#: with the tail in _CHUNK steps, 2^19 sieved 1e7 and 5e7 fastest by the
+#: median of 5, and within 10% of the fastest minimum, on a 2-core x86-64 VM.
 _SEGMENT = 1 << 19
+
+#: Entries per step of a segment's elementwise tail: 64 KiB of int32, so
+#: each temporary stays below glibc's 128 KiB mmap threshold and in cache.
+_CHUNK = 1 << 14
+
+#: The primes whose factors of the sieve's products come from one
+#: precomputed period, _WHEEL = 2*3*5*7*11*13 entries (_wheel_row).
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
 
 
 class TableRangeError(ValueError):
@@ -75,11 +85,21 @@ def _segments(n_max: int):
             yield lo, hi
 
 
+def _wheel_row() -> np.ndarray:
+    """prod over one period of the wheel: at i < _WHEEL, the product of
+    -p over the p in _WHEEL_PRIMES that divide i, as an int32."""
+    row = np.ones(_WHEEL, dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        row[::p] *= -p
+    return row
+
+
 def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
-                   mobius: np.ndarray, mangoldt_base: np.ndarray) -> None:
+                   mobius: np.ndarray, mangoldt_base: np.ndarray,
+                   prod: np.ndarray, wheel: np.ndarray) -> None:
     """mu on [lo, hi), and the Mangoldt base of each prime there that is
-    not in primes; 2 <= lo < hi <= 2^31, and primes holds every prime p with
-    p^2 < hi, and primes only.
+    not in primes; 2 <= lo < hi <= 2^31, and primes holds _WHEEL_PRIMES and
+    every prime p with p^2 < hi, and primes only.
 
     prod(n) is the product of the listed p | n, each negated, as an int32:
     |prod(n)| divides n < 2^31, so it is exact. A stride through n = 0 would
@@ -87,29 +107,51 @@ def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
     divides (mu is 0 on the rest), |prod(n)| != n means that n has exactly
     one more prime factor, above sqrt(hi); so mu(n) is the sign of prod(n),
     flipped there. prod(n) = 1 marks n as a prime. A stride per p^k, k >= 2,
-    would change prod only where mu is 0, so none is taken.
+    would change prod only where mu is 0, so none is taken. A listed p above
+    sqrt(hi) (13 when hi <= 13^2) makes prod(p) = -p, so mu(p) = -1, and
+    leaves p's base to the caller.
+
+    prod is int32 scratch of at least hi - lo entries, whatever they hold.
+    wheel is _wheel_row(): the factors of _WHEEL_PRIMES in prod are copied
+    from it, from offset lo mod _WHEEL, in place of one strided pass per p.
+    The rest runs over _CHUNK entries at a time, so that its temporaries
+    stay in cache.
     """
+    size = hi - lo
+    prod = prod[:size]
     mu = mobius[lo:hi]
     mu[:] = 1
-    prod = np.ones(hi - lo, dtype=np.int32)
-    for p in primes:
+    head = wheel[lo % _WHEEL:][:size]
+    prod[:len(head)] = head
+    for a in range(len(head), size, _WHEEL):
+        prod[a:a + _WHEEL] = wheel[:size - a]
+    for p in primes[len(_WHEEL_PRIMES):]:
         prod[(-lo) % p :: p] *= -p
+    for p in primes:
         if p * p < hi:
             mu[(-lo) % (p * p) :: p * p] = 0
-    n = np.arange(lo, hi, dtype=np.int32)
-    flip = np.abs(prod) != n
-    flip ^= prod < 0
-    mu *= 1 - 2 * flip.view(np.int8)
-    mangoldt_base[lo:hi] += n * (prod == 1)  # 0 there before: not a p^k
+    base = mangoldt_base[lo:hi]
+    for a in range(0, size, _CHUNK):
+        b = min(a + _CHUNK, size)
+        part = prod[a:b]
+        n = np.arange(lo + a, lo + b, dtype=np.int32)
+        flip = np.abs(part) != n
+        flip ^= part < 0
+        mu[a:b] *= 1 - 2 * flip.view(np.int8)
+        n *= part == 1
+        base[a:b] += n  # 0 there before: not a p^k
 
 
 def build_tables(n_max: int) -> ArithTables:
     """Sieve mu and the Mangoldt base up to n_max. Deterministic.
 
-    The primes p <= sqrt(n_max) are sieved once, and the base set on each
-    p^k <= n_max. Then [2, n_max] is sieved in segments of _SEGMENT entries
-    (see _sieve_segment), each by one strided pass per p, and per p^2 inside
-    the segment; no temporary grows with n_max.
+    The primes p <= max(sqrt(n_max), 13) are sieved once, and the base set
+    on each p^k <= n_max. Then [2, n_max] is sieved in segments of _SEGMENT
+    entries (see _sieve_segment), each by one strided pass per p above 13,
+    and per p^2 inside the segment, with the factors of 2..13 copied from
+    one period of the wheel. The segments share one int32 prod, and the
+    tail runs in _CHUNK steps, so no temporary grows with n_max, and the
+    scratch is prod plus about 0.3 MiB.
     phi has no table: it is read only at small moduli, where the table-free
     totient serves. Raises ValueError if n_max exceeds the allocation cap.
     """
@@ -118,7 +160,7 @@ def build_tables(n_max: int) -> ArithTables:
     if n_max > MAX_N_MAX:
         raise TableRangeError(f"n_max={n_max} exceeds allocation cap {MAX_N_MAX}")
 
-    primes = _primes_upto(math.isqrt(n_max))
+    primes = _primes_upto(max(math.isqrt(n_max), _WHEEL_PRIMES[-1]))
     mobius = np.zeros(n_max + 1, dtype=np.int8)
     mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
     mobius[1] = 1
@@ -127,8 +169,10 @@ def build_tables(n_max: int) -> ArithTables:
         while pk <= n_max:
             mangoldt_base[pk] = p
             pk *= p
+    prod = np.empty(min(_SEGMENT, n_max + 1), dtype=np.int32)
+    wheel = _wheel_row()
     for lo, hi in _segments(n_max):
-        _sieve_segment(lo, hi, primes, mobius, mangoldt_base)
+        _sieve_segment(lo, hi, primes, mobius, mangoldt_base, prod, wheel)
     return ArithTables(n_max=n_max, mobius=mobius, mangoldt_base=mangoldt_base)
 
 

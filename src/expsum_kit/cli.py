@@ -155,9 +155,44 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-#: The weights of each (f, delta): at delta = 0 an integer table
-#: (ArithFunction.int_table) or a Support, else the twisted Support.
-_Weights = Dict[Tuple[str, float], Union[Support, np.ndarray]]
+#: The weights of each (f, delta): at delta = 0 the class sums mod each q
+#: of an f with an integer table (ArithFunction.int_table, _fold_table) or
+#: a Support, else the twisted Support.
+_Weights = Dict[Tuple[str, float], Union[Support, Dict[int, np.ndarray]]]
+
+#: Largest modulus of a fold cover, unless a q is larger (_fold_cover).
+_FOLD_CAP = 1 << 17
+
+
+def _fold_cover(qs: Sequence[int]) -> List[Tuple[int, List[int]]]:
+    """(L, the q of qs that L serves) pairs, greedily from the largest q:
+    each L is the lcm of the q not yet served that keep it at most
+    max(_FOLD_CAP, the largest of them), and serves each of them that
+    divides it. Every q is served once: q <= 16 by 2 moduli, q <= 100 by 14."""
+    left, cover = sorted(qs, reverse=True), []
+    while left:
+        cap, modulus = max(_FOLD_CAP, left[0]), 1
+        for q in left:
+            if math.lcm(modulus, q) <= cap:
+                modulus = math.lcm(modulus, q)
+        cover.append((modulus, [q for q in left if modulus % q == 0]))
+        left = [q for q in left if modulus % q]
+    return cover
+
+
+def _fold_table(table: np.ndarray, qs: Sequence[int], x: float
+                ) -> Dict[int, np.ndarray]:
+    """residue_weight_sums(table, q, x) for each q in qs, from one fold per
+    modulus L of _fold_cover(qs): the classes mod q of q | L are the
+    classes mod L added in q-strided groups. Each is an integer below
+    2^53 (residue_weight_sums), so each float addition is exact and the
+    sums have the bits of the fold by q."""
+    sums = {}
+    for modulus, served in _fold_cover(qs):
+        by_modulus = residue_weight_sums(table, modulus, x)
+        for q in served:
+            sums[q] = by_modulus.reshape(-1, q).sum(axis=0)
+    return sums
 
 
 def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
@@ -172,20 +207,24 @@ def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
 
 
 def _sweep_rows_for_q(q: int, cfg: RunConfig, plan: List[Tuple],
-                      weights: _Weights) -> List[Dict]:
+                      weights: _Weights, buf: np.ndarray) -> List[Dict]:
+    """The rows of one q. buf holds n % q of a Support's n: int64 on
+    purpose, as np.bincount copies any non-intp input to intp, so int32
+    classes would add a copy, not halve one."""
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
     rows: List[Dict] = []
     for f in FUNCTIONS:
-        classes = None  # n % q, made once: every Support of f has f's n
+        classes = None  # made once: every Support of f has f's n
         for delta, delta0, (u, u0), flags, all_flags in plan:
             fw = weights[f, delta]
-            if isinstance(fw, Support) and classes is None:
-                # int64 on purpose: np.bincount copies any non-intp input
-                # to intp, so int32 classes would add a copy, not halve one
-                classes = fw.n % q
-            per_residue = residue_weight_sums(fw, q, x, classes=classes)
+            if not isinstance(fw, Support):
+                per_residue = fw[q]
+            else:
+                if classes is None:
+                    classes = np.remainder(fw.n, q, out=buf[:len(fw.n)])
+                per_residue = residue_weight_sums(fw, q, x, classes=classes)
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
             except bnd.BoundDomainError:
@@ -213,24 +252,31 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
     The weights of each f are read from the tables once per run: the
     integer table of an f that has one (mu), which serves delta = 0, else
     its support. mu's support is read only when a nonzero delta needs its
-    twists. The tables are dropped before the twisted weights f(n) e(n
-    delta/x) are built on the supports, once per (f, nonzero delta). An f
-    with an integer table is twisted first, and its support's values are
-    dropped before the next f's twists. The weights of every (f, delta)
-    form one map, shared by every q, so each (f, q, delta) costs one
-    residue aggregation. The q run on --workers threads, capped at the
-    number of q and of usable CPUs: the folds are numpy calls that release
-    the GIL, and every thread reads the one map.
+    twists. The other tables are dropped first; then each integer table
+    is folded to its class sums mod every q, by one residue aggregation per
+    modulus of _fold_cover (_fold_table), and dropped. The twisted weights
+    f(n) e(n delta/x) are built on the supports after that, once per
+    (f, nonzero delta). An f with an integer table is twisted first, and
+    its support's values are dropped before the next f's twists. The
+    weights of every (f, delta) form one map, shared by every q, so each
+    (f, q, delta) with a support costs one residue aggregation. The q are
+    dealt round-robin to --workers threads, capped at the number of q and
+    of usable CPUs: the aggregations are numpy calls that release the GIL,
+    and every thread reads the one map. Each thread writes n % q into one
+    int64 buffer of its own, made here and dropped when its share is done.
     """
-    tasks = [(q, cfg, _delta_plan(cfg, q))
-             for q in range(cfg.q_range[0], cfg.q_range[1] + 1)]
+    qs = range(cfg.q_range[0], cfg.q_range[1] + 1)
+    tasks = [(q, cfg, _delta_plan(cfg, q)) for q in qs]
     tables = build_tables(int(cfg.x))
     twisted = any(d != 0.0 for d in cfg.delta_list)
     supports = {name: f.support(tables) for name, f in FUNCTIONS.items()
                 if f.int_table is None or twisted}
-    untwisted = {name: supports[name] if f.int_table is None else f.int_table(tables)
-                 for name, f in FUNCTIONS.items()}
-    del tables
+    int_tables = {name: f.int_table(tables) for name, f in FUNCTIONS.items()
+                  if f.int_table is not None}
+    del tables  # the Mangoldt base goes before the folds
+    untwisted = {name: _fold_table(int_tables[name], qs, cfg.x)
+                 if name in int_tables else supports[name] for name in FUNCTIONS}
+    del int_tables
     weights: _Weights = {}
     for f in sorted(FUNCTIONS, key=lambda f: FUNCTIONS[f].int_table is None):
         support = supports.pop(f, None)
@@ -238,14 +284,19 @@ def _sweep_rows(cfg: RunConfig) -> List[Dict]:
             weights[f, d] = untwisted[f] if d == 0.0 else twisted_weights(
                 support, as_fraction(d) / as_fraction(cfg.x), cfg.x)
     del support, untwisted
-    def rows_for(task: Tuple) -> List[Dict]:
-        return _sweep_rows_for_q(*task, weights)
+    longest = max((len(w.n) for w in weights.values() if isinstance(w, Support)),
+                  default=0)
+    def rows_for(share: List[Tuple]) -> List[Dict]:
+        buf = np.empty(longest, dtype=np.int64)
+        return [row for task in share
+                for row in _sweep_rows_for_q(*task, weights, buf)]
     threads = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
     if threads == 1:  # in the caller: a pool thread ran 1-3% slower here
-        chunks = list(map(rows_for, tasks))
+        chunks = [rows_for(tasks)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for, tasks))
+            chunks = list(pool.map(rows_for, [tasks[i::threads]
+                                              for i in range(threads)]))
     return [r for chunk in chunks for r in chunk]
 
 
@@ -327,12 +378,16 @@ def run_verify_identity(cfg: RunConfig) -> int:
     wc = _weight_config(cfg, q, 1.0)
     tables = build_tables(max(n_max, wc.h_support_bound, q))
     ws = WeightSystem(wc, tables)
+    # the public per-function entry points, so a wrapper on each sees its
+    # call; one decomposition's terms are alive at a time, and both read
+    # the one weight_sums
+    sums = identity.weight_sums(ws, n_max)
+    certificates = {"mangoldt": identity.decompose_mangoldt(n_max, ws, tables, sums),
+                    "mobius": identity.decompose_mobius(n_max, ws, tables, sums)}
+    del sums
     payload = {"config": asdict(cfg)}
     for name in FUNCTIONS:
-        # the public per-function entry point, so a wrapper on it sees the
-        # call; one decomposition is alive at a time
-        payload[name] = identity.residual_report(
-            getattr(identity, f"decompose_{name}")(n_max, ws, tables), ws, tables)
+        payload[name] = identity.residual_report(certificates[name], ws, tables)
     write_json(payload, cfg.output)
     worst = max(payload[f]["max_abs_residual"] for f in FUNCTIONS)
     return 0 if worst < identity.RESIDUAL_BUDGET else 1

@@ -19,21 +19,22 @@ slip in any one of them leaves a residual.
 
 Residues. Each term is summed modulo each p in MODULI in int64 arrays, by
 strided numpy adds. h_P, 1*h_P and (1*theta_P)(1*lambda_P), which depend
-on neither f nor p, are tabled once per f, exactly, and reduced mod each
-p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and T3 = f_{>V}*((1*theta_P)
-(1*lambda_P)) are one call each of the kit's one Dirichlet-row kernel,
-weights._one_star, on its mod-p path: one strided add per d with a(d) != 0
-in the left factor, over every m of the right. An input may stop short of
-n_max and is 0 past its end: h_P stops at U1 R, f_{<=V} at V, and
-1*mu = [m = 1] is its two entries [0, 1], so for mu each add of T1 is one
-entry. T3 reads the product table from its first nonzero u >= 1 on (it is
-0 at 1 and up to U), so its left factor, f_{>V}, a copy of f zeroed up to
-V, stops at n_max/u: a few thousand m, where the table's own support would
-be millions of d. 2^(2P) f_{>V} is one slice. Lambda goes
-through a random map: log q -> r_q, uniform mod p from a generator seeded
-with _SEED and p, so Lambda(n) is r at the Mangoldt base of n, and
-log m = sum_q v_q(m) r_q comes from a sieve of its own (_log_residues)
-that never reads the Mangoldt table.
+on neither f nor p, are tabled once per run (weight_sums), exactly, and
+reduced mod each p. T1 = h_P*(1*f), T2 = f_{<=V}*(1*h_P) and
+T3 = f_{>V}*((1*theta_P)(1*lambda_P)) are one call each of the kit's one
+Dirichlet-row kernel, weights._one_star, on its mod-p path: one strided add
+per d with a(d) != 0 in the left factor, over every m of the right. An
+input may stop short of n_max and is 0 past its end: h_P stops at U1 R,
+f_{<=V} at V, and 1*mu = [m = 1] is its two entries [0, 1]. T1's left
+factor is the shorter of h_P and 1*f, so for mu T1 is one add of h_P, and
+for Lambda one add per d in h_P's support. T3 reads the product table from
+its first nonzero u >= 1 on (it is 0 at 1 and up to U), so its left
+factor, f_{>V}, a copy of f zeroed up to V, stops at n_max/u: a few
+thousand m, where the table's own support would be millions of d.
+2^(2P) f_{>V} is one slice. Lambda goes through a random map: log q -> r_q,
+uniform mod p from a generator seeded with _SEED and p, so Lambda(n) is r
+at the Mangoldt base of n, and log m = sum_q v_q(m) r_q comes from a sieve
+of its own (_log_residues) that never reads the Mangoldt table.
 
 The bound. For n <= MAX_N_MAX = 1e7, n has at most 8 prime factors
 (2*3*...*23 > 1e7), at most 448 < 2^9 divisors, and v_q(n) <= 23.
@@ -71,6 +72,7 @@ __all__ = [
     "decompose_mangoldt",
     "decompose_mobius",
     "residual_report",
+    "weight_sums",
 ]
 
 #: The certified bound on each identity's largest |residual| (per log-basis
@@ -116,6 +118,9 @@ class Decomposition:
 
 Inputs = Callable[[int, ArithTables, int], Tuple[np.ndarray, np.ndarray]]
 
+#: h_P, 1*h_P and (1*theta_P)(1*lambda_P) (weight_sums).
+Sums = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def _mobius_inputs(n_max: int, tables: ArithTables, p: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,12 +164,19 @@ def _log_residues(n_max: int, r: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _weight_sums(ws: WeightSystem, n_max: int
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_range(ws: WeightSystem, n_max: int) -> None:
+    ws.tables.check_range(n_max, "n_max")
+    if n_max > MAX_N_MAX:
+        raise TableRangeError(f"identity range {n_max} exceeds cap {MAX_N_MAX}")
+
+
+def weight_sums(ws: WeightSystem, n_max: int) -> Sums:
     """h_P (up to min(n_max, U1 R)), 1*h_P and (1*theta_P)(1*lambda_P) on
     [0, n_max]: the terms' tables that depend on neither f nor p, exact in
     int64, as every partial sum and product is at most 2^(2P+16) in size
-    (module docstring)."""
+    (module docstring). A run that certifies both identities builds them
+    once and passes them to each decompose_*."""
+    _check_range(ws, n_max)
     lam, theta_prime, h = ws.dyadic(P)
     conv = -_one_star(theta_prime, n_max, np.int64)  # 1*theta_P, as 1*mu = [k = 1]
     conv[1] += 1 << P
@@ -174,17 +186,18 @@ def _weight_sums(ws: WeightSystem, n_max: int
 
 
 def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
-           p: int, sums: Tuple[np.ndarray, np.ndarray, np.ndarray]
-           ) -> Iterator[np.ndarray]:
+           p: int, sums: Sums) -> Iterator[np.ndarray]:
     """T1, T2, T3 and 2^(2P) f_{>V} on [0, n_max], each as int64 residues
-    mod p, from sums = _weight_sums(ws, n_max). l <= V is l <= floor(V)
-    for integral l. T3 reads conv from its first nonzero u >= 1, below
-    which it is 0, so f_{>V} is read up to n_max/u."""
+    mod p, from sums = weight_sums(ws, n_max). l <= V is l <= floor(V)
+    for integral l. T1 takes the shorter of h_P and 1*f as the left
+    factor: for mu, 1*mu = [0, 1], one add. T3 reads conv from its first
+    nonzero u >= 1, below which it is 0, so f_{>V} is read up to n_max/u."""
     f, one_f = inputs(n_max, tables, p)
     h, one_h, conv = sums
     v = min(math.floor(ws.cfg.V), n_max)
     unit = (1 << 2 * P) % p
-    yield _one_star(h % p, n_max, np.int64, one_f, p=p)
+    left, right = sorted((h % p, one_f), key=len)
+    yield _one_star(left, n_max, np.int64, right, p=p)
     yield _one_star(f[:v + 1], n_max, np.int64, one_h % p, p=p)
     u = 1 + int((conv[1:] != 0).argmax()) if conv[1:].any() else n_max + 1
     f_above = f[:n_max // u + 1].copy()  # f_{>V}, read up to n_max/u
@@ -196,13 +209,11 @@ def _terms(inputs: Inputs, n_max: int, ws: WeightSystem, tables: ArithTables,
 
 
 def _decompose(inputs: Inputs, n_max: int, ws: WeightSystem,
-               tables: ArithTables) -> Decomposition:
+               tables: ArithTables, sums: Sums) -> Decomposition:
     """Sum the residual T1 - T2 + T3 - 2^(2P) f_{>V} on [1, n_max] modulo
-    each p in MODULI, and mark the n where it is not 0 mod some p."""
-    ws.tables.check_range(n_max, "n_max")
-    if n_max > MAX_N_MAX:
-        raise TableRangeError(f"identity range {n_max} exceeds cap {MAX_N_MAX}")
-    sums = _weight_sums(ws, n_max)
+    each p in MODULI, and mark the n where it is not 0 mod some p; sums is
+    weight_sums(ws, n_max)."""
+    _check_range(ws, n_max)
     nonzero = np.zeros(n_max + 1, dtype=bool)
     for p in MODULI:
         residual = np.zeros(n_max + 1, dtype=np.int64)
@@ -214,16 +225,18 @@ def _decompose(inputs: Inputs, n_max: int, ws: WeightSystem,
     return Decomposition(n_max, len(bad), int(bad[0]) if len(bad) else 0)
 
 
-def decompose_mangoldt(n_max: int, ws: WeightSystem,
-                       tables: ArithTables) -> Decomposition:
-    """The certificate of the Lambda identity on [1, n_max]."""
-    return _decompose(_mangoldt_inputs, n_max, ws, tables)
+def decompose_mangoldt(n_max: int, ws: WeightSystem, tables: ArithTables,
+                       sums: Sums) -> Decomposition:
+    """The certificate of the Lambda identity on [1, n_max]; sums is
+    weight_sums(ws, n_max)."""
+    return _decompose(_mangoldt_inputs, n_max, ws, tables, sums)
 
 
-def decompose_mobius(n_max: int, ws: WeightSystem,
-                     tables: ArithTables) -> Decomposition:
-    """The certificate of the mu identity on [1, n_max]."""
-    return _decompose(_mobius_inputs, n_max, ws, tables)
+def decompose_mobius(n_max: int, ws: WeightSystem, tables: ArithTables,
+                     sums: Sums) -> Decomposition:
+    """The certificate of the mu identity on [1, n_max]; sums is
+    weight_sums(ws, n_max)."""
+    return _decompose(_mobius_inputs, n_max, ws, tables, sums)
 
 
 def residual_report(decomposition: Decomposition, ws: WeightSystem,

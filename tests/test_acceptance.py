@@ -22,7 +22,8 @@ from expsum_kit import bounds as bnd
 from expsum_kit.audit import inequality_audit
 from expsum_kit.cli import RunConfig, run
 from expsum_kit.expsum import l2_profiles, recombine
-from expsum_kit.identity import RESIDUAL_BUDGET, decompose_mangoldt, decompose_mobius
+from expsum_kit.identity import (RESIDUAL_BUDGET, decompose_mangoldt, decompose_mobius,
+                                 weight_sums)
 from expsum_kit.partition import partition_integers, partition_primes, separation_bound
 from expsum_kit.weights import (RAMARE_C1, RAMARE_C1_PRIME, RAMARE_C2,
                                 RAMARE_C2_PRIME, WeightConfig, WeightSystem,
@@ -46,8 +47,9 @@ def test_criterion_1_identity_certification(cfg_tuple, tables_10k):
     U, U1, R, V, q = cfg_tuple
     ws = WeightSystem(WeightConfig(U=U, U1=U1, R=R, V=V, q=q), tables_10k)
     t0 = time.perf_counter()
-    worst_l, arg_l = decompose_mangoldt(10_000, ws, tables_10k).max_residual(tables_10k)
-    worst_m, arg_m = decompose_mobius(10_000, ws, tables_10k).max_residual(tables_10k)
+    sums = weight_sums(ws, 10_000)
+    worst_l, arg_l = decompose_mangoldt(10_000, ws, tables_10k, sums).max_residual(tables_10k)
+    worst_m, arg_m = decompose_mobius(10_000, ws, tables_10k, sums).max_residual(tables_10k)
     elapsed = time.perf_counter() - t0
     ok = worst_l < RESIDUAL_BUDGET and worst_m < RESIDUAL_BUDGET and elapsed < 120
     _line(1, ok, f"identity residuals {cfg_tuple}",

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsum_kit.arith import (_SEGMENT, FUNCTIONS, MANGOLDT, MOBIUS,
-                              ArithTables, TableRangeError,
-                              _primes_upto, _sieve_segment, arith_function,
-                              build_tables, divisor_count, factorize,
-                              ramanujan_sum, totient)
+from expsum_kit.arith import (_CHUNK, _SEGMENT, _WHEEL, FUNCTIONS, MANGOLDT,
+                              MOBIUS, ArithTables, TableRangeError,
+                              _primes_upto, _sieve_segment, _wheel_row,
+                              arith_function, build_tables, divisor_count,
+                              factorize, ramanujan_sum, totient)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
 from oracles import (LogVector, dirichlet_convolve, mangoldt_table,
@@ -115,18 +116,35 @@ def _assert_same_as_oracle(t):
 
 
 def test_tables_match_whole_range_sieve_small():
-    # every n_max through the first eight dyadic passes
-    for n_max in range(1, 301):
+    # every n_max through the first eight dyadic passes, and past 13^2,
+    # below which 13 is listed above sqrt(n_max)
+    for n_max in range(1, 401):
         _assert_same_as_oracle(build_tables(n_max))
 
 
 @pytest.mark.parametrize("n_max", [2**17 - 1, 2**17, 2**17 + 1, 2**18 + 1,
                                    100_000, _SEGMENT - 1, _SEGMENT,
-                                   _SEGMENT + 1, 2 * _SEGMENT + 1])
+                                   _SEGMENT + 1, 2 * _SEGMENT + 1,
+                                   168, 169, 170, _WHEEL - 1, _WHEEL, _WHEEL + 1])
 def test_tables_match_whole_range_sieve(n_max):
-    # the former build's 2^17-entry chunk edges, and the segment edges (the
-    # second segment starts on 2^19, a prime power)
+    # the former build's 2^17-entry chunk edges, the segment edges (the
+    # second segment starts on 2^19, a prime power), 13^2, and the
+    # wheel's period
     _assert_same_as_oracle(build_tables(n_max))
+
+
+def test_build_tables_peak_is_tables_and_one_segment():
+    # the sieve's scratch is one int32 prod per build plus cache-sized
+    # temporaries, whatever n_max: tables + prod + 0.5 MiB (tracemalloc)
+    n_max = 2**20 + 1
+    tracemalloc.start()
+    try:
+        t = build_tables(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prod = 4 * _SEGMENT
+    assert peak <= t.mobius.nbytes + t.mangoldt_base.nbytes + prod + (1 << 19)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -135,15 +153,23 @@ def test_tables_match_whole_range_sieve(n_max):
     (510_511, 515_000),                 # squarefree: 19 * 97 * 277
     (2**19 - 1, 2**19 + 5_000),         # a prime past the list
     (1_001, 1_000_001),                 # just past sqrt(1e6)
+    (20 * _WHEEL - 100, 20 * _WHEEL + 5_000),   # across a multiple of the wheel
+    (21 * _WHEEL - 1, 21 * _WHEEL + 20_000),    # shorter than it, from -1 mod it
+    (2, 2 * _SEGMENT + 7),                      # longer than _SEGMENT, from 2
+    (_SEGMENT, _SEGMENT + 3 * _CHUNK + 1),      # one entry into a last chunk
+    (2, 170),                           # 13 listed, though 13^2 >= hi
 ])
 def test_segment_matches_whole_range_sieve_at_any_start(lo, hi):
     # the segment sieve alone, started off the _SEGMENT grid: mu on
-    # [lo, hi), and the base of every prime there above the listed primes
+    # [lo, hi), and the base of every prime there above the listed primes,
+    # in a scratch prod that is longer than the segment and holds stale
+    # values, as build_tables passes it
     mobius, _, mangoldt_base, _ = _whole_range_sieve(hi - 1)
-    primes = _primes_upto(math.isqrt(hi - 1))
+    primes = _primes_upto(max(math.isqrt(hi - 1), 13))
     mu = np.full(hi, 7, dtype=np.int8)
     base = np.zeros(hi, dtype=np.int32)
-    _sieve_segment(lo, hi, primes, mu, base)
+    prod = np.full(max(hi - lo, _SEGMENT) + 3, 99, dtype=np.int32)
+    _sieve_segment(lo, hi, primes, mu, base, prod, _wheel_row())
     n = np.arange(lo, hi)
     want_base = np.where((mangoldt_base[lo:] == n) & (n > primes[-1]), n, 0)
     assert np.array_equal(mu[lo:], mobius[lo:])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -84,7 +85,9 @@ def test_delta0_sweep_never_reads_mobius_support(tmp_path, monkeypatch):
 
 def test_sweep_one_residue_sum_per_f_and_q(tmp_path, monkeypatch):
     # every fold goes through residue_weight_sums, so a traced run's
-    # expsum.residue_weight_sums span covers mu's integer fold too
+    # expsum.residue_weight_sums span covers mu's integer fold too: one
+    # call per support and q, and one per modulus of mu's fold cover (here
+    # 6, which serves q = 1, 2, 3)
     calls = []
     original = cli.residue_weight_sums
 
@@ -95,7 +98,66 @@ def test_sweep_one_residue_sum_per_f_and_q(tmp_path, monkeypatch):
     run(RunConfig(command="sweep", x=2000, q_range=(1, 3),
                   output=str(tmp_path / "s.csv")))
     assert sorted(calls) == sorted([("Support", q) for q in (1, 2, 3)]
-                                   + [("ndarray", q) for q in (1, 2, 3)])
+                                   + [("ndarray", 6)])
+
+
+@pytest.mark.parametrize("x", [1e5, 7_777.5])
+@pytest.mark.parametrize("q_range", [(1, 16), (1, 100), (37, 41)])
+def test_fold_cover_matches_per_q_fold(x, q_range, tables_100k):
+    # mu's class sums by way of the fold cover have the bytes of one
+    # residue_weight_sums per q; at x = 7777.5 the tail past the last full
+    # row is nonempty, and some moduli exceed x
+    qs = range(q_range[0], q_range[1] + 1)
+    cover = cli._fold_cover(qs)
+    served = sorted(q for _, group in cover for q in group)
+    assert served == list(qs)
+    assert all(m % q == 0 and m <= max(cli._FOLD_CAP, q)
+               for m, group in cover for q in group)
+    assert len(cover) == {(1, 16): 2, (1, 100): 14, (37, 41): 2}[q_range]
+    if x == 7_777.5:
+        assert (math.floor(x) + 1) % cover[0][0] and any(m > x for m, _ in cover)
+    table = MOBIUS.int_table(tables_100k)
+    folded = cli._fold_table(table, qs, x)
+    assert sorted(folded) == list(qs)
+    for q in qs:
+        want = expsum.residue_weight_sums(table, q, x)
+        assert folded[q].dtype == want.dtype and folded[q].tobytes() == want.tobytes(), q
+
+
+def test_sweep_drops_class_buffers_on_return(tmp_path, monkeypatch):
+    # each worker's n % q buffer is made inside the sweep and is gone
+    # once it returns: no thread-local or module state keeps one
+    buffers, ids = [], set()
+    original = cli.residue_weight_sums
+
+    def recorded(weights, q, x, classes=None):
+        if classes is not None:
+            buffers.append(weakref.ref(classes.base))
+            ids.add(id(classes.base))
+        return original(weights, q, x, classes=classes)
+    monkeypatch.setattr(cli, "residue_weight_sums", recorded)
+    run(RunConfig(command="sweep", x=2000, q_range=(1, 4), delta_list=(0.0, 8.0),
+                  output=str(tmp_path / "s.csv")))
+    gc.collect()
+    # Lambda at both delta and mu's twist, for 4 q, in the one buffer
+    assert len(buffers) == 12 and len(ids) == 1
+    assert all(ref() is None for ref in buffers)
+
+
+def test_verify_identity_builds_weight_sums_once(tmp_path, monkeypatch):
+    # h_P, 1*h_P and (1*theta_P)(1*lambda_P) depend on neither f nor p:
+    # one build serves both certificates
+    calls = []
+    original = identity.weight_sums
+
+    def counted(ws, n_max):
+        calls.append(n_max)
+        return original(ws, n_max)
+    monkeypatch.setattr(identity, "weight_sums", counted)
+    assert run(RunConfig(command="verify-identity", x=3000, q_range=(3, 3),
+                         weight_overrides=(10, 40, 5, 30),
+                         output=str(tmp_path / "v.json"))) == 0
+    assert calls == [3000]
 
 
 def test_sweep_drops_mobius_support_before_mangoldt_twists(tmp_path, monkeypatch):

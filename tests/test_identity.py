@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from mpmath import mpf, workdps
 
+from expsum_kit import identity
 from expsum_kit.arith import TableRangeError, factorize
 from expsum_kit.identity import (MODULI, P, RESIDUAL_BUDGET, _log_map,
                                  _mangoldt_inputs, _mobius_inputs, _terms,
-                                 _weight_sums, decompose_mangoldt,
-                                 decompose_mobius, residual_report)
+                                 decompose_mangoldt, decompose_mobius,
+                                 residual_report, weight_sums)
 from expsum_kit.weights import WeightConfig, WeightSystem, _one_star
 
 DECOMPOSE = {"mangoldt": decompose_mangoldt, "mobius": decompose_mobius}
@@ -29,14 +30,14 @@ def ws_crit(tables_small):
 
 
 def test_mangoldt_residual_zero_small_config(tables_small, ws_small):
-    dec = decompose_mangoldt(500, ws_small, tables_small)
+    dec = decompose_mangoldt(500, ws_small, tables_small, weight_sums(ws_small, 500))
     worst, arg = dec.max_residual(tables_small)
     assert worst < RESIDUAL_BUDGET, f"residual {worst} at n={arg}"
     assert dec.nonzero_count == 0
 
 
 def test_mobius_residual_zero_small_config(tables_small, ws_small):
-    dec = decompose_mobius(500, ws_small, tables_small)
+    dec = decompose_mobius(500, ws_small, tables_small, weight_sums(ws_small, 500))
     worst, arg = dec.max_residual(tables_small)
     assert worst < RESIDUAL_BUDGET, f"residual {worst} at n={arg}"
     assert dec.nonzero_count == 0
@@ -45,7 +46,7 @@ def test_mobius_residual_zero_small_config(tables_small, ws_small):
 def test_trivial_values(tables_small, ws_small):
     for p in MODULI:
         t1, t2, t3, f = _terms(_mangoldt_inputs, 50, ws_small, tables_small, p,
-                               _weight_sums(ws_small, 50))
+                               weight_sums(ws_small, 50))
         # n = 1: log 1 = 0 and Lambda(1) = 0, so every term is 0
         assert t1[1] == t2[1] == t3[1] == f[1] == 0
         # a prime q: the three terms cancel at q <= V = 5, and above V they
@@ -143,7 +144,7 @@ def test_terms_against_independent_oracle(name, tables_small, ws_small):
     for p in MODULI:
         r = _log_map(n_max, p)
         got = list(_terms(INPUTS[name], n_max, ws_small, tables_small, p,
-                          _weight_sums(ws_small, n_max)))
+                          weight_sums(ws_small, n_max)))
         assert len(got) == 4
         for i in range(4):
             assert got[i][0] == 0
@@ -183,7 +184,7 @@ def test_residual_is_the_exact_residual_of_the_tables(name, tables_small, ws_sma
         if any(total.values()):
             want.append(n)
     assert want
-    dec = DECOMPOSE[name](n_max, ws_small, bad)
+    dec = DECOMPOSE[name](n_max, ws_small, bad, weight_sums(ws_small, n_max))
     assert (dec.nonzero_count, dec.first_nonzero) == (len(want), want[0])
     assert dec.max_residual(bad) == (2.0 ** (-2 * P), want[0])
 
@@ -191,11 +192,12 @@ def test_residual_is_the_exact_residual_of_the_tables(name, tables_small, ws_sma
 def test_corrupted_table_is_caught(tables_small, ws_small):
     n_max = tables_small.n_max
     bad = _corrupted(tables_small, "mangoldt")
-    assert decompose_mangoldt(n_max, ws_small, bad).nonzero_count > 0
-    assert decompose_mobius(n_max, ws_small, bad).nonzero_count == 0
+    sums = weight_sums(ws_small, n_max)
+    assert decompose_mangoldt(n_max, ws_small, bad, sums).nonzero_count > 0
+    assert decompose_mobius(n_max, ws_small, bad, sums).nonzero_count == 0
     # 30 is squarefree and above V = 5
     bad = _corrupted(tables_small, "mobius")
-    dec = decompose_mobius(n_max, ws_small, bad)
+    dec = decompose_mobius(n_max, ws_small, bad, sums)
     assert dec.nonzero_count > 0 and dec.first_nonzero == 30
 
 
@@ -208,11 +210,11 @@ def test_edges(name, which, tables_small, ws_small, ws_crit):
     # range below U1*R, where h's support is cut
     ws = ws_small if which == "small" else ws_crit
     v = math.floor(ws.cfg.V)
-    u = int(np.flatnonzero(_weight_sums(ws, 1600)[2])[0])
+    u = int(np.flatnonzero(weight_sums(ws, 1600)[2])[0])
     below = ws.cfg.h_support_bound - 1
     for n_max in (1, 2, v, v + 1, 48, 49, 50, 1599, 1600, 1601, u - 1, u,
                   u + 1, below):
-        dec = DECOMPOSE[name](n_max, ws, tables_small)
+        dec = DECOMPOSE[name](n_max, ws, tables_small, weight_sums(ws, n_max))
         assert dec.nonzero_count == 0, n_max
         assert dec.max_residual(tables_small) == (0.0, 1)
 
@@ -225,7 +227,7 @@ def test_slip_in_conv_below_U_is_caught(name, count, tables_small, ws_crit):
     # f(m) != 0: 44 prime powers, 103 squarefree m, first at n = 62. A T3
     # that read the table from floor(U) + 1 would mark none
     n_max = 400
-    h, one_h, conv = _weight_sums(ws_crit, n_max)
+    h, one_h, conv = weight_sums(ws_crit, n_max)
     assert not conv[:11].any() and conv[11]
     conv[2] += 1
     nonzero = np.zeros(n_max + 1, dtype=bool)
@@ -306,7 +308,7 @@ def test_mobius_term1_is_h(tables_small, ws_small):
     _, _, h_p = ws_small.dyadic(P)
     for p in MODULI:
         t1 = next(_terms(_mobius_inputs, n_max, ws_small, tables_small, p,
-                         _weight_sums(ws_small, n_max)))
+                         weight_sums(ws_small, n_max)))
         assert t1.tolist() == (h_p % p).tolist()
     h = ws_small.h_mp()
     with workdps(50):
@@ -317,14 +319,33 @@ def test_mobius_term1_is_h(tables_small, ws_small):
             assert err <= pairs * 2.0 ** -P, d
 
 
+def test_term1_left_factor_is_the_shorter_input(tables_small, ws_small, monkeypatch):
+    # T1's left factor is the input with the shorter support, so mu's T1
+    # is one add of h_P (1*mu = [0, 1]) and Lambda's one add per d of h_P
+    n_max = 1000
+    sums = weight_sums(ws_small, n_max)
+    h_len = len(sums[0])
+    assert h_len < n_max + 1
+    lengths = []
+    original = identity._one_star
+
+    def recorded(g, n, dtype, b=None, lo=1, p=0):
+        lengths.append((len(g), len(b)))
+        return original(g, n, dtype, b, lo, p)
+    monkeypatch.setattr(identity, "_one_star", recorded)
+    for inputs in (_mobius_inputs, _mangoldt_inputs):
+        next(_terms(inputs, n_max, ws_small, tables_small, MODULI[0], sums))
+    assert lengths == [(2, h_len), (h_len, n_max + 1)]
+
+
 def test_mobius_prime_above_v_carried_by_term3(tables_small, ws_small):
     # next prime above V = 5 is 7; the identity must still be exact there
     for p in MODULI:
         t1, t2, t3, f = _terms(_mobius_inputs, 7, ws_small, tables_small, p,
-                               _weight_sums(ws_small, 7))
+                               weight_sums(ws_small, 7))
         assert f[5] == 0 and f[7] != 0  # f_{>V}, with 5 <= V < 7
         assert (t1[7] - t2[7] + t3[7] - f[7]) % p == 0
-    assert decompose_mobius(7, ws_small, tables_small).nonzero_count == 0
+    assert decompose_mobius(7, ws_small, tables_small, weight_sums(ws_small, 7)).nonzero_count == 0
 
 
 def test_classic_mode_matches_general_degenerate(tables_small):
@@ -338,14 +359,14 @@ def test_classic_mode_matches_general_degenerate(tables_small):
 
 def test_classic_mode_residual_zero(tables_small):
     ws = WeightSystem(WeightConfig(U=10, U1=10, R=1, V=10, q=1), tables_small)
-    dec_l = decompose_mangoldt(500, ws, tables_small)
+    dec_l = decompose_mangoldt(500, ws, tables_small, weight_sums(ws, 500))
     assert dec_l.max_residual(tables_small)[0] < RESIDUAL_BUDGET
-    dec_m = decompose_mobius(500, ws, tables_small)
+    dec_m = decompose_mobius(500, ws, tables_small, weight_sums(ws, 500))
     assert dec_m.max_residual(tables_small)[0] < RESIDUAL_BUDGET
 
 
 def test_residual_report(tables_small, ws_small):
-    dec = decompose_mobius(100, ws_small, tables_small)
+    dec = decompose_mobius(100, ws_small, tables_small, weight_sums(ws_small, 100))
     report = residual_report(dec, ws_small, tables_small)
     assert set(report) == {"config", "n_max", "max_abs_residual", "argmax_n",
                            "budget", "budget_ratio", "nonzero_count"}
@@ -355,12 +376,16 @@ def test_residual_report(tables_small, ws_small):
     assert (report["max_abs_residual"], report["argmax_n"]) == (0.0, 1)
     assert report["budget_ratio"] == report["nonzero_count"] == 0
     bad = _corrupted(tables_small, "mobius")
-    report = residual_report(decompose_mobius(100, ws_small, bad), ws_small, bad)
+    dec = decompose_mobius(100, ws_small, bad, weight_sums(ws_small, 100))
+    report = residual_report(dec, ws_small, bad)
     assert report["max_abs_residual"] == 2.0 ** (-2 * P)
     assert report["argmax_n"] == 30 and report["nonzero_count"] > 0
     assert report["budget_ratio"] == report["max_abs_residual"] / RESIDUAL_BUDGET > 1
 
 
 def test_range_errors(tables_small, ws_small):
+    n_max = tables_small.n_max
     with pytest.raises(TableRangeError):
-        decompose_mangoldt(tables_small.n_max + 1, ws_small, tables_small)
+        weight_sums(ws_small, n_max + 1)
+    with pytest.raises(TableRangeError):
+        decompose_mangoldt(n_max + 1, ws_small, tables_small, weight_sums(ws_small, n_max))
