@@ -248,12 +248,14 @@ class Support(NamedTuple):
 class ArithFunction:
     """Everything the kit needs to know about one f in {Lambda, mu}.
 
-    floats(tables, top, lo) is f(lo + i) as float64 at i on [0, top - lo]
-    (top defaults to n_max, beyond it TableRangeError; lo to 0), built on
-    each call, so a caller builds only the entries it reads;
-    support(tables, top) is the Support of f on [1, top], read from the
-    sieve tables with no dense float array (Lambda is nonzero on 1/16 of
-    n at 5e7, mu on 61%); scattered into zeros it gives floats' bits;
+    floats(tables, top) is f on [0, top] as float64 (top defaults to
+    n_max, beyond it TableRangeError), built on each call, so a caller
+    builds only the entries it reads; support(tables, top) is the Support
+    of f on [1, top], read from the sieve tables with no dense float array
+    (Lambda is nonzero on 1/16 of n at 5e7, mu on 61%); scattered into
+    zeros it gives floats' bits; an f with no int_table takes
+    support(tables, top, lo) too, its Support less the n below lo, from
+    which direct_sum reads it a block at a time;
     int_table(tables), for an f whose values are -1, 0 and 1 only (mu), is
     its dense integer table on [0, n_max], a view of the sieve table at
     1 byte per n with index 0 a zero filler, over which every residue-class
@@ -283,12 +285,11 @@ def _mangoldt_support(tables: ArithTables, top: Optional[int] = None,
     return Support(n, np.log(tables.mangoldt_base[n].astype(np.float64)), top)
 
 
-def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None,
-                     lo: int = 0) -> np.ndarray:
+def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
     """The support scattered into zeros (no float copy of the whole base)."""
-    n, values, top = _mangoldt_support(tables, top, lo)
-    out = np.zeros(top + 1 - lo)
-    out[n - lo] = values
+    n, values, top = _mangoldt_support(tables, top)
+    out = np.zeros(top + 1)
+    out[n] = values
     return out
 
 
@@ -298,9 +299,8 @@ def _mobius_support(tables: ArithTables, top: Optional[int] = None) -> Support:
     return Support(n, tables.mobius[n].astype(np.float64), top)
 
 
-def _mobius_floats(tables: ArithTables, top: Optional[int] = None,
-                   lo: int = 0) -> np.ndarray:
-    return tables.mobius[lo:_float_range(tables, top) + 1].astype(np.float64)
+def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
+    return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
 
 
 MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support)

@@ -156,7 +156,8 @@ def _phase_blocks(af: Fraction, n: int):
 def _coef_sum(weights: Callable[[int, int], np.ndarray], alpha, n: int,
               count: int) -> ExpSumValue:
     """sum_{k <= n} w(k) e(k alpha), w on (lo, hi] from weights(lo, hi) for
-    one 2^16-block at a time, with count as n_terms. w is multiplied into
+    one 2^16-block at a time, with count as n_terms. w, float64 or an
+    integer type that float64 holds exactly, is multiplied into
     _phase_blocks' buffer in place, and a pairwise np.sum of each part is
     the block's partial; the partials are combined exactly (_total).
 
@@ -174,7 +175,6 @@ def _coef_sum(weights: Callable[[int, int], np.ndarray], alpha, n: int,
         w = weights(start, start + len(e))
         for part, partials in ((e.real, re), (e.imag, im)):
             partials.append(float(np.sum(np.multiply(part, w, out=part))))
-        del w  # freed before the next block's w is built
     return _total(re, im, count)
 
 
@@ -225,11 +225,24 @@ def _geometric_sum(k: int, den: int, n: int) -> complex:
 
 
 def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
-    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a block at a time."""
+    """S_f(alpha; x) = sum_{n <= x} f(n) e(n alpha), f read a block at a
+    time with no copy per block: an f with an integer table (mu) as views of
+    it, which _coef_sum's product casts to float exactly, any other f as
+    its support in the block, scattered into one zeroed block buffer."""
     n = int(math.floor(x))
     tables.check_range(n, "direct sum cutoff")
-    floats = arith_function(f).floats
-    return _coef_sum(lambda lo, hi: floats(tables, hi, lo + 1), alpha, n, n)
+    fn = arith_function(f)
+    if fn.int_table is not None:
+        return _coef_sum(_by_k(fn.int_table(tables)), alpha, n, n)
+    buf = np.empty(min(n, _BLOCK))
+
+    def weights(lo: int, hi: int) -> np.ndarray:
+        k, values, _ = fn.support(tables, hi, lo + 1)
+        w = buf[:hi - lo]
+        w.fill(0.0)
+        w[k - (lo + 1)] = values
+        return w
+    return _coef_sum(weights, alpha, n, n)
 
 
 def twisted_weights(weights: Support, beta, x: float) -> Support:

@@ -104,31 +104,55 @@ def selberg_lambda(d: int, cfg: WeightConfig, tables: ArithTables,
     return Fraction(d * mu, totient(d)) * g_top / g_bot
 
 
+#: Entries per product in _one_star: 64 KiB of float64 or int64, so its one
+#: scratch buffer stays in cache and below glibc's 128 KiB mmap threshold.
+_ROW_CHUNK = 1 << 13
+
+
 def _one_star(g: np.ndarray, n: int, dtype, b: Optional[np.ndarray] = None,
               lo: int = 1, p: int = 0) -> np.ndarray:
     """(g*b)(k) = sum_{dm = k, m >= lo} g(d) b(m) for k <= n, as dtype (float64,
     int64, or bool: * is and, + is or), from g indexed by d (g[0] is not
-    read); b = 1 when None (1*g), else 0 past its end. One strided add per d
-    with g(d) != 0, in increasing d, so each entry adds its terms in
-    increasing d, one at a time from 0.
+    read); b = 1 when None (1*g), else of dtype and 0 past its end. One
+    strided add per d with g(d) != 0 and per chunk of its slice, in
+    increasing d, so each entry adds its terms in increasing d, one at a
+    time from 0.
+
+    Each page of the row is touched fresh once: the row is zeroed by a
+    write (np.zeros' mapped zero pages would fault again at the first
+    strided add), and the products g(d) b(m) are made _ROW_CHUNK at a time
+    in one scratch buffer, no longer than the longest slice, not in a
+    temporary of length n/d. A d whose slice fits in one chunk makes one
+    multiply and one add.
 
     With a prime p < 2^31, g and b hold int64 residues mod p: each product,
     below 2^62, is reduced mod p before its add, and the row at the end.
     An entry k <= 1e7 takes at most 448 < 2^9 adds (identity's divisor
     bound), so it stays below 2^40 in between."""
-    out = np.zeros(n + 1, dtype=dtype)
+    out = np.empty(n + 1, dtype=dtype)
+    out.fill(0)
     ds = 1 + np.flatnonzero(g[1:n // lo + 1])
-    for d, v in zip(ds.tolist(), g[ds].tolist()):  # past b's end, a slice is cut short
+    if b is not None and len(ds):  # the first d has the longest slice
+        nb = len(b)
+        buf = np.empty(max(min(_ROW_CHUNK, nb - lo, n // int(ds[0]) + 1 - lo), 0),
+                       dtype=dtype)
+    multiply = np.multiply  # a local: per d, no more Python work than one product
+    for d, v in zip(ds.tolist(), g[ds].tolist()):
         if b is None:
             out[d * lo::d] += v
             continue
-        t = b[lo:n // d + 1]  # a view: the last mod-p product is freed here
-        if not p:
-            out[d * lo:d * (lo + len(t)):d] += v * t
-        else:
-            t = v * t
-            t %= p
-            out[d * lo:d * (lo + len(t)):d] += t
+        m, end = lo, n // d + 1
+        if end > nb:  # past b's end, a slice is cut short
+            end = nb
+        while m < end:
+            top = m + _ROW_CHUNK
+            if top > end:
+                top = end
+            t = multiply(b[m:top], v, buf[:top - m])
+            if p:
+                t %= p
+            out[d * m:d * top:d] += t
+            m = top
     if p:
         out %= p
     return out
@@ -159,6 +183,7 @@ class WeightSystem:
                 self.lambda_table[d] = lam
         self._h_mp: Optional[np.ndarray] = None
         self._h_float: Optional[np.ndarray] = None
+        self._theta_prime_float: Optional[np.ndarray] = None
         self._conv_theta_lambda: Dict[int, np.ndarray] = {}
 
     # -- weight accessors ---------------------------------------------------
@@ -197,9 +222,15 @@ class WeightSystem:
 
     def _theta_prime_support(self, num) -> np.ndarray:
         """theta' in the number type num, indexed by d on [0, floor(U1)]:
-        float64 for float, object for mpf."""
+        float64 for float, built once and read-only, object for mpf."""
+        if num is float and self._theta_prime_float is not None:
+            return self._theta_prime_float
         u1 = int(math.floor(self.cfg.U1))
-        return np.array([num(0)] + [self.theta_prime(d, num) for d in range(1, u1 + 1)])
+        out = np.array([num(0)] + [self.theta_prime(d, num) for d in range(1, u1 + 1)])
+        if num is float:
+            out.setflags(write=False)
+            self._theta_prime_float = out
+        return out
 
     # -- h = lambda *_lcm theta' --------------------------------------------
 
@@ -247,7 +278,8 @@ class WeightSystem:
     def one_star_theta(self, n: int) -> np.ndarray:
         """(1 * theta)(k) for k <= n; theta = mu - theta', so this equals
         [k = 1] - (1 * theta')(k)."""
-        out = -_one_star(self._theta_prime_support(float), n, np.float64)
+        out = _one_star(self._theta_prime_support(float), n, np.float64)
+        np.negative(out, out=out)
         out[1:2] += 1.0  # [k = 1], when n >= 1
         return out
 
@@ -261,7 +293,8 @@ class WeightSystem:
         this system.
         """
         if n not in self._conv_theta_lambda:
-            conv = self.one_star_theta(n) * self.one_star_lambda(n)
+            conv = self.one_star_theta(n)
+            conv *= self.one_star_lambda(n)
             conv.setflags(write=False)
             self._conv_theta_lambda[n] = conv
         return self._conv_theta_lambda[n]

@@ -344,20 +344,23 @@ def test_registry_floats_to_a_top_index(tables_10k):
             f.floats(t, t.n_max + 1)
 
 
-def test_registry_floats_from_a_lo_index(tables_10k):
-    # a block [lo, top] holds the full table's bits there, entry i at
-    # n = lo + i: at a block of one n, at a prime power (8, 9973) and at a
-    # squarefree n (30) on either end, and empty past top
+def test_registry_support_from_a_lo_index(tables_10k):
+    # the support of a block [lo, top] of an f with no int_table, scattered
+    # into zeros, holds the full table's bits there, entry i at n = lo + i:
+    # at a block of one n, at a prime power (8, 9973) and at a squarefree n
+    # (30) on either end, and empty past top
     t = tables_10k
-    for f in (MANGOLDT, MOBIUS):
+    for f in (f for f in FUNCTIONS.values() if f.int_table is None):
         full = f.floats(t)
         for lo, top in ((0, 10), (1, 1), (8, 8), (8, 30), (9, 29), (31, 9_973),
                         (9_973, t.n_max), (5_001, 5_000)):
-            part = f.floats(t, top, lo)
-            assert len(part) == top + 1 - lo, (f.name, lo, top)
+            n, values, got_top = f.support(t, top, lo)
+            assert got_top == top and np.all(n >= lo), (f.name, lo, top)
+            part = np.zeros(top + 1 - lo)
+            part[n - lo] = values
             assert part.tobytes() == full[lo:top + 1].tobytes(), (f.name, lo, top)
         with pytest.raises(TableRangeError):
-            f.floats(t, t.n_max + 1, t.n_max)
+            f.support(t, t.n_max + 1, t.n_max)
 
 
 def test_support_scatters_to_floats(tables_10k, tables_100k):

@@ -17,7 +17,7 @@ from expsum_kit.expsum import (_geometric_sum, _phase_blocks, _total,
                                rational_sum_from_residues, recombine,
                                residue_weight_sums, symmetric_fracs, type_I_1,
                                twisted_weights, type_I_2, type_II)
-from expsum_kit.weights import WeightConfig, WeightSystem
+from expsum_kit.weights import WeightConfig, WeightSystem, _one_star
 
 
 def unit_exponentials(alpha, n):
@@ -309,6 +309,40 @@ def test_direct_sum_peak_memory(tables_2m):
             tracemalloc.stop()
     assert peaks[1] <= 2 * 2**20, peaks
     assert peaks[1] - peaks[0] <= 2**20, peaks
+
+
+def test_direct_sum_reads_mu_table_in_place(tables_2m):
+    # mu's blocks are views of its int8 table: a call at 2e5 holds the 1 MiB
+    # phase buffer, numpy's 64 KiB buffer for the int8-to-float cast in the
+    # product, and _phase_blocks' 17 KiB step table; a float copy of a
+    # block (512 KiB) fails this
+    alpha = Fraction(8, 1_000_003)
+    direct_sum("mobius", alpha, 1_000, tables_2m)  # first-call caches
+    tracemalloc.start()
+    try:
+        direct_sum("mobius", alpha, 200_000, tables_2m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20 + 96 * 1024, peak
+
+
+def test_type_I_1_row_build_peak_memory(tables_2m):
+    # type I1's row at 2e5 is built beside its inputs with at most one
+    # 64 KiB chunk of products and 4 KiB of per-d lists; a product of
+    # length n/d (1.6 MB at d = 1) fails this
+    x = 200_000
+    h = WeightSystem(WeightConfig(U=10, U1=40, R=5, V=30, q=3), tables_2m).h_float()
+    logs = np.arange(x + 1.0)
+    np.log(logs, out=logs, where=logs > 0)
+    _one_star(h, 1_000, np.float64, logs)  # first-call caches
+    tracemalloc.start()
+    try:
+        _one_star(h, x, np.float64, logs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (x + 1) + 64 * 1024 + 4 * 1024, peak
 
 
 def _centred(num, den):

@@ -100,17 +100,17 @@ def test_combined_h_against_pair_oracle(tables_small, ws_small):
     assert support == {d for d in range(1, len(h)) if abs(h[d]) > 1e-15}
 
 
-def _dirichlet_oracle(pairs, n, dtype, b=None, lo=1):
+def _dirichlet_oracle(pairs, n, dtype, b=None, lo=1, p=0):
     """(g*b)(k) term by term: for each (d, g(d)) in increasing d, each
     m >= lo on b with dm <= n adds g(d) b(m) (g(d) when b is None) as a
-    scalar."""
+    scalar; with p, each product and the row are reduced mod p."""
     out = np.zeros(n + 1, dtype=dtype)
     for d, v in pairs:
         m = lo
         while d * m <= n and (b is None or m < len(b)):
-            out[d * m] += v if b is None else v * b[m]
+            out[d * m] += v if b is None else v * b[m] % p if p else v * b[m]
             m += 1
-    return out
+    return out % p if p else out
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
@@ -139,6 +139,34 @@ def test_one_star_matches_term_by_term_loop(dtype, b_len, lo):
                              n, dtype, b, lo)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got[1:].any()  # the rows are not trivially 0
+
+
+@pytest.mark.parametrize("dtype, p", [(np.float64, 0), (bool, 0),
+                                      (np.int64, 2_147_483_647)])
+@pytest.mark.parametrize("extra", [-1, 0, 1, weights._ROW_CHUNK + 1])
+def test_one_star_chunk_edges(dtype, p, extra):
+    # d = 1's slice of b is 2^13 + extra long: one entry short of a chunk,
+    # one chunk, one entry past it, and two chunks and one, from lo = 3,
+    # ended by n, and then by a b cut short (where d = 2 is cut too); the
+    # scratch buffer is as long as that slice, up to one chunk. A chunk or
+    # buffer end off by one moves an entry or raises.
+    rng = np.random.default_rng(11)
+    lo, length = 3, weights._ROW_CHUNK + extra
+    for n, b_len in ((length + lo - 1, length + lo + 9), (3 * length, length + lo)):
+        ds = [1, 2, 3, 5, n // (lo + 1), n // lo]
+        g = np.zeros(n // lo + 2, dtype=dtype)
+        if dtype is bool:
+            g[ds], b = rng.random(len(ds)) < 0.9, rng.random(b_len) < 0.6
+        elif p:
+            g[ds], b = rng.integers(0, p, len(ds)), rng.integers(0, p, b_len)
+        else:
+            g[ds], b = rng.normal(size=len(ds)), rng.normal(size=b_len)
+        g[0] = g[-1] = 1  # neither is read: n // lo + 1 has no m >= lo
+        got = weights._one_star(g, n, dtype, b, lo, p)
+        want = _dirichlet_oracle([(d, g[d]) for d in range(1, n // lo + 1) if g[d]],
+                                 n, dtype, b, lo, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+        assert got[lo:lo + length].any()
 
 
 def test_one_star_h_factorizes(tables_small):
@@ -385,6 +413,24 @@ def test_conv_theta_lambda_built_once(ws_small):
     assert ws_small.conv_theta_lambda(500) is conv
     assert not conv.flags.writeable
     assert np.array_equal(conv[:301], ws_small.conv_theta_lambda(300))
+
+
+def test_theta_prime_floats_built_once(tables_small, monkeypatch):
+    # h_float, one_star_theta and dyadic read one read-only float theta'
+    # table, built by one call of theta_prime per d <= U1; mpf is not cached
+    ws = WeightSystem(WeightConfig(U=3, U1=9, R=5, V=5, q=2), tables_small)
+    calls = []
+    theta_prime = ws.theta_prime
+    monkeypatch.setattr(ws, "theta_prime",
+                        lambda d, num=float: calls.append(num) or theta_prime(d, num))
+    ws.h_float()
+    ws.one_star_theta(100)
+    ws.dyadic(P)
+    assert calls == [float] * 9
+    assert not ws._theta_prime_support(float).flags.writeable
+    with workdps(50):
+        ws.h_mp()
+    assert calls == [float] * 9 + [mpf] * 9
 
 
 def test_report_only_sums_run(ws_small):
