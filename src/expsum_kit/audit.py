@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .arith import ArithTables, coprime_residues, divisor_count
+from .arith import ArithTables, coprime_residues, divisor_count, factorize
 from .expsum import symmetric_fracs
 
 _SLACK = 1e-9
@@ -236,15 +236,30 @@ def _check_abel(rng, audit: LemmaAudit) -> None:
     audit.record(float(lhs), float(rhs), {"n": n})
 
 
-def _check_gcd_squarefree(rng, audit: LemmaAudit, tables, ls: np.ndarray) -> None:
+def _gcd_period(q: int) -> np.ndarray:
+    """(l, q) as a float for l = 1..q, from q's factorization: start at 1
+    and, for each prime power p^j dividing q, multiply every p^j-th entry
+    by p, so l gains p^min(v_p(l), v_p(q)). The products are integers far
+    below 2^53, so these are the floats of np.gcd(l, q)."""
+    period = np.ones(q)
+    for p, e in factorize(q):
+        for j in range(1, e + 1):
+            period[p ** j - 1::p ** j] *= p
+    return period
+
+
+def _check_gcd_squarefree(rng, audit: LemmaAudit, ls: np.ndarray,
+                          squarefree: np.ndarray) -> None:
     """sum_{l <= V} mu^2(l)(l,q)/l <= tau(q) log(eV) and
-    sum_{l <= V} mu^2(l)(l,q) <= tau(q) V; ls is 1.0, 2.0, ... to at least
-    V, made once per audit."""
+    sum_{l <= V} mu^2(l)(l,q) <= tau(q) V; ls is 1.0, 2.0, ... and
+    squarefree is mu^2(l) as 1.0 or 0.0 at l = 1, 2, ..., each to at least V
+    and made once per audit."""
     q = int(rng.integers(1, 10_000))
     V = int(rng.integers(10, _GCD_V_END))
-    # (l, q) depends only on l mod q: one period, repeated out to V.
-    terms = np.resize(np.gcd(np.arange(1, q + 1), q).astype(np.float64), V)
-    terms *= tables.mobius[1:V + 1] != 0  # +0.0 where mu(l) = 0
+    # (l, q) depends only on l mod q: one period, repeated out to V (by
+    # np.tile, as np.resize concatenates V/q copies one by one).
+    terms = np.tile(_gcd_period(q), -(-V // q))[:V]
+    terms *= squarefree[:V]  # +0.0 where mu(l) = 0, as a bool mask gives
     tau_q = divisor_count(q)
     lhs2 = float(np.sum(terms))
     terms /= ls[:V]
@@ -352,6 +367,7 @@ def van_der_corput_report(rng: np.random.Generator) -> List[Dict]:
 def _checks(tables: ArithTables) -> Dict[str, Callable]:
     """Every check as check(rng, audit), in draw order, with what it reads bound."""
     ls = np.arange(1.0, _GCD_V_END)
+    squarefree = (tables.mobius[1:_GCD_V_END] != 0).astype(np.float64)
     prefix = np.cumsum(tables.mobius != 0, dtype=np.int32)
     return {
         "window_min_sum": _check_window_min_sum,
@@ -360,7 +376,7 @@ def _checks(tables: ArithTables) -> Dict[str, Callable]:
         "weighted_nondivisible": _check_weighted_nondivisible,
         "shifted_log_sums": _check_shifted_log_sums,
         "abel": _check_abel,
-        "gcd_squarefree": lambda rng, audit: _check_gcd_squarefree(rng, audit, tables, ls),
+        "gcd_squarefree": lambda rng, audit: _check_gcd_squarefree(rng, audit, ls, squarefree),
         "squarefree_count": lambda rng, audit: _check_squarefree_count(rng, audit, prefix),
         "dyadic": _check_dyadic,
     }

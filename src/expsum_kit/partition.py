@@ -68,16 +68,39 @@ def separation_bound(L: float, q: int, tables: ArithTables) -> float:
 
 def _cyclic_partition(groups: List[np.ndarray], n_classes: int,
                       M: float, q: int, L: float) -> Partition:
-    classes: List[List[int]] = [[] for _ in range(n_classes)]
-    for members in groups:
-        for idx, m in enumerate(members):
-            classes[idx % n_classes].append(int(m))
-    return Partition(classes=[c for c in classes if c], M=M, q=q, L=L)
+    """Deal each group, in increasing order, round-robin over n_classes
+    slots: the r-th member of a group (from r = 0) goes to slot
+    r mod n_classes, and a slot holds its members group by group.
+
+    Each group fills whole rows of a table n_classes wide, its last row
+    padded with 0, which is no member (every member exceeds M > 0). Slot c
+    is column c read down the table, so reading the transposed table in
+    order and dropping the pads lists the members slot by slot, with no
+    Python work per member but the list they end in. A slot is empty
+    exactly when every group is shorter than its index, so the nonempty
+    slots come first, and they are the classes.
+    """
+    rows = [-(-len(g) // n_classes) for g in groups]
+    table = np.zeros((sum(rows), n_classes), dtype=np.int64)
+    start = 0
+    for members, r in zip(groups, rows):
+        table.reshape(-1)[start:start + len(members)] = members
+        start += r * n_classes
+    table = table.T
+    sizes = np.count_nonzero(table, axis=1).tolist()
+    dealt = table[table != 0]
+    del table
+    dealt = dealt.tolist()
+    classes = [dealt[end - size:end]
+               for size, end in zip(sizes, itertools.accumulate(sizes)) if size]
+    return Partition(classes=classes, M=M, q=q, L=L)
 
 
 def partition_primes(M: float, q: int, L: float,
                      tables: ArithTables) -> Partition:
     """Partition the primes in (M, 2M] into at most ceil(B(L, q)) classes."""
+    if q < 1:
+        raise ValueError(f"need q >= 1, got q={q}")
     if not 3 <= L <= M / q:
         raise ValueError(f"need 3 <= L <= M/q, got L={L}, M/q={M / q}")
     tables.check_range(2 * M, "partition upper end")
@@ -93,9 +116,11 @@ def partition_primes(M: float, q: int, L: float,
 def partition_integers(M: float, q: int, L: float,
                        tables: ArithTables) -> Partition:
     """Partition all integers in (M, 2M] into at most ceil(L) classes."""
+    if q < 1:
+        raise ValueError(f"need q >= 1, got q={q}")
     if not 2 <= L <= M / q:
         raise ValueError(f"need 2 <= L <= M/q, got L={L}, M/q={M / q}")
-    members = np.arange(math.floor(M) + 1, math.floor(2 * M) + 1, dtype=np.int64)
+    lo, hi = math.floor(M) + 1, math.floor(2 * M) + 1
     n_classes = math.ceil(L)
-    groups = [members[members % q == a] for a in range(q)]
+    groups = [np.arange(lo + (a - lo) % q, hi, q, dtype=np.int64) for a in range(q)]
     return _cyclic_partition(groups, n_classes, M, q, L)

@@ -13,11 +13,10 @@ as an array indexed by d, the input format of _one_star.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -423,8 +422,53 @@ def thtsum_report(v: int, ws: WeightSystem) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Logarithmically weighted Mobius partial sums
 
-#: Terms per chunk of a partial sum.
-_PARTIAL_CHUNK = 1 << 11
+#: Terms per chunk of a partial sum, and per chunk that _exact_sum takes.
+_PARTIAL_CHUNK = 1 << 13
+
+#: frexp gives a nonzero finite float the exponent e in [-1073, 1024], and
+#: 0 the exponent 0; bin e + _EXP_OFFSET holds the terms of exponent e.
+_EXP_OFFSET = 1073
+_EXP_BINS = 1024 + _EXP_OFFSET + 1
+
+
+def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """The sum of the finite float64 chunks, each at most _PARTIAL_CHUNK
+    long and fewer than 2^26 terms in all, correctly rounded: the bits of
+    math.fsum over them.
+
+    np.frexp writes each term as M 2^(e - 53) with M = m 2^53 an integer,
+    |M| < 2^53. M splits exactly into a high part trunc(M / 2^26) and a low
+    part M - 2^26 trunc(M / 2^26), with |high| < 2^27 and |low| < 2^26.
+    np.bincount adds each part into bins by e. Every bin is a sum of fewer
+    than 2^26 integers below 2^27, so it stays an integer below 2^53 and
+    is exact in float64 in any order, chunk after chunk. The bins are
+    combined in Python integers and rounded once, by Python's correctly
+    rounded int/int division.
+    """
+    mant = np.empty(_PARTIAL_CHUNK)
+    part = np.empty(_PARTIAL_CHUNK)
+    exps = np.empty(_PARTIAL_CHUNK, dtype=np.intp)
+    high = np.zeros(_EXP_BINS)
+    low = np.zeros(_EXP_BINS)
+    for chunk in chunks:
+        m, p, e = mant[:len(chunk)], part[:len(chunk)], exps[:len(chunk)]
+        np.frexp(chunk, out=(m, e))
+        m *= 2.0 ** 53
+        e += _EXP_OFFSET
+        np.multiply(m, 2.0 ** -26, out=p)
+        np.trunc(p, out=p)
+        high += np.bincount(e, weights=p, minlength=_EXP_BINS)
+        p *= 2.0 ** 26
+        m -= p
+        low += np.bincount(e, weights=m, minlength=_EXP_BINS)
+    bins = np.flatnonzero((high != 0) | (low != 0)).tolist()
+    if not bins:
+        return 0.0
+    # the sum is total * 2^(bins[0] - _EXP_OFFSET - 53)
+    total = sum(((int(high[k]) << 26) + int(low[k])) << (k - bins[0])
+                for k in bins)
+    shift = bins[0] - _EXP_OFFSET - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _mobius_partials(v: int, X: float, powers: Sequence[int],
@@ -434,34 +478,45 @@ def _mobius_partials(v: int, X: float, powers: Sequence[int],
 
     Dividing by mu(n) n gives the bits of dividing by n and then
     multiplying by mu(n) = +-1, since negating a divisor negates the rounded
-    quotient. fsum rounds the exact sum once, so terms made a chunk at a
-    time give the bits of whole arrays. So, as for one power, two float
-    arrays of the support are alive.
+    quotient. _exact_sum rounds the exact sum once, so terms made a chunk
+    at a time, in one reused buffer, give the bits of math.fsum over whole
+    arrays. Its bins stay exact because a power has fewer than 2^26 terms:
+    the squarefree n <= X are neither multiples of 4 nor of 9, and
+    n_max <= MAX_N_MAX = 10^8 leaves 10^8 - 25,000,000 - 11,111,111 +
+    2,777,777 = 66,666,666 < 2^26 = 67,108,864 such n (there are
+    60,792,694 squarefree n <= 10^8). So, as for one power, two float
+    arrays of the support (16 B per term) are alive; the signs go on the
+    int64 support before its float copy, so set-up holds no more.
     """
+    if v < 1:
+        raise ValueError(f"v must be at least 1, got {v}")
+    tables.check_range(v, "coprimality modulus v")
     if tables.mobius[v] == 0:
         raise ValueError("v must be squarefree")
     tables.check_range(X, "partial-sum cutoff")
     n_top = int(math.floor(X))
     mu = tables.mobius[1:n_top + 1]
-    n = np.flatnonzero(mu) + 1
+    n = np.flatnonzero(mu)  # n - 1, for now
     if v != 1:
-        n = n[np.gcd(n, v) == 1]
-        signs = mu[n - 1]
-    else:
-        signs = mu[mu != 0]
-    n = n.astype(np.float64)  # exact below 2^53
-    log_ratio = np.log(n)
-    np.subtract(math.log(X), log_ratio, out=log_ratio)
+        n = n[np.gcd(n + 1, v) == 1]
+    signs = mu[n]
+    n += 1
     n *= signs
+    del signs
+    n = n.astype(np.float64)  # mu(n) n, exact below 2^53
+    log_ratio = np.abs(n)
+    np.log(log_ratio, out=log_ratio)
+    np.subtract(math.log(X), log_ratio, out=log_ratio)
+    buffer = np.empty(min(len(n), _PARTIAL_CHUNK))
 
     def terms(power):
         # log(X/n)^power / (mu(n) n)
         for lo in range(0, len(n), _PARTIAL_CHUNK):
-            chunk = np.power(log_ratio[lo:lo + _PARTIAL_CHUNK], power)
+            chunk = buffer[:len(n) - lo]
+            np.power(log_ratio[lo:lo + _PARTIAL_CHUNK], power, out=chunk)
             np.divide(chunk, n[lo:lo + _PARTIAL_CHUNK], out=chunk)
-            yield chunk.tolist()
-    return [math.fsum(itertools.chain.from_iterable(terms(power)))
-            for power in powers]
+            yield chunk
+    return [_exact_sum(terms(power)) for power in powers]
 
 
 def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:

@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from expsum_kit.audit import (LemmaAudit, _phi_e_integral, inequality_audit,
+from expsum_kit.audit import (_GCD_V_END, LemmaAudit, _check_gcd_squarefree,
+                              _gcd_period, _phi_e_integral, inequality_audit,
                               van_der_corput_report)
 
 EXPECTED_LEMMAS = {
@@ -121,3 +122,51 @@ def test_report_serializable(tables_2m):
     report = inequality_audit(seed=7, tables=tables_2m, n_instances=10)
     payload = json.dumps(report.as_dict(), sort_keys=True)
     assert "window_min_sum" in payload
+
+
+@pytest.mark.parametrize("qs", [range(1, 2000), (6561, 8192, 9240, 9973)],
+                         ids=["q<2000", "powers-and-primes"])
+def test_gcd_period_is_np_gcd(qs):
+    # 6561 = 3^8 and 8192 = 2^13 need every power of p, 9240 = 2^3*3*5*7*11
+    # has five primes, 9973 is prime
+    for q in qs:
+        want = np.gcd(np.arange(1, q + 1), q).astype(np.float64)
+        got = _gcd_period(q)
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
+
+
+class _Draws:
+    """An rng stand-in whose integers() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def integers(self, lo, hi):
+        return self.values.pop(0)
+
+
+class _Records:
+    """A LemmaAudit stand-in that keeps (form, lhs) of every record."""
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, lhs, rhs, params):
+        self.rows.append((params["form"], lhs))
+
+
+@pytest.mark.parametrize("q, V", [(1, 99_999), (2, 10), (3, 12_345), (4, 77),
+                                  (12, 50_000), (9240, 99_999), (9973, 9_973)])
+def test_gcd_check_matches_np_gcd_and_mask(tables_2m, q, V):
+    # both sums, bit for bit, against the period from np.gcd, repeated by
+    # np.resize and masked by the bool mu(l) != 0
+    terms = np.resize(np.gcd(np.arange(1, q + 1), q).astype(np.float64), V)
+    terms *= tables_2m.mobius[1:V + 1] != 0
+    plain = float(np.sum(terms))
+    terms /= np.arange(1.0, V + 1)
+    over_l = float(np.sum(terms))
+    audit = _Records()
+    squarefree = (tables_2m.mobius[1:_GCD_V_END] != 0).astype(np.float64)
+    _check_gcd_squarefree(_Draws(q, V), audit, np.arange(1.0, _GCD_V_END),
+                          squarefree)
+    assert audit.rows == [("over_l", over_l), ("plain", plain)]

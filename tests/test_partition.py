@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from expsum_kit.arith import factorize
-from expsum_kit.partition import (Partition, partition_integers,
-                                  partition_primes, separation_bound)
+from expsum_kit.arith import coprime_residues, factorize
+from expsum_kit.partition import (Partition, _cyclic_partition,
+                                  partition_integers, partition_primes,
+                                  separation_bound)
 
 
 def test_prime_partition_example(tables_2m):
@@ -63,6 +66,11 @@ def test_precondition_violations(tables_2m):
         partition_primes(100, 7, 20, tables_2m)  # L > M/q
     with pytest.raises(ValueError):
         partition_integers(100, 1, 1.5, tables_2m)  # L < 2
+    for q in (0, -7):  # rejected before M / q is formed
+        with pytest.raises(ValueError, match="q >= 1"):
+            partition_primes(100, q, 5, tables_2m)
+        with pytest.raises(ValueError, match="q >= 1"):
+            partition_integers(100, q, 5, tables_2m)
 
 
 def test_spacing_violations_detects_bad_partition():
@@ -97,3 +105,66 @@ def test_spacing_violations_against_all_pairs():
         got = Partition(classes=classes, M=100, q=q, L=L).spacing_violations()
         assert set(got) <= close
         assert (got == []) == (not close)
+
+
+def _cyclic_partition_loop(groups, n_classes):
+    # the per-member loop that _cyclic_partition replaced, kept as its oracle
+    classes = [[] for _ in range(n_classes)]
+    for members in groups:
+        for idx, m in enumerate(members):
+            classes[idx % n_classes].append(int(m))
+    return [c for c in classes if c]
+
+
+@pytest.mark.parametrize("sizes, n_classes", [
+    ((), 3),                    # no groups
+    ((0, 0), 4),                # only empty groups
+    ((5, 0, 3), 2),             # an empty group between two
+    ((0, 7), 3),                # an empty group first
+    ((4,), 1),                  # q = 1, one class
+    ((30,), 7),                 # q = 1, a short last row
+    ((3, 2, 1), 10),            # more classes than members
+    ((10, 10, 10), 10),         # whole rows only
+    ((11, 9, 10, 10), 10),      # one row and a bit, or not quite one
+    ((100, 99, 101), 4286),     # the L = M/q class count
+])
+def test_cyclic_partition_matches_member_loop(sizes, n_classes):
+    rng = np.random.default_rng(sum(sizes) + n_classes)
+    groups = [np.sort(rng.choice(np.arange(1, 10_000), size, replace=False))
+              for size in sizes]
+    got = _cyclic_partition(groups, n_classes, M=0.5, q=max(len(sizes), 1), L=2)
+    assert got.classes == _cyclic_partition_loop(groups, n_classes)
+    assert all(type(m) is int for c in got.classes for m in c)
+
+
+@pytest.mark.parametrize("M, q, L", [(30_000, 7, 10.0), (30_000, 7, 30_000 / 7),
+                                     (1_000, 1, 3.0), (1_000, 1, 1_000),
+                                     (5_000, 30, 5_000 / 30)])
+def test_partitions_match_member_loop(tables_2m, M, q, L):
+    # the certify configs and q = 1 at both ends of L, against the loop
+    # over the same residue groups
+    window = np.arange(math.floor(M) + 1, math.floor(2 * M) + 1)
+    primes = window[tables_2m.mangoldt_base[window] == window]
+    prime_groups = [primes[primes % q == a] for a in coprime_residues(q)]
+    n_primes = math.ceil(separation_bound(max(L, 3), q, tables_2m))
+    assert partition_primes(M, q, max(L, 3), tables_2m).classes == \
+        _cyclic_partition_loop(prime_groups, n_primes)
+    int_groups = [window[window % q == a] for a in range(q)]
+    assert partition_integers(M, q, L, tables_2m).classes == \
+        _cyclic_partition_loop(int_groups, math.ceil(L))
+
+
+def test_integer_partition_peak_memory(tables_2m):
+    # the classes themselves (a 32 B int and an 8 B slot per member, and a
+    # list per class), the residue groups and one pointer list of the dealt
+    # members: 1.90 MiB measured at M = 3e4, q = 7, L = M/q. The per-member
+    # loop over masked members peaked at 1.93 MiB; a stable argsort of
+    # the concatenated groups, at 2.98 MiB
+    partition_integers(3e4, 7, 3e4 / 7, tables_2m)
+    tracemalloc.start()
+    try:
+        partition_integers(3e4, 7, 3e4 / 7, tables_2m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.95 * 2**20  # the loop's 1.93 MiB and a 20 KiB margin

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from expsum_kit import weights
-from expsum_kit.arith import TableRangeError
+from expsum_kit.arith import MAX_N_MAX, TableRangeError, build_tables
 from expsum_kit.bounds import choose_params
 from expsum_kit.identity import P
 from expsum_kit.weights import (RAMARE_C1, WeightConfig, WeightSystem, g_series,
@@ -384,7 +385,7 @@ def _mobius_partial_expr(v, X, power, tables):
 
 
 @pytest.mark.parametrize("power", [1, 2])
-@pytest.mark.parametrize("X", [10.5, 1e3, 1e5, 999999.5])
+@pytest.mark.parametrize("X", [1, 2, 10.5, 1e3, 1e5, 999999.5, 2e6])
 @pytest.mark.parametrize("v", [1, 6, 30])
 def test_mobius_partial_matches_expression_bitwise(tables_2m, v, X, power):
     expected = _mobius_partial_expr(v, X, power, tables_2m)
@@ -406,6 +407,99 @@ def test_partial_bounds_take_both_powers_in_one_pass(tables_2m, X, monkeypatch):
     monkeypatch.setattr(weights, "_mobius_partials", spy)
     assert all(mobius_partial_bounds_hold(X, tables_2m).values())
     assert passes == [(1, X, (1, 2), two_calls)]
+
+
+def test_mobius_partial_rejects_v_out_of_range(tables_small):
+    # v indexes mu's table: below 1 it would wrap to mu(n_max + 1 + v),
+    # so v = -4 could pass as squarefree; above n_max it is past the sieve
+    for v in (0, -3, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            mobius_partial(v, 100, 1, tables_small)
+    with pytest.raises(TableRangeError):
+        mobius_partial(tables_small.n_max + 1, 100, 1, tables_small)
+    top = int(np.flatnonzero(tables_small.mobius)[-1])  # largest squarefree v
+    assert mobius_partial(top, 100, 1, tables_small) == \
+        _mobius_partial_expr(top, 100, 1, tables_small)
+
+
+def _chunked(terms):
+    return (terms[lo:lo + weights._PARTIAL_CHUNK]
+            for lo in range(0, len(terms), weights._PARTIAL_CHUNK))
+
+
+def _adversarial_sums():
+    rng = np.random.default_rng(34)
+    tiny = 2.0 ** -1074
+    yield "empty", np.array([])
+    yield "zeros", np.zeros(7)
+    yield "negative zeros", np.full(3, -0.0)
+    yield "signed zeros", np.array([0.0, -0.0, -0.0])
+    yield "five subnormals", np.full(5, tiny)
+    yield "subnormal mix", np.array([tiny, -3 * tiny, 2.0 ** -1022, -tiny])
+    yield "huge cancels", np.array([1e308, 5e-324, -1e308])
+    yield "huge cancels, tiny last", np.array([1e308, -1e308, 5e-324])
+    yield "1e16 + 1 - 1e16", np.array([1e16, 1.0, -1e16, 2.0 ** -60])
+    yield "half-way tie", np.array([1.0, 2.0 ** -53])
+    yield "past the tie", np.array([1.0, 2.0 ** -53, 2.0 ** -1074])
+    yield "2^53 + 1", np.array([2.0 ** 53, 1.0])
+    yield "max float", np.array([np.finfo(float).max, -1.0])
+    for k in range(6):
+        mant = rng.standard_normal(3_000)
+        yield f"mixed exponents {k}", np.ldexp(mant, rng.integers(-1074, 960, 3_000))
+        yield f"narrow exponents {k}", np.ldexp(mant, rng.integers(-60, 8, 3_000))
+        yield f"cancelling {k}", np.concatenate([mant, -mant[::-1], [tiny]])
+    for size in (weights._PARTIAL_CHUNK - 1, weights._PARTIAL_CHUNK,
+                 weights._PARTIAL_CHUNK + 1, 2 * weights._PARTIAL_CHUNK + 1):
+        yield f"{size} terms", rng.standard_normal(size) * 1e10 + 1e-3
+        # all in one bin: 2^53 - 1 at 2^(e - 53), so the high parts carry
+        yield f"{size} full mantissas", np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("name, terms", list(_adversarial_sums()),
+                         ids=[name for name, _ in _adversarial_sums()])
+def test_exact_sum_is_fsum_bitwise(name, terms):
+    got = weights._exact_sum(_chunked(terms))
+    want = math.fsum(terms.tolist())
+    assert got.hex() == want.hex() and math.copysign(1, got) == math.copysign(1, want)
+
+
+def test_exact_sum_bins_stay_below_2_53():
+    # a power's terms are squarefree n <= MAX_N_MAX, none a multiple of 4
+    # or 9: fewer than 2^26, so every bin sums exactly
+    n = MAX_N_MAX
+    assert n - n // 4 - n // 9 + n // 36 < 1 << 26
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("v", [1, 6, 7, 30])
+def test_mobius_partial_across_chunk_edges(tables_2m, v, power):
+    # the support's length crosses a multiple of the chunk: the terms of
+    # the last one, two or three n, against the out-of-place expression
+    mu = tables_2m.mobius
+    support = [n for n in range(1, 60_000) if mu[n] and math.gcd(n, v) == 1]
+    for k in (1, 2):
+        for top in support[k * weights._PARTIAL_CHUNK - 2:k * weights._PARTIAL_CHUNK + 1]:
+            X = top + 0.5
+            assert mobius_partial(v, X, power, tables_2m) == \
+                _mobius_partial_expr(v, X, power, tables_2m)
+
+
+def test_mobius_partials_peak_memory():
+    # two float arrays of mu's support (16 B a term) and the chunk
+    # buffers: the terms, frexp's two outputs and the split, 64 KiB each,
+    # plus the two 16 KiB bin arrays and np.bincount's output. Measured:
+    # 16 B a term + 324 KiB. math.fsum over tolist() chunks, with the
+    # signs applied after the float copy, peaked at 16 B a term + 675 KiB
+    tables = build_tables(1_000_000)
+    support = int(np.count_nonzero(tables.mobius))
+    weights._mobius_partials(1, 1e6, (1, 2), tables)
+    tracemalloc.start()
+    try:
+        weights._mobius_partials(1, 1e6, (1, 2), tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * support + (352 << 10)
 
 
 def test_conv_theta_lambda_built_once(ws_small):
