@@ -1,16 +1,21 @@
 """Sieved arithmetic-function tables and the functions of the main theorem.
 
 Provides:
-- ArithTables: Mobius mu and the "Mangoldt base" (p for prime powers p^k,
-  else 0), 5 bytes per n, from a segmented sieve over the primes up to
-  sqrt(n_max); the primes are the n whose base is n.
+- segments: the sieve as a stream of Segments, Mobius mu and the "Mangoldt
+  base" (p for prime powers p^k, else 0) on [lo, hi), _SEGMENT entries at
+  a time, in buffers that the next segment overwrites: a consumer that
+  folds each one holds 5 bytes per segment entry, whatever n_max.
+- ArithTables: the same two tables on all of [0, n_max], 5 bytes per n,
+  sieved by the same stream into views of the whole arrays; the primes
+  are the n whose base is n.
 - factorize, totient, divisor_count: the kit's one factorization, by trial
   division with no tables, and from it its one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - ArithFunction, FUNCTIONS: the one definition of each function of the
   main theorem (Lambda and mu) for the exponential sums, as float64 values,
-  as a support, and (mu) as an integer table. The identity certificate
-  defines its own residues of each f and of 1*f (identity).
+  as a support on a segment or on the tables, and (mu) as an integer table.
+  The identity certificate defines its own residues of each f and of 1*f
+  (identity).
 """
 
 from __future__ import annotations
@@ -18,15 +23,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-# 5 bytes/entry across the two per-n tables (mobius 1, mangoldt_base 4);
-# the sieve adds one 2 MiB segment product and about 0.3 MiB more.
-# The cap keeps a typo from swallowing all RAM. It also keeps every n below
-# 2^31, which the sieve's int32 products of primes need: streaming the
-# sieve past the cap (ROADMAP item 2) needs int64 products.
+# build_tables holds 5 bytes/entry across the two per-n tables (mobius 1,
+# mangoldt_base 4); the sieve adds one 2 MiB segment product and about
+# 0.3 MiB more, and a stream of segments holds only those and one segment's
+# 5 bytes per entry. The cap keeps a typo from swallowing all RAM in
+# build_tables. It also keeps every n below 2^31, which the sieve's int32
+# products of primes and the sweep's int32 classes need: a stream past the
+# cap (ROADMAP item 2) needs int64 products, and a cap of its own.
 MAX_N_MAX = 100_000_000
 
 #: Entries per sieve segment (2 MiB of int32 products). Of 2^18..2^20,
@@ -77,14 +85,6 @@ def _primes_upto(r: int) -> List[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
-def _segments(n_max: int):
-    """(lo, hi) covering [2, n_max], cut at the multiples of _SEGMENT."""
-    for lo in range(0, n_max + 1, _SEGMENT):
-        lo, hi = max(lo, 2), min(lo + _SEGMENT, n_max + 1)
-        if lo < hi:
-            yield lo, hi
-
-
 def _wheel_row() -> np.ndarray:
     """prod over one period of the wheel: at i < _WHEEL, the product of
     -p over the p in _WHEEL_PRIMES that divide i, as an int32."""
@@ -95,11 +95,12 @@ def _wheel_row() -> np.ndarray:
 
 
 def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
-                   mobius: np.ndarray, mangoldt_base: np.ndarray,
+                   mu: np.ndarray, base: np.ndarray,
                    prod: np.ndarray, wheel: np.ndarray) -> None:
-    """mu on [lo, hi), and the Mangoldt base of each prime there that is
-    not in primes; 2 <= lo < hi <= 2^31, and primes holds _WHEEL_PRIMES and
-    every prime p with p^2 < hi, and primes only.
+    """mu(n) into mu[n - lo] for n in [lo, hi), and into base[n - lo] n if
+    n is a prime not in primes, else 0; 2 <= lo < hi <= 2^31, and primes
+    holds _WHEEL_PRIMES and every prime p with p^2 < hi, and primes only.
+    The bases of the listed primes' powers are left to the caller.
 
     prod(n) is the product of the listed p | n, each negated, as an int32:
     |prod(n)| divides n < 2^31, so it is exact. A stride through n = 0 would
@@ -108,18 +109,18 @@ def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
     one more prime factor, above sqrt(hi); so mu(n) is the sign of prod(n),
     flipped there. prod(n) = 1 marks n as a prime. A stride per p^k, k >= 2,
     would change prod only where mu is 0, so none is taken. A listed p above
-    sqrt(hi) (13 when hi <= 13^2) makes prod(p) = -p, so mu(p) = -1, and
-    leaves p's base to the caller.
+    sqrt(hi) (13 when hi <= 13^2) makes prod(p) = -p, so mu(p) = -1.
 
-    prod is int32 scratch of at least hi - lo entries, whatever they hold.
+    prod is int32 scratch of at least hi - lo entries, whatever they hold,
+    and so are mu (int8) and base (int32): each of their first hi - lo
+    entries is written, none read first, so each page is touched once.
     wheel is _wheel_row(): the factors of _WHEEL_PRIMES in prod are copied
     from it, from offset lo mod _WHEEL, in place of one strided pass per p.
     The rest runs over _CHUNK entries at a time, so that its temporaries
     stay in cache.
     """
     size = hi - lo
-    prod = prod[:size]
-    mu = mobius[lo:hi]
+    prod, mu, base = prod[:size], mu[:size], base[:size]
     mu[:] = 1
     head = wheel[lo % _WHEEL:][:size]
     prod[:len(head)] = head
@@ -130,7 +131,6 @@ def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
     for p in primes:
         if p * p < hi:
             mu[(-lo) % (p * p) :: p * p] = 0
-    base = mangoldt_base[lo:hi]
     for a in range(0, size, _CHUNK):
         b = min(a + _CHUNK, size)
         part = prod[a:b]
@@ -139,41 +139,90 @@ def _sieve_segment(lo: int, hi: int, primes: Sequence[int],
         flip ^= part < 0
         mu[a:b] *= 1 - 2 * flip.view(np.int8)
         n *= part == 1
-        base[a:b] += n  # 0 there before: not a p^k
+        base[a:b] = n
 
 
-def build_tables(n_max: int) -> ArithTables:
-    """Sieve mu and the Mangoldt base up to n_max. Deterministic.
+class Segment(NamedTuple):
+    """mu and the Mangoldt base on [lo, hi): the entry of n at n - lo."""
 
-    The primes p <= max(sqrt(n_max), 13) are sieved once, and the base set
-    on each p^k <= n_max. Then [2, n_max] is sieved in segments of _SEGMENT
-    entries (see _sieve_segment), each by one strided pass per p above 13,
-    and per p^2 inside the segment, with the factors of 2..13 copied from
-    one period of the wheel. The segments share one int32 prod, and the
-    tail runs in _CHUNK steps, so no temporary grows with n_max, and the
-    scratch is prod plus about 0.3 MiB.
-    phi has no table: it is read only at small moduli, where the table-free
-    totient serves. Raises ValueError if n_max exceeds the allocation cap.
-    """
+    lo: int
+    hi: int
+    mobius: np.ndarray         # int8
+    mangoldt_base: np.ndarray  # int32; p if n = p^k else 0
+
+    def windows(self, length: int) -> Iterator["Segment"]:
+        """The segment cut at lo + k length into Segments of views."""
+        for a in range(0, self.hi - self.lo, length):
+            b = min(a + length, self.hi - self.lo)
+            yield Segment(self.lo + a, self.lo + b, self.mobius[a:b],
+                          self.mangoldt_base[a:b])
+
+
+def _check_n_max(n_max: int) -> None:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_N_MAX:
         raise TableRangeError(f"n_max={n_max} exceeds allocation cap {MAX_N_MAX}")
 
+
+def segments(n_max: int, into: Optional[Tuple[np.ndarray, np.ndarray]] = None
+             ) -> Iterator[Segment]:
+    """The sieve on [0, n_max] as Segments [lo, hi), lo = 0, _SEGMENT,
+    2 _SEGMENT, ..., each yielded once sieved. Deterministic.
+
+    The primes p <= max(sqrt(n_max), 13) are sieved once, with the sorted
+    list of their powers p^k <= n_max. Each segment is sieved by
+    _sieve_segment (n >= 2): one strided pass per p above 13, and per p^2
+    inside it, with the factors of 2..13 copied from one period of the
+    wheel; then the bases of the listed p^k in it are set from the list.
+    n = 0 and 1 are set by hand (mu 0 and 1, base 0). Every segment shares
+    one int32 prod and one wheel row, and the tail runs in _CHUNK steps, so
+    no temporary grows with n_max.
+
+    The segments are written into one pair of _SEGMENT-entry buffers, which
+    the next segment overwrites: read each before asking for the next.
+    With into = (mobius, mangoldt_base), two arrays of n_max + 1 entries,
+    each segment is written into views of them instead, with no copy.
+    ValueError for n_max < 1 or above the allocation cap.
+    """
+    _check_n_max(n_max)
     primes = _primes_upto(max(math.isqrt(n_max), _WHEEL_PRIMES[-1]))
-    mobius = np.zeros(n_max + 1, dtype=np.int8)
-    mangoldt_base = np.zeros(n_max + 1, dtype=np.int32)
-    mobius[1] = 1
+    powers = []  # (p^k, p), sorted below
     for p in primes:
         pk = p
         while pk <= n_max:
-            mangoldt_base[pk] = p
+            powers.append((pk, p))
             pk *= p
-    prod = np.empty(min(_SEGMENT, n_max + 1), dtype=np.int32)
-    wheel = _wheel_row()
-    for lo, hi in _segments(n_max):
-        _sieve_segment(lo, hi, primes, mobius, mangoldt_base, prod, wheel)
-    return ArithTables(n_max=n_max, mobius=mobius, mangoldt_base=mangoldt_base)
+    pk, pk_base = np.array(sorted(powers), dtype=np.int64).reshape(-1, 2).T
+    size = min(_SEGMENT, n_max + 1)
+    prod, wheel = np.empty(size, dtype=np.int32), _wheel_row()
+    mobius, mangoldt_base = into or (np.empty(size, dtype=np.int8),
+                                     np.empty(size, dtype=np.int32))
+    for lo in range(0, n_max + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, n_max + 1)
+        at = lo if into else 0
+        mu, base = mobius[at:at + hi - lo], mangoldt_base[at:at + hi - lo]
+        first = max(lo, 2)
+        _sieve_segment(first, hi, primes, mu[first - lo:], base[first - lo:],
+                       prod, wheel)
+        if lo == 0:
+            mu[:2], base[:2] = (0, 1), 0
+        a, b = np.searchsorted(pk, (lo, hi))
+        base[pk[a:b] - lo] = pk_base[a:b]
+        yield Segment(lo, hi, mu, base)
+
+
+def build_tables(n_max: int) -> ArithTables:
+    """Sieve mu and the Mangoldt base up to n_max, through segments into
+    views of the two whole tables: 5 bytes per n, and the stream's scratch,
+    prod plus about 0.3 MiB. phi has no table: it is read only at small
+    moduli, where the table-free totient serves. Raises ValueError if
+    n_max exceeds the allocation cap."""
+    _check_n_max(n_max)
+    tables = (np.empty(n_max + 1, dtype=np.int8), np.empty(n_max + 1, dtype=np.int32))
+    for _ in segments(n_max, tables):
+        pass
+    return ArithTables(n_max, *tables)
 
 
 def ramanujan_sum(r: int, n: int, tables: ArithTables) -> int:
@@ -250,22 +299,30 @@ class ArithFunction:
 
     floats(tables, top) is f on [0, top] as float64 (top defaults to
     n_max, beyond it TableRangeError), built on each call, so a caller
-    builds only the entries it reads; support(tables, top) is the Support
-    of f on [1, top], read from the sieve tables with no dense float array
-    (Lambda is nonzero on 1/16 of n at 5e7, mu on 61%); scattered into
-    zeros it gives floats' bits; an f with no int_table takes
-    support(tables, top, lo) too, its Support less the n below lo, from
-    which direct_sum reads it a block at a time;
+    builds only the entries it reads; on_segment(segment) is the Support
+    of f on a Segment's [lo, hi), read from its two tables with no dense
+    float array (Lambda is nonzero on 1/16 of n at 5e7, mu on 61%), top
+    hi - 1; support(tables, top, lo) is on_segment of the tables' [lo, top]
+    (top defaults to n_max, lo to 0), the Support of f on [1, top] less the
+    n below lo, from which direct_sum reads it a block at a time; scattered
+    into zeros it gives floats' bits;
     int_table(tables), for an f whose values are -1, 0 and 1 only (mu), is
     its dense integer table on [0, n_max], a view of the sieve table at
     1 byte per n with index 0 a zero filler, over which every residue-class
-    sum is an exact integer; None for any other f (Lambda).
+    sum is an exact integer; of a Segment, its table on [lo, hi); None for
+    any other f (Lambda).
     """
 
     name: str
     floats: Callable[..., np.ndarray]
-    support: Callable[..., Support]
-    int_table: Optional[Callable[[ArithTables], np.ndarray]] = None
+    on_segment: Callable[[Segment], Support]
+    int_table: Optional[Callable[[Union[ArithTables, Segment]], np.ndarray]] = None
+
+    def support(self, tables: ArithTables, top: Optional[int] = None,
+                lo: int = 0) -> Support:
+        top = _float_range(tables, top)
+        return self.on_segment(Segment(lo, top + 1, tables.mobius[lo:top + 1],
+                                       tables.mangoldt_base[lo:top + 1]))
 
 
 def _float_range(tables: ArithTables, top: Optional[int]) -> int:
@@ -276,35 +333,35 @@ def _float_range(tables: ArithTables, top: Optional[int]) -> int:
     return top
 
 
-def _mangoldt_support(tables: ArithTables, top: Optional[int] = None,
-                      lo: int = 0) -> Support:
-    """log of the Mangoldt base on the prime powers in [lo, top]."""
-    top = _float_range(tables, top)
-    n = np.flatnonzero(tables.mangoldt_base[lo:top + 1])
-    n += lo  # in place: no second index array beside a whole-range support
-    return Support(n, np.log(tables.mangoldt_base[n].astype(np.float64)), top)
+def _mangoldt_on(segment: Segment) -> Support:
+    """log of the Mangoldt base on the prime powers in the segment."""
+    n = np.flatnonzero(segment.mangoldt_base)
+    values = np.log(segment.mangoldt_base[n].astype(np.float64))
+    n += segment.lo  # in place: no second index array beside a whole support
+    return Support(n, values, segment.hi - 1)
 
 
 def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
     """The support scattered into zeros (no float copy of the whole base)."""
-    n, values, top = _mangoldt_support(tables, top)
+    n, values, top = MANGOLDT.support(tables, top)
     out = np.zeros(top + 1)
     out[n] = values
     return out
 
 
-def _mobius_support(tables: ArithTables, top: Optional[int] = None) -> Support:
-    top = _float_range(tables, top)
-    n = np.flatnonzero(tables.mobius[:top + 1])
-    return Support(n, tables.mobius[n].astype(np.float64), top)
+def _mobius_on(segment: Segment) -> Support:
+    n = np.flatnonzero(segment.mobius)
+    values = segment.mobius[n].astype(np.float64)
+    n += segment.lo
+    return Support(n, values, segment.hi - 1)
 
 
 def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
     return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
 
 
-MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_support)
-MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_support,
+MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_on)
+MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_on,
                        lambda tables: tables.mobius)
 
 #: The functions by name, in output order.

@@ -16,26 +16,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds as bnd
 from . import identity
-from .arith import (FUNCTIONS, MAX_N_MAX, Support, TableRangeError,
-                    build_tables, coprime_residues)
+from .arith import (FUNCTIONS, MAX_N_MAX, Segment, Support, TableRangeError,
+                    build_tables, coprime_residues, segments)
 from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
-from .expsum import (RecombinationError, rational_sum_from_residues, recombine,
-                     residue_weight_sums, twisted_weights)
+from .expsum import (IntegerClassSums, RecombinationError,
+                     rational_sum_from_residues, recombine, twisted_weights)
 from .weights import WeightConfig, WeightSystem
 
 SCHEMA_VERSION = 1
@@ -155,11 +156,6 @@ def _residues(cfg: RunConfig, q: int) -> List[int]:
     return sorted(all_a[i] for i in picked)
 
 
-#: The weights of each (f, delta): at delta = 0 the class sums mod each q
-#: of an f with an integer table (ArithFunction.int_table, _fold_table) or
-#: a Support, else the twisted Support.
-_Weights = Dict[Tuple[str, float], Union[Support, Dict[int, np.ndarray]]]
-
 #: Largest modulus of a fold cover, unless a q is larger (_fold_cover).
 _FOLD_CAP = 1 << 17
 
@@ -180,21 +176,6 @@ def _fold_cover(qs: Sequence[int]) -> List[Tuple[int, List[int]]]:
     return cover
 
 
-def _fold_table(table: np.ndarray, qs: Sequence[int], x: float
-                ) -> Dict[int, np.ndarray]:
-    """residue_weight_sums(table, q, x) for each q in qs, from one fold per
-    modulus L of _fold_cover(qs): the classes mod q of q | L are the
-    classes mod L added in q-strided groups. Each is an integer below
-    2^53 (residue_weight_sums), so each float addition is exact and the
-    sums have the bits of the fold by q."""
-    sums = {}
-    for modulus, served in _fold_cover(qs):
-        by_modulus = residue_weight_sums(table, modulus, x)
-        for q in served:
-            sums[q] = by_modulus.reshape(-1, q).sum(axis=0)
-    return sums
-
-
 def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
     """(delta, delta0, (u, u0), flags column, all_flags) of every delta at q."""
     plan = []
@@ -207,24 +188,15 @@ def _delta_plan(cfg: RunConfig, q: int) -> List[Tuple]:
 
 
 def _sweep_rows_for_q(q: int, cfg: RunConfig, plan: List[Tuple],
-                      weights: _Weights, buf: np.ndarray) -> List[Dict]:
-    """The rows of one q. buf holds n % q of a Support's n: int64 on
-    purpose, as np.bincount copies any non-intp input to intp, so int32
-    classes would add a copy, not halve one."""
+                      sums: Dict[Tuple[str, float], np.ndarray]) -> List[Dict]:
+    """The rows of one q, from the class sums mod q of each (f, delta)."""
     x, eta = cfg.x, cfg.eta
     n = int(math.floor(x))
     numerators = _residues(cfg, q)
     rows: List[Dict] = []
     for f in FUNCTIONS:
-        classes = None  # made once: every Support of f has f's n
         for delta, delta0, (u, u0), flags, all_flags in plan:
-            fw = weights[f, delta]
-            if not isinstance(fw, Support):
-                per_residue = fw[q]
-            else:
-                if classes is None:
-                    classes = np.remainder(fw.n, q, out=buf[:len(fw.n)])
-                per_residue = residue_weight_sums(fw, q, x, classes=classes)
+            per_residue = sums[f, delta]
             try:
                 bound = bnd.main_bound(f, x, q, delta0, eta)
             except bnd.BoundDomainError:
@@ -243,61 +215,111 @@ def _sweep_rows_for_q(q: int, cfg: RunConfig, plan: List[Tuple],
 SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
                  "s_abs", "bound", "ratio", "flags", "all_flags")
 
+#: The running class sums of each q: (f, delta) -> one float row of q
+#: sums, or a (cos, sin) pair of rows for a twist.
+_Running = Dict[int, Dict[Tuple[str, float], np.ndarray]]
+
+#: Entries of n per window of a sweep with twists (expsum._BLOCK): each
+#: window's support, twists and classes stay near 1 MiB apiece, where
+#: a segment's twist of mu takes 5 MiB per delta.
+_TWIST_WINDOW = 1 << 16
+
+
+def _fold_window(qs: Sequence[int], f: str, n: np.ndarray,
+                 by_delta: Dict[float, np.ndarray], running: _Running) -> None:
+    """Add f's weights on the support n (increasing, int32) of one window
+    to the running class sums mod each q of qs: np.add.at adds each term
+    in index order, so each class keeps the running sum, in increasing n,
+    of one np.bincount over the whole support. n % q is made once per q,
+    for every delta, as n - q (n // q) in int32, whose division by a
+    scalar is several times faster than np.remainder's; it goes into
+    int64 classes, as add.at is slower on int32 indices."""
+    quotient = np.empty_like(n)
+    classes = np.empty(len(n), dtype=np.int64)
+    for q in qs:
+        np.floor_divide(n, q, out=quotient)
+        quotient *= -q
+        quotient += n
+        classes[:] = quotient
+        for delta, values in by_delta.items():
+            for acc, part in zip(np.atleast_2d(running[q][f, delta]),
+                                 np.atleast_2d(values)):
+                np.add.at(acc, classes, part)
+
+
+def _class_sums(cfg: RunConfig, qs: Sequence[int]
+                ) -> Dict[int, Dict[Tuple[str, float], np.ndarray]]:
+    """The class sums mod each q of qs of each (f, delta) on n <= x: float
+    for delta = 0, complex for a twist, with residue_weight_sums' bits
+    over the whole support.
+
+    They are folded one sieve segment at a time (arith.segments), and each
+    segment is dropped once folded, so the memory does not grow with x: no
+    whole-range table is built.
+    - An f with an integer table (mu) at delta = 0: the segment's table is
+      folded as exact integers (IntegerClassSums), once per modulus L of
+      _fold_cover, and the classes mod each q that L serves are read off
+      the sums mod L at the end.
+    - Every other (f, delta): the f's support (on_segment), twisted at a
+      nonzero delta (twisted_weights, from the 2^16-block of its first n),
+      is added to running float class sums per q (_fold_window), from 0.0
+      in increasing n: the bits of one np.bincount over the whole support.
+      With a twist this goes one _TWIST_WINDOW at a time, else one segment
+      at a time. mu's support is built only for its twists.
+    The q and the moduli are dealt round-robin to --workers threads, capped
+    at the number of q and of usable CPUs. Per segment, the main thread
+    sieves; then each thread folds mu's table by its moduli, and builds
+    the supports and twists and folds them into its q (numpy calls that
+    release the GIL). A sum is written by one thread alone, in the same
+    order for any number of threads, so the bytes do not depend on it.
+    """
+    exact = [(name, IntegerClassSums(modulus), served)
+             for name, f in FUNCTIONS.items()
+             if f.int_table is not None and 0.0 in cfg.delta_list
+             for modulus, served in _fold_cover(qs)]
+    folded = {name for name, _, _ in exact}
+    deltas = {name: ds for name in FUNCTIONS
+              if (ds := [d for d in cfg.delta_list if d or name not in folded])}
+    running: _Running = {q: {(f, d): np.zeros(q if d == 0.0 else (2, q))
+                             for f, ds in deltas.items() for d in ds} for q in qs}
+    betas = {d: as_fraction(d) / as_fraction(cfg.x) for d in cfg.delta_list if d}
+
+    def fold(segment: Segment, share: Tuple[List[int], List[Tuple]]) -> None:
+        mine, folds = share
+        for name, by_modulus, _ in folds:
+            by_modulus.add(FUNCTIONS[name].int_table(segment), segment.lo)
+        for window in segment.windows(_TWIST_WINDOW) if betas else (segment,):
+            for name, ds in deltas.items():
+                n, values, end = FUNCTIONS[name].on_segment(window)
+                _fold_window(mine, name, n.astype(np.int32), {
+                    d: twisted_weights(Support(n, values, end), betas[d], end).values
+                    if d else values for d in ds}, running)
+    threads = min(cfg.workers, len(qs), len(os.sched_getaffinity(0)))
+    shares = [(qs[i::threads], exact[i::threads]) for i in range(threads)]
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
+        for segment in segments(int(cfg.x)):
+            if pool is None:  # in the caller: a pool thread ran 1-3% slower here
+                fold(segment, shares[0])
+            else:
+                list(pool.map(functools.partial(fold, segment), shares))
+    sums = {q: {key: acc if acc.ndim == 1 else acc[0] + 1j * acc[1]
+                for key, acc in running[q].items()} for q in qs}
+    for name, by_modulus, served in exact:
+        for q in served:
+            sums[q][name, 0.0] = by_modulus.sums(q)
+    return sums
+
 
 def _sweep_rows(cfg: RunConfig) -> List[Dict]:
-    """Every sweep row, unsorted.
-
-    choose_params runs for every (q, delta) before the sieve, so a delta
-    outside the theorem's domain ends the run before any table is built.
-    The weights of each f are read from the tables once per run: the
-    integer table of an f that has one (mu), which serves delta = 0, else
-    its support. mu's support is read only when a nonzero delta needs its
-    twists. The other tables are dropped first; then each integer table
-    is folded to its class sums mod every q, by one residue aggregation per
-    modulus of _fold_cover (_fold_table), and dropped. The twisted weights
-    f(n) e(n delta/x) are built on the supports after that, once per
-    (f, nonzero delta). An f with an integer table is twisted first, and
-    its support's values are dropped before the next f's twists. The
-    weights of every (f, delta) form one map, shared by every q, so each
-    (f, q, delta) with a support costs one residue aggregation. The q are
-    dealt round-robin to --workers threads, capped at the number of q and
-    of usable CPUs: the aggregations are numpy calls that release the GIL,
-    and every thread reads the one map. Each thread writes n % q into one
-    int64 buffer of its own, made here and dropped when its share is done.
-    """
-    qs = range(cfg.q_range[0], cfg.q_range[1] + 1)
-    tasks = [(q, cfg, _delta_plan(cfg, q)) for q in qs]
-    tables = build_tables(int(cfg.x))
-    twisted = any(d != 0.0 for d in cfg.delta_list)
-    supports = {name: f.support(tables) for name, f in FUNCTIONS.items()
-                if f.int_table is None or twisted}
-    int_tables = {name: f.int_table(tables) for name, f in FUNCTIONS.items()
-                  if f.int_table is not None}
-    del tables  # the Mangoldt base goes before the folds
-    untwisted = {name: _fold_table(int_tables[name], qs, cfg.x)
-                 if name in int_tables else supports[name] for name in FUNCTIONS}
-    del int_tables
-    weights: _Weights = {}
-    for f in sorted(FUNCTIONS, key=lambda f: FUNCTIONS[f].int_table is None):
-        support = supports.pop(f, None)
-        for d in cfg.delta_list:
-            weights[f, d] = untwisted[f] if d == 0.0 else twisted_weights(
-                support, as_fraction(d) / as_fraction(cfg.x), cfg.x)
-    del support, untwisted
-    longest = max((len(w.n) for w in weights.values() if isinstance(w, Support)),
-                  default=0)
-    def rows_for(share: List[Tuple]) -> List[Dict]:
-        buf = np.empty(longest, dtype=np.int64)
-        return [row for task in share
-                for row in _sweep_rows_for_q(*task, weights, buf)]
-    threads = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
-    if threads == 1:  # in the caller: a pool thread ran 1-3% slower here
-        chunks = [rows_for(tasks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for, [tasks[i::threads]
-                                              for i in range(threads)]))
-    return [r for chunk in chunks for r in chunk]
+    """Every sweep row, unsorted. choose_params runs for every (q, delta)
+    before the sieve, so a delta outside the theorem's domain ends the run
+    before any segment is sieved; then the class sums are streamed
+    (_class_sums), and each row is read off them."""
+    qs = list(range(cfg.q_range[0], cfg.q_range[1] + 1))
+    plans = {q: _delta_plan(cfg, q) for q in qs}
+    sums = _class_sums(cfg, qs)
+    return [row for q in qs for row in _sweep_rows_for_q(q, cfg, plans[q], sums[q])]
 
 
 def run_sweep(cfg: RunConfig) -> int:

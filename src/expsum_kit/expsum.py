@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -251,10 +251,13 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
     Row 0 is w(n) cos, row 1 w(n) sin, of 2 pi symmetric_fracs(beta,
     floor(x)) at n, bit for bit: the phase is made at the support n only,
     from n's 2^16-block anchor and in-block index j = n - start in [1, 2^16]
-    by symmetric_fracs' own float operations (_reduced). Every step writes
-    into the result's two rows, so past its 16 bytes per support n the
-    only array is the support's index at each block edge, 8 bytes per 2^16
-    n. A cutoff past weights.top raises TableRangeError.
+    by symmetric_fracs' own float operations (_reduced). The blocks start
+    at the one holding the support's first n, so a Support on a window
+    (a sieve segment's, arith.ArithFunction.on_segment) costs its own
+    blocks only, and its twist has the bits of the whole support's twist
+    at the same n. Every step writes into the result's two rows, so past
+    its 16 bytes per support n the only array is the support's index at
+    each block edge. A cutoff past weights.top raises TableRangeError.
     """
     top = int(math.floor(x))
     if top > weights.top:
@@ -266,8 +269,9 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
     step = _signed_rep(num, den)
     out = np.empty((2, len(n)))
     re, im = out
-    ends = np.searchsorted(n, np.arange(0, top + _BLOCK, _BLOCK), side="right")
-    for start, lo, hi in zip(range(0, top, _BLOCK), ends, ends[1:]):
+    first = (int(n[0]) - 1) // _BLOCK * _BLOCK if len(n) else top
+    ends = np.searchsorted(n, np.arange(first, top + _BLOCK, _BLOCK), side="right")
+    for start, lo, hi in zip(range(first, top, _BLOCK), ends, ends[1:]):
         if lo == hi:
             continue
         arg = im[lo:hi]  # j, then the phases, then their sines in place
@@ -281,15 +285,15 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
     return Support(n, out, top)
 
 
-def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *,
-                        classes: Optional[np.ndarray] = None) -> np.ndarray:
+def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float
+                        ) -> np.ndarray:
     """Sum of the weight over n <= x in each residue class mod q: float
     for a real weight, complex for a twisted one (twisted_weights).
 
     e(n a/q) depends only on n mod q, so one aggregation serves every
-    numerator a (the sweep reuses it across a). For the weights
-    twisted_weights(support, delta/x, x), the dot with e(ar/q) is the sum
-    at alpha = a/q + delta/x, since e(n alpha) = e(na/q) e(n delta/x).
+    numerator a. For the weights twisted_weights(support, delta/x, x), the
+    dot with e(ar/q) is the sum at alpha = a/q + delta/x, since
+    e(n alpha) = e(na/q) e(n delta/x).
 
     weights is a Support, or the dense integer table of an f with values
     in {-1, 0, 1} (ArithFunction.int_table, index 0 a zero filler).
@@ -297,30 +301,31 @@ def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *
     A Support's classes are each np.bincount's sum of its support terms in
     increasing n from 0.0, which has the bits of bincount over every
     n <= x: under round to nearest a running sum from +0.0 is never -0.0,
-    so the +-0.0 terms off the support leave it unchanged. classes, when
-    given, is weights.n % q, made once by a caller that sums several
-    weights on the same n; a table ignores it.
+    so the +-0.0 terms off the support leave it unchanged. The sweep makes
+    the same running sums one sieve segment at a time (np.add.at, which
+    adds in index order).
 
-    A table is folded as integers: its first `full` entries, a multiple
-    of W = q max(1, 4096 // q), are viewed as (rows, W) and summed down
-    the columns in int32, the W columns are summed to their q classes in
-    int64 (a column sum has at most x / W terms of size <= 1, so int32
-    holds it), and the tail past `full` is added by one bincount. Every
-    partial sum of a class, in any order, is an integer of size
-    <= x < 2^53. So each float addition the dense bincount makes is
-    exact, and it gives the exact integer class sums; this fold gives the
-    same integers, +0.0 for an empty class included, 1 byte read per n.
+    A table is folded as integers by one IntegerClassSums over all of it.
+    Every partial sum of a class, in any order, is an integer of size
+    <= x < 2^53. So each float addition the dense bincount makes is exact,
+    and it gives the exact integer class sums; the fold gives the same
+    integers, +0.0 for an empty class included, 1 byte read per n.
 
     A cutoff past the weights' range raises TableRangeError.
     """
     top = int(math.floor(x))
     if isinstance(weights, np.ndarray):
-        return _int_table_residue_sums(weights, q, top)
+        if top >= len(weights):
+            raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
+                                  f"n_max={len(weights) - 1}")
+        fold = IntegerClassSums(q)
+        fold.add(weights[:top + 1], 0)
+        return fold.sums(q)
     if top > weights.top:
         raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
                               f"n_max={weights.top}")
     cut = np.searchsorted(weights.n, top, side="right")
-    classes = weights.n[:cut] % q if classes is None else classes[:cut]
+    classes = weights.n[:cut] % q
     sums = [np.bincount(classes, weights=part[:cut], minlength=q)
             for part in np.atleast_2d(weights.values)]
     if len(sums) == 2:
@@ -328,18 +333,36 @@ def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float, *
     return sums[0].astype(np.float64, copy=False)  # an empty bincount is int64
 
 
-def _int_table_residue_sums(table: np.ndarray, q: int, top: int) -> np.ndarray:
-    """residue_weight_sums of a dense integer table on [0, top]."""
-    if top >= len(table):
-        raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
-                              f"n_max={len(table) - 1}")
-    width = q * max(1, _FOLD_WIDTH // q)
-    full = (top + 1) // width * width
-    cols = table[:full].reshape(-1, width).sum(axis=0, dtype=np.int32)
-    sums = cols.reshape(-1, q).sum(axis=0, dtype=np.int64)
-    tail = np.bincount(np.arange(full, top + 1) % q, weights=table[full:top + 1],
-                       minlength=q)
-    return (sums + tail).astype(np.float64)  # an empty bincount is int64
+class IntegerClassSums:
+    """The class sums mod W (totals) of an integer weight with values in
+    {-1, 0, 1} (ArithFunction.int_table), fed a window [lo, lo + len) at a
+    time, in any order, as exact int64; W = q max(1, 4096 // q) for the
+    modulus q.
+
+    add views its first `full` entries, a multiple of W, as (rows, W) and
+    sums them down the columns in int32 (a column has fewer than 2^31
+    terms of size <= 1), and adds the entries past `full` to the first
+    columns: the entry at i has n = lo + i, and full = 0 mod W. Column j
+    holds the class lo + j mod W, so the columns are added to the sums
+    rolled by lo mod W, as two slice adds, with no loop per row.
+    sums(d) folds the classes mod W to the classes mod a divisor d of q,
+    as float64 (exact below 2^53).
+    """
+
+    def __init__(self, q: int):
+        self.totals = np.zeros(q * max(1, _FOLD_WIDTH // q), dtype=np.int64)
+
+    def add(self, values: np.ndarray, lo: int) -> None:
+        width = len(self.totals)
+        full = len(values) // width * width
+        cols = values[:full].reshape(-1, width).sum(axis=0, dtype=np.int32)
+        cols[:len(values) - full] += values[full:]
+        shift = lo % width
+        self.totals[shift:] += cols[:width - shift]
+        self.totals[:shift] += cols[width - shift:]
+
+    def sums(self, d: int) -> np.ndarray:
+        return self.totals.reshape(-1, d).sum(axis=0).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=256)

@@ -13,7 +13,7 @@ from expsum_kit.arith import (_CHUNK, _SEGMENT, _WHEEL, FUNCTIONS, MANGOLDT,
                               MOBIUS, ArithTables, TableRangeError,
                               _primes_upto, _sieve_segment, _wheel_row,
                               arith_function, build_tables, divisor_count,
-                              factorize, ramanujan_sum, totient)
+                              factorize, ramanujan_sum, segments, totient)
 from expsum_kit.bounds import main_bound
 from expsum_kit.expsum import direct_sum
 from oracles import (LogVector, dirichlet_convolve, mangoldt_table,
@@ -133,6 +133,27 @@ def test_tables_match_whole_range_sieve(n_max):
     _assert_same_as_oracle(build_tables(n_max))
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 2**17 + 1, _SEGMENT - 1, _SEGMENT,
+                                   _SEGMENT + 1, 2 * _SEGMENT + 1, 169, _WHEEL + 1])
+def test_build_tables_is_the_concatenated_stream(n_max):
+    # the stream's segments tile [0, n_max] at the multiples of _SEGMENT,
+    # in one reused pair of buffers, and put end to end they are
+    # build_tables' arrays, which are sieved through the same loop
+    t = build_tables(n_max)
+    seen, buffers = [], set()
+    for segment in segments(n_max):
+        seen.append((segment.lo, segment.hi, segment.mobius.copy(),
+                     segment.mangoldt_base.copy()))
+        buffers.add((id(segment.mobius.base), id(segment.mangoldt_base.base)))
+    assert [(lo, hi) for lo, hi, _, _ in seen] == [
+        (lo, min(lo + _SEGMENT, n_max + 1)) for lo in range(0, n_max + 1, _SEGMENT)]
+    assert len(buffers) == 1
+    for name, column in (("mobius", 2), ("mangoldt_base", 3)):
+        got = np.concatenate([part[column] for part in seen])
+        want = getattr(t, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_build_tables_peak_is_tables_and_one_segment():
     # the sieve's scratch is one int32 prod per build plus cache-sized
     # temporaries, whatever n_max: tables + prod + 0.5 MiB (tracemalloc)
@@ -169,7 +190,7 @@ def test_segment_matches_whole_range_sieve_at_any_start(lo, hi):
     mu = np.full(hi, 7, dtype=np.int8)
     base = np.zeros(hi, dtype=np.int32)
     prod = np.full(max(hi - lo, _SEGMENT) + 3, 99, dtype=np.int32)
-    _sieve_segment(lo, hi, primes, mu, base, prod, _wheel_row())
+    _sieve_segment(lo, hi, primes, mu[lo:], base[lo:], prod, _wheel_row())
     n = np.arange(lo, hi)
     want_base = np.where((mangoldt_base[lo:] == n) & (n > primes[-1]), n, 0)
     assert np.array_equal(mu[lo:], mobius[lo:])

@@ -9,20 +9,21 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from expsum_kit import bounds as bnd
-from expsum_kit import cli, expsum, identity
-from expsum_kit.arith import MOBIUS, build_tables
+from expsum_kit import arith, cli, expsum, identity
+from expsum_kit.arith import FUNCTIONS, MOBIUS, Segment, build_tables
 from expsum_kit.audit import AuditReport, LemmaAudit
 from expsum_kit.expsum import direct_sum
 from expsum_kit.cli import (COMMANDS, ConfigError, RunConfig, flags_to_str, main,
                             parse_args, run)
+from expsum_kit.diophantine import as_fraction
 from expsum_kit.identity import RESIDUAL_BUDGET
 
 
@@ -62,51 +63,54 @@ def test_sweep_workers_same_rows(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_delta0_sweep_never_reads_mobius_support(tmp_path, monkeypatch):
+def test_sweep_builds_mobius_support_only_for_twists(tmp_path, monkeypatch):
     # at delta = 0 mu is folded from its int8 table: its support, 16 bytes
-    # per squarefree n, is read only for the twists of a nonzero delta
-    reads = []
+    # per squarefree n, is built only for the twists of a nonzero delta,
+    # one window at a time
+    windows = []
 
-    def support(tables, top=None):
-        reads.append(top)
-        return MOBIUS.support(tables, top)
+    def on_segment(segment):
+        windows.append((segment.lo, segment.hi))
+        return MOBIUS.on_segment(segment)
     monkeypatch.setitem(cli.FUNCTIONS, "mobius",
-                        dataclasses.replace(MOBIUS, support=support))
+                        dataclasses.replace(MOBIUS, on_segment=on_segment))
     out = tmp_path / "golden.csv"
     assert main(["sweep", "--x", "1e4", "--q-range", "1", "12", "--seed", "0",
                  "--output", str(out)]) == 0
-    assert reads == []
+    assert windows == []
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "d3ae5af67d0cc52ca31f2211abcecdaf201e0c2d90e1ae1fb21929092e6db346")
     run(RunConfig(command="sweep", x=2000, q_range=(1, 3), output=str(out),
                   delta_list=(0.0, 8.0)))
-    assert reads == [None]
+    assert windows == [(0, 2001)]
 
 
-def test_sweep_one_residue_sum_per_f_and_q(tmp_path, monkeypatch):
-    # every fold goes through residue_weight_sums, so a traced run's
-    # expsum.residue_weight_sums span covers mu's integer fold too: one
-    # call per support and q, and one per modulus of mu's fold cover (here
-    # 6, which serves q = 1, 2, 3)
-    calls = []
-    original = cli.residue_weight_sums
+def test_sweep_one_fold_per_cover_modulus_per_segment(tmp_path, monkeypatch):
+    # mu's table is folded once per modulus of its fold cover in each
+    # segment (here 2 moduli serve q <= 16, over 3 segments of 2^13)
+    monkeypatch.setattr(arith, "_SEGMENT", 1 << 13)
+    adds = []
 
-    def counted(weights, q, x, **kwargs):
-        calls.append((type(weights).__name__, q))
-        return original(weights, q, x, **kwargs)
-    monkeypatch.setattr(cli, "residue_weight_sums", counted)
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 3),
+    class Counted(cli.IntegerClassSums):
+        def add(self, values, lo):
+            adds.append((len(self.totals), lo, len(values)))
+            super().add(values, lo)
+    monkeypatch.setattr(cli, "IntegerClassSums", Counted)
+    run(RunConfig(command="sweep", x=20_000, q_range=(1, 16),
                   output=str(tmp_path / "s.csv")))
-    assert sorted(calls) == sorted([("Support", q) for q in (1, 2, 3)]
-                                   + [("ndarray", 6)])
+    widths = [m * max(1, 4096 // m) for m, _ in cli._fold_cover(range(1, 17))]
+    assert len(widths) == 2
+    assert sorted(adds) == sorted((w, lo, min(lo + 8192, 20_001) - lo)
+                                  for w in widths for lo in (0, 8192, 16384))
 
 
 @pytest.mark.parametrize("x", [1e5, 7_777.5])
 @pytest.mark.parametrize("q_range", [(1, 16), (1, 100), (37, 41)])
 def test_fold_cover_matches_per_q_fold(x, q_range, tables_100k):
-    # mu's class sums by way of the fold cover have the bytes of one
-    # residue_weight_sums per q; at x = 7777.5 the tail past the last full
-    # row is nonempty, and some moduli exceed x
+    # mu's class sums by way of the fold cover, fed in windows off every
+    # modulus' grid, have the bytes of one residue_weight_sums per q over
+    # its support; at x = 7777.5 the tail past the last full row is
+    # nonempty, and some moduli exceed x
     qs = range(q_range[0], q_range[1] + 1)
     cover = cli._fold_cover(qs)
     served = sorted(q for _, group in cover for q in group)
@@ -116,32 +120,50 @@ def test_fold_cover_matches_per_q_fold(x, q_range, tables_100k):
     assert len(cover) == {(1, 16): 2, (1, 100): 14, (37, 41): 2}[q_range]
     if x == 7_777.5:
         assert (math.floor(x) + 1) % cover[0][0] and any(m > x for m, _ in cover)
-    table = MOBIUS.int_table(tables_100k)
-    folded = cli._fold_table(table, qs, x)
-    assert sorted(folded) == list(qs)
-    for q in qs:
-        want = expsum.residue_weight_sums(table, q, x)
-        assert folded[q].dtype == want.dtype and folded[q].tobytes() == want.tobytes(), q
+    t, top = tables_100k, math.floor(x)
+    whole = Segment(0, top + 1, t.mobius[:top + 1], t.mangoldt_base[:top + 1])
+    folds = [(cli.IntegerClassSums(m), group) for m, group in cover]
+    for window in whole.windows(4_099):
+        for fold, _ in folds:
+            fold.add(MOBIUS.int_table(window), window.lo)
+    support = MOBIUS.support(t)
+    for fold, group in folds:
+        for q in group:
+            want = expsum.residue_weight_sums(support, q, x)
+            got = fold.sums(q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
 
 
-def test_sweep_drops_class_buffers_on_return(tmp_path, monkeypatch):
-    # each worker's n % q buffer is made inside the sweep and is gone
-    # once it returns: no thread-local or module state keeps one
-    buffers, ids = [], set()
-    original = cli.residue_weight_sums
+def test_sweep_keeps_no_buffer_after_return(tmp_path, monkeypatch):
+    # the segment buffers, each window's support and its twists are made
+    # inside the sweep and are gone once it returns, for 1 and 2 threads:
+    # no module or thread-local state keeps one
+    refs = []
+    stream, fold = cli.segments, cli._fold_window
 
-    def recorded(weights, q, x, classes=None):
-        if classes is not None:
-            buffers.append(weakref.ref(classes.base))
-            ids.add(id(classes.base))
-        return original(weights, q, x, classes=classes)
-    monkeypatch.setattr(cli, "residue_weight_sums", recorded)
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 4), delta_list=(0.0, 8.0),
-                  output=str(tmp_path / "s.csv")))
+    def tracked_stream(n_max):
+        for segment in stream(n_max):
+            refs.extend(weakref.ref(a.base) for a in segment[2:])
+            yield segment
+
+    def tracked_fold(qs, f, n, by_delta, running):
+        refs.append(weakref.ref(n))
+        refs.extend(weakref.ref(v if v.base is None else v.base)
+                    for v in by_delta.values())
+        return fold(qs, f, n, by_delta, running)
+    monkeypatch.setattr(cli, "segments", tracked_stream)
+    monkeypatch.setattr(cli, "_fold_window", tracked_fold)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    for workers in (1, 2):
+        run(RunConfig(command="sweep", x=70_000, q_range=(1, 4),
+                      delta_list=(0.0, 8.0), workers=workers,
+                      output=str(tmp_path / "s.csv")))
     gc.collect()
-    # Lambda at both delta and mu's twist, for 4 q, in the one buffer
-    assert len(buffers) == 12 and len(ids) == 1
-    assert all(ref() is None for ref in buffers)
+    # 2 sieve buffers per run; per window and thread, Lambda's n and its
+    # weights at both delta, and mu's n and its twist: 2 windows, 1 + 2
+    # threads
+    assert len(refs) == 2 * 2 + (3 + 2) * 2 * 3
+    assert all(ref() is None for ref in refs)
 
 
 def test_verify_identity_builds_weight_sums_once(tmp_path, monkeypatch):
@@ -160,28 +182,95 @@ def test_verify_identity_builds_weight_sums_once(tmp_path, monkeypatch):
     assert calls == [3000]
 
 
-def test_sweep_drops_mobius_support_before_mangoldt_twists(tmp_path, monkeypatch):
-    # mu's support serves only its twists: its values are gone before
-    # Lambda's twists are built, so the two twists' peaks do not stack
-    values, alive = [], []
+def test_sweep_twists_do_not_stack(tmp_path, monkeypatch):
+    # each window's twists are folded and dropped before the next ones are
+    # made: when one is made, only the twist of the same f and window at
+    # the other delta is alive, so the twists' peaks do not stack
+    alive, twists = [], []
     original = cli.twisted_weights
 
-    def support(tables, top=None):
-        sup = MOBIUS.support(tables, top)
-        values.append(weakref.ref(sup.values))
-        return sup
-
     def twist(weights, beta, x):
-        alive.append((len(weights.n), [ref() is not None for ref in values]))
-        return original(weights, beta, x)
-    monkeypatch.setitem(cli.FUNCTIONS, "mobius",
-                        dataclasses.replace(MOBIUS, support=support))
+        alive.append(sum(ref() is not None for ref in twists))
+        out = original(weights, beta, x)
+        twists.append(weakref.ref(out.values))
+        return out
     monkeypatch.setattr(cli, "twisted_weights", twist)
-    run(RunConfig(command="sweep", x=2000, q_range=(1, 3),
+    run(RunConfig(command="sweep", x=3 * 2**16 + 5, q_range=(1, 3),
                   output=str(tmp_path / "s.csv"), delta_list=(0.0, 8.0, -3.0)))
-    n_mu = int(np.count_nonzero(build_tables(2000).mobius))
-    n_lam = int(np.count_nonzero(build_tables(2000).mangoldt_base))
-    assert alive == [(n_mu, [True])] * 2 + [(n_lam, [False])] * 2
+    # 4 windows, 2 f, 2 nonzero delta
+    assert alive == [0, 1] * 8
+
+
+def test_sweep_peak_does_not_grow_with_x(tmp_path):
+    # one segment at a time: the peak at x = 2^22 (8 segments) is within
+    # 1 MiB of the peak at 2^20 (2 segments), twists included
+    peaks = []
+    for x in (2**20, 2**22):
+        tracemalloc.start()
+        try:
+            run(RunConfig(command="sweep", x=float(x), q_range=(1, 6),
+                          delta_list=(0.0, 8.0), output=str(tmp_path / "s.csv")))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (1 << 20), peaks
+
+
+def _whole_range_class_sums(x, qs, deltas):
+    """The whole-range route that the streamed sweep replaced, kept as its
+    reference: build_tables, then residue_weight_sums per q over each f's
+    whole support, twisted at a nonzero delta."""
+    tables = build_tables(math.floor(x))
+    want = {}
+    for f, fn in FUNCTIONS.items():
+        support = fn.support(tables)
+        for d in deltas:
+            w = support if d == 0.0 else expsum.twisted_weights(
+                support, as_fraction(d) / as_fraction(x), x)
+            for q in qs:
+                want.setdefault(q, {})[f, d] = expsum.residue_weight_sums(w, q, x)
+    return want
+
+
+def _assert_stream_matches_whole_range(x, deltas, workers=1):
+    qs = list(range(1, 13))
+    got = cli._class_sums(RunConfig(command="sweep", x=x, delta_list=deltas,
+                                    workers=workers), qs)
+    want = _whole_range_class_sums(x, qs, deltas)
+    assert sorted(got) == sorted(want)
+    for q in qs:
+        assert sorted(got[q]) == sorted(want[q])
+        for key, w in want[q].items():
+            g = got[q][key]
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (x, q, key)
+
+
+@pytest.mark.parametrize("deltas", [(0.0,), (0.0, 8.0, -20.0)])
+@pytest.mark.parametrize("x", [1e5, 7_777.5, 3 * 2**19 - 1, 3 * 2**19, 3 * 2**19 + 1])
+def test_streamed_class_sums_match_whole_range(x, deltas):
+    # the stream's class sums, for both f and every delta, have the bytes
+    # of the whole-range route: at x = 3 * 2^19 +- 1 the last segment is
+    # one entry short of, at, and one past a segment edge
+    _assert_stream_matches_whole_range(x, deltas)
+
+
+def test_streamed_class_sums_at_short_segments(monkeypatch):
+    # 2^16-entry segments put five segment edges under x = 3e5
+    monkeypatch.setattr(arith, "_SEGMENT", 1 << 16)
+    for deltas in ((0.0,), (0.0, 8.0, -20.0)):
+        _assert_stream_matches_whole_range(3e5, deltas)
+
+
+def test_streamed_class_sums_any_worker_count(monkeypatch):
+    # 3 threads, on faked CPUs, switching every microsecond, over 4
+    # segments: each class sum is written by one thread, in order
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        _assert_stream_matches_whole_range(3 * 2**19 + 1, (0.0, 8.0), workers=3)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,6 +281,7 @@ def test_delta_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
     def no_sieve(n_max):
         raise AssertionError("sieved before the delta was checked")
     monkeypatch.setattr(cli, "build_tables", no_sieve)
+    monkeypatch.setattr(cli, "segments", no_sieve)
     assert main([*argv, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "overflows" in err
@@ -206,6 +296,7 @@ def test_unwritable_output_checked_before_sieve(command, place, tmp_path,
     def no_sieve(n_max):
         raise AssertionError("sieved before the output path was checked")
     monkeypatch.setattr(cli, "build_tables", no_sieve)
+    monkeypatch.setattr(cli, "segments", no_sieve)
     out = tmp_path / "missing" / "out" if place == "missing-directory" else tmp_path
     assert main([command, "--x", "1000", "-o", str(out)]) == 2
     err = capsys.readouterr().err

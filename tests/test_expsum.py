@@ -10,8 +10,8 @@ from mpmath import expjpi, expm1, mpf, pi, workdps
 
 from expsum_kit import bounds as bnd
 from expsum_kit import expsum
-from expsum_kit.arith import (MANGOLDT, MOBIUS, TableRangeError, arith_function,
-                              build_tables)
+from expsum_kit.arith import (MANGOLDT, MOBIUS, Support, TableRangeError,
+                              arith_function, build_tables)
 from expsum_kit.expsum import (_geometric_sum, _phase_blocks, _total,
                                direct_sum, h_only_sum, l2_profiles,
                                rational_sum_from_residues, recombine,
@@ -471,10 +471,25 @@ def test_residue_sums_cut_at_a_support_n(tables_10k):
             got = residue_weight_sums(twisted_weights(support, beta, x), q, x)
             want = _bincount_residue_sums(w, q, x, unit_exponentials(beta, int(x)))
             assert got.tobytes() == want.tobytes(), (f, x, q)
-            # classes made once by the caller give the same bits
-            classes = support.n % q
-            assert residue_weight_sums(support, q, x, classes=classes).tobytes() == (
-                residue_weight_sums(support, q, x).tobytes())
+
+
+@pytest.mark.parametrize("f", ["mangoldt", "mobius"])
+def test_twist_of_a_window_has_the_whole_twists_bits(f, tables_2m):
+    # a twist starts at the 2^16-block of its support's first n, so a
+    # window that starts on, one past or one before a block edge, or
+    # inside a block, gets the whole support's phases at its n
+    x = 300_000
+    support = arith_function(f).support(tables_2m, x)
+    beta = Fraction(8) / Fraction(x)
+    whole = twisted_weights(support, beta, x).values
+    for lo, hi in ((1 << 16, 3 << 16), ((1 << 16) + 1, 150_001),
+                   ((2 << 16) - 1, x + 1), (70_000, 70_100)):
+        a, b = np.searchsorted(support.n, (lo, hi))
+        top = int(support.n[b - 1])
+        window = Support(support.n[a:b], support.values[a:b], top)
+        got = twisted_weights(window, beta, top)
+        assert np.array_equal(got.n, support.n[a:b])
+        assert got.values.tobytes() == whole[:, a:b].tobytes(), (lo, hi)
 
 
 def test_residue_sums_dtype_without_terms():
