@@ -12,8 +12,9 @@ Provides:
   division with no tables, and from it its one phi and one tau.
 - ramanujan_sum: c_r(n) via the mu/phi closed form, exact integers.
 - ArithFunction, FUNCTIONS: the one definition of each function of the
-  main theorem (Lambda and mu) for the exponential sums, as float64 values,
-  as a support on a segment or on the tables, and (mu) as an integer table.
+  main theorem (Lambda and mu) for the exponential sums: one reader, its
+  support on a segment, from which its support on the tables and its
+  float64 values come, and (mu) an integer table.
   The identity certificate defines its own residues of each f and of 1*f
   (identity).
 """
@@ -283,9 +284,9 @@ def coprime_residues(q: int) -> List[int]:
 class Support(NamedTuple):
     """A weight on [1, top] held at the n where it is nonzero.
 
-    n is int64 and increasing. values is float64, of shape (len(n),), or
-    (2, len(n)) for a complex weight (real parts, then imaginary parts);
-    values[..., i] is the weight at n[i]. Every n <= top off n is a zero.
+    n is int64 and increasing. values, of shape (len(n),), is float64, or
+    complex128 for a complex weight; values[i] is the weight at n[i]. Every
+    n <= top off n is a zero.
     """
 
     n: np.ndarray
@@ -297,15 +298,15 @@ class Support(NamedTuple):
 class ArithFunction:
     """Everything the kit needs to know about one f in {Lambda, mu}.
 
-    floats(tables, top) is f on [0, top] as float64 (top defaults to
-    n_max, beyond it TableRangeError), built on each call, so a caller
-    builds only the entries it reads; on_segment(segment) is the Support
-    of f on a Segment's [lo, hi), read from its two tables with no dense
-    float array (Lambda is nonzero on 1/16 of n at 5e7, mu on 61%), top
-    hi - 1; support(tables, top, lo) is on_segment of the tables' [lo, top]
-    (top defaults to n_max, lo to 0), the Support of f on [1, top] less the
-    n below lo, from which direct_sum reads it a block at a time; scattered
-    into zeros it gives floats' bits;
+    on_segment(segment) is the Support of f on a Segment's [lo, hi), read
+    from its two tables with no dense float array (Lambda is nonzero on
+    1/16 of n at 5e7, mu on 61%), top hi - 1: f's one reader. From it,
+    support(tables, top, lo) is on_segment of the tables' [lo, top] (top
+    defaults to n_max, beyond it TableRangeError; lo defaults to 0), the
+    Support of f on [1, top] less the n below lo, from which direct_sum
+    reads it a block at a time; and floats(tables, top) is that support on
+    [0, top] scattered into float64 zeros, built on each call, so a caller
+    builds only the entries it reads.
     int_table(tables), for an f whose values are -1, 0 and 1 only (mu), is
     its dense integer table on [0, n_max], a view of the sieve table at
     1 byte per n with index 0 a zero filler, over which every residue-class
@@ -314,23 +315,22 @@ class ArithFunction:
     """
 
     name: str
-    floats: Callable[..., np.ndarray]
     on_segment: Callable[[Segment], Support]
     int_table: Optional[Callable[[Union[ArithTables, Segment]], np.ndarray]] = None
 
     def support(self, tables: ArithTables, top: Optional[int] = None,
                 lo: int = 0) -> Support:
-        top = _float_range(tables, top)
+        if top is None:
+            top = tables.n_max
+        tables.check_range(top, "float table top")
         return self.on_segment(Segment(lo, top + 1, tables.mobius[lo:top + 1],
                                        tables.mangoldt_base[lo:top + 1]))
 
-
-def _float_range(tables: ArithTables, top: Optional[int]) -> int:
-    """top, n_max when None; TableRangeError beyond the sieved range."""
-    if top is None:
-        return tables.n_max
-    tables.check_range(top, "float table top")
-    return top
+    def floats(self, tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
+        n, values, top = self.support(tables, top)
+        out = np.zeros(top + 1)
+        out[n] = values
+        return out
 
 
 def _mangoldt_on(segment: Segment) -> Support:
@@ -341,14 +341,6 @@ def _mangoldt_on(segment: Segment) -> Support:
     return Support(n, values, segment.hi - 1)
 
 
-def _mangoldt_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
-    """The support scattered into zeros (no float copy of the whole base)."""
-    n, values, top = MANGOLDT.support(tables, top)
-    out = np.zeros(top + 1)
-    out[n] = values
-    return out
-
-
 def _mobius_on(segment: Segment) -> Support:
     n = np.flatnonzero(segment.mobius)
     values = segment.mobius[n].astype(np.float64)
@@ -356,13 +348,8 @@ def _mobius_on(segment: Segment) -> Support:
     return Support(n, values, segment.hi - 1)
 
 
-def _mobius_floats(tables: ArithTables, top: Optional[int] = None) -> np.ndarray:
-    return tables.mobius[:_float_range(tables, top) + 1].astype(np.float64)
-
-
-MANGOLDT = ArithFunction("mangoldt", _mangoldt_floats, _mangoldt_on)
-MOBIUS = ArithFunction("mobius", _mobius_floats, _mobius_on,
-                       lambda tables: tables.mobius)
+MANGOLDT = ArithFunction("mangoldt", _mangoldt_on)
+MOBIUS = ArithFunction("mobius", _mobius_on, lambda tables: tables.mobius)
 
 #: The functions by name, in output order.
 FUNCTIONS: Dict[str, ArithFunction] = {f.name: f for f in (MANGOLDT, MOBIUS)}

@@ -7,9 +7,10 @@ stable key order, resolved config embedded). Runs are deterministic
 given (config, seed): rows are fully sorted before writing, so the CSV
 is byte-identical for any worker count. Only sweep reads --workers: its q
 run on that many threads of the one process. Exit status 0 is success, 1 is
-an internal or hard-assert failure, 2 a config error: a bad flag value, a
-format the command does not write, an output path that is a directory or in
-a missing directory, or parameters outside the sieve cap or the theorem's domain.
+an internal or hard-assert failure or a closed output pipe, 2 a config
+error: a bad flag value, a q-range above x, a format the command does not
+write, an output path that is a directory or in a missing directory, or
+parameters outside the sieve cap or the theorem's domain.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from . import bounds as bnd
 from . import identity
-from .arith import (FUNCTIONS, MAX_N_MAX, Segment, Support, TableRangeError,
-                    build_tables, coprime_residues, segments)
+from .arith import (FUNCTIONS, MAX_N_MAX, Segment, TableRangeError, build_tables,
+                    coprime_residues, segments)
 from .audit import inequality_audit
 from .diophantine import as_fraction, delta0_of
 from .expsum import (IntegerClassSums, RecombinationError,
@@ -74,6 +75,8 @@ class RunConfig:
             raise ConfigError("each delta may be given once")
         if not 1 <= self.q_range[0] <= self.q_range[1]:
             raise ConfigError("q-range must satisfy 1 <= min <= max")
+        if self.q_range[1] > self.x:  # every class array has q entries
+            raise ConfigError("q-range max must not exceed x")
         if self.a_mode != "all-coprime":
             k = self.a_mode.removeprefix("sample:")
             if k == self.a_mode or not k.isdigit() or int(k) < 1:
@@ -215,8 +218,8 @@ def _sweep_rows_for_q(q: int, cfg: RunConfig, plan: List[Tuple],
 SWEEP_COLUMNS = ("function", "q", "a", "delta", "delta0", "u", "u0",
                  "s_abs", "bound", "ratio", "flags", "all_flags")
 
-#: The running class sums of each q: (f, delta) -> one float row of q
-#: sums, or a (cos, sin) pair of rows for a twist.
+#: The running class sums of each q: (f, delta) -> q sums, float, or
+#: complex for a twist.
 _Running = Dict[int, Dict[Tuple[str, float], np.ndarray]]
 
 #: Entries of n per window of a sweep with twists (expsum._BLOCK): each
@@ -230,7 +233,8 @@ def _fold_window(qs: Sequence[int], f: str, n: np.ndarray,
     """Add f's weights on the support n (increasing, int32) of one window
     to the running class sums mod each q of qs: np.add.at adds each term
     in index order, so each class keeps the running sum, in increasing n,
-    of one np.bincount over the whole support. n % q is made once per q,
+    of one np.bincount over the whole support (on complex sums each part
+    apart, as two float add.at calls would). n % q is made once per q,
     for every delta, as n - q (n // q) in int32, whose division by a
     scalar is several times faster than np.remainder's; it goes into
     int64 classes, as add.at is slower on int32 indices."""
@@ -242,13 +246,10 @@ def _fold_window(qs: Sequence[int], f: str, n: np.ndarray,
         quotient += n
         classes[:] = quotient
         for delta, values in by_delta.items():
-            for acc, part in zip(np.atleast_2d(running[q][f, delta]),
-                                 np.atleast_2d(values)):
-                np.add.at(acc, classes, part)
+            np.add.at(running[q][f, delta], classes, values)
 
 
-def _class_sums(cfg: RunConfig, qs: Sequence[int]
-                ) -> Dict[int, Dict[Tuple[str, float], np.ndarray]]:
+def _class_sums(cfg: RunConfig, qs: Sequence[int]) -> _Running:
     """The class sums mod each q of qs of each (f, delta) on n <= x: float
     for delta = 0, complex for a twist, with residue_weight_sums' bits
     over the whole support.
@@ -262,8 +263,9 @@ def _class_sums(cfg: RunConfig, qs: Sequence[int]
       the sums mod L at the end.
     - Every other (f, delta): the f's support (on_segment), twisted at a
       nonzero delta (twisted_weights, from the 2^16-block of its first n),
-      is added to running float class sums per q (_fold_window), from 0.0
-      in increasing n: the bits of one np.bincount over the whole support.
+      is added to running class sums per q (_fold_window), float, or
+      complex for a twist, from 0.0 in increasing n: the bits of one
+      np.bincount over the whole support.
       With a twist this goes one _TWIST_WINDOW at a time, else one segment
       at a time. mu's support is built only for its twists.
     The q and the moduli are dealt round-robin to --workers threads, capped
@@ -280,7 +282,7 @@ def _class_sums(cfg: RunConfig, qs: Sequence[int]
     folded = {name for name, _, _ in exact}
     deltas = {name: ds for name in FUNCTIONS
               if (ds := [d for d in cfg.delta_list if d or name not in folded])}
-    running: _Running = {q: {(f, d): np.zeros(q if d == 0.0 else (2, q))
+    running: _Running = {q: {(f, d): np.zeros(q, float if d == 0.0 else complex)
                              for f, ds in deltas.items() for d in ds} for q in qs}
     betas = {d: as_fraction(d) / as_fraction(cfg.x) for d in cfg.delta_list if d}
 
@@ -290,10 +292,10 @@ def _class_sums(cfg: RunConfig, qs: Sequence[int]
             by_modulus.add(FUNCTIONS[name].int_table(segment), segment.lo)
         for window in segment.windows(_TWIST_WINDOW) if betas else (segment,):
             for name, ds in deltas.items():
-                n, values, end = FUNCTIONS[name].on_segment(window)
-                _fold_window(mine, name, n.astype(np.int32), {
-                    d: twisted_weights(Support(n, values, end), betas[d], end).values
-                    if d else values for d in ds}, running)
+                support = FUNCTIONS[name].on_segment(window)
+                _fold_window(mine, name, support.n.astype(np.int32), {
+                    d: twisted_weights(support, betas[d]).values if d
+                    else support.values for d in ds}, running)
     threads = min(cfg.workers, len(qs), len(os.sched_getaffinity(0)))
     shares = [(qs[i::threads], exact[i::threads]) for i in range(threads)]
     with (ThreadPoolExecutor(max_workers=threads) if threads > 1
@@ -303,12 +305,10 @@ def _class_sums(cfg: RunConfig, qs: Sequence[int]
                 fold(segment, shares[0])
             else:
                 list(pool.map(functools.partial(fold, segment), shares))
-    sums = {q: {key: acc if acc.ndim == 1 else acc[0] + 1j * acc[1]
-                for key, acc in running[q].items()} for q in qs}
     for name, by_modulus, served in exact:
         for q in served:
-            sums[q][name, 0.0] = by_modulus.sums(q)
-    return sums
+            running[q][name, 0.0] = by_modulus.sums(q)
+    return running
 
 
 def _sweep_rows(cfg: RunConfig) -> List[Dict]:
@@ -501,10 +501,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = parse_args(argv)
     try:
-        return run(cfg)
+        status = run(cfg)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # e.g. piped into head: what is left goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -245,30 +245,29 @@ def direct_sum(f: str, alpha, x: float, tables: ArithTables) -> ExpSumValue:
     return _coef_sum(weights, alpha, n, n)
 
 
-def twisted_weights(weights: Support, beta, x: float) -> Support:
-    """The Support of w(n) e(n beta) on n <= x, for a real weight w.
+def twisted_weights(weights: Support, beta) -> Support:
+    """The Support of w(n) e(n beta), complex128, for a real weight w.
 
-    Row 0 is w(n) cos, row 1 w(n) sin, of 2 pi symmetric_fracs(beta,
-    floor(x)) at n, bit for bit: the phase is made at the support n only,
-    from n's 2^16-block anchor and in-block index j = n - start in [1, 2^16]
-    by symmetric_fracs' own float operations (_reduced). The blocks start
-    at the one holding the support's first n, so a Support on a window
-    (a sieve segment's, arith.ArithFunction.on_segment) costs its own
-    blocks only, and its twist has the bits of the whole support's twist
-    at the same n. Every step writes into the result's two rows, so past
-    its 16 bytes per support n the only array is the support's index at
-    each block edge. A cutoff past weights.top raises TableRangeError.
+    Its real parts are w(n) cos, its imaginary parts w(n) sin, of
+    2 pi symmetric_fracs(beta, weights.top) at n, bit for bit: the phase is
+    made at the support n only, from n's 2^16-block anchor and in-block
+    index j = n - start in [1, 2^16] by symmetric_fracs' own float
+    operations (_reduced). The blocks start at the one holding the
+    support's first n, so a Support on a window (a sieve segment's,
+    arith.ArithFunction.on_segment) costs its own blocks only, and its
+    twist has the bits of the whole support's twist at the same n. Every
+    step writes into the result's .real and .imag views, and each part is
+    multiplied by w in place (a complex-by-float product would turn the
+    imaginary -0.0 of a sine of 0 times a negative w into +0.0), so past its
+    16 bytes per support n the only array is the support's index at each
+    block edge.
     """
-    top = int(math.floor(x))
-    if top > weights.top:
-        raise TableRangeError(f"twist cutoff {top} exceeds the weights' "
-                              f"range {weights.top}")
-    n = weights.n[:np.searchsorted(weights.n, top, side="right")]
+    n, top = weights.n, weights.top
     af = as_fraction(beta) % 1
     num, den = af.numerator, af.denominator
     step = _signed_rep(num, den)
-    out = np.empty((2, len(n)))
-    re, im = out
+    out = np.empty(len(n), dtype=np.complex128)
+    re, im = out.real, out.imag
     first = (int(n[0]) - 1) // _BLOCK * _BLOCK if len(n) else top
     ends = np.searchsorted(n, np.arange(first, top + _BLOCK, _BLOCK), side="right")
     for start, lo, hi in zip(range(first, top, _BLOCK), ends, ends[1:]):
@@ -281,56 +280,39 @@ def twisted_weights(weights: Support, beta, x: float) -> Support:
         arg *= 2 * np.pi
         np.cos(arg, out=re[lo:hi])
         np.sin(arg, out=arg)
-        out[:, lo:hi] *= weights.values[lo:hi]
+        re[lo:hi] *= weights.values[lo:hi]
+        arg *= weights.values[lo:hi]
     return Support(n, out, top)
 
 
-def residue_weight_sums(weights: Union[Support, np.ndarray], q: int, x: float
-                        ) -> np.ndarray:
+def residue_weight_sums(weights: Support, q: int, x: float) -> np.ndarray:
     """Sum of the weight over n <= x in each residue class mod q: float
     for a real weight, complex for a twisted one (twisted_weights).
 
     e(n a/q) depends only on n mod q, so one aggregation serves every
-    numerator a. For the weights twisted_weights(support, delta/x, x), the
+    numerator a. For the weights twisted_weights(support, delta/x), the
     dot with e(ar/q) is the sum at alpha = a/q + delta/x, since
     e(n alpha) = e(na/q) e(n delta/x).
 
-    weights is a Support, or the dense integer table of an f with values
-    in {-1, 0, 1} (ArithFunction.int_table, index 0 a zero filler).
-
-    A Support's classes are each np.bincount's sum of its support terms in
-    increasing n from 0.0, which has the bits of bincount over every
-    n <= x: under round to nearest a running sum from +0.0 is never -0.0,
-    so the +-0.0 terms off the support leave it unchanged. The sweep makes
-    the same running sums one sieve segment at a time (np.add.at, which
-    adds in index order).
-
-    A table is folded as integers by one IntegerClassSums over all of it.
-    Every partial sum of a class, in any order, is an integer of size
-    <= x < 2^53. So each float addition the dense bincount makes is exact,
-    and it gives the exact integer class sums; the fold gives the same
-    integers, +0.0 for an empty class included, 1 byte read per n.
-
-    A cutoff past the weights' range raises TableRangeError.
+    Each class is np.bincount's sum of its support terms (of each part of
+    a complex weight) in increasing n from 0.0, which has the bits of
+    bincount over every n <= x: under round to nearest a running sum from
+    +0.0 is never -0.0, so the +-0.0 terms off the support leave it
+    unchanged. The sweep makes the same running sums one sieve segment at
+    a time (np.add.at, which adds in index order, each part of a complex
+    sum apart). A cutoff past the weights' range raises TableRangeError.
     """
     top = int(math.floor(x))
-    if isinstance(weights, np.ndarray):
-        if top >= len(weights):
-            raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
-                                  f"n_max={len(weights) - 1}")
-        fold = IntegerClassSums(q)
-        fold.add(weights[:top + 1], 0)
-        return fold.sums(q)
     if top > weights.top:
         raise TableRangeError(f"residue sum cutoff {top} exceeds sieved range "
                               f"n_max={weights.top}")
     cut = np.searchsorted(weights.n, top, side="right")
-    classes = weights.n[:cut] % q
-    sums = [np.bincount(classes, weights=part[:cut], minlength=q)
-            for part in np.atleast_2d(weights.values)]
-    if len(sums) == 2:
-        return sums[0] + 1j * sums[1]
-    return sums[0].astype(np.float64, copy=False)  # an empty bincount is int64
+    classes, values = weights.n[:cut] % q, weights.values[:cut]
+    if np.iscomplexobj(values):
+        return (np.bincount(classes, weights=values.real, minlength=q)
+                + 1j * np.bincount(classes, weights=values.imag, minlength=q))
+    sums = np.bincount(classes, weights=values, minlength=q)
+    return sums.astype(np.float64, copy=False)  # an empty bincount is int64
 
 
 class IntegerClassSums:

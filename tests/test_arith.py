@@ -385,14 +385,20 @@ def test_registry_support_from_a_lo_index(tables_10k):
 
 
 def test_support_scatters_to_floats(tables_10k, tables_100k):
-    # the support, scattered into zeros, is floats bit for bit, and holds
-    # every n where f is nonzero, in increasing order
+    # the support, scattered into zeros, has the bits of each f's dense
+    # route from the tables (mu's int8 table cast to float, log of the
+    # Mangoldt base where it is nonzero), and holds every n where f is
+    # nonzero, in increasing order
     for t in (tables_10k, tables_100k):
-        for f in (MANGOLDT, MOBIUS):
-            for top in (None, 4_999):
+        for top in (None, 4_999):
+            end = t.n_max if top is None else top
+            base = t.mangoldt_base[:end + 1]
+            lam = np.zeros(end + 1)
+            lam[base != 0] = np.log(base[base != 0].astype(np.float64))
+            routes = {MANGOLDT: lam, MOBIUS: t.mobius[:end + 1].astype(np.float64)}
+            for f, want in routes.items():
                 n, values, got_top = f.support(t, top)
-                want = f.floats(t, top)
-                assert got_top == len(want) - 1
+                assert got_top == end
                 assert n.dtype == np.int64 and values.dtype == np.float64
                 assert np.all(np.diff(n) > 0) and np.all(values != 0.0)
                 dense = np.zeros(len(want))

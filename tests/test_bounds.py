@@ -147,6 +147,24 @@ def test_error_budget_reported_not_flagged():
     assert "UVRR1" not in pc.condition_flags
 
 
+def test_error_budget_ratio_closed_form():
+    # with choose_params' canonical choice, U V R R1 = x^(1 - eta^3/2) Delta
+    # / (9 sqrt(delta0 q)), so the budget ratio is (8/9) x^(-eta^3/2) log^2 x
+    # for every q and delta0: 279 at 5e7 and eta = 1/15
+    worst = 0.0
+    for x in (1e3, 1e6, 5e7, 1e12, 1e100, 1e300):
+        for q in (1, 7, 100, 1000):
+            for delta0 in (1.0, 8.0, 100.0):
+                for eta in (1e-3, 0.05, ETA, 0.1):
+                    pc = b.choose_params(x, q, delta0, eta)
+                    got = b.error_budget_report(pc, x, q, delta0)["ratio"]
+                    want = 8 / 9 * x ** (-eta**3 / 2) * math.log(x) ** 2
+                    worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12, worst
+    pc = b.choose_params(5e7, 1, 1.0, ETA)
+    assert round(b.error_budget_report(pc, 5e7, 1, 1.0)["ratio"], 1) == 278.6
+
+
 def test_main_bound_values():
     x = 1e6
     assert b.main_bound("mangoldt", x, 1, 1.0, ETA) == pytest.approx(

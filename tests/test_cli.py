@@ -189,9 +189,9 @@ def test_sweep_twists_do_not_stack(tmp_path, monkeypatch):
     alive, twists = [], []
     original = cli.twisted_weights
 
-    def twist(weights, beta, x):
+    def twist(weights, beta):
         alive.append(sum(ref() is not None for ref in twists))
-        out = original(weights, beta, x)
+        out = original(weights, beta)
         twists.append(weakref.ref(out.values))
         return out
     monkeypatch.setattr(cli, "twisted_weights", twist)
@@ -226,7 +226,7 @@ def _whole_range_class_sums(x, qs, deltas):
         support = fn.support(tables)
         for d in deltas:
             w = support if d == 0.0 else expsum.twisted_weights(
-                support, as_fraction(d) / as_fraction(x), x)
+                support, as_fraction(d) / as_fraction(x))
             for q in qs:
                 want.setdefault(q, {})[f, d] = expsum.residue_weight_sums(w, q, x)
     return want
@@ -672,6 +672,15 @@ def test_parser_fills_every_flag():
                             format="json", seed=7, workers=2, n_max=900)
 
 
+#: Each q above x would ask for class arrays of q entries.
+_Q_ABOVE_X = [
+    ["sweep", "--x", "1000", "--q-range", "3000000000", "3000000000"],
+    ["sweep", "--x", "1e4", "--q-range", "100000", "100000"],
+    ["compare", "--x", "1e4", "--q-range", "50000", "50000",
+     "--weight-overrides", "10", "40", "5", "30"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--x", "2e8"],
     ["sweep", "--x", "nan"],
@@ -694,6 +703,7 @@ def test_parser_fills_every_flag():
     ["compare", "--x", "1000", "--q-range", "1", "2", "--delta", "8", "--delta", "8"],
     ["compare", "--x", "1000", "--q-range", "1", "2", "--delta", "-0.0",
      "--delta", "0"],
+    *_Q_ABOVE_X,
 ])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -718,6 +728,50 @@ def test_huge_delta_exits_2_without_traceback(argv, tmp_path, kit_env):
     assert proc.stderr.startswith("config error: ") and "overflows" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _Q_ABOVE_X)
+def test_q_above_x_checked_before_sieve(argv, tmp_path, monkeypatch, capsys):
+    def no_sieve(n_max):
+        raise AssertionError("sieved before q was checked")
+    monkeypatch.setattr(cli, "build_tables", no_sieve)
+    monkeypatch.setattr(cli, "segments", no_sieve)
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: q-range max must not exceed x\n"
+
+
+def test_q_range_up_to_x_runs(tmp_path):
+    # q = floor(x) is the largest q that the cap lets through
+    for x, q in ((100, 100), (100.5, 100)):
+        assert main(["sweep", "--x", str(x), "--q-range", str(q), str(q),
+                     "-o", str(tmp_path / "s.csv")]) == 0
+    with pytest.raises(ConfigError, match="q-range max must not exceed x"):
+        RunConfig(command="sweep", x=100.5, q_range=(1, 101)).validate()
+
+
+@pytest.mark.parametrize("argv, reads_a_line", [
+    (["sweep", "--x", "1e5", "--q-range", "1", "60"], True),
+    (["bound", "--x", "1e6"], False),
+])
+def test_closed_stdout_ends_quietly(argv, reads_a_line, kit_env):
+    # the reader stops after one line, as `| head -1` does, or before the
+    # run, so that the whole report is left in stdout's buffer (block
+    # buffered, as by default) for the last flush: the run ends with status
+    # 1 and one line on stderr, with no traceback from a write or from the
+    # flush at exit
+    env = {k: v for k, v in kit_env.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    if not reads_a_line:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "expsum_kit.cli", *argv],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if reads_a_line:
+        with os.fdopen(read, "rb") as out:
+            assert out.readline() == b"# expsum-kit v1\r\n"
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1, err
+    assert err == "error: output closed\n"
 
 
 def test_classical_vaughan_override_accepted(tmp_path):

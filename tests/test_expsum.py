@@ -187,7 +187,7 @@ def test_residue_fold_bytes_match_bincount(f, tables_10k):
             twist = (None if delta is None
                      else unit_exponentials(Fraction(delta) / Fraction(x), n))
             weights = (support if delta is None
-                       else twisted_weights(support, Fraction(delta) / Fraction(x), x))
+                       else twisted_weights(support, Fraction(delta) / Fraction(x)))
             for q in range(1, 41):
                 got = residue_weight_sums(weights, q, x)
                 want = _bincount_residue_sums(w, q, x, twist)
@@ -201,6 +201,13 @@ def test_residue_fold_bytes_match_bincount(f, tables_10k):
     with pytest.raises(TableRangeError, match=r"^residue sum cutoff 10001 exceeds "
                        r"sieved range n_max=10000$"):
         residue_weight_sums(support, 3, tables_10k.n_max + 1)
+
+
+def _int_table_sums(table, q, x):
+    """mu's class sums mod q on n <= x by one IntegerClassSums fold."""
+    fold = expsum.IntegerClassSums(q)
+    fold.add(table[:int(math.floor(x)) + 1], 0)
+    return fold.sums(q)
 
 
 @pytest.mark.parametrize("n_max", [10_000, 1_000_000])
@@ -218,17 +225,14 @@ def test_int_table_fold_bytes_match_bincount(n_max, tables_10k):
         aligned = (n_max + 1) // width * width - 1
         for x in (n_max, n_max - 0.5, aligned, aligned + 1, width // 2 + 0.5,
                   width - 1):
-            got = residue_weight_sums(table, q, x)
+            got = _int_table_sums(table, q, x)
             want = _bincount_residue_sums(w, q, x)
             assert got.dtype == np.float64 and got.shape == (q,)
             assert got.tobytes() == want.tobytes(), (n_max, q, x)
     for x, q in ((100, 101), (100, 150), (1, 2), (4_095, 5_000)):
-        got = residue_weight_sums(table, q, x)
+        got = _int_table_sums(table, q, x)
         assert got.shape == (q,)
         assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes(), (x, q)
-    with pytest.raises(TableRangeError, match=rf"^residue sum cutoff {n_max + 1} "
-                       rf"exceeds sieved range n_max={n_max}$"):
-        residue_weight_sums(table, 3, n_max + 1)
 
 
 def test_unit_exponentials_bitwise():
@@ -418,7 +422,7 @@ def test_twisted_residue_sums_match_direct(f, tables_10k):
         for a, q, t in ((0, 1, 8), (2, 7, -20), (5, 12, 250), (3, 10, 2.5)):
             beta = Fraction(t) / Fraction(x)
             per_residue = residue_weight_sums(
-                twisted_weights(arith_function(f).support(tables_10k), beta, x), q, x)
+                twisted_weights(arith_function(f).support(tables_10k), beta), q, x)
             phases = np.exp(2j * np.pi * a * np.arange(q) / q)
             got = complex(np.dot(per_residue, phases))
             want = direct_sum(f, Fraction(a, q) + beta, x, tables_10k).value
@@ -431,29 +435,27 @@ def test_twisted_weights_bytes_match_unit_exponentials(f, tables_2m):
     # unit_exponentials, on both sides of every 2^16-block anchor up to
     # 2^18 (65,536 = 2^16 is j = 2^16 of block 0 and 65,537 is j = 1 of
     # block 1, both prime powers), for a beta whose denominator exceeds
-    # 2^63, and up to a cutoff that is not an integer
+    # 2^63, and on a support cut at the floor of an x that is not an integer
     w = arith_function(f).floats(tables_2m, 300_000)
-    support = arith_function(f).support(tables_2m, 300_000)
     for x in (65_536.5, 100_000, 262_200.5):
         top = int(x)
+        support = arith_function(f).support(tables_2m, top)
         for beta in (Fraction(8) / Fraction(x), Fraction(-20, 100_003),
                      Fraction(1, 3), Fraction(math.sqrt(2) - 1) + 8 / Fraction(x)):
-            got = twisted_weights(support, beta, x)
+            got = twisted_weights(support, beta)
             n = got.n
             assert got.top == top
-            assert np.array_equal(n, support.n[support.n <= top])
+            assert np.array_equal(n, support.n)
             e = unit_exponentials(beta, top)[n - 1]
-            assert got.values.shape == (2, len(n))
-            assert got.values[0].tobytes() == (w[n] * e.real).tobytes(), (x, beta)
-            assert got.values[1].tobytes() == (w[n] * e.imag).tobytes(), (x, beta)
+            assert got.values.dtype == np.complex128 and got.values.shape == (len(n),)
+            assert got.values.real.tobytes() == (w[n] * e.real).tobytes(), (x, beta)
+            assert got.values.imag.tobytes() == (w[n] * e.imag).tobytes(), (x, beta)
     assert (Fraction(math.sqrt(2) - 1) + 8 / Fraction(x)).denominator > 2**63
     if f == "mangoldt":
         assert {65_536, 65_537} <= set(n.tolist())
     for edge in range(65_536, top, 65_536):
         assert np.any((n > edge - 40) & (n <= edge))
         assert np.any((n > edge) & (n <= edge + 40))
-    with pytest.raises(TableRangeError):
-        twisted_weights(support, beta, support.top + 1)
 
 
 def test_residue_sums_cut_at_a_support_n(tables_10k):
@@ -468,7 +470,7 @@ def test_residue_sums_cut_at_a_support_n(tables_10k):
         for q in (1, 2, 7, 12):
             got = residue_weight_sums(support, q, x)
             assert got.tobytes() == _bincount_residue_sums(w, q, x).tobytes()
-            got = residue_weight_sums(twisted_weights(support, beta, x), q, x)
+            got = residue_weight_sums(twisted_weights(support, beta), q, x)
             want = _bincount_residue_sums(w, q, x, unit_exponentials(beta, int(x)))
             assert got.tobytes() == want.tobytes(), (f, x, q)
 
@@ -481,28 +483,28 @@ def test_twist_of_a_window_has_the_whole_twists_bits(f, tables_2m):
     x = 300_000
     support = arith_function(f).support(tables_2m, x)
     beta = Fraction(8) / Fraction(x)
-    whole = twisted_weights(support, beta, x).values
+    whole = twisted_weights(support, beta).values
     for lo, hi in ((1 << 16, 3 << 16), ((1 << 16) + 1, 150_001),
                    ((2 << 16) - 1, x + 1), (70_000, 70_100)):
         a, b = np.searchsorted(support.n, (lo, hi))
         top = int(support.n[b - 1])
         window = Support(support.n[a:b], support.values[a:b], top)
-        got = twisted_weights(window, beta, top)
+        got = twisted_weights(window, beta)
         assert np.array_equal(got.n, support.n[a:b])
-        assert got.values.tobytes() == whole[:, a:b].tobytes(), (lo, hi)
+        assert got.values.tobytes() == whole[a:b].tobytes(), (lo, hi)
 
 
 def test_residue_sums_dtype_without_terms():
     # no n <= 1.5 is a prime power: an empty bincount is int64, so the sums
-    # are cast to float64, as on the integer-table route; a twist with no n
-    # left is complex all the same
+    # are cast to float64; a twist with no n left below x is complex all
+    # the same
     tables = build_tables(100)
     for f in ("mangoldt", "mobius"):
         support = arith_function(f).support(tables)
         for x in (1.5, 2):
             real = residue_weight_sums(support, 3, x)
             twisted = residue_weight_sums(
-                twisted_weights(support, Fraction(8, 100), x), 3, x)
+                twisted_weights(support, Fraction(8, 100)), 3, x)
             assert real.dtype == np.float64 and real.shape == (3,), (f, x)
             assert twisted.dtype == np.complex128 and twisted.shape == (3,), (f, x)
     empty = residue_weight_sums(MANGOLDT.support(tables), 3, 1.5)
@@ -517,10 +519,10 @@ def test_twisted_weights_peak_memory():
     beta = Fraction(8, 200_000)
     for f in ("mangoldt", "mobius"):
         support = arith_function(f).support(tables)
-        twisted_weights(support, beta, 200_000)  # first-call caches
+        twisted_weights(support, beta)  # first-call caches
         tracemalloc.start()
         try:
-            out = twisted_weights(support, beta, 200_000)
+            out = twisted_weights(support, beta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
