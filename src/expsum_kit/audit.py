@@ -113,13 +113,10 @@ def _random_ap0(rng: np.random.Generator) -> _Approx:
     return _Approx(alpha=alpha, a0=a0, q0=q0, delta=float(delta), y=float(y))
 
 
-def _inv_sin_norm(alpha: Fraction, n: int, first: int = 1) -> np.ndarray:
-    """1/|sin(pi m alpha)| for m = first..n, +inf where m alpha is integral.
-
-    A window (first > 1) holds the same bits as _inv_sin_norm(alpha, n)
-    [first - 1:], from symmetric_fracs' window, at O(n - first) cost.
-    """
-    s = np.sin(np.pi * np.abs(symmetric_fracs(alpha, n, first)))
+def _inv_sin_norm(alpha: Fraction, ms: np.ndarray) -> np.ndarray:
+    """1/|sin(pi m alpha)| at each m of an increasing int array ms >= 1,
+    +inf where m alpha is integral."""
+    s = np.sin(np.pi * np.abs(symmetric_fracs(alpha, ms)))
     out = np.full(len(s), np.inf)
     nz = s > 0
     out[nz] = 1.0 / s[nz]
@@ -140,7 +137,7 @@ def _check_window_min_sum(rng, audit: LemmaAudit) -> None:
     m_lo, m_hi = int(math.floor(z1)) + 1, int(math.floor(z2))
     lhs = 0.0
     if m_hi >= m_lo:
-        inv = _inv_sin_norm(ap.alpha, m_hi, m_lo)
+        inv = _inv_sin_norm(ap.alpha, np.arange(m_lo, m_hi + 1))
         lhs = float(np.sum(np.minimum(A, inv)))
     rhs = 2.0 * A + 2.0 * q0 / math.pi * math.log(4.0 * q0)
     audit.record(lhs, rhs, {"q0": q0, "z1": z1, "z2": z2, "A": A,
@@ -158,10 +155,8 @@ def _check_window_nondivisible(rng, audit: LemmaAudit) -> None:
     m_lo, m_hi = int(math.floor(z1)) + 1, int(math.floor(z2))
     lhs = 0.0
     if m_hi >= m_lo:
-        inv = _inv_sin_norm(ap.alpha, m_hi, m_lo)
         ms = np.arange(m_lo, m_hi + 1)
-        mask = ms % q0 != 0
-        lhs = float(np.sum(inv[mask]))
+        lhs = float(np.sum(_inv_sin_norm(ap.alpha, ms[ms % q0 != 0])))
     rhs = q0 * math.log(math.e * q0)
     audit.record(lhs, rhs, {"q0": q0, "z1": z1, "z2": z2,
                             "delta": ap.delta, "y": ap.y})
@@ -175,9 +170,9 @@ def _check_weighted_min_sum(rng, audit: LemmaAudit) -> None:
     r = int(rng.integers(0, 4))
     Y = float(rng.uniform(3.5, 3000.0))
     n = int(math.floor(Y))
-    ms = np.arange(1, n + 1, dtype=np.float64)
+    ms = np.arange(1, n + 1)
     weights = np.log(Y / ms) ** r
-    inv = _inv_sin_norm(ap.alpha, n)
+    inv = _inv_sin_norm(ap.alpha, ms)
     lhs = float(np.sum(weights * np.minimum(y / ms, inv)))
     log_plus = max(math.log(2.0 * Y / q0), 0.0)
     rhs = (math.log(4.0 * q0) * (2.0 * math.factorial(r) / math.pi * Y
@@ -197,10 +192,9 @@ def _check_weighted_nondivisible(rng, audit: LemmaAudit) -> None:
     Y = float(rng.uniform(3.5, min(3000.0, y_cap)))
     n = int(math.floor(Y))
     ms = np.arange(1, n + 1)
-    mask = ms % q0 != 0
-    weights = np.log(Y / ms.astype(np.float64)) ** r
-    inv = _inv_sin_norm(ap.alpha, n)
-    lhs = float(np.sum(weights[mask] * inv[mask]))
+    ms = ms[ms % q0 != 0]
+    weights = np.log(Y / ms) ** r
+    lhs = float(np.sum(weights * _inv_sin_norm(ap.alpha, ms)))
     rhs = math.log(math.e * q0) * (math.factorial(r) * Y
                                    + q0 * math.log(Y) ** r)
     audit.record(lhs, rhs, {"q0": q0, "Y": Y, "r": r, "delta": ap.delta, "y": y})

@@ -340,7 +340,8 @@ def theorem_bound_components(x: float, q: int, delta0: float, eta: float,
 
 
 def bound_report(x: float, q: int, delta0: float, eta: float) -> Dict[str, object]:
-    """JSON-ready report with F, G, both bounds, parameters and flags."""
+    """JSON-ready report with F, G, both bounds, parameters, flags and the
+    non-binding error budget."""
     u, u0 = coordinates(x, q, delta0)
     pc = choose_params(x, q, delta0, eta)
     return {
@@ -356,5 +357,6 @@ def bound_report(x: float, q: int, delta0: float, eta: float) -> Dict[str, objec
         "params": {"U": pc.U, "U1": pc.U1, "R": pc.R, "V": pc.V,
                    "Delta": pc.Delta},
         "flags": pc.condition_flags,
+        "error_budget": error_budget_report(pc, x, q, delta0),
         "disclaimer": DISCLAIMER,
     }

@@ -71,44 +71,51 @@ def _signed_rep(num: int, den: int) -> float:
     return k / den
 
 
-def _reduced(j: np.ndarray, beta: float, anchor: float, out: np.ndarray,
-             scratch: np.ndarray) -> None:
-    """out = v - round(v), v = anchor + j*beta, each step rounded as written
-    and made in place; scratch (which may be j) takes round(v)."""
-    np.multiply(j, beta, out=out)
-    out += anchor
-    np.round(out, out=scratch)
-    out -= scratch
+def _fracs_at(alpha, k: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = symmetric_fracs(alpha, k), k an increasing int array >= 1;
+    scratch, as long as k, takes each value's nearest integer.
 
-
-def symmetric_fracs(alpha, n: int, first: int = 1) -> np.ndarray:
-    """k*alpha mod 1 in [-1/2, 1/2] for k = first..n (a half-integer
-    k*alpha may land on either end).
-
-    The fractional part is re-anchored by exact integer arithmetic every
-    2^16 steps. Within a block (j <= 2^16) beta's rounding times j, and the
-    roundings of j*beta (below 2^15) and of the anchor sum (below 2^16), add
-    <= 2^-39, 2^-39 and 2^-38, the anchor 2^-55: each value is within
-    2^-37 + 2^-55 < 7.3e-12 of the exact k*alpha mod 1 (2^-38 is reached at
-    1/3 and 2/7), not one ulp. All operations are negation-symmetric, so
-    the array for -alpha is exactly the negation of the one for alpha
-    wherever k*alpha is not a half-integer (and conjugation identities hold
-    bitwise downstream when no k*alpha is).
-
-    A window (first > 1) keeps each k's block anchor and in-block index
-    j, so it holds the same bits as symmetric_fracs(alpha, n)[first - 1:]
-    at O(n - first) cost. Each block is computed in the result, past one
-    temporary: its in-block indices j.
+    Per 2^16-block (s, s + 2^16] holding some k, with j = k - s and beta,
+    anchor = {alpha}, {s alpha} reduced exactly: out = v - rint(v) (ties to
+    even, as np.round), v = anchor + j*beta, each step rounded as written
+    and made in place.
     """
-    af = as_fraction(alpha) % 1
-    num, den = af.numerator, af.denominator
+    if not len(k):
+        return
+    num, den = as_fraction(alpha).as_integer_ratio()  # _signed_rep reduces mod 1
     beta = _signed_rep(num, den)
-    out = np.empty(max(n - first + 1, 0), dtype=np.float64)
-    for start in range((first - 1) // _BLOCK * _BLOCK, n, _BLOCK):
-        j_lo, j_hi = max(first - start, 1), min(_BLOCK, n - start)
-        j = np.arange(j_lo, j_hi + 1, dtype=np.float64)
-        _reduced(j, beta, _signed_rep(start * num, den),
-                 out[start + j_lo - first:start + j_hi - first + 1], j)
+    lo = 0
+    for s in range((int(k[0]) - 1) // _BLOCK * _BLOCK, int(k[-1]), _BLOCK):
+        hi = int(k.searchsorted(s + _BLOCK, side="right"))
+        v = out[lo:hi]
+        v[:] = k[lo:hi]  # a cast by assignment takes no ufunc buffer
+        v -= s
+        v *= beta
+        v += _signed_rep(s * num, den)
+        np.rint(v, out=scratch[lo:hi])
+        v -= scratch[lo:hi]
+        lo = hi
+
+
+def symmetric_fracs(alpha, k: np.ndarray) -> np.ndarray:
+    """k*alpha mod 1 in [-1/2, 1/2] at each k of an increasing int array
+    k >= 1 (a half-integer k*alpha may land on either end).
+
+    The fractional part is re-anchored by exact integer arithmetic at every
+    2^16-block (_fracs_at). Within a block (j <= 2^16) beta's rounding times
+    j, and the roundings of j*beta (below 2^15) and of the anchor sum (below
+    2^16), add <= 2^-39, 2^-39 and 2^-38, the anchor 2^-55: each value is
+    within 2^-37 + 2^-55 < 7.3e-12 of the exact k*alpha mod 1 (2^-38 is
+    reached at 1/3 and 2/7), not one ulp. All operations are
+    negation-symmetric, so the array for -alpha is exactly the negation of
+    the one for alpha wherever k*alpha is not a half-integer (and
+    conjugation identities hold bitwise downstream when no k*alpha is).
+
+    The value at k depends on k alone, through its block anchor and
+    in-block index, so k has the same bits in every array that holds it.
+    """
+    out = np.empty(len(k), dtype=np.float64)
+    _fracs_at(alpha, k, out, np.empty_like(out))
     return out
 
 
@@ -249,40 +256,24 @@ def twisted_weights(weights: Support, beta) -> Support:
     """The Support of w(n) e(n beta), complex128, for a real weight w.
 
     Its real parts are w(n) cos, its imaginary parts w(n) sin, of
-    2 pi symmetric_fracs(beta, weights.top) at n, bit for bit: the phase is
-    made at the support n only, from n's 2^16-block anchor and in-block
-    index j = n - start in [1, 2^16] by symmetric_fracs' own float
-    operations (_reduced). The blocks start at the one holding the
-    support's first n, so a Support on a window (a sieve segment's,
-    arith.ArithFunction.on_segment) costs its own blocks only, and its
-    twist has the bits of the whole support's twist at the same n. Every
-    step writes into the result's .real and .imag views, and each part is
-    multiplied by w in place (a complex-by-float product would turn the
-    imaginary -0.0 of a sine of 0 times a negative w into +0.0), so past its
-    16 bytes per support n the only array is the support's index at each
-    block edge.
+    2 pi symmetric_fracs(beta, weights.n), made by symmetric_fracs' own
+    routine at the support n only, so a Support on a window (a sieve
+    segment's, arith.ArithFunction.on_segment) costs its own blocks only,
+    and its twist has the bits of the whole support's twist at the same n.
+    Every step writes into the result's .real and .imag views, and each
+    part is multiplied by w in place (a complex-by-float product would turn
+    the imaginary -0.0 of a sine of 0 times a negative w into +0.0), so no
+    array is made past its 16 bytes per support n.
     """
-    n, top = weights.n, weights.top
-    af = as_fraction(beta) % 1
-    num, den = af.numerator, af.denominator
-    step = _signed_rep(num, den)
-    out = np.empty(len(n), dtype=np.complex128)
+    out = np.empty(len(weights.n), dtype=np.complex128)
     re, im = out.real, out.imag
-    first = (int(n[0]) - 1) // _BLOCK * _BLOCK if len(n) else top
-    ends = np.searchsorted(n, np.arange(first, top + _BLOCK, _BLOCK), side="right")
-    for start, lo, hi in zip(range(first, top, _BLOCK), ends, ends[1:]):
-        if lo == hi:
-            continue
-        arg = im[lo:hi]  # j, then the phases, then their sines in place
-        arg[:] = n[lo:hi]  # a cast by assignment takes no ufunc buffer
-        arg -= start
-        _reduced(arg, step, _signed_rep(start * num, den), arg, re[lo:hi])
-        arg *= 2 * np.pi
-        np.cos(arg, out=re[lo:hi])
-        np.sin(arg, out=arg)
-        re[lo:hi] *= weights.values[lo:hi]
-        arg *= weights.values[lo:hi]
-    return Support(n, out, top)
+    _fracs_at(beta, weights.n, im, re)  # the phases, then their sines in place
+    im *= 2 * np.pi
+    np.cos(im, out=re)
+    np.sin(im, out=im)
+    re *= weights.values
+    im *= weights.values
+    return Support(weights.n, out, weights.top)
 
 
 def residue_weight_sums(weights: Support, q: int, x: float) -> np.ndarray:

@@ -26,7 +26,10 @@ from .arith import ArithTables, TableRangeError, ramanujan_sum, totient
 RAMP_DPS = 50
 
 #: Partial-sum constants for the logarithmically weighted Mobius sums
-#: m-check and m-double-check (see mobius_partial): valid for all X >= 1.
+#: m-check and m-double-check (see mobius_partial). Checked at 60,000 X
+#: spread evenly over [1.0001, 1e4] and 20,000 spread geometrically over
+#: [1.0001, 2]: all four bounds hold but one, a finding. On 1 < X < 2,
+#: m-check(X) = log X, and |log X - 1| <= c1/log X fails on (1.3602, 1.9984).
 RAMARE_C1 = 0.213
 RAMARE_C1_PRIME = 1.00303
 RAMARE_C2 = 0.2062
@@ -530,13 +533,16 @@ def mobius_partial(v: int, X: float, power: int, tables: ArithTables) -> float:
 
 
 def mobius_partial_bounds_hold(X: float, tables: ArithTables) -> Dict[str, bool]:
-    """The four partial-sum bounds with constants c1, c1', c2, c2' at one X."""
+    """The four partial-sum bounds with constants c1, c1', c2, c2' at one
+    X >= 1; at X = 1 the asymptotic bounds c/log X read as +inf."""
+    if X < 1:
+        raise ValueError(f"X must be at least 1, got {X}")
     m1, m2 = _mobius_partials(1, X, (1, 2), tables)
     log_x = math.log(X)
+    c1, c2 = (RAMARE_C1 / log_x, RAMARE_C2 / log_x) if log_x else (math.inf, math.inf)
     return {
-        "m_check_asymptotic": abs(m1 - 1.0) <= RAMARE_C1 / log_x,
+        "m_check_asymptotic": abs(m1 - 1.0) <= c1,
         "m_check_absolute": abs(m1) <= RAMARE_C1_PRIME,
-        "mm_check_asymptotic": abs(m2 - 2 * log_x + 2 * np.euler_gamma)
-        <= RAMARE_C2 / log_x,
+        "mm_check_asymptotic": abs(m2 - 2 * log_x + 2 * np.euler_gamma) <= c2,
         "mm_check_absolute": abs(m2) <= RAMARE_C2_PRIME * log_x,
     }

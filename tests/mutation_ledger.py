@@ -41,7 +41,11 @@ MUTANTS = [
     # the complex twist and its folds
     Mutant("twist multiplies only the real part by the weight",
            "src/expsum_kit/expsum.py",
-           "        arg *= weights.values[lo:hi]\n", "",
+           "    im *= weights.values\n", "",
+           "tests/test_expsum.py::test_twisted_weights_bytes_match_unit_exponentials"),
+    Mutant("the twist's rounding scratch aliases its phases",
+           "src/expsum_kit/expsum.py",
+           "_fracs_at(beta, weights.n, im, re)", "_fracs_at(beta, weights.n, im, im)",
            "tests/test_expsum.py::test_twisted_weights_bytes_match_unit_exponentials"),
     Mutant("a twist's class sums start as float",
            "src/expsum_kit/cli.py",
@@ -82,9 +86,30 @@ MUTANTS = [
            "tests/test_cli.py::test_fold_cover_matches_per_q_fold"),
     Mutant("twist blocks are not cut at multiples of 2^16",
            "src/expsum_kit/expsum.py",
-           "first = (int(n[0]) - 1) // _BLOCK * _BLOCK if len(n) else top",
-           "first = int(n[0]) - 1 if len(n) else top",
+           "(int(k[0]) - 1) // _BLOCK * _BLOCK", "int(k[0]) - 1",
            "tests/test_expsum.py::test_twist_of_a_window_has_the_whole_twists_bits"),
+    Mutant("the wheel is copied one entry late",
+           "src/expsum_kit/arith.py",
+           "wheel[lo % _WHEEL:]", "wheel[(lo + 1) % _WHEEL:]",
+           "tests/test_arith.py::test_tables_match_whole_range_sieve"),
+    # the audit
+    Mutant("the weighted non-divisible check keeps the multiples of q0",
+           "src/expsum_kit/audit.py",
+           "ms = ms[ms % q0 != 0]", "ms = ms",
+           "tests/test_audit.py::test_audit_report_golden"),
+    Mutant("the gcd period misses each p^j-th entry",
+           "src/expsum_kit/audit.py",
+           "period[p ** j - 1::p ** j]", "period[p ** j::p ** j]",
+           "tests/test_audit.py::test_gcd_period_is_np_gcd"),
+    # the bounds reports
+    Mutant("the partial-sum bounds lose their X = 1 guard",
+           "src/expsum_kit/weights.py",
+           " if log_x else (math.inf, math.inf)", "",
+           "tests/test_weights.py::test_partial_bounds_at_small_x"),
+    Mutant("the bound report drops its error budget",
+           "src/expsum_kit/bounds.py",
+           "        \"error_budget\": error_budget_report(pc, x, q, delta0),\n", "",
+           "tests/test_cli.py::test_bound_command_json"),
     # the exact partial sums
     Mutant("the high part is split at 2^25",
            "src/expsum_kit/weights.py",

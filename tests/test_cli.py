@@ -595,6 +595,10 @@ def test_bound_command_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["q"] == 2 and "bound_mangoldt" in payload
     assert payload["config"]["command"] == "bound"
+    # the error budget's closed form (test_bounds.py)
+    x, eta = payload["x"], payload["eta"]
+    want = 8 / 9 * x ** (-eta**3 / 2) * math.log(x) ** 2
+    assert abs(payload["error_budget"]["ratio"] - want) <= 1e-12 * want
 
 
 def test_verify_identity_command(tmp_path):

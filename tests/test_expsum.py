@@ -23,7 +23,7 @@ from expsum_kit.weights import WeightConfig, WeightSystem, _one_star
 def unit_exponentials(alpha, n):
     """The twists' dense oracle: e(k*alpha) for k = 1..n in one complex
     array, from the whole symmetric_fracs array."""
-    arg = (2 * np.pi) * symmetric_fracs(alpha, n)
+    arg = (2 * np.pi) * symmetric_fracs(alpha, np.arange(1, n + 1))
     out = np.empty(n, dtype=np.complex128)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
@@ -92,18 +92,18 @@ def test_symmetric_fracs_exact():
     rng = np.random.default_rng(3)
     for alpha in (Fraction(17, 31), Fraction(int(rng.integers(1, 10**6))),
                   Fraction(1, 2), Fraction(0.7182818), Fraction(7, 2**20 + 1)):
-        fr = symmetric_fracs(alpha, 300)
+        fr = symmetric_fracs(alpha, np.arange(1, 301))
         assert np.all(np.abs(fr) <= 0.5)
         assert abs(fr[0]) == float(_dist(alpha))
         for n in (2, 7, 131, 299, 300):
             gap = Fraction(fr[n - 1]) - n * alpha
             assert abs(gap - round(gap)) < 5e-13
-        neg = symmetric_fracs(-alpha, 300)
+        neg = symmetric_fracs(-alpha, np.arange(1, 301))
         half = np.abs(fr) == 0.5  # e(1/2) = e(-1/2): either end will do
         assert np.array_equal(neg[~half], -fr[~half])
         assert np.all(np.abs(neg[half]) == 0.5)
     alpha = Fraction(355, 113)
-    big = symmetric_fracs(alpha, 200_000)
+    big = symmetric_fracs(alpha, np.arange(1, 200_001))
     for n in (65_537, 131_073, 196_609):  # a block start: anchor plus beta
         assert abs(abs(big[n - 1]) - _dist(n * alpha)) < 1e-15
 
@@ -119,7 +119,7 @@ def test_symmetric_fracs_in_block_drift():
     worst = 0.0
     for alpha in (Fraction(1, 3), Fraction(2, 7), Fraction(-2, 7),
                   Fraction(17, 31), Fraction(355, 113)):
-        fr = symmetric_fracs(alpha, n)
+        fr = symmetric_fracs(alpha, k)
         gap = fr - (k * alpha.numerator % alpha.denominator) / alpha.denominator
         err = np.abs(gap - np.round(gap)).max()
         assert err <= 2.0**-37 + 2.0**-55 + 2.0**-52, (alpha, err)
@@ -127,18 +127,23 @@ def test_symmetric_fracs_in_block_drift():
     assert worst >= 2.0**-39, worst
 
 
-@pytest.mark.parametrize("first, hi", [
-    (1, 200_000), (65_530, 65_540), (65_536, 65_600), (65_537, 131_072),
-    (100, 100), (131_000, 200_000)])
-def test_symmetric_fracs_window_bitwise(first, hi):
-    # a window keeps each k's 2^16-block anchor and in-block index: the
-    # same bits as the slice of the full array, inside a block, across a
-    # block boundary, and starting on a block's last or first k
+@pytest.mark.parametrize("k", [
+    *(pytest.param(np.arange(first, hi + 1), id=f"{first}-{hi}")
+      for first, hi in ((1, 200_000), (65_530, 65_540), (65_536, 65_600),
+                        (65_537, 131_072), (100, 100), (131_000, 200_000))),
+    pytest.param(np.array([1, 65_535, 65_536, 65_537, 131_072, 131_073, 199_999]),
+                 id="sparse"),
+    pytest.param(np.array([], dtype=np.int64), id="empty")])
+def test_symmetric_fracs_window_bitwise(k):
+    # the value at k keeps its 2^16-block anchor and in-block index: a
+    # window or a sparse k has the bits of the dense array's entries at k,
+    # inside a block, across block boundaries, and starting on a block's
+    # last or first k
     alpha = Fraction(355, 113) + Fraction(8, 10**6)
-    full = symmetric_fracs(alpha, 200_000)
-    window = symmetric_fracs(alpha, hi, first)
-    assert window.shape == (hi - first + 1,)
-    assert window.tobytes() == full[first - 1:hi].tobytes()
+    full = symmetric_fracs(alpha, np.arange(1, 200_001))
+    got = symmetric_fracs(alpha, k)
+    assert got.shape == k.shape
+    assert got.tobytes() == full[k - 1].tobytes()
 
 
 def test_rational_fast_path_matches_direct(tables_10k):
@@ -239,7 +244,7 @@ def test_unit_exponentials_bitwise():
     for alpha in (Fraction(3, 7), Fraction(-3, 7), Fraction(41, 137),
                   Fraction(-41, 137), Fraction(1, 4), Fraction(8, 10_007)):
         got = unit_exponentials(alpha, 70_000)
-        arg = (2 * np.pi) * symmetric_fracs(alpha, 70_000)
+        arg = (2 * np.pi) * symmetric_fracs(alpha, np.arange(1, 70_001))
         want = np.cos(arg) + 1j * np.sin(arg)
         assert got.dtype == np.complex128
         assert got.tobytes() == want.tobytes(), alpha

@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "expsum_kit"
 # lives under tests (oracles.py).
 UNREACHED = {
     "theorem_bound_components": "ROADMAP item 6: per-piece bounds in compare",
-    "error_budget_report": "ROADMAP item 6: error_budget in bound",
     "gq_lower_bound_holds": "ROADMAP item 7: weights block of verify-identity",
     "lbsum_b_report": "ROADMAP item 7: weights block of verify-identity",
     "lbsum_c_report": "ROADMAP item 7: weights block of verify-identity",

@@ -341,6 +341,8 @@ def test_mobius_partial_examples(tables_small):
         mobius_partial(4, 100, 1, tables_small)  # v not squarefree
     with pytest.raises(ValueError):
         mobius_partial(1, 100, 3, tables_small)
+    with pytest.raises(ValueError):
+        mobius_partial_bounds_hold(0.5, tables_small)  # X below 1
 
 
 def test_mobius_partial_coprimality(tables_small):
@@ -390,6 +392,17 @@ def _mobius_partial_expr(v, X, power, tables):
 def test_mobius_partial_matches_expression_bitwise(tables_2m, v, X, power):
     expected = _mobius_partial_expr(v, X, power, tables_2m)
     assert mobius_partial(v, X, power, tables_2m) == expected
+
+
+@pytest.mark.parametrize("X, false_flags", [
+    (1.0, set()), (1.5, {"m_check_asymptotic"}), (2.0, set())])
+def test_partial_bounds_at_small_x(tables_small, X, false_flags):
+    # at X = 1 both partial sums are 0 and c/log X reads as +inf; on
+    # 1 < X < 2 m-check(X) = log X, and |log X - 1| <= c1/log X fails on
+    # (1.3602, 1.9984): at X = 1.5 a finding, pinned here
+    flags = mobius_partial_bounds_hold(X, tables_small)
+    assert {name for name, held in flags.items() if not held} == false_flags
+    assert len(flags) == 4
 
 
 @pytest.mark.parametrize("X", [1e5, 1e6, 12345.5])
